@@ -653,7 +653,6 @@ def two_corner_params(d: PolygonalDomain) -> dict:
 
 _LOWER = {"main", "split", "triangle", "john2d", "johnNd", "via-neumann",
           "sd-lower2d", "sd-sum"}
-_UPPER = {"kroger", "sd-upper", "sd-john2d", "heat-trace"}
 _K_AXIS = {"kroger", "bracket", "sd-sum"}
 _SN_ONLY = {"main", "split", "triangle", "john2d", "johnNd", "via-neumann",
             "kroger", "bracket"}

@@ -223,8 +223,11 @@ def cmd_asym(args) -> int:
         raise ValueError(f"window must be 'z1,z2', got {args.window!r}")
     result = asymptotics.fit_second_term(s, args.gamma, (_num(z1), _num(z2)))
     text = json.dumps(result.to_dict(), indent=2) + "\n"
-    _write(lambda out: out.write(text) if hasattr(out, "write")
-           else open(out, "w").write(text), args.out)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -13,9 +13,23 @@ solver handles: S u = nu M_F u.
 
 SN keeps wall nodes as free unknowns (natural boundary condition); SD
 eliminates them (including the surface corner nodes) before condensation.
-The built-in mesher covers convex polygons; anything else comes in through
-``load_mesh`` (plain text: node count, `x y` lines, triangle count, `i j k`
-lines, boundary count, `i j tag` lines, all 0-based).
+
+The Schur complement comes from one sparse LU of the bordered matrix: the
+interior unknowns first, in the minimum-degree order of their own block K_ii,
+and the retained surface unknowns last.  Factored in that order without
+pivoting, the trailing blocks of the factors satisfy
+
+    L22 U22 = K_ff + D - K_fi K_ii^-1 K_if = S + D,
+
+so no triangular solves are needed.  D is a positive diagonal shift on the
+surface block only: it keeps the bordered matrix definite (SN's full K is
+singular) and leaves L21 and U12 untouched.
+
+Meshes go through one numpy edge table (the unique sorted vertex pairs of
+the triangle sides), which drives refinement, boundary extraction and
+validation.  The built-in mesher covers convex polygons; anything else comes
+in through ``load_mesh`` (plain text: node count, `x y` lines, triangle
+count, `i j k` lines, boundary count, `i j tag` lines, all 0-based).
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from . import geometry
 from .geometry import DomainError, PolygonalDomain
@@ -65,14 +79,46 @@ class Mesh:
 
     def free_nodes(self) -> np.ndarray:
         """Sorted ids of nodes on Free boundary edges (corners included)."""
-        ids = {v for i, j, tag in self.boundary_edges if tag == geometry.FREE
-               for v in (i, j)}
-        return np.array(sorted(ids), dtype=int)
+        ij, tags = _boundary_arrays(self.boundary_edges)
+        return np.unique(ij[tags == geometry.FREE])
 
     def wall_nodes(self) -> np.ndarray:
-        ids = {v for i, j, tag in self.boundary_edges if tag == geometry.WALL
-               for v in (i, j)}
-        return np.array(sorted(ids), dtype=int)
+        ij, tags = _boundary_arrays(self.boundary_edges)
+        return np.unique(ij[tags == geometry.WALL])
+
+
+def _boundary_arrays(boundary_edges):
+    """The (i, j, tag) list as an (b, 2) index array and a length-b tag array."""
+    ij = np.array([(i, j) for i, j, _tag in boundary_edges],
+                  dtype=np.int64).reshape(-1, 2)
+    tags = np.array([tag for _i, _j, tag in boundary_edges], dtype=object)
+    return ij, tags
+
+
+@dataclass(frozen=True)
+class _EdgeTable:
+    """The unique edges of a triangle list.
+
+    Side k of triangle t runs from vertex k to vertex k+1 (mod 3); its slot in
+    scan order is 3 t + k.
+    """
+
+    pairs: np.ndarray   # (e, 2) sorted vertex pairs (lo, hi), lexicographic
+    side: np.ndarray    # (t, 3) edge row of each triangle side
+    first: np.ndarray   # (e,) first slot that uses the edge
+    count: np.ndarray   # (e,) number of triangles sharing the edge
+
+
+def _edge_table(triangles) -> _EdgeTable:
+    tris = np.asarray(triangles, dtype=np.int64)
+    a, b = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    base = int(hi.max()) + 1 if hi.size else 1
+    keys, first, inverse, count = np.unique(
+        lo * base + hi, return_index=True, return_inverse=True,
+        return_counts=True)
+    return _EdgeTable(np.column_stack([keys // base, keys % base]),
+                      inverse.reshape(-1, 3), first, count)
 
 
 def _tri_areas(nodes, triangles):
@@ -96,15 +142,11 @@ def validate_mesh(mesh: Mesh) -> None:
         bad = int(np.argmax(areas <= 0))
         raise MeshError(f"triangle {bad} is degenerate or clockwise "
                         f"(signed area {areas[bad]:.3e})")
-    counts: dict = {}
-    for tri in tris:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            counts[key] = counts.get(key, 0) + 1
-    if any(c > 2 for c in counts.values()):
+    edges = _edge_table(tris)
+    if np.any(edges.count > 2):
         raise MeshError("non-conforming mesh: an edge is shared by more than "
                         "two triangles")
-    hull = {e for e, c in counts.items() if c == 1}
+    hull = set(map(tuple, edges.pairs[edges.count == 1].tolist()))
     tagged = set()
     for i, j, tag in mesh.boundary_edges:
         if tag not in (geometry.FREE, geometry.WALL):
@@ -128,54 +170,49 @@ def validate_mesh(mesh: Mesh) -> None:
 # ---------------------------------------------------------------------------
 
 def _classify_boundary(d: PolygonalDomain, nodes, hull_edges):
-    """Tag each hull edge by the domain edge its midpoint lies on."""
-    segs = [(a, b, tag) for _i, a, b, tag in d.edges()]
+    """Tag each hull edge by the first domain edge its midpoint lies on."""
+    mid = 0.5 * (nodes[hull_edges[:, 0]] + nodes[hull_edges[:, 1]])
     tol = max(d._tol, 1e-9)
-    out = []
-    for i, j in hull_edges:
-        mid = 0.5 * (nodes[i] + nodes[j])
-        for a, b, tag in segs:
-            ab = b - a
-            t = float((mid - a) @ ab) / float(ab @ ab)
-            t = min(1.0, max(0.0, t))
-            if np.hypot(*(mid - (a + t * ab))) <= tol * (1 + np.hypot(*ab)):
-                out.append((int(i), int(j), tag))
-                break
-        else:
-            raise MeshError(f"boundary edge ({i}, {j}) lies on no domain edge")
-    return out
+    on = np.full(len(hull_edges), -1)          # domain edge index, -1: none yet
+    for k, a, b, _tag in d.edges():
+        ab = b - a
+        t = np.clip((mid - a) @ ab / float(ab @ ab), 0.0, 1.0)
+        gap = np.hypot(*(mid - (a + t[:, None] * ab)).T)
+        on[(gap <= tol * (1 + np.hypot(*ab))) & (on < 0)] = k
+    if np.any(on < 0):
+        i, j = hull_edges[np.argmax(on < 0)]
+        raise MeshError(f"boundary edge ({i}, {j}) lies on no domain edge")
+    return [(i, j, d.edge_tag(k))
+            for (i, j), k in zip(hull_edges.tolist(), on.tolist())]
 
 
 def _refine(nodes, triangles, levels):
-    """Uniform 4-split refinement (midpoint subdivision), `levels` times."""
-    nodes = [tuple(p) for p in nodes]
-    tris = [tuple(t) for t in triangles]
+    """Uniform 4-split refinement (midpoint subdivision), `levels` times.
+
+    Midpoints are numbered after the existing nodes, in the order their
+    edges first occur when scanning the triangles' sides ab, bc, ca.
+    """
+    nodes = np.array(nodes, dtype=float)
+    tris = np.array(triangles, dtype=np.int64)
     for _ in range(levels):
-        midpoint: dict = {}
-
-        def mid(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in midpoint:
-                pa, pb = nodes[a], nodes[b]
-                nodes.append(((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2))
-                midpoint[key] = len(nodes) - 1
-            return midpoint[key]
-
-        out = []
-        for a, b, c in tris:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            out.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        tris = out
-    return np.array(nodes), np.array(tris, dtype=int)
+        edges = _edge_table(tris)
+        by_first = np.argsort(edges.first)
+        number = np.empty(by_first.size, dtype=np.int64)
+        number[by_first] = nodes.shape[0] + np.arange(by_first.size)
+        ends = edges.pairs[by_first]
+        nodes = np.vstack([nodes, (nodes[ends[:, 0]] + nodes[ends[:, 1]]) / 2])
+        a, b, c = tris.T
+        ab, bc, ca = number[edges.side].T
+        tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                        axis=1).reshape(-1, 3)
+    return nodes, tris
 
 
 def _hull_edges(triangles):
-    counts: dict = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            counts[key] = counts.get(key, 0) + 1
-    return [e for e, c in counts.items() if c == 1]
+    """(b, 2) edges of exactly one triangle, as (lo, hi), in first-use order."""
+    edges = _edge_table(triangles)
+    once = np.flatnonzero(edges.count == 1)
+    return edges.pairs[once[np.argsort(edges.first[once])]]
 
 
 def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
@@ -202,15 +239,12 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
         ny = max(1, math.ceil(ly / target_h))
         xs = np.linspace(x0, x1, nx + 1)
         ys = np.linspace(y0, y1, ny + 1)
-        nodes = np.array([(x, y) for y in ys for x in xs])
-        tris = []
-        for j in range(ny):
-            for i in range(nx):
-                n00 = j * (nx + 1) + i
-                n10, n01 = n00 + 1, n00 + nx + 1
-                n11 = n01 + 1
-                tris.extend([(n00, n10, n11), (n00, n11, n01)])
-        triangles = np.array(tris, dtype=int)
+        nodes = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
+        n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+        n10, n01 = n00 + 1, n00 + nx + 1
+        n11 = n01 + 1
+        triangles = np.stack([n00, n10, n11, n00, n11, n01],
+                             axis=1).reshape(-1, 3)
     else:
         m = d.n_vertices
         v, nxt = d.vertices, np.roll(d.vertices, -1, axis=0)
@@ -315,19 +349,17 @@ def assemble(mesh: Mesh):
     K = sp.coo_matrix((kloc.ravel(), (rows, cols)),
                       shape=(nodes.shape[0],) * 2).tocsr()
 
-    free = mesh.free_nodes()
-    glob2loc = {int(g): i for i, g in enumerate(free)}
-    nf = free.size
-    mf = np.zeros((nf, nf))
-    for i, j, tag in mesh.boundary_edges:
-        if tag != geometry.FREE:
-            continue
-        li, lj = glob2loc[int(i)], glob2loc[int(j)]
-        ell = float(np.hypot(*(nodes[j] - nodes[i])))
-        mf[li, li] += ell / 3.0
-        mf[lj, lj] += ell / 3.0
-        mf[li, lj] += ell / 6.0
-        mf[lj, li] += ell / 6.0
+    ij, tags = _boundary_arrays(mesh.boundary_edges)
+    ends = ij[tags == geometry.FREE]
+    free = np.unique(ends)                  # == mesh.free_nodes()
+    li, lj = np.searchsorted(free, ends).T
+    ell = np.hypot(*(nodes[ends[:, 1]] - nodes[ends[:, 0]]).T)
+    mf = np.zeros((free.size, free.size))
+    # per edge [[l/3, l/6], [l/6, l/3]], accumulated edge by edge
+    np.add.at(mf, (np.stack([li, lj, li, lj], axis=1).ravel(),
+                   np.stack([li, lj, lj, li], axis=1).ravel()),
+              np.stack([ell / 3.0, ell / 3.0, ell / 6.0, ell / 6.0],
+                       axis=1).ravel())
     return K, mf
 
 
@@ -346,44 +378,30 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
 
     SN treats wall nodes as ordinary unknowns and keeps every free-surface
     node; SD removes wall nodes (Dirichlet), including the corner nodes the
-    two boundary parts share.
+    two boundary parts share.  A mesh component that touches no retained
+    surface node is a MeshError.
     """
     if problem not in ("SN", "SD"):
         raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
     K, mf = assemble(mesh)
     free = mesh.free_nodes()
-    if problem == "SD":
-        wall = set(int(w) for w in mesh.wall_nodes())
-        keep_mask = np.array([int(g) not in wall for g in free])
-        surface = free[keep_mask]
-        eliminated = wall
-    else:
-        surface = free
-        keep_mask = np.ones(free.size, dtype=bool)
-        eliminated = set()
+    eliminated = mesh.wall_nodes() if problem == "SD" else free[:0]
+    keep_mask = ~np.isin(free, eliminated)
+    surface = free[keep_mask]
     if surface.size < 2:
         raise MeshError("too few free-surface unknowns; refine the mesh")
-    all_ids = np.arange(mesh.nodes.shape[0])
-    surf_set = set(int(v) for v in surface)
-    inner = np.array([i for i in all_ids
-                      if i not in surf_set and i not in eliminated], dtype=int)
+    # imported here so that `import steklov` stays as cheap as before
+    from scipy.sparse.csgraph import connected_components
 
-    K_ff = K[surface][:, surface].toarray()
-    S = K_ff.copy()
-    if inner.size:
-        K_fi = K[surface][:, inner].tocsr()
-        K_ii = K[inner][:, inner].tocsc()
-        try:
-            lu = splu(K_ii)
-        except RuntimeError as exc:
-            raise MeshError(f"interior stiffness block is numerically singular "
-                            f"({exc}); the mesh may be disconnected") from exc
-        k_if = K_fi.T.tocsc()
-        chunk = max(1, min(64, surface.size))
-        for start in range(0, surface.size, chunk):
-            sl = slice(start, min(start + chunk, surface.size))
-            X = lu.solve(k_if[:, sl].toarray())
-            S[:, sl] -= K_fi @ X
+    n_parts, part = connected_components(K, directed=False)
+    if np.unique(part[surface]).size < n_parts:
+        raise MeshError("disconnected mesh: a component touches no retained "
+                        "free-surface node, so its interior energy cannot be "
+                        "condensed onto the surface")
+    inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]),
+                         np.union1d(surface, eliminated))
+
+    S = _bordered_schur(K, inner, surface)
     scale = float(np.abs(S).max()) or 1.0
     asym = float(np.abs(S - S.T).max()) / scale
     if asym > 1e-10:
@@ -392,6 +410,37 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
     S = 0.5 * (S + S.T)
     m_sub = mf[np.ix_(keep_mask, keep_mask)]
     return DtnMatrixPair(S=S, M_F=m_sub, surface_nodes=surface, asymmetry=asym)
+
+
+def _bordered_schur(K, inner, surface) -> np.ndarray:
+    """K_ff - K_fi K_ii^-1 K_if from one LU of the bordered matrix.
+
+    The interior block comes first, in the minimum-degree order of K_ii
+    (read off an incomplete LU that drops everything, which costs a fraction
+    of the factorization), and the surface block last with the shift
+    D = diag(K_ff).  Diagonal pivots in natural order keep that layout, so
+    the trailing factor blocks give L22 U22 = S + D.
+    """
+    n_in = inner.size
+    if n_in:
+        mmd = spilu(K[inner][:, inner].tocsc(), drop_tol=1.0, fill_factor=1.0,
+                    permc_spec="MMD_AT_PLUS_A").perm_c
+        inner = inner[np.argsort(mmd)]
+    order = np.concatenate([inner, surface])
+    shift = K.diagonal()[surface]
+    bordered = (K[order][:, order]
+                + sp.diags(np.concatenate([np.zeros(n_in), shift]))).tocsc()
+    lu = splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    del bordered                            # before scipy copies out L and U
+    n = order.size
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.array_equal(lu.perm_c[n_in:], np.arange(n_in, n))):
+        raise RuntimeError("the bordered LU permuted the surface unknowns")
+    tail = slice(n_in, n)
+    S = lu.L[tail, tail].toarray() @ lu.U[tail, tail].toarray()
+    S[np.diag_indices(surface.size)] -= shift
+    return S
 
 
 def dtn_spectrum(d: PolygonalDomain, problem: str, count: int,
@@ -425,13 +474,19 @@ def _spectrum_from_mesh(mesh: Mesh, d: PolygonalDomain, problem: str,
 
 def dtn_with_error(d: PolygonalDomain, problem: str, count: int,
                    target_h: float):
-    """(Spectrum, errors): FEM spectrum plus certified per-eigenvalue errors.
+    """(Spectrum, errors): FEM spectrum plus per-eigenvalue error certificates.
 
-    Solves at target_h and target_h/2 on nested meshes and returns the fine
-    spectrum with the plain difference |nu_k(h) - nu_k(h/2)| as the error
-    certificate -- for a method of order p >= 1 the true fine-mesh error is
-    at most that difference (and about a third of it at the expected p = 2),
-    so the certificate is conservative.
+    Solves at target_h and target_h/2 and returns the fine spectrum with the
+    plain difference |nu_k(h) - nu_k(h/2)| as the error certificate.
+
+    The triangle and convex-fan meshers refine by 4-splitting, so the fine
+    mesh nests the coarse one (every coarse node is a fine node) and, the P1
+    spaces being nested, nu_k(h) >= nu_k(h/2) >= nu_k.  The axis-rectangle
+    grid is not nested: its column and row counts are ceil(side / h), so
+    pi x 1 at h = 0.02 / 0.01 has 158 / 315 columns (8,109 and 31,916
+    nodes).  Either way the certificate rests on the asymptotic error model:
+    for a method of order p >= 1 the true fine-mesh error is at most the
+    difference (about a third of it at the expected p = 2).
     """
     coarse = dtn_spectrum(d, problem, count, target_h)
     fine = dtn_spectrum(d, problem, count, target_h / 2.0)

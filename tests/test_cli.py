@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +218,20 @@ def test_asym_command(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["coefficient"] == pytest.approx(0.5, rel=0.02)
     assert data["prediction"] == 0.5
+
+
+def test_asym_out_file_is_closed(tmp_path, capsys):
+    spec, out = tmp_path / "s.csv", tmp_path / "fit.json"
+    cli.main(["spectrum", "--preset", "rectangle:pi,1", "--problem", "sn",
+              "--count", "2000", "--out", str(spec)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        rc = cli.main(["asym", "--spectrum", str(spec), "--gamma", "1",
+                       "--window", "100,1000", "--out", str(out)])
+        gc.collect()
+    assert rc == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert json.loads(out.read_text())["prediction"] == 0.5
 
 
 def test_asym_rejects_bad_window(tmp_path, capsys):

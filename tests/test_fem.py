@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import fem, geometry, spectra
 from steklov.fem import Mesh, MeshError
@@ -42,6 +44,113 @@ def test_boundary_mass_total_is_surface_length():
     single = reference_triangle_mesh()
     _, mf1 = fem.assemble(single)
     assert mf1 == pytest.approx(np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]))
+
+
+# -- dict-based reference mesher: the oracle for the vectorized one ----------
+
+def reference_refine(nodes, triangles, levels):
+    nodes = [tuple(p) for p in nodes]
+    tris = [tuple(t) for t in triangles]
+    for _ in range(levels):
+        midpoint: dict = {}
+
+        def mid(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in midpoint:
+                pa, pb = nodes[a], nodes[b]
+                nodes.append(((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2))
+                midpoint[key] = len(nodes) - 1
+            return midpoint[key]
+
+        out = []
+        for a, b, c in tris:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            out.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+        tris = out
+    return np.array(nodes), np.array(tris, dtype=int)
+
+
+def reference_hull_edges(triangles):
+    counts: dict = {}
+    for tri in triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (int(min(a, b)), int(max(a, b)))
+            counts[key] = counts.get(key, 0) + 1
+    return [e for e, c in counts.items() if c == 1]
+
+
+def reference_classify(d, nodes, hull_edges):
+    tol = max(d._tol, 1e-9)
+    out = []
+    for i, j in hull_edges:
+        mid = 0.5 * (nodes[i] + nodes[j])
+        for _k, a, b, tag in d.edges():
+            ab = b - a
+            t = min(1.0, max(0.0, float((mid - a) @ ab) / float(ab @ ab)))
+            if np.hypot(*(mid - (a + t * ab))) <= tol * (1 + np.hypot(*ab)):
+                out.append((int(i), int(j), tag))
+                break
+    return out
+
+
+def reference_triangulate(d, target_h):
+    if geometry.axis_rectangle_sides(d) is not None:
+        (x0, y0), (x1, y1) = d.vertices.min(axis=0), d.vertices.max(axis=0)
+        nx = max(1, math.ceil((x1 - x0) / target_h))
+        ny = max(1, math.ceil((y1 - y0) / target_h))
+        xs, ys = np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1)
+        nodes = np.array([(x, y) for y in ys for x in xs])
+        tris = []
+        for j in range(ny):
+            for i in range(nx):
+                n00 = j * (nx + 1) + i
+                n10, n01 = n00 + 1, n00 + nx + 1
+                tris.extend([(n00, n10, n01 + 1), (n00, n01 + 1, n01)])
+        triangles = np.array(tris, dtype=int)
+    else:
+        m = d.n_vertices
+        if m == 3:
+            nodes0, tris0 = d.vertices.copy(), np.array([[0, 1, 2]])
+        else:
+            nodes0 = np.vstack([d.vertices, d.vertices.mean(axis=0)])
+            tris0 = np.array([[i, (i + 1) % m, m] for i in range(m)])
+        edge_max = max(float(np.hypot(*(b - a))) for _i, a, b, _t in d.edges())
+        levels = 0
+        while edge_max / 2 ** levels > target_h:
+            levels += 1
+        nodes, triangles = reference_refine(nodes0, tris0, levels)
+        while Mesh(nodes, triangles, []).mesh_size > 1.5 * target_h:
+            nodes, triangles = reference_refine(nodes, triangles, 1)
+    return Mesh(nodes, triangles,
+                reference_classify(d, nodes, reference_hull_edges(triangles)))
+
+
+MESHER_DOMAINS = {
+    "rectangle": geometry.rectangle_domain(math.pi, 1.0),
+    "triangle": geometry.isoceles_triangle_domain(2.0, math.pi / 4),
+    "fan": geometry.trapezoid_domain(2.0, math.pi / 3, 0.6),
+}
+
+
+@pytest.mark.parametrize("h", [0.3, 0.11, 0.05, 0.02])
+@pytest.mark.parametrize("name", sorted(MESHER_DOMAINS))
+def test_mesher_matches_dict_reference(name, h):
+    d = MESHER_DOMAINS[name]
+    mesh, ref = fem.triangulate(d, h), reference_triangulate(d, h)
+    for got, want in ((mesh.nodes, ref.nodes), (mesh.triangles, ref.triangles)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert mesh.boundary_edges == ref.boundary_edges
+
+
+@pytest.mark.parametrize("name", ["triangle", "fan"])
+def test_refining_meshers_nest(name):
+    # 4-split refinement keeps every coarse node, so nu(h) >= nu(h/2)
+    d = MESHER_DOMAINS[name]
+    for h in (0.3, 0.1, 0.04):
+        coarse, fine = fem.triangulate(d, h), fem.triangulate(d, h / 2)
+        assert set(map(tuple, coarse.nodes.tolist())) \
+            <= set(map(tuple, fine.nodes.tolist()))
 
 
 def test_structured_rectangle_mesh_shape():
@@ -116,6 +225,19 @@ def test_mesh_validation_catches_defects():
         fem.validate_mesh(Mesh(good.nodes, good.triangles,
                                [(0, 1, "free"), (1, 2, "wall"),
                                 (2, 0, "wall"), (0, 1, "wall")]))
+    # the first offending edge in list order is the one reported
+    with pytest.raises(MeshError, match=r"\(1, 5\) refers to a missing node"):
+        fem.validate_mesh(Mesh(good.nodes, good.triangles,
+                               [(0, 1, "free"), (1, 5, "wall"), (2, 0, "moat")]))
+    with pytest.raises(MeshError, match=r"\(1, 1\) is not on the mesh boundary"):
+        fem.validate_mesh(Mesh(good.nodes, good.triangles,
+                               [(1, 1, "free"), (1, 2, "wall"), (2, 0, "wall")]))
+    with pytest.raises(MeshError, match=r"e\.g\. \[\(0, 2\), \(1, 2\)\]"):
+        fem.validate_mesh(Mesh(good.nodes, good.triangles, [(1, 0, "free")]))
+    nodes = np.vstack([good.nodes, [[1.0, -1.0], [0.5, 0.5]]])
+    tris = np.array([[0, 2, 1], [1, 2, 3], [0, 1, 4], [1, 0, 3]])
+    with pytest.raises(MeshError, match="more than two"):   # edge (0, 1) x3
+        fem.validate_mesh(Mesh(nodes, tris, []))
 
 
 def test_mesh_save_load_roundtrip(tmp_path):
@@ -146,16 +268,67 @@ def test_load_mesh_rejects_malformed(tmp_path):
         fem.load_mesh(path)
 
 
-def test_schur_complement_matches_dense_oracle():
-    mesh = fem.triangulate(geometry.rectangle_domain(1.0, 1.0), 0.3)
-    pair = fem.dtn_matrices(mesh, "SN")
+def dense_schur(mesh, pair, problem):
     K = fem.assemble(mesh)[0].toarray()
     surf = pair.surface_nodes
-    inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]), surf)
-    s_dense = K[np.ix_(surf, surf)] - K[np.ix_(surf, inner)] @ np.linalg.solve(
+    removed = mesh.wall_nodes() if problem == "SD" else []
+    assert np.array_equal(surf, np.setdiff1d(mesh.free_nodes(), removed))
+    inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]),
+                         np.union1d(surf, removed))
+    return K[np.ix_(surf, surf)] - K[np.ix_(surf, inner)] @ np.linalg.solve(
         K[np.ix_(inner, inner)], K[np.ix_(inner, surf)])
-    assert pair.S == pytest.approx(s_dense, abs=1e-10)
+
+
+def test_schur_complement_matches_dense_oracle():
+    cases = [(geometry.rectangle_domain(1.0, 1.0), 0.3),
+             (MESHER_DOMAINS["triangle"], 0.2), (MESHER_DOMAINS["fan"], 0.15)]
+    for d, h in cases:
+        mesh = fem.triangulate(d, h)
+        for problem in ("SN", "SD"):
+            pair = fem.dtn_matrices(mesh, problem)
+            assert pair.S == pytest.approx(dense_schur(mesh, pair, problem),
+                                           abs=1e-10)
+            assert pair.asymmetry < 1e-10
+
+
+@st.composite
+def convex_polygons(draw):
+    """Vertices on the lower half of an ellipse, free surface on top."""
+    length = draw(st.floats(1.0, 3.0))
+    depth = draw(st.floats(0.3, 1.5))
+    # 1 to 5 angles in (0, pi), neighbours at least pi/18 apart
+    gaps = np.cumsum(draw(st.lists(st.floats(1.0, 3.0), min_size=2,
+                                   max_size=6)))
+    thetas = math.pi * gaps[:-1] / gaps[-1]
+    lower = [(0.5 * length * (1 - math.cos(t)), -depth * math.sin(t))
+             for t in thetas]
+    verts = [(0.0, 0.0), *lower, (length, 0.0)]
+    return geometry.PolygonalDomain(verts, free_edges=[len(verts) - 1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=convex_polygons(), problem=st.sampled_from(["SN", "SD"]))
+def test_schur_complement_matches_dense_oracle_random_convex(d, problem):
+    span = d.vertices.max(axis=0) - d.vertices.min(axis=0)
+    mesh = fem.triangulate(d, 0.2 * float(np.hypot(*span)))
+    pair = fem.dtn_matrices(mesh, problem)
+    assert pair.S == pytest.approx(dense_schur(mesh, pair, problem), abs=1e-10)
     assert pair.asymmetry < 1e-10
+
+
+def test_disconnected_mesh_is_diagnosed(tmp_path):
+    # a meshed square under the surface plus a separate walls-only triangle
+    square = fem.triangulate(geometry.rectangle_domain(1.0, 1.0), 0.3)
+    m = square.nodes.shape[0]
+    path = tmp_path / "two_parts.txt"
+    nodes = np.vstack([square.nodes, [[2, -0.2], [3, -0.2], [2.5, -1]]])
+    tris = np.vstack([square.triangles, [[m, m + 2, m + 1]]])
+    walls = [(m, m + 2, "wall"), (m + 2, m + 1, "wall"), (m + 1, m, "wall")]
+    fem.save_mesh(Mesh(nodes, tris, square.boundary_edges + walls), path)
+    mesh = fem.load_mesh(path)
+    for problem in ("SN", "SD"):
+        with pytest.raises(MeshError, match="disconnected"):
+            fem.dtn_matrices(mesh, problem)
 
 
 def test_sd_eliminates_wall_and_corner_nodes():

@@ -10,6 +10,13 @@ r e^{2yr} along straight edges, derived here and cross-checked against
 adaptive quadrature); cylinders reduce to an incomplete-gamma expression over
 the flat bottom, and the cone of revolution has its own closed form.
 
+At gamma > 1 the wall term, and the constant of the two-corner bound, are the
+gamma = 1 terms lifted by Riesz iteration.  Each of them is A(t) = integral_0^t
+phi(r) dr with phi a sum of c r^k e^{-a r} (a >= 0), so the lift has one
+closed form per term, a confluent hypergeometric function (:func:`_lift`),
+evaluated over a whole grid at once.  Adaptive quadrature of the defining
+integrals (``quadrature=True``) is kept as an oracle.
+
 Upper bounds for the clamped-wall (SD) problem, two-sided brackets and
 averaged-sum inequalities for SN eigenvalues, and a heat-trace bound complete
 the set.  :func:`verify` runs any of them against a Spectrum and produces a
@@ -24,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import geometry, riesz, specfun
 from .geometry import (ConeDomain, CylinderDomain, DomainError, PolygonalDomain)
@@ -101,6 +107,20 @@ def _edge_flux(y0: float, y1: float, z: float) -> float:
     return (anti(y1) - anti(y0)) / (2.0 * dy)
 
 
+def _wall_edges(d: PolygonalDomain):
+    """(-n2 |e| / pi, y0, y1) for each wall edge e with a vertical normal
+    component n2 != 0 and endpoint heights y0, y1: the edge's weight in the
+    planar wall term."""
+    for i, a, b, tag in d.edges():
+        if tag == geometry.FREE:
+            continue
+        n2 = float(d.edge_normal(i)[1])
+        if n2 == 0.0:
+            continue
+        length = float(np.hypot(*(b - a)))
+        yield -n2 * length / math.pi, float(a[1]), float(b[1])
+
+
 def wall_term_2d(d: PolygonalDomain, z: float, *, quadrature: bool = False) -> float:
     """Planar wall term -(1/pi) * integral_0^z integral_walls n2 r e^{2yr} ds dr.
 
@@ -112,17 +132,11 @@ def wall_term_2d(d: PolygonalDomain, z: float, *, quadrature: bool = False) -> f
     z = _check_z(z)
     if z == 0.0:
         return 0.0
+    if quadrature:
+        from scipy.integrate import quad
     total = 0.0
-    for i, a, b, tag in d.edges():
-        if tag == geometry.FREE:
-            continue
-        n2 = float(d.edge_normal(i)[1])
-        if n2 == 0.0:
-            continue
-        length = float(np.hypot(*(b - a)))
+    for weight, y0, y1 in _wall_edges(d):
         if quadrature:
-            y0, y1 = float(a[1]), float(b[1])
-
             def inner(r, y0=y0, y1=y1):
                 val, _ = quad(lambda s: math.exp(2.0 * (y0 + (y1 - y0) * s) * r),
                               0.0, 1.0, epsabs=1e-13, epsrel=1e-12)
@@ -130,9 +144,9 @@ def wall_term_2d(d: PolygonalDomain, z: float, *, quadrature: bool = False) -> f
 
             outer, _ = quad(lambda r: r * inner(r), 0.0, z,
                             epsabs=1e-13, epsrel=1e-12, limit=200)
-            total += -n2 * length / math.pi * outer
+            total += weight * outer
         else:
-            total += -n2 * length / math.pi * _edge_flux(float(a[1]), float(b[1]), z)
+            total += weight * _edge_flux(y0, y1, z)
     return total
 
 
@@ -149,6 +163,12 @@ def _cone_profile(alpha: float, h: float, z: float) -> float:
     return z - (1.0 - e) / h + z * e
 
 
+def _cone_coef(dom: ConeDomain) -> float:
+    """sign(cos alpha) / (4 tan^2 alpha): the cone's wall-term prefactor."""
+    alpha = dom.half_angle
+    return math.copysign(1.0, math.cos(alpha)) / (4.0 * math.tan(alpha) ** 2)
+
+
 def _wall_term_cone(dom: ConeDomain, z: float, *, quadrature: bool = False) -> float:
     """Wall term of the cone of revolution,
 
@@ -161,8 +181,9 @@ def _wall_term_cone(dom: ConeDomain, z: float, *, quadrature: bool = False) -> f
     included).
     """
     alpha, h = dom.half_angle, dom.depth
-    coef = math.copysign(1.0, math.cos(alpha)) / (4.0 * math.tan(alpha) ** 2)
+    coef = _cone_coef(dom)
     if quadrature:
+        from scipy.integrate import quad
         val, _ = quad(lambda r: 1.0 - math.exp(-2 * h * r) - 2 * h * r * math.exp(-2 * h * r),
                       0.0, z, epsabs=1e-13, epsrel=1e-12, limit=200)
         return coef * val
@@ -179,6 +200,7 @@ def wall_term(domain, z: float, *, quadrature: bool = False) -> float:
         return wall_term_2d(domain, z, quadrature=quadrature)
     if isinstance(domain, CylinderDomain):
         if quadrature:
+            from scipy.integrate import quad
             n, h = domain.n, domain.depth
             val, _ = quad(lambda r: r ** (n - 1) * math.exp(-2.0 * h * r), 0.0, z,
                           epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -189,6 +211,71 @@ def wall_term(domain, z: float, *, quadrature: bool = False) -> float:
     raise DomainError(f"no wall term for domain type {type(domain).__name__}")
 
 
+# ---------------------------------------------------------------------------
+# Riesz lift of the wall terms (gamma > 1)
+# ---------------------------------------------------------------------------
+
+def _lift(terms, g: float, zs: np.ndarray, order: int = 1) -> np.ndarray:
+    """Riesz lift to exponent g > 1 of A = I^order psi, the order-fold
+    integral from 0 of psi(r) = sum over ``terms`` (c, k, a) of c r^k e^{-a r}
+    (integer k >= 0, a >= 0), at every z in ``zs``:
+
+        g (g-1) integral_0^z (z-t)^{g-2} A(t) dt
+            = Gamma(g+1)/Gamma(p) integral_0^z (z-r)^{p-1} psi(r) dr,  p = g+order-1,
+            = sum c Gamma(g+1) k!/Gamma(p+k+1) z^{p+k} 1F1(k+1; p+k+1; -a z).
+
+    Each term is positive for c > 0, so a sum of same-signed terms carries no
+    cancellation; callers keep differences out of ``terms`` where they would
+    cancel.
+    """
+    from scipy.special import hyp1f1
+    p = g + order - 1.0
+    out = np.zeros_like(zs)
+    for c, k, a in terms:
+        front = c * math.gamma(g + 1.0) * math.factorial(k) / math.gamma(p + k + 1.0)
+        out += front * zs ** (p + k) * hyp1f1(k + 1.0, p + k + 1.0, -a * zs)
+    return out
+
+
+def _edge_flux_lift(y0: float, y1: float, g: float, zs: np.ndarray) -> np.ndarray:
+    """:func:`_edge_flux` lifted to exponent g.  The integrand is
+    phi(r) = e^{2 r ybar} sinh(r dy) / dy, a difference of two exponentials
+    over 2 dy.  Where that difference cancels, |dy| z / (1 + 2 |ybar| z) <=
+    1e-3 (|dy| small against the reach, about min(z, 1/(2 |ybar|)), of the
+    weight e^{2 r ybar}), the point takes the series
+    e^{2 r ybar} (r + dy^2 r^3 / 6) instead, whose next term is below 1e-12
+    relative there.  At ybar z small the switch is _edge_flux's |dy| z <= 1e-3.
+    """
+    dy = y1 - y0
+    ybar = 0.5 * (y0 + y1)
+    series = _lift([(1.0, 1, -2.0 * ybar), (dy * dy / 6.0, 3, -2.0 * ybar)], g, zs)
+    if dy == 0.0:
+        return series
+    diff = _lift([(0.5 / dy, 0, -2.0 * y1), (-0.5 / dy, 0, -2.0 * y0)], g, zs)
+    near_level = abs(dy) * zs <= 1e-3 * (1.0 + 2.0 * abs(ybar) * zs)
+    return np.where(near_level, series, diff)
+
+
+def _wall_lift(domain, g: float, zs: np.ndarray) -> np.ndarray:
+    """The wall term lifted to exponent g > 1 at every z in ``zs``."""
+    if not g > 1.0:
+        raise ValueError(f"wall terms are defined for gamma >= 1, got {g}")
+    if isinstance(domain, PolygonalDomain):
+        total = np.zeros_like(zs)
+        for weight, y0, y1 in _wall_edges(domain):
+            total += weight * _edge_flux_lift(y0, y1, g, zs)
+        return total
+    if isinstance(domain, CylinderDomain):
+        n, h = domain.n, domain.depth
+        return _lift([(_kappa(n) * domain.base_area, n - 1, 2.0 * h)], g, zs)
+    if isinstance(domain, ConeDomain):
+        # 1 - e^{-2hr}(1 + 2hr) cancels at small r; it is the integral from 0
+        # of (2h)^2 s e^{-2hs}, so the profile is the twice-integrated term
+        h = domain.depth
+        return _cone_coef(domain) * _lift([(4.0 * h * h, 1, 2.0 * h)], g, zs, order=2)
+    raise DomainError(f"no wall term for domain type {type(domain).__name__}")
+
+
 def wall_term_gamma(domain, gamma: float, z: float, *,
                     quadrature: bool = False) -> float:
     """Wall term for Riesz exponent gamma >= 1:
@@ -196,8 +283,12 @@ def wall_term_gamma(domain, gamma: float, z: float, *,
         gamma = 1: wall_term;  gamma > 1:
         gamma (gamma-1) integral_0^z (z-t)^{gamma-2} A(t) dt,
 
-    which is exactly the Riesz lift of the gamma = 1 term.  For gamma in
-    (1, 2) the kernel singularity is removed by u = (z-t)^{gamma-1}.
+    which is exactly the Riesz lift of the gamma = 1 term.  It is evaluated
+    in closed form by the lift shared with :func:`verify`'s grid path, to
+    about 1e-12 relative to the size of its terms at every z > 0.
+    ``quadrature=True`` integrates the lift adaptively over the quadrature
+    wall term instead: an oracle that is slow and stops on its absolute
+    tolerance (1e-12) once the value is small.
     """
     g = float(gamma)
     if g < 1:
@@ -207,7 +298,10 @@ def wall_term_gamma(domain, gamma: float, z: float, *,
         return wall_term(domain, z, quadrature=quadrature)
     if z == 0.0:
         return 0.0
-    a1 = lambda t: wall_term(domain, t, quadrature=quadrature)
+    if not quadrature:
+        return float(_wall_lift(domain, g, np.array([z]))[0])
+    from scipy.integrate import quad
+    a1 = lambda t: wall_term(domain, t, quadrature=True)
     if g >= 2.0:
         val, _ = quad(lambda t: (z - t) ** (g - 2.0) * a1(t), 0.0, z,
                       epsabs=1e-12, epsrel=1e-11, limit=200)
@@ -258,11 +352,16 @@ def sn_lower_main(domain, gamma: float, z: float, *,
     defect of the averaged variational principle with the exponential test
     family underlying the proof.
     """
+    z = _check_z(z)
+    return _main_lead(domain, gamma, z) + wall_term_gamma(domain, gamma, z,
+                                                          quadrature=quadrature)
+
+
+def _main_lead(domain, gamma: float, z):
+    """C_{n,gamma} |F| z^{n+gamma-1} at a scalar z or an array of them."""
     n = geometry.ambient_dim(domain)
     area = geometry.free_area(domain)
-    z = _check_z(z)
-    lead = specfun.weyl_constant(n, gamma) * area * z ** (n + gamma - 1)
-    return lead + wall_term_gamma(domain, gamma, z, quadrature=quadrature)
+    return specfun.weyl_constant(n, gamma) * area * z ** (n + gamma - 1)
 
 
 def sn_lower_split(domain, z: float) -> float:
@@ -339,20 +438,16 @@ def sn_lower_2d_angles(alpha: float, beta: float, delta: float,
 
     a variant convention flips the sign of the first piece.  Both readings
     are returned and the bound uses the derivation's.  gamma > 1 lifts the
-    gamma = 1 bound by Riesz iteration (the two leading terms map onto
-    themselves; the constant is integrated numerically).
+    gamma = 1 bound by Riesz iteration: the two leading terms map onto
+    themselves, and each piece of the constant is the integral from 0 of one
+    term c r^k e^{-2 d r}, lifted in closed form (:func:`_two_corner_lift`).
     """
-    if not 0 < alpha < math.pi or not 0 < beta < math.pi:
-        raise ValueError("corner angles must lie in (0, pi)")
-    if not delta > 0:
-        raise ValueError(f"corner wall depth must be positive, got {delta}")
-    if bc_length < 0:
-        raise ValueError("residual wall length cannot be negative")
-    g = float(gamma)
-    if g < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    cots, g = _two_corner_cots(alpha, beta, delta, bc_length, gamma)
     z = _check_z(z)
-    cots = _cot(alpha) + _cot(beta)
+    if g != 1.0:
+        value, c, c_stated = _two_corner_lift(cots, delta, bc_length, area, g,
+                                              np.array([z]))
+        return TwoCornerBound(float(value[0]), float(c[0]), float(c_stated[0]))
 
     def c1(t: float, sign: float) -> float:
         e = math.exp(-2.0 * delta * t)
@@ -363,26 +458,40 @@ def sn_lower_2d_angles(alpha: float, beta: float, delta: float,
 
     lead = specfun.weyl_constant(2, g) * area * z ** (g + 1.0)
     second = cots / (2.0 * math.pi) * z ** g
-    if g == 1.0:
-        c_proof = c1(z, -1.0)
-        c_stated = c1(z, +1.0)
-    else:
-        if z == 0.0:
-            c_proof = c_stated = 0.0
-        elif g >= 2.0:
-            c_proof = g * (g - 1.0) * quad(
-                lambda t: (z - t) ** (g - 2.0) * c1(t, -1.0), 0.0, z,
-                epsabs=1e-12, epsrel=1e-11, limit=200)[0]
-            c_stated = g * (g - 1.0) * quad(
-                lambda t: (z - t) ** (g - 2.0) * c1(t, +1.0), 0.0, z,
-                epsabs=1e-12, epsrel=1e-11, limit=200)[0]
-        else:
-            p = 1.0 / (g - 1.0)
-            c_proof = g * quad(lambda u: c1(z - u ** p, -1.0), 0.0, z ** (g - 1.0),
-                               epsabs=1e-12, epsrel=1e-11, limit=200)[0]
-            c_stated = g * quad(lambda u: c1(z - u ** p, +1.0), 0.0, z ** (g - 1.0),
-                                epsabs=1e-12, epsrel=1e-11, limit=200)[0]
+    c_proof = c1(z, -1.0)
+    c_stated = c1(z, +1.0)
     return TwoCornerBound(lead + second + c_proof, c_proof, c_stated)
+
+
+def _two_corner_cots(alpha: float, beta: float, delta: float,
+                     bc_length: float, gamma: float):
+    """Check the two-corner parameters; return (cot a + cot b, float gamma)."""
+    if not 0 < alpha < math.pi or not 0 < beta < math.pi:
+        raise ValueError("corner angles must lie in (0, pi)")
+    if not delta > 0:
+        raise ValueError(f"corner wall depth must be positive, got {delta}")
+    if bc_length < 0:
+        raise ValueError("residual wall length cannot be negative")
+    g = float(gamma)
+    if g < 1:
+        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    return _cot(alpha) + _cot(beta), g
+
+
+def _two_corner_lift(cots: float, delta: float, bc_length: float, area: float,
+                     g: float, zs: np.ndarray):
+    """:func:`sn_lower_2d_angles` at g > 1 over a grid: (value, c, c_stated).
+
+    c1 = integral_0^t e^{-2 d r} (sign (cot a + cot b)/(2 pi) - |Bc| r / pi) dr,
+    so the corner and residual-wall pieces are lifted once each and the two
+    sign readings differ only in how the pieces combine.
+    """
+    lead = specfun.weyl_constant(2, g) * area * zs ** (g + 1.0)
+    second = cots / (2.0 * math.pi) * zs ** g
+    corner = _lift([(cots / (2.0 * math.pi), 0, 2.0 * delta)], g, zs)
+    residual = _lift([(bc_length / math.pi, 1, 2.0 * delta)], g, zs)
+    c = -corner - residual
+    return lead + second + c, c, corner - residual
 
 
 def sn_lower_john_2d(length: float, gamma: float, z: float) -> float:
@@ -877,13 +986,15 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
                     dom = geometry.rectangle_domain(area, h)
                 flags["comparison_cylinder_from_metadata"] = True
                 used.update({"n": n_dim, "areaF": area, "depth": h})
-            if bound_id == "main":
+            if bound_id == "split":
+                bound_vals = np.array([sn_lower_split(dom, float(z))
+                                       for z in axis])
+            elif g_eff == 1.0 or quadrature:
                 bound_vals = np.array([sn_lower_main(dom, g_eff, float(z),
                                                      quadrature=quadrature)
                                        for z in axis])
             else:
-                bound_vals = np.array([sn_lower_split(dom, float(z))
-                                       for z in axis])
+                bound_vals = _main_lead(dom, g_eff, axis) + _wall_lift(dom, g_eff, axis)
         elif bound_id == "triangle":
             tri = {}
             if domain is not None and isinstance(domain, PolygonalDomain):
@@ -897,13 +1008,20 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
             area = float(_get_param("areaF", params, meta))
             used.update({"alpha": alpha, "beta": beta, "delta": delta,
                          "bc_length": bc_len, "areaF": area})
-            vals = [sn_lower_2d_angles(alpha, beta, delta, bc_len, area,
-                                       g_eff, float(z)) for z in axis]
-            bound_vals = np.array([v.value for v in vals])
+            if g_eff == 1.0:
+                vals = [sn_lower_2d_angles(alpha, beta, delta, bc_len, area,
+                                           g_eff, float(z)) for z in axis]
+                bound_vals = np.array([v.value for v in vals])
+                c_end, c_stated_end = vals[-1].c, vals[-1].c_stated
+            else:
+                cots, _ = _two_corner_cots(alpha, beta, delta, bc_len, g_eff)
+                bound_vals, c, c_stated = _two_corner_lift(cots, delta, bc_len,
+                                                           area, g_eff, axis)
+                c_end, c_stated_end = float(c[-1]), float(c_stated[-1])
             used["c_reading"] = "derivation sign (corner piece negative); " \
                 "c_stated_at_grid_end shows the flipped-sign variant"
-            used["c_at_grid_end"] = vals[-1].c
-            used["c_stated_at_grid_end"] = vals[-1].c_stated
+            used["c_at_grid_end"] = c_end
+            used["c_stated_at_grid_end"] = c_stated_end
             flags["two_surface_corners"] = True if (domain is not None or
                                                     ("alpha" in meta and
                                                      "beta" in meta)) else None

@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--errors", help="per-eigenvalue certified error file "
                                     "(one number per line)")
     p.add_argument("--quadrature", action="store_true",
-                   help="evaluate wall terms by adaptive quadrature (slow)")
+                   help="evaluate wall terms and their Riesz lift by the "
+                        "adaptive-quadrature oracle, slow")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -85,8 +85,9 @@ def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
     """R_gamma at each grid point, vectorized.
 
     Integer gamma <= 3 uses prefix sums of eigenvalue powers (exact binomial
-    expansion); other exponents fall back to chunked broadcasting.  Summation
-    order is ascending in the eigenvalues, so results are deterministic.
+    expansion); other exponents fall back to chunked broadcasting over the
+    eigenvalues below max(zs).  Summation order is ascending in the
+    eigenvalues, so results are deterministic.
     """
     g = _check_gamma(gamma)
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
@@ -111,6 +112,8 @@ def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
             out += sign * math.comb(p, j) * zs ** (p - j) * prefix[j - 1][counts]
             sign = -sign
         return out
+    # eigenvalues at or above max(zs) add (z - nu)_+^gamma = 0 everywhere
+    vals = vals[:counts.max(initial=0)]
     out = np.empty_like(zs)
     chunk = max(1, int(4e7) // max(1, vals.size))
     for i in range(0, zs.size, chunk):

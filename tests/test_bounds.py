@@ -14,7 +14,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 from steklov import bounds, geometry, riesz, specfun, spectra
 from steklov.bounds import HypothesisError
@@ -133,6 +136,184 @@ def test_wall_term_gamma_fractional_branch():
         lambda t: (z - t) ** (g - 2.0) * bounds.wall_term(RECT, t), 0.0, z,
         points=[z], epsabs=1e-12)[0]
     assert bounds.wall_term_gamma(RECT, g, z) == pytest.approx(oracle, rel=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# closed-form Riesz lift against a pure-relative quadrature oracle
+# ---------------------------------------------------------------------------
+#
+# Every wall term is A(t) = integral_0^t phi(r) dr, so its lift to gamma > 1 is
+# g (g-1) int_0^z (z-t)^{g-2} A(t) dt = g int_0^z (z-r)^{g-1} phi(r) dr.  The
+# oracle integrates the second form with the algebraic weight (QUADPACK QAWS)
+# and no absolute tolerance, from integrands written without cancellation.
+
+def lift_oracle(phi, g, z):
+    val, _ = quad(phi, 0.0, z, weight="alg", wvar=(0.0, g - 1.0),
+                  epsabs=0.0, epsrel=1e-13, limit=400)
+    return g * val
+
+
+def edge_phi(y0, y1):
+    """d/dr of the per-unit-length edge flux: r * mean_s e^{2 r y(s)}."""
+    dy, ybar = y1 - y0, 0.5 * (y0 + y1)
+    if dy == 0.0:
+        return lambda r: r * math.exp(2.0 * r * ybar)
+
+    def phi(r):
+        if abs(r * dy) < 1.0:
+            return math.exp(2.0 * r * ybar) * math.sinh(r * dy) / dy
+        return (math.exp(2.0 * r * y1) - math.exp(2.0 * r * y0)) / (2.0 * dy)
+    return phi
+
+
+def polygon_lift_oracle(d, g, z):
+    """(oracle lift, sum of |per-edge lifts|) for a polygonal domain."""
+    total = scale = 0.0
+    for i, a, b, tag in d.edges():
+        n2 = float(d.edge_normal(i)[1])
+        if tag == geometry.FREE or n2 == 0.0:
+            continue
+        part = -n2 * float(np.hypot(*(b - a))) / math.pi \
+            * lift_oracle(edge_phi(float(a[1]), float(b[1])), g, z)
+        total += part
+        scale += abs(part)
+    return total, scale
+
+
+def cone_coef(dom):
+    return math.copysign(1.0, math.cos(dom.half_angle)) \
+        / (4.0 * math.tan(dom.half_angle) ** 2)
+
+
+def two_corner_pieces_oracle(alpha, beta, delta, bc_length, g, z):
+    """Lifted corner and residual-wall pieces of c1 (see sn_lower_2d_angles)."""
+    cots = bounds._cot(alpha) + bounds._cot(beta)
+    corner = lift_oracle(lambda r: cots / (2 * math.pi) * math.exp(-2 * delta * r), g, z)
+    resid = lift_oracle(lambda r: bc_length / math.pi * r * math.exp(-2 * delta * r), g, z)
+    return corner, resid
+
+
+BOX = CylinderDomain(3, RectangleBase(math.pi, math.pi), 1.0)
+TRAPEZOID = geometry.trapezoid_domain(math.pi, 2 * math.pi / 3, 1.0)
+
+
+@pytest.mark.parametrize("z", [1e-3, 1e-2])
+def test_lift_keeps_relative_accuracy_at_small_z(z):
+    # adaptive quadrature on an absolute tolerance of 1e-12 stopped early
+    # here (4.7e-5 relative off on the box cylinder at gamma 2.5)
+    g = 2.5
+    kappa = 2 * specfun.unit_ball_volume(2) / (2 * math.pi) ** 2
+    oracle = lift_oracle(lambda r: kappa * math.pi ** 2 * r * r * math.exp(-2 * r), g, z)
+    assert bounds.wall_term_gamma(BOX, g, z) == pytest.approx(oracle, rel=1e-10, abs=0)
+
+    want, _ = polygon_lift_oracle(TRAPEZOID, g, z)
+    assert bounds.wall_term_gamma(TRAPEZOID, g, z) == pytest.approx(want, rel=1e-10, abs=0)
+
+    corner, resid = two_corner_pieces_oracle(math.pi / 4, math.pi / 3, 0.5, 1.5, g, z)
+    res = bounds.sn_lower_2d_angles(math.pi / 4, math.pi / 3, 0.5, 1.5, 2.0, g, z)
+    assert res.c == pytest.approx(-corner - resid, rel=1e-10, abs=0)
+    assert res.c_stated == pytest.approx(corner - resid, rel=1e-10, abs=0)
+
+
+gammas = st.floats(1.0, 4.0, exclude_min=True)
+log_z = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def wall_polygons(draw):
+    """Convex polygons under a free edge on y = 0: the lower arc of an ellipse
+    whose centre sits c below the surface, so the walls overhang for c > 0."""
+    a = draw(st.floats(0.5, 2.0))
+    b = draw(st.floats(0.3, 1.5))
+    c = b * draw(st.floats(-0.7, 0.7))
+    phi0 = math.asin(c / b)
+    cuts = np.cumsum(draw(st.lists(st.floats(1.0, 3.0), min_size=2, max_size=7)))
+    phis = math.pi - phi0 + (math.pi + 2 * phi0) * cuts[:-1] / cuts[-1]
+    half = a * math.cos(phi0)
+    verts = [(-half, 0.0)] + [(a * math.cos(t), min(-c + b * math.sin(t), 0.0))
+                              for t in phis] + [(half, 0.0)]
+    return geometry.PolygonalDomain(verts, free_edges=[len(verts) - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=wall_polygons(), g=gammas, lz=log_z)
+def test_polygon_lift_matches_oracle(d, g, lz):
+    z = 10.0 ** lz
+    want, scale = polygon_lift_oracle(d, g, z)
+    assert abs(bounds.wall_term_gamma(d, g, z) - want) <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=gammas, lz=log_z, depth=st.floats(0.05, 2.0),
+       ratio=st.floats(-1.0, 1.0), sign=st.sampled_from([-1.0, 1.0]),
+       over=st.floats(-0.4, 0.4))
+def test_near_level_edge_lift_straddles_series_switch(g, lz, depth, ratio, sign, over):
+    # a quadrilateral whose bottom tilts by dy, drawn within a factor 10 of
+    # the point where the edge lift switches from exponentials to the series
+    z = 10.0 ** lz
+    switch = 1e-3 * (1.0 + 2.0 * depth * z) / z
+    dy = sign * min(switch * 10.0 ** ratio, 0.5 * depth)
+    d = geometry.PolygonalDomain(
+        [(0.0, 0.0), (-over, -depth), (2.0 + over, -depth - dy), (2.0, 0.0)],
+        free_edges=[3])
+    want, scale = polygon_lift_oracle(d, g, z)
+    assert abs(bounds.wall_term_gamma(d, g, z) - want) <= 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), area=st.floats(0.5, 5.0), h=st.floats(0.1, 2.0),
+       g=gammas, lz=log_z)
+def test_cylinder_lift_matches_oracle(n, area, h, g, lz):
+    z = 10.0 ** lz
+    dom = CylinderDomain(n, geometry.ExplicitBase((0.0,), "neumann", area), h)
+    kappa = (n - 1) * specfun.unit_ball_volume(n - 1) / (2 * math.pi) ** (n - 1)
+    want = lift_oracle(lambda r: kappa * area * r ** (n - 1) * math.exp(-2 * h * r), g, z)
+    assert bounds.wall_term_gamma(dom, g, z) == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.one_of(st.floats(0.2, 1.4), st.floats(1.75, 2.9)),
+       h=st.floats(0.1, 2.0), g=gammas, lz=log_z)
+def test_cone_lift_matches_oracle(alpha, h, g, lz):
+    # profile 1 - e^{-x}(1 + x) = P(2, x), x = 2hr, the regularized lower
+    # incomplete gamma function: no cancellation at small x
+    z = 10.0 ** lz
+    dom = ConeDomain(alpha, h)
+    want = cone_coef(dom) * lift_oracle(lambda r: gammainc(2, 2 * h * r), g, z)
+    assert bounds.wall_term_gamma(dom, g, z) == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.2, 2.9), beta=st.floats(0.2, 2.9),
+       delta=st.floats(0.05, 2.0), bc_length=st.floats(0.0, 3.0),
+       g=gammas, lz=log_z)
+def test_two_corner_lift_matches_oracle(alpha, beta, delta, bc_length, g, lz):
+    z = 10.0 ** lz
+    corner, resid = two_corner_pieces_oracle(alpha, beta, delta, bc_length, g, z)
+    scale = abs(corner) + abs(resid)
+    res = bounds.sn_lower_2d_angles(alpha, beta, delta, bc_length, 2.0, g, z)
+    assert abs(res.c - (-corner - resid)) <= 1e-10 * scale
+    assert abs(res.c_stated - (corner - resid)) <= 1e-10 * scale
+
+
+def test_verify_lifted_grid_matches_scalar_bounds():
+    # verify evaluates main and triangle on the whole grid at once; the
+    # public scalar functions stay the reference
+    s = spectra.rectangle_sn(math.pi, 1.0, 2000)
+    grid = np.concatenate(([0.0], np.geomspace(1e-3, 300.0, 25)))
+    for g in (1.5, 2.0, 2.5):
+        rep = bounds.verify(s, "main", grid, gamma=g, domain=TRAPEZOID)
+        scalar = [bounds.sn_lower_main(TRAPEZOID, g, float(z)) for z in grid]
+        assert rep.bound_values == pytest.approx(scalar, rel=1e-13, abs=1e-300)
+        rep = bounds.verify(s, "triangle", grid, gamma=g, domain=RECT)
+        p = bounds.two_corner_params(RECT)
+        last = bounds.sn_lower_2d_angles(p["alpha"], p["beta"], p["delta"],
+                                         p["bc_length"], math.pi, g, grid[-1])
+        assert rep.params["c_at_grid_end"] == pytest.approx(last.c, rel=1e-13)
+        assert rep.params["c_stated_at_grid_end"] == pytest.approx(last.c_stated,
+                                                                   rel=1e-13)
+    with pytest.raises(ValueError, match="gamma >= 1"):
+        bounds.verify(s, "main", grid, gamma=0.5, domain=TRAPEZOID)
 
 
 # ---------------------------------------------------------------------------

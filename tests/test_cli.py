@@ -208,6 +208,34 @@ def test_verify_with_domain_and_errors(tmp_path, capsys):
     assert data["params"]["gamma"] == 1.0
 
 
+def test_verify_lifted_bound_matches_quadrature_oracle(tmp_path):
+    spec = tmp_path / "sn.csv"
+    cli.main(["spectrum", "--preset", "rectangle:pi,1", "--problem", "sn",
+              "--count", "400", "--out", str(spec)])
+    base = ["verify", "--spectrum", str(spec), "--bound", "main", "--gamma", "1.5",
+            "--preset", "trapezoid:pi,2pi/3,1", "--grid", "log6(0.5,60)"]
+    closed, oracle = tmp_path / "closed.json", tmp_path / "oracle.json"
+    rc_closed = cli.main(base + ["--out", str(closed)])
+    rc_oracle = cli.main(base + ["--quadrature", "--out", str(oracle)])
+    assert rc_closed == rc_oracle == 0
+    a, b = json.loads(closed.read_text()), json.loads(oracle.read_text())
+    assert a["status"] == b["status"] == "holds"
+    assert a["bound"] == pytest.approx(b["bound"], rel=1e-10, abs=0)
+
+
+def test_lifted_verify_does_not_import_scipy_integrate(tmp_path):
+    spec = tmp_path / "sn.csv"
+    cli.main(["spectrum", "--preset", "rectangle:pi,1", "--problem", "sn",
+              "--count", "300", "--out", str(spec)])
+    code = ("import sys, steklov.cli\n"
+            f"rc = steklov.cli.main(['verify', '--spectrum', {str(spec)!r}, "
+            "'--bound', 'main', '--gamma', '2.5', '--preset', 'trapezoid:pi,2pi/3,1', "
+            f"'--grid', 'log20(0.1,50)', '--out', {str(tmp_path / 'rep.json')!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy.integrate' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_asym_command(tmp_path, capsys):
     spec = tmp_path / "s.csv"
     cli.main(["spectrum", "--preset", "rectangle:pi,1", "--problem", "sn",

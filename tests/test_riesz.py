@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import riesz, spectra
 from steklov.riesz import RieszCurve, ValidityCeilingError
@@ -48,6 +50,45 @@ def test_riesz_mean_grid_vectorizes(rect_sn):
     grid_vals = riesz.riesz_mean_grid(rect_sn, 1.0, zs)
     single = [riesz.riesz_mean(rect_sn, 1.0, float(z)) for z in zs]
     assert grid_vals == pytest.approx(single, rel=1e-14)
+
+
+def full_broadcast_riesz(values, gamma, zs):
+    """R_gamma summed over the whole spectrum, clipped at zero."""
+    diff = np.clip(np.asarray(zs)[:, None] - np.asarray(values)[None, :], 0.0, None)
+    return np.sum(diff ** gamma, axis=1)
+
+
+def test_fractional_riesz_mean_grid_matches_full_spectrum_sum(rect_sn):
+    # the fractional branch only broadcasts over eigenvalues below max(zs)
+    zs = np.concatenate(([0.0], np.geomspace(0.05, rect_sn.ceiling, 60),
+                         rect_sn.values[[1, 7, 100]]))
+    for gamma in (0.5, 1.5, 2.5, 3.7):
+        got = riesz.riesz_mean_grid(rect_sn, gamma, zs)
+        want = full_broadcast_riesz(rect_sn.values, gamma, zs)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    assert riesz.riesz_mean_grid(rect_sn, 1.5, []).shape == (0,)
+
+
+@st.composite
+def random_spectra(draw):
+    """Sorted spectra from 0, repeated eigenvalues allowed, ceiling > 0."""
+    gaps = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=60))
+    gaps.append(draw(st.floats(0.1, 5.0)))
+    return spectra.Spectrum(problem="SN", values=np.cumsum([0.0] + gaps),
+                            source="synthetic")
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=random_spectra(), gamma=st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+       rho=st.sampled_from([1.0, 2.0, 3.0]), frac=st.floats(0.01, 1.0))
+def test_iteration_matches_direct_riesz_mean_random_spectra(s, gamma, rho, frac):
+    # at integer exponents the integrand is polynomial between eigenvalues, so
+    # the 8-point panels integrate it exactly and the lift equals R_{gamma+rho}
+    z = frac * s.ceiling
+    curve = riesz.riesz_curve(s, gamma, np.linspace(0.0, s.ceiling, 5))
+    lifted = riesz.riesz_iterate(curve, rho, z)
+    direct = float(riesz.riesz_mean_grid(s, gamma + rho, z)[0])
+    assert lifted == pytest.approx(direct, rel=1e-12, abs=1e-12 * s.ceiling ** (gamma + rho))
 
 
 def test_validity_ceiling_enforced(rect_sn):

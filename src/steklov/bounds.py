@@ -21,6 +21,15 @@ Upper bounds for the clamped-wall (SD) problem, two-sided brackets and
 averaged-sum inequalities for SN eigenvalues, and a heat-trace bound complete
 the set.  :func:`verify` runs any of them against a Spectrum and produces a
 :class:`BoundReport` with margins, violations, and hypothesis flags.
+
+Every bound has one evaluator that works on a whole grid (``_*_grid``): it
+resolves the domain and its constants once -- wall edges and weights, I_-,
+I_+, delta, h, |F|, C_{n,gamma}, kappa_n, the two-corner cots -- and then
+evaluates all points.  The public scalar functions are one-point calls of
+the same evaluators.  Wherever a point needs pow, exp, expm1 or the
+incomplete gamma function, it gets one scalar libm call (numpy's vectorized
+versions round differently in a few percent of arguments), so a grid value
+is bit for bit the value of the one-point call.
 """
 
 from __future__ import annotations
@@ -67,44 +76,77 @@ def _check_z(z: float) -> float:
     return z
 
 
+def _check_zs(zs) -> np.ndarray:
+    """A grid as a 1-d float array whose points are finite reals >= 0."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+    bad = ~(np.isfinite(zs) & (zs >= 0))
+    if bad.any():
+        raise ValueError(f"z must be a finite real >= 0, got {float(zs[bad][0])}")
+    return zs
+
+
+def _pointwise(f, xs: np.ndarray) -> np.ndarray:
+    """f(x) at every x in xs, one scalar call each.
+
+    For f built on pow, exp, expm1 or the incomplete gamma function: numpy's
+    vectorized versions round differently from libm in a few percent of
+    arguments, so a grid evaluated this way agrees bit for bit with its
+    one-point calls.
+    """
+    return np.fromiter(map(f, xs.tolist()), dtype=float, count=xs.size)
+
+
+def _powers(xs: np.ndarray, p) -> np.ndarray:
+    """x ** p at every x in xs by libm's pow (see :func:`_pointwise`)."""
+    return _pointwise(lambda x: x ** p, xs)
+
+
 # ---------------------------------------------------------------------------
 # wall terms
 # ---------------------------------------------------------------------------
 
-def _exp_moment(y: float, k: int, z: float) -> float:
-    """integral_0^z r^k e^{2yr} dr for y <= 0 (depth y below the surface)."""
-    if y > 0:
-        raise ValueError("wall points lie at nonpositive heights")
-    if y == 0.0:
-        return z ** (k + 1) / (k + 1)
+def _exp_moment(y: float, k: int, zs: np.ndarray) -> np.ndarray:
+    """integral_0^z r^k e^{2yr} dr at every z in zs, for a depth y < 0."""
     a = -2.0 * y
-    return specfun.lower_incomplete_gamma(k + 1, a * z) / a ** (k + 1)
+    scale = a ** (k + 1)
+    return _pointwise(lambda z: specfun.lower_incomplete_gamma(k + 1, a * z) / scale, zs)
 
 
-def _edge_flux(y0: float, y1: float, z: float) -> float:
-    """integral_0^z r * mean_{s in [0,1]} e^{2 r (y0 + s (y1-y0))} dr.
+def _near_level(dy: float, ybar: float, zs: np.ndarray) -> np.ndarray:
+    """Where an edge's difference of exponentials cancels and its series is
+    taken instead: |dy| z <= 1e-3 (1 + 2 |ybar| z), i.e. |dy| is small
+    against the reach, about min(z, 1/(2 |ybar|)), of the weight
+    e^{2 r ybar}.  The next series term is below 1e-12 relative there."""
+    return abs(dy) * zs <= 1e-3 * (1.0 + 2.0 * abs(ybar) * zs)
+
+
+def _edge_flux(y0: float, y1: float, zs: np.ndarray) -> np.ndarray:
+    """integral_0^z r * mean_{s in [0,1]} e^{2 r (y0 + s (y1-y0))} dr at
+    every z in zs.
 
     This is the per-unit-length edge integral for a straight wall edge whose
-    endpoints sit at heights y0, y1 <= 0.  For a level edge it is the moment
-    integral above; for a sloped edge the r factor cancels against the
-    arclength average and the closed form is a difference of
-    (e^{2zy} - 1) / (2y) terms.  Nearly level edges (|y1-y0| z small) switch
-    to a two-term series to dodge the cancellation in that difference.
+    endpoints sit at heights y0, y1 <= 0 (ybar < 0 on any wall edge).  For
+    a sloped edge the r factor cancels against the arclength average and the
+    closed form is a difference of (e^{2zy} - 1) / (2y) terms.  Nearly level
+    edges (:func:`_near_level`) take a two-term series instead, to dodge the
+    cancellation in that difference.
     """
     dy = y1 - y0
     ybar = 0.5 * (y0 + y1)
-    if abs(dy) * z <= 1e-3:
-        # mean_s e^{2ry} = e^{2 r ybar} sinh(r dy)/(r dy) ~ e^{2 r ybar}(1 + (r dy)^2/6)
-        base = _exp_moment(ybar, 1, z)
-        corr = dy * dy / 6.0 * _exp_moment(ybar, 3, z)
-        return base + corr
+    near_level = _near_level(dy, ybar, zs)
+    out = np.empty_like(zs)
+    near, far = zs[near_level], zs[~near_level]
+    # mean_s e^{2ry} = e^{2 r ybar} sinh(r dy)/(r dy) ~ e^{2 r ybar}(1 + (r dy)^2/6)
+    out[near_level] = _exp_moment(ybar, 1, near) \
+        + dy * dy / 6.0 * _exp_moment(ybar, 3, near)
 
     def anti(y):   # integral_0^z e^{2ry} dr, stable at y -> 0
         if y == 0.0:
-            return z
-        return math.expm1(2.0 * z * y) / (2.0 * y)
+            return far
+        return _pointwise(lambda z: math.expm1(2.0 * z * y) / (2.0 * y), far)
 
-    return (anti(y1) - anti(y0)) / (2.0 * dy)
+    out[~near_level] = (anti(y1) - anti(y0)) / (2.0 * dy)
+    return out
 
 
 def _wall_edges(d: PolygonalDomain):
@@ -121,46 +163,14 @@ def _wall_edges(d: PolygonalDomain):
         yield -n2 * length / math.pi, float(a[1]), float(b[1])
 
 
-def wall_term_2d(d: PolygonalDomain, z: float, *, quadrature: bool = False) -> float:
-    """Planar wall term -(1/pi) * integral_0^z integral_walls n2 r e^{2yr} ds dr.
-
-    Closed form per edge; ``quadrature=True`` switches to nested adaptive
-    quadrature of the defining double integral (slow; used as an oracle).
-    For the triangle with base angles alpha, beta and depth h this equals
-    (cot a + cot b)/(2 pi) * (z - (1 - e^{-2hz})/(2h)).
-    """
-    z = _check_z(z)
-    if z == 0.0:
-        return 0.0
-    if quadrature:
-        from scipy.integrate import quad
-    total = 0.0
-    for weight, y0, y1 in _wall_edges(d):
-        if quadrature:
-            def inner(r, y0=y0, y1=y1):
-                val, _ = quad(lambda s: math.exp(2.0 * (y0 + (y1 - y0) * s) * r),
-                              0.0, 1.0, epsabs=1e-13, epsrel=1e-12)
-                return val
-
-            outer, _ = quad(lambda r: r * inner(r), 0.0, z,
-                            epsabs=1e-13, epsrel=1e-12, limit=200)
-            total += weight * outer
-        else:
-            total += weight * _edge_flux(y0, y1, z)
-    return total
-
-
-def _wall_term_cylinder(n: int, area: float, h: float, z: float) -> float:
-    """Vertical walls contribute nothing; the flat bottom at depth h gives
-    kappa_n |F| (Gamma(n) - Gamma(n, 2hz)) / (2h)^n."""
-    return _kappa(n) * area * specfun.lower_incomplete_gamma(n, 2.0 * h * z) \
-        / (2.0 * h) ** n
-
-
-def _cone_profile(alpha: float, h: float, z: float) -> float:
-    """Closed form of integral_0^z (1 - e^{-2hr} - 2hr e^{-2hr}) dr."""
-    e = math.exp(-2.0 * h * z)
-    return z - (1.0 - e) / h + z * e
+def _flat_wall(n: int, weight: float, h: float, zs: np.ndarray) -> np.ndarray:
+    """kappa_n w (Gamma(n) - Gamma(n, 2hz)) / (2h)^n at every z in zs: the
+    wall term of a flat bottom of measure w at depth h."""
+    front = _kappa(n) * weight
+    two_h = 2.0 * h
+    scale = two_h ** n
+    return front * _pointwise(lambda x: specfun.lower_incomplete_gamma(n, x),
+                              two_h * zs) / scale
 
 
 def _cone_coef(dom: ConeDomain) -> float:
@@ -169,46 +179,97 @@ def _cone_coef(dom: ConeDomain) -> float:
     return math.copysign(1.0, math.cos(alpha)) / (4.0 * math.tan(alpha) ** 2)
 
 
-def _wall_term_cone(dom: ConeDomain, z: float, *, quadrature: bool = False) -> float:
-    """Wall term of the cone of revolution,
+def _cone_profile(h: float, zs: np.ndarray) -> np.ndarray:
+    """integral_0^z (1 - e^{-2hr} - 2hr e^{-2hr}) dr
+    = z - (1 - e^{-2hz})/h + z e^{-2hz} at every z in zs."""
+    def one(z):
+        e = math.exp(-2.0 * h * z)
+        return z - (1.0 - e) / h + z * e
+    return _pointwise(one, zs)
 
-        sign(cos alpha)/(4 tan^2 alpha) * integral_0^z (1-e^{-2hr}-2hr e^{-2hr}) dr.
 
-    The closed form of the r-integral is z - (1-e^{-2hz})/h + z e^{-2hz}; the
-    quadrature path evaluates the same integral adaptively and is kept as a
-    cross-check (an additive 1/(4h^2) constant sometimes attached to this
-    expression is dimensionally inconsistent with the integrand and is not
-    included).
+def _wall_grid(domain, zs) -> np.ndarray:
+    """Wall term A(z) (gamma = 1) at every z in zs; A(0) = 0 exactly.
+
+    Polygons sum a closed form per wall edge, the vertical cylinder has only
+    its flat bottom, and the cone of revolution integrates
+    sign(cos alpha)/(4 tan^2 alpha) (1 - e^{-2hr} - 2hr e^{-2hr}).
     """
-    alpha, h = dom.half_angle, dom.depth
-    coef = _cone_coef(dom)
-    if quadrature:
-        from scipy.integrate import quad
+    zs = _check_zs(zs)
+    out = np.zeros_like(zs)
+    pos = zs > 0
+    z = zs[pos]
+    if isinstance(domain, PolygonalDomain):
+        total = np.zeros_like(z)
+        for weight, y0, y1 in _wall_edges(domain):
+            total += weight * _edge_flux(y0, y1, z)
+    elif isinstance(domain, CylinderDomain):
+        total = _flat_wall(domain.n, domain.base_area, domain.depth, z)
+    elif isinstance(domain, ConeDomain):
+        total = _cone_coef(domain) * _cone_profile(domain.depth, z)
+    else:
+        raise DomainError(f"no wall term for domain type {type(domain).__name__}")
+    out[pos] = total
+    return out
+
+
+def _wall_quadrature(domain, z: float) -> float:
+    """The wall term's defining integrals by nested adaptive quadrature: an
+    oracle for the closed forms (slow)."""
+    if z == 0.0:
+        return 0.0
+    from scipy.integrate import quad
+    if isinstance(domain, PolygonalDomain):
+        total = 0.0
+        for weight, y0, y1 in _wall_edges(domain):
+            def inner(r, y0=y0, y1=y1):
+                val, _ = quad(lambda s: math.exp(2.0 * (y0 + (y1 - y0) * s) * r),
+                              0.0, 1.0, epsabs=1e-13, epsrel=1e-12)
+                return val
+
+            outer, _ = quad(lambda r: r * inner(r), 0.0, z,
+                            epsabs=1e-13, epsrel=1e-12, limit=200)
+            total += weight * outer
+        return total
+    if isinstance(domain, CylinderDomain):
+        n, h = domain.n, domain.depth
+        val, _ = quad(lambda r: r ** (n - 1) * math.exp(-2.0 * h * r), 0.0, z,
+                      epsabs=1e-13, epsrel=1e-12, limit=200)
+        return _kappa(n) * domain.base_area * val
+    if isinstance(domain, ConeDomain):
+        h = domain.depth
         val, _ = quad(lambda r: 1.0 - math.exp(-2 * h * r) - 2 * h * r * math.exp(-2 * h * r),
                       0.0, z, epsabs=1e-13, epsrel=1e-12, limit=200)
-        return coef * val
-    return coef * _cone_profile(alpha, h, z)
+        return _cone_coef(domain) * val
+    raise DomainError(f"no wall term for domain type {type(domain).__name__}")
 
 
 def wall_term(domain, z: float, *, quadrature: bool = False) -> float:
     """Wall term A(z) = -kappa_n * integral_0^z integral_B <n,e_n> e^{2 x_n r} r^{n-1} ds dr
-    for any supported domain kind (gamma = 1 member of the family)."""
-    z = _check_z(z)
-    if z == 0.0:
-        return 0.0
-    if isinstance(domain, PolygonalDomain):
-        return wall_term_2d(domain, z, quadrature=quadrature)
-    if isinstance(domain, CylinderDomain):
-        if quadrature:
-            from scipy.integrate import quad
-            n, h = domain.n, domain.depth
-            val, _ = quad(lambda r: r ** (n - 1) * math.exp(-2.0 * h * r), 0.0, z,
-                          epsabs=1e-13, epsrel=1e-12, limit=200)
-            return _kappa(n) * domain.base_area * val
-        return _wall_term_cylinder(domain.n, domain.base_area, domain.depth, z)
-    if isinstance(domain, ConeDomain):
-        return _wall_term_cone(domain, z, quadrature=quadrature)
-    raise DomainError(f"no wall term for domain type {type(domain).__name__}")
+    for any supported domain kind (gamma = 1 member of the family).
+
+    ``quadrature=True`` integrates the definition adaptively instead (slow;
+    used as an oracle).  For the cone of revolution the closed form is
+    sign(cos alpha)/(4 tan^2 alpha) (z - (1-e^{-2hz})/h + z e^{-2hz}); an
+    additive 1/(4h^2) constant sometimes attached to it is dimensionally
+    inconsistent with the integrand and is not included.
+    """
+    if quadrature:
+        return _wall_quadrature(domain, _check_z(z))
+    return float(_wall_grid(domain, [z])[0])
+
+
+def wall_term_2d(d: PolygonalDomain, z: float, *, quadrature: bool = False) -> float:
+    """Planar wall term -(1/pi) * integral_0^z integral_walls n2 r e^{2yr} ds dr.
+
+    Closed form per edge; ``quadrature=True`` switches to nested adaptive
+    quadrature of the defining double integral (slow; used as an oracle).
+    For the triangle with base angles alpha, beta and depth h this equals
+    (cot a + cot b)/(2 pi) * (z - (1 - e^{-2hz})/(2h)).
+    """
+    if not isinstance(d, PolygonalDomain):
+        raise DomainError(f"wall_term_2d needs a polygon, got {type(d).__name__}")
+    return wall_term(d, z, quadrature=quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +301,9 @@ def _lift(terms, g: float, zs: np.ndarray, order: int = 1) -> np.ndarray:
 def _edge_flux_lift(y0: float, y1: float, g: float, zs: np.ndarray) -> np.ndarray:
     """:func:`_edge_flux` lifted to exponent g.  The integrand is
     phi(r) = e^{2 r ybar} sinh(r dy) / dy, a difference of two exponentials
-    over 2 dy.  Where that difference cancels, |dy| z / (1 + 2 |ybar| z) <=
-    1e-3 (|dy| small against the reach, about min(z, 1/(2 |ybar|)), of the
-    weight e^{2 r ybar}), the point takes the series
-    e^{2 r ybar} (r + dy^2 r^3 / 6) instead, whose next term is below 1e-12
-    relative there.  At ybar z small the switch is _edge_flux's |dy| z <= 1e-3.
+    over 2 dy.  Where that difference cancels (:func:`_near_level`, the
+    switch of :func:`_edge_flux`), the point takes the series
+    e^{2 r ybar} (r + dy^2 r^3 / 6) instead.
     """
     dy = y1 - y0
     ybar = 0.5 * (y0 + y1)
@@ -252,8 +311,7 @@ def _edge_flux_lift(y0: float, y1: float, g: float, zs: np.ndarray) -> np.ndarra
     if dy == 0.0:
         return series
     diff = _lift([(0.5 / dy, 0, -2.0 * y1), (-0.5 / dy, 0, -2.0 * y0)], g, zs)
-    near_level = abs(dy) * zs <= 1e-3 * (1.0 + 2.0 * abs(ybar) * zs)
-    return np.where(near_level, series, diff)
+    return np.where(_near_level(dy, ybar, zs), series, diff)
 
 
 def _wall_lift(domain, g: float, zs: np.ndarray) -> np.ndarray:
@@ -324,6 +382,11 @@ def sum_bound_wall_term(domain, R: float, *, quadrature: bool = False) -> float:
     ``domain`` may also be a metadata dict with keys n, areaF, depth, in
     which case the comparison domain is the vertical cylinder F x (-h, 0).
     """
+    return float(_sum_wall_grid(domain, [R], quadrature=quadrature)[0])
+
+
+def _sum_wall_grid(domain, Rs, *, quadrature: bool = False) -> np.ndarray:
+    """:func:`sum_bound_wall_term` at every R in Rs."""
     if isinstance(domain, dict):
         n, area, h = domain.get("n"), domain.get("areaF"), domain.get("depth")
         if n is None or area is None or h is None:
@@ -331,12 +394,15 @@ def sum_bound_wall_term(domain, R: float, *, quadrature: bool = False) -> float:
                 "metadata lacks n/areaF/depth; cannot build the comparison "
                 "cylinder for the wall integral")
         n, area, h = int(n), float(area), float(h)
-        R = _check_z(R)
-        a_val = _wall_term_cylinder(n, area, h, R) if R > 0 else 0.0
+        a_val = _flat_wall(n, area, h, _check_zs(Rs))
     else:
         n = geometry.ambient_dim(domain)
         area = geometry.free_area(domain)
-        a_val = wall_term(domain, R, quadrature=quadrature)
+        if quadrature:
+            a_val = _pointwise(lambda R: wall_term(domain, R, quadrature=True),
+                               _check_zs(Rs))
+        else:
+            a_val = _wall_grid(domain, Rs)
     return -(2.0 * math.pi) ** (n - 1) / area * a_val
 
 
@@ -352,16 +418,24 @@ def sn_lower_main(domain, gamma: float, z: float, *,
     defect of the averaged variational principle with the exponential test
     family underlying the proof.
     """
-    z = _check_z(z)
-    return _main_lead(domain, gamma, z) + wall_term_gamma(domain, gamma, z,
-                                                          quadrature=quadrature)
+    return float(_main_grid(domain, float(gamma), [z], quadrature=quadrature)[0])
 
 
-def _main_lead(domain, gamma: float, z):
-    """C_{n,gamma} |F| z^{n+gamma-1} at a scalar z or an array of them."""
+def _main_grid(domain, g: float, zs, *, quadrature: bool = False) -> np.ndarray:
+    """:func:`sn_lower_main` at every z in zs.  At g > 1 the wall term is
+    the closed-form lift, evaluated by numpy over the grid with the leading
+    term; ``quadrature=True`` takes the quadrature oracle point by point."""
+    zs = _check_zs(zs)
     n = geometry.ambient_dim(domain)
-    area = geometry.free_area(domain)
-    return specfun.weyl_constant(n, gamma) * area * z ** (n + gamma - 1)
+    weyl = specfun.weyl_constant(n, g) * geometry.free_area(domain)
+    p = n + g - 1
+    if quadrature:
+        wall = _pointwise(lambda z: wall_term_gamma(domain, g, z, quadrature=True), zs)
+    elif g == 1.0:
+        wall = _wall_grid(domain, zs)
+    else:
+        return weyl * zs ** p + _wall_lift(domain, g, zs)
+    return weyl * _powers(zs, p) + wall
 
 
 def sn_lower_split(domain, z: float) -> float:
@@ -375,7 +449,12 @@ def sn_lower_split(domain, z: float) -> float:
     domain depth), I_+ integrates <n,e_n> over overhanging walls, and delta
     is the overhang clearance.  Requires delta > 0 whenever I_+ > 0.
     """
-    z = _check_z(z)
+    return float(_split_grid(domain, [z])[0])
+
+
+def _split_grid(domain, zs) -> np.ndarray:
+    """:func:`sn_lower_split` at every z in zs."""
+    zs = _check_zs(zs)
     if isinstance(domain, PolygonalDomain):
         n = 2
         area = geometry.free_length(domain)
@@ -404,14 +483,12 @@ def sn_lower_split(domain, z: float) -> float:
     else:
         raise DomainError(f"no split bound for domain type {type(domain).__name__}")
 
-    est = _kappa(n) * i_minus * specfun.lower_incomplete_gamma(n, 2 * h * z) \
-        / (2.0 * h) ** n
+    est = _flat_wall(n, i_minus, h, zs)
     if i_plus > 0.0:
         if delta is None:
             raise DomainError("overhang clearance undefined with overhanging walls")
-        est -= _kappa(n) * i_plus * specfun.lower_incomplete_gamma(n, 2 * delta * z) \
-            / (2.0 * delta) ** n
-    return specfun.weyl_constant(n, 1.0) * area * z ** n + est
+        est = est - _flat_wall(n, i_plus, delta, zs)
+    return specfun.weyl_constant(n, 1.0) * area * _powers(zs, n) + est
 
 
 class TwoCornerBound(NamedTuple):
@@ -440,27 +517,12 @@ def sn_lower_2d_angles(alpha: float, beta: float, delta: float,
     are returned and the bound uses the derivation's.  gamma > 1 lifts the
     gamma = 1 bound by Riesz iteration: the two leading terms map onto
     themselves, and each piece of the constant is the integral from 0 of one
-    term c r^k e^{-2 d r}, lifted in closed form (:func:`_two_corner_lift`).
+    term c r^k e^{-2 d r}, lifted in closed form (:func:`_two_corner_grid`).
     """
     cots, g = _two_corner_cots(alpha, beta, delta, bc_length, gamma)
-    z = _check_z(z)
-    if g != 1.0:
-        value, c, c_stated = _two_corner_lift(cots, delta, bc_length, area, g,
-                                              np.array([z]))
-        return TwoCornerBound(float(value[0]), float(c[0]), float(c_stated[0]))
-
-    def c1(t: float, sign: float) -> float:
-        e = math.exp(-2.0 * delta * t)
-        first = sign * cots * (1.0 - e) / (4.0 * math.pi * delta)
-        second = bc_length * (1.0 - e * (1.0 + 2.0 * delta * t)) \
-            / (4.0 * math.pi * delta ** 2)
-        return first - second
-
-    lead = specfun.weyl_constant(2, g) * area * z ** (g + 1.0)
-    second = cots / (2.0 * math.pi) * z ** g
-    c_proof = c1(z, -1.0)
-    c_stated = c1(z, +1.0)
-    return TwoCornerBound(lead + second + c_proof, c_proof, c_stated)
+    value, c, c_stated = _two_corner_grid(cots, delta, bc_length, area, g,
+                                          _check_zs([z]))
+    return TwoCornerBound(float(value[0]), float(c[0]), float(c_stated[0]))
 
 
 def _two_corner_cots(alpha: float, beta: float, delta: float,
@@ -478,18 +540,26 @@ def _two_corner_cots(alpha: float, beta: float, delta: float,
     return _cot(alpha) + _cot(beta), g
 
 
-def _two_corner_lift(cots: float, delta: float, bc_length: float, area: float,
+def _two_corner_grid(cots: float, delta: float, bc_length: float, area: float,
                      g: float, zs: np.ndarray):
-    """:func:`sn_lower_2d_angles` at g > 1 over a grid: (value, c, c_stated).
+    """:func:`sn_lower_2d_angles` over a grid: (value, c, c_stated).
 
     c1 = integral_0^t e^{-2 d r} (sign (cot a + cot b)/(2 pi) - |Bc| r / pi) dr,
-    so the corner and residual-wall pieces are lifted once each and the two
-    sign readings differ only in how the pieces combine.
+    so the corner and residual-wall pieces are evaluated (at g > 1: lifted)
+    once each and the two sign readings differ only in how they combine.
     """
-    lead = specfun.weyl_constant(2, g) * area * zs ** (g + 1.0)
-    second = cots / (2.0 * math.pi) * zs ** g
-    corner = _lift([(cots / (2.0 * math.pi), 0, 2.0 * delta)], g, zs)
-    residual = _lift([(bc_length / math.pi, 1, 2.0 * delta)], g, zs)
+    weyl = specfun.weyl_constant(2, g) * area
+    slope = cots / (2.0 * math.pi)
+    if g == 1.0:
+        e = _pointwise(lambda t: math.exp(-2.0 * delta * t), zs)
+        corner = cots * (1.0 - e) / (4.0 * math.pi * delta)
+        residual = bc_length * (1.0 - e * (1.0 + 2.0 * delta * zs)) \
+            / (4.0 * math.pi * delta ** 2)
+        lead, second = weyl * _powers(zs, g + 1.0), slope * _powers(zs, g)
+    else:
+        corner = _lift([(slope, 0, 2.0 * delta)], g, zs)
+        residual = _lift([(bc_length / math.pi, 1, 2.0 * delta)], g, zs)
+        lead, second = weyl * zs ** (g + 1.0), slope * zs ** g
     c = -corner - residual
     return lead + second + c, c, corner - residual
 
@@ -497,23 +567,32 @@ def _two_corner_lift(cots: float, delta: float, bc_length: float, area: float,
 def sn_lower_john_2d(length: float, gamma: float, z: float) -> float:
     """Planar sloshing bound for domains under their free surface:
     R_gamma(z) >= (l / (pi (gamma+1))) z^{gamma+1} + z^gamma / 2."""
+    return float(_john2d_grid(length, gamma, [z])[0])
+
+
+def _john2d_grid(length: float, gamma: float, zs) -> np.ndarray:
     if not length > 0:
         raise ValueError("surface length must be positive")
     g = float(gamma)
     if g < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    z = _check_z(z)
-    return length / (math.pi * (g + 1.0)) * z ** (g + 1.0) + 0.5 * z ** g
+    zs = _check_zs(zs)
+    return length / (math.pi * (g + 1.0)) * _powers(zs, g + 1.0) \
+        + 0.5 * _powers(zs, g)
 
 
 def sn_lower_john_ndim(area: float, h: float, n: int, z: float) -> float:
     """n-dimensional strip bound:
     C_{n,1}|F| z^n + kappa_n |F| (Gamma(n)-Gamma(n,2hz)) / (2h)^n."""
+    return float(_john_ndim_grid(area, h, n, [z])[0])
+
+
+def _john_ndim_grid(area: float, h: float, n: int, zs) -> np.ndarray:
     if not (area > 0 and h > 0):
         raise ValueError("area and depth must be positive")
-    z = _check_z(z)
-    return specfun.weyl_constant(n, 1.0) * area * z ** n \
-        + _wall_term_cylinder(n, area, h, z)
+    zs = _check_zs(zs)
+    return specfun.weyl_constant(n, 1.0) * area * _powers(zs, n) \
+        + _flat_wall(n, area, h, zs)
 
 
 def sn_lower_via_neumann(area: float, width: float, n: int, z: float) -> float:
@@ -525,15 +604,19 @@ def sn_lower_via_neumann(area: float, width: float, n: int, z: float) -> float:
 
     where w is the width of the free surface in a chosen direction.
     """
+    return float(_via_neumann_grid(area, width, n, [z])[0])
+
+
+def _via_neumann_grid(area: float, width: float, n: int, zs) -> np.ndarray:
     if not isinstance(n, int) or n < 3:
         raise ValueError("this route needs ambient dimension n >= 3")
     if not (area > 0 and width > 0):
         raise ValueError("area and width must be positive")
-    z = _check_z(z)
-    lead = n / (n + 1.0) * specfun.weyl_constant(n, 1.0) * area * z ** n
-    mid = 0.125 * specfun.berezin_constant(n - 1) * (area / width) * z ** (n - 1)
+    zs = _check_zs(zs)
+    lead = n / (n + 1.0) * specfun.weyl_constant(n, 1.0) * area * _powers(zs, n)
+    mid = 0.125 * specfun.berezin_constant(n - 1) * (area / width) * _powers(zs, n - 1)
     last = (2.0 * math.pi) ** (2 - n) * specfun.unit_ball_volume(n) \
-        * (area / width ** 2) * z ** (n - 2) / 192.0
+        * (area / width ** 2) * _powers(zs, n - 2) / 192.0
     return lead + mid - last
 
 
@@ -549,6 +632,16 @@ def _resolve_nk(s: Spectrum, n, area):
             "need ambient dimension n and free-surface measure areaF "
             "(spectrum metadata or explicit arguments)")
     return n, float(area)
+
+
+def _scales(n: int, ks: np.ndarray, area: float) -> np.ndarray:
+    """The semiclassical scale W_{n,k} at every k in ks."""
+    return np.array([specfun.semiclassical_scale(n, k, area) for k in ks.tolist()])
+
+
+def _means(s: Spectrum, ks: np.ndarray) -> np.ndarray:
+    """The mean of the first k stored eigenvalues at every k in ks."""
+    return riesz.partial_sum_grid(s, ks) / ks
 
 
 def kroger_master(s: Spectrum, k: int, R: float, *, n=None, area=None,
@@ -603,22 +696,29 @@ def kroger_sum_bound(s: Spectrum, k: int, *, n=None, area=None,
         raise ValueError("the sum inequalities concern sloshing (SN) spectra")
     if k + 1 > len(s):
         raise ValueError(f"need eigenvalue {k + 1}, spectrum has {len(s)}")
+    bound, observed, form = _kroger_grid(s, np.array([k]), n=n, area=area,
+                                         john=john, domain=domain)
+    return KrogerBound(float(bound[0]), float(observed[0]),
+                       float(bound[0] - observed[0]), form)
+
+
+def _kroger_grid(s: Spectrum, ks: np.ndarray, *, n=None, area=None,
+                 john: Optional[bool] = None, domain=None):
+    """:func:`kroger_sum_bound` at every k in ks: (bounds, observed, form)."""
     n, area = _resolve_nk(s, n, area)
     if john is None:
         john = s.meta.get("john")
-    w = specfun.semiclassical_scale(n, k, area)
-    nu_next = float(s.values[k])
-    core = (n - 1) / n * (w - (nu_next - w) ** 2 / w)
+    w = _scales(n, ks, area)
+    nu_next = s.values[ks]
+    core = (n - 1) / n * (w - _powers(nu_next - w, 2) / w)
     if john is True:
         bound, form = core, "john"
     else:
-        c_val = sum_bound_wall_term(domain if domain is not None else
-                                    {"n": n, "areaF": area,
-                                     "depth": s.meta.get("depth")},
-                                    nu_next)
-        bound, form = core + w ** (1 - n) * c_val, "general"
-    observed = riesz.mean_sum(s, k)
-    return KrogerBound(bound, observed, bound - observed, form)
+        c_val = _sum_wall_grid(domain if domain is not None else
+                               {"n": n, "areaF": area, "depth": s.meta.get("depth")},
+                               nu_next)
+        bound, form = core + _powers(w, 1 - n) * c_val, "general"
+    return bound, _means(s, ks), form
 
 
 def eigenvalue_bracket(s: Spectrum, k: int, *, n=None, area=None):
@@ -636,15 +736,23 @@ def eigenvalue_bracket(s: Spectrum, k: int, *, n=None, area=None):
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k + 1 > len(s):
         raise ValueError(f"need eigenvalue {k + 1}, spectrum has {len(s)}")
+    low, high = _bracket_grid(s, np.array([k]), n=n, area=area)
+    return float(low[0]), float(high[0])
+
+
+def _bracket_grid(s: Spectrum, ks: np.ndarray, *, n=None, area=None):
+    """:func:`eigenvalue_bracket` at every k in ks: (lower ends, upper ends)."""
     n, area = _resolve_nk(s, n, area)
-    w = specfun.semiclassical_scale(n, k, area)
-    s_k = n / (n - 1) * riesz.mean_sum(s, k) / w
-    if s_k > 1.0:
+    w = _scales(n, ks, area)
+    s_k = n / (n - 1) * _means(s, ks) / w
+    over = np.flatnonzero(s_k > 1.0)
+    if over.size:
+        i = over[0]
         raise ValueError(
-            f"S_{k} = {s_k:.6f} > 1: the eigenvalue bracket is undefined; on "
+            f"S_{ks[i]} = {s_k[i]:.6f} > 1: the eigenvalue bracket is undefined; on "
             "a domain below its free surface this would contradict the "
             "averaged sum bound -- check the spectrum and the metadata")
-    root = math.sqrt(1.0 - s_k)
+    root = np.sqrt(1.0 - s_k)
     return w * (1.0 - root), w * (1.0 + root)
 
 
@@ -654,13 +762,17 @@ def eigenvalue_bracket(s: Spectrum, k: int, *, n=None, area=None):
 
 def sd_upper_ndim(area: float, n: int, gamma: float, z: float) -> float:
     """Clamped-wall Riesz mean upper bound C_{n,gamma} |F| z^{n+gamma-1}."""
+    return float(_sd_upper_grid(area, n, gamma, [z])[0])
+
+
+def _sd_upper_grid(area: float, n: int, gamma: float, zs) -> np.ndarray:
     if not area > 0:
         raise ValueError("area must be positive")
     g = float(gamma)
     if g < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    z = _check_z(z)
-    return specfun.weyl_constant(n, g) * area * z ** (n + g - 1.0)
+    zs = _check_zs(zs)
+    return specfun.weyl_constant(n, g) * area * _powers(zs, n + g - 1.0)
 
 
 def sd_sum_lower(n: int, area: float, k: int) -> float:
@@ -668,41 +780,59 @@ def sd_sum_lower(n: int, area: float, k: int) -> float:
     eigenvalues (Legendre-dual to the Riesz upper bound)."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    return (n - 1) / n * specfun.semiclassical_scale(n, int(k), area)
+    return float(_sd_sum_grid(n, area, np.array([k]))[0])
+
+
+def _sd_sum_grid(n: int, area: float, ks: np.ndarray) -> np.ndarray:
+    return (n - 1) / n * _scales(n, ks, area)
 
 
 def sd_upper_2d_john(length: float, z: float) -> float:
     """Planar clamped-wall upper bound (l/2pi) z^2 - z/2 + pi/(2l) for
     domains below their free surface."""
+    return float(_sd_john2d_grid(length, [z])[0])
+
+
+def _sd_john2d_grid(length: float, zs) -> np.ndarray:
     if not length > 0:
         raise ValueError("surface length must be positive")
-    z = _check_z(z)
-    return length / (2 * math.pi) * z * z - 0.5 * z + math.pi / (2 * length)
+    zs = _check_zs(zs)
+    return length / (2 * math.pi) * zs * zs - 0.5 * zs + math.pi / (2 * length)
 
 
 def sd_lower_2d(length: float, z: float) -> float:
     """Planar clamped-wall lower bound (l/2pi) z^2 - (1/2 + l/pi) z + 1/2,
     valid for z >= 1 on domains containing the unit-depth rectangle over
     their free surface."""
+    return float(_sd_lower2d_grid(length, [z])[0])
+
+
+def _sd_lower2d_grid(length: float, zs) -> np.ndarray:
     if not length > 0:
         raise ValueError("surface length must be positive")
-    z = float(z)
-    if z < 1.0:
-        raise ValueError(f"this bound is stated for z >= 1, got z = {z}")
-    return length / (2 * math.pi) * z * z - (0.5 + length / math.pi) * z + 0.5
+    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+    low = zs < 1.0
+    if low.any():
+        raise ValueError(f"this bound is stated for z >= 1, got z = {float(zs[low][0])}")
+    return length / (2 * math.pi) * zs * zs - (0.5 + length / math.pi) * zs + 0.5
 
 
 def sd_heat_trace_upper(area: float, n: int, t: float) -> float:
     """Heat-trace upper bound Gamma(n) / ((4 pi)^{(n-1)/2} Gamma((n+1)/2))
     * |F| / t^{n-1}; for n = 2 this is |F| / (pi t)."""
+    return float(_heat_upper_grid(area, n, [t])[0])
+
+
+def _heat_upper_grid(area: float, n: int, ts) -> np.ndarray:
     if not area > 0:
         raise ValueError("area must be positive")
-    t = float(t)
-    if not t > 0:
-        raise ValueError(f"time must be positive, got {t}")
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    bad = ~(ts > 0)
+    if bad.any():
+        raise ValueError(f"time must be positive, got {float(ts[bad][0])}")
     coef = math.factorial(n - 1) / ((4 * math.pi) ** ((n - 1) / 2)
                                     * math.gamma((n + 1) / 2))
-    return coef * area / t ** (n - 1)
+    return coef * area / _powers(ts, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +989,11 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
            quadrature: bool = False) -> BoundReport:
     """Check one bound against a spectrum over a grid (z, k, or t values).
 
+    The bound is evaluated once for the whole grid by its grid evaluator,
+    which resolves the domain and the bound's constants once; the public
+    scalar bound functions are one-point calls of the same evaluator, so
+    the report's values equal them bit for bit.
+
     Margins are signed so that >= 0 means the bound holds; points whose
     margin drops below the tolerance are listed as violations.  Exact
     spectra default to tolerance 1e-9 (1 + |bound|); passing per-eigenvalue
@@ -911,27 +1046,19 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
         area = float(_get_param("areaF", params, meta))
         used.update({"n": n_dim, "areaF": area})
         if bound_id == "kroger":
-            results = [kroger_sum_bound(s, int(k), n=n_dim, area=area,
-                                        john=john, domain=domain) for k in ks]
-            bound_vals = np.array([r.bound for r in results])
-            observed = np.array([r.observed for r in results])
+            bound_vals, observed, form = _kroger_grid(s, ks, n=n_dim, area=area,
+                                                      john=john, domain=domain)
             margins = bound_vals - observed
-            used["form"] = results[0].form
-            if results[0].form == "john":
+            used["form"] = form
+            if form == "john":
                 flags["john"] = True if john is True else flags["john"]
         elif bound_id == "bracket":
-            lows, highs = [], []
-            for k in ks:
-                lo, hi = eigenvalue_bracket(s, int(k), n=n_dim, area=area)
-                lows.append(lo)
-                highs.append(hi)
-            bound_vals = np.array(lows)
-            extra["upper"] = np.array(highs)
+            bound_vals, extra["upper"] = _bracket_grid(s, ks, n=n_dim, area=area)
             observed = s.values[ks]     # nu_{k+1} (0-based index k)
             margins = np.minimum(observed - bound_vals, extra["upper"] - observed)
         else:   # sd-sum
-            bound_vals = np.array([sd_sum_lower(n_dim, area, int(k)) for k in ks])
-            observed = np.array([riesz.mean_sum(s, int(k)) for k in ks])
+            bound_vals = _sd_sum_grid(n_dim, area, ks)
+            observed = _means(s, ks)
             margins = observed - bound_vals
         if tolerance is not None:
             tol = np.full(axis.shape, float(tolerance))
@@ -950,14 +1077,9 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
         area = float(_get_param("areaF", params, meta))
         used.update({"n": n_dim, "areaF": area})
         used.pop("gamma", None)
-        observed = np.empty_like(axis)
-        tails = np.empty_like(axis)
-        for i, t in enumerate(axis):
-            val, tail = riesz.heat_trace(s, float(t))
-            observed[i] = val + tail      # certified upper evaluation
-            tails[i] = tail
-        bound_vals = np.array([sd_heat_trace_upper(area, n_dim, float(t))
-                               for t in axis])
+        values, tails = riesz.heat_trace_grid(s, axis)
+        observed = values + tails       # certified upper evaluation
+        bound_vals = _heat_upper_grid(area, n_dim, axis)
         margins = bound_vals - observed
         extra["tail_bounds"] = tails
         tol = np.full(axis.shape, tolerance) if tolerance is not None \
@@ -986,15 +1108,8 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
                     dom = geometry.rectangle_domain(area, h)
                 flags["comparison_cylinder_from_metadata"] = True
                 used.update({"n": n_dim, "areaF": area, "depth": h})
-            if bound_id == "split":
-                bound_vals = np.array([sn_lower_split(dom, float(z))
-                                       for z in axis])
-            elif g_eff == 1.0 or quadrature:
-                bound_vals = np.array([sn_lower_main(dom, g_eff, float(z),
-                                                     quadrature=quadrature)
-                                       for z in axis])
-            else:
-                bound_vals = _main_lead(dom, g_eff, axis) + _wall_lift(dom, g_eff, axis)
+            bound_vals = _split_grid(dom, axis) if bound_id == "split" \
+                else _main_grid(dom, g_eff, axis, quadrature=quadrature)
         elif bound_id == "triangle":
             tri = {}
             if domain is not None and isinstance(domain, PolygonalDomain):
@@ -1008,35 +1123,26 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
             area = float(_get_param("areaF", params, meta))
             used.update({"alpha": alpha, "beta": beta, "delta": delta,
                          "bc_length": bc_len, "areaF": area})
-            if g_eff == 1.0:
-                vals = [sn_lower_2d_angles(alpha, beta, delta, bc_len, area,
-                                           g_eff, float(z)) for z in axis]
-                bound_vals = np.array([v.value for v in vals])
-                c_end, c_stated_end = vals[-1].c, vals[-1].c_stated
-            else:
-                cots, _ = _two_corner_cots(alpha, beta, delta, bc_len, g_eff)
-                bound_vals, c, c_stated = _two_corner_lift(cots, delta, bc_len,
-                                                           area, g_eff, axis)
-                c_end, c_stated_end = float(c[-1]), float(c_stated[-1])
+            cots, _ = _two_corner_cots(alpha, beta, delta, bc_len, g_eff)
+            bound_vals, c, c_stated = _two_corner_grid(cots, delta, bc_len, area,
+                                                       g_eff, axis)
             used["c_reading"] = "derivation sign (corner piece negative); " \
                 "c_stated_at_grid_end shows the flipped-sign variant"
-            used["c_at_grid_end"] = c_end
-            used["c_stated_at_grid_end"] = c_stated_end
+            used["c_at_grid_end"] = float(c[-1])
+            used["c_stated_at_grid_end"] = float(c_stated[-1])
             flags["two_surface_corners"] = True if (domain is not None or
                                                     ("alpha" in meta and
                                                      "beta" in meta)) else None
         elif bound_id == "john2d":
             length = float(_get_param("areaF", params, meta))
             used["areaF"] = length
-            bound_vals = np.array([sn_lower_john_2d(length, g_eff, float(z))
-                                   for z in axis])
+            bound_vals = _john2d_grid(length, g_eff, axis)
         elif bound_id == "johnNd":
             n_dim = int(_get_param("n", params, meta))
             area = float(_get_param("areaF", params, meta))
             h = float(_get_param("depth", params, meta))
             used.update({"n": n_dim, "areaF": area, "depth": h})
-            bound_vals = np.array([sn_lower_john_ndim(area, h, n_dim, float(z))
-                                   for z in axis])
+            bound_vals = _john_ndim_grid(area, h, n_dim, axis)
         elif bound_id == "via-neumann":
             n_dim = int(_get_param("n", params, meta))
             area = float(_get_param("areaF", params, meta))
@@ -1044,25 +1150,22 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
             used.update({"n": n_dim, "areaF": area, "width": width})
             used["leading_constant_note"] = "leading constant deliberately " \
                 "non-sharp by factor n/(n+1)"
-            bound_vals = np.array([sn_lower_via_neumann(area, width, n_dim,
-                                                        float(z)) for z in axis])
+            bound_vals = _via_neumann_grid(area, width, n_dim, axis)
         elif bound_id == "sd-upper":
             n_dim = int(_get_param("n", params, meta))
             area = float(_get_param("areaF", params, meta))
             used.update({"n": n_dim, "areaF": area})
-            bound_vals = np.array([sd_upper_ndim(area, n_dim, g_eff, float(z))
-                                   for z in axis])
+            bound_vals = _sd_upper_grid(area, n_dim, g_eff, axis)
         elif bound_id == "sd-john2d":
             length = float(_get_param("areaF", params, meta))
             used["areaF"] = length
-            bound_vals = np.array([sd_upper_2d_john(length, float(z))
-                                   for z in axis])
+            bound_vals = _sd_john2d_grid(length, axis)
         elif bound_id == "sd-lower2d":
             length = float(_get_param("areaF", params, meta))
             used["areaF"] = length
             if np.any(axis < 1.0):
                 raise ValueError("the planar SD lower bound is stated for z >= 1")
-            bound_vals = np.array([sd_lower_2d(length, float(z)) for z in axis])
+            bound_vals = _sd_lower2d_grid(length, axis)
             dep = meta.get("depth")
             al, be = meta.get("alpha"), meta.get("beta")
             vertical = (al is not None and be is not None
@@ -1089,8 +1192,8 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
             tol = tol + g_eff * np.where(axis > 0, axis, 1.0) ** (g_eff - 1.0) \
                 * cum_err[counts]
 
-    violations = [{"axis": float(a), "margin": float(m)}
-                  for a, m, t in zip(axis, margins, tol) if m < -t]
+    violations = [{"axis": float(axis[i]), "margin": float(margins[i])}
+                  for i in np.flatnonzero(margins < -tol)]
     required = _REQUIRED_FLAGS.get(bound_id, ())
     flagged = any(flags.get(name) is not True for name in required)
     if bound_id in ("main", "split") and flags.get("comparison_cylinder_from_metadata"):

@@ -9,11 +9,12 @@ largest stored eigenvalue -- values past that point would silently undercount
 Riesz exponents lift by one integral,
 
     R_{gamma+rho}(z) = Gamma(gamma+rho+1) / (Gamma(gamma+1) Gamma(rho))
-                       * integral_0^z (z-t)^{rho-1} R_gamma(t) dt,
+                       * integral_0^z (z-t)^{rho-1} R_gamma(t) dt.
 
-implemented with composite Gauss-Legendre panels split at the eigenvalues
-(R_gamma is piecewise smooth there); for rho < 1 the endpoint singularity is
-removed by the substitution t = z - u^{1/rho} first.
+On a curve that keeps its spectrum the lift is exact: each eigenvalue's
+(t - nu)_+^gamma lifts to (z - nu)_+^{gamma+rho}, so the lifted value is
+R_{gamma+rho}(z) itself.  A grid-only curve integrates its piecewise-linear
+interpolant in closed form.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .spectra import Spectrum
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 class ValidityCeilingError(ValueError):
@@ -45,7 +44,7 @@ class RieszCurve:
     """R_gamma sampled on a grid, remembering how far it can be trusted.
 
     When built from a Spectrum the curve keeps a reference to it, so that
-    iteration integrates the exact piecewise form instead of re-sampling.
+    iteration is exact instead of re-sampling.
     """
 
     gamma: float
@@ -141,27 +140,15 @@ def riesz_curve(s: Spectrum, gamma: float, grid) -> RieszCurve:
 
 # -- iteration --------------------------------------------------------------
 
-def _gl_panel_integral(f, a: float, b: float) -> float:
-    """8-point Gauss-Legendre on [a, b] applied to a vectorized f."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
-
-
-def _panels(knots: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    inner = knots[(knots > lo) & (knots < hi)]
-    return np.concatenate(([lo], inner, [hi]))
-
-
 def riesz_iterate(curve: RieszCurve, rho: float, z: float,
                   tol: float = 1e-6) -> float:
     """Lift the curve's exponent by rho > 0 and evaluate at z.
 
-    Spectrum-backed curves are integrated exactly between eigenvalue knots
-    (composite 8-point Gauss-Legendre; for rho < 1 after the substitution
-    t = z - u^{1/rho}, which removes the (z-t)^{rho-1} endpoint singularity).
-    Grid-only curves integrate their piecewise-linear interpolant in closed
-    form and raise if a two-level refinement estimate exceeds ``tol``.
+    A spectrum-backed curve lifts exactly: its value is
+    R_{gamma+rho}(z) = sum (z - nu_j)_+^{gamma+rho} of the attached spectrum.
+    A grid-only curve integrates its piecewise-linear interpolant in closed
+    form and raises if a two-level refinement estimate exceeds ``tol``
+    (which applies to grid-only curves only).
     """
     rho = float(rho)
     if not rho > 0:
@@ -172,31 +159,9 @@ def riesz_iterate(curve: RieszCurve, rho: float, z: float,
     if z <= 0:
         return 0.0
     gamma = curve.gamma
-    front = math.gamma(gamma + rho + 1) / (math.gamma(gamma + 1) * math.gamma(rho))
-
     if curve.spectrum is not None:
-        s = curve.spectrum
-        evaluate = lambda t: riesz_mean_grid(s, gamma, t)
-        knots = s.values
-        if rho >= 1.0:
-            panels = _panels(knots, 0.0, z)
-            total = 0.0
-            for a, b in zip(panels[:-1], panels[1:]):
-                total += _gl_panel_integral(
-                    lambda t: (z - t) ** (rho - 1.0) * evaluate(t), a, b)
-        else:
-            # t = z - u^{1/rho}:   integral_0^{z^rho} R_gamma(z - u^{1/rho}) du / rho
-            u_knots = (z - knots[(knots > 0) & (knots < z)]) ** rho
-            panels = np.sort(np.concatenate(([0.0], u_knots, [z ** rho])))
-            total = 0.0
-            for a, b in zip(panels[:-1], panels[1:]):
-                if b - a <= 0:
-                    continue
-                total += _gl_panel_integral(
-                    lambda u: evaluate(z - u ** (1.0 / rho)), a, b)
-            total /= rho
-        return front * total
-
+        return float(riesz_mean_grid(curve.spectrum, gamma + rho, [z])[0])
+    front = math.gamma(gamma + rho + 1) / (math.gamma(gamma + 1) * math.gamma(rho))
     grid, fvals = curve.grid, curve.values
     if z > grid[-1] + 1e-12 * max(1.0, abs(z)) or grid[0] > 1e-12:
         raise ValueError(
@@ -248,7 +213,22 @@ def partial_sum(s: Spectrum, k: int) -> float:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > len(s):
         raise ValueError(f"k = {k} exceeds the {len(s)} stored eigenvalues")
-    return float(np.sum(s.values[:k]))
+    return float(partial_sum_grid(s, [int(k)])[0])
+
+
+def partial_sum_grid(s: Spectrum, ks) -> np.ndarray:
+    """:func:`partial_sum` at every k in ks (integers 1 <= k <= len(s)).
+
+    Each prefix is summed on its own by numpy's pairwise summation, so every
+    value is bit for bit its one-point call; a running cumsum would round
+    differently.
+    """
+    ks = np.atleast_1d(np.asarray(ks))
+    if not np.issubdtype(ks.dtype, np.integer) or np.any(ks < 1) \
+            or np.any(ks > len(s)):
+        raise ValueError(f"k must be integers in 1..{len(s)}, got {ks!r}")
+    vals = s.values
+    return np.array([np.add.reduce(vals[:k]) for k in ks.tolist()], dtype=float)
 
 
 def mean_sum(s: Spectrum, k: int) -> float:
@@ -288,25 +268,51 @@ def heat_trace(s: Spectrum, t: float, tol: float = 1e-10):
     is too short to push the tail bound under ``tol``, or when the last
     decile contains a repeated eigenvalue (no certification possible).
     """
+    values, tails = heat_trace_grid(s, [t], tol)
+    return float(values[0]), float(tails[0])
+
+
+def heat_trace_grid(s: Spectrum, ts, tol: float = 1e-10):
+    """:func:`heat_trace` at every t in ts: (values, tail bounds) arrays.
+
+    The last-decile gap is found once per grid; each value is one
+    exponential sum over the stored spectrum.
+    """
     if s.problem != "SD":
         raise ValueError("heat_trace expects an SD spectrum (positive eigenvalues)")
-    t = float(t)
-    if not t > 0:
-        raise ValueError(f"time must be positive, got {t}")
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    bad = ~(ts > 0)
+    if bad.any():
+        raise ValueError(f"time must be positive, got {float(ts[bad][0])}")
     vals = s.values
-    value = float(np.sum(np.exp(-vals * t)))    # ascending eigenvalues
     m = max(2, len(s) // 10)
     gaps = np.diff(vals[-m:])
     if gaps.size == 0 or float(gaps.min()) <= 0:
         raise ValueError(
             "cannot certify the tail: repeated eigenvalues in the last decile")
     gap = float(gaps.min())
-    tail = math.exp(-vals[-1] * t) / -math.expm1(-gap * t)
-    if tail > tol:
+    top = vals[-1]
+    times = ts.tolist()
+    tails = np.array([math.exp(-top * t) / -math.expm1(-gap * t) for t in times])
+    over = np.flatnonzero(tails > tol)
+    if over.size:
+        i = over[0]
         raise ValueError(
-            f"tail bound {tail:.3e} exceeds tolerance {tol:.3e} at t = {t}; "
+            f"tail bound {tails[i]:.3e} exceeds tolerance {tol:.3e} at t = {times[i]}; "
             "store more eigenvalues")
-    return value, tail
+    # each value sums e^{-eta t} over the whole ascending spectrum, a fixed
+    # summation order; e^{-eta t} is exactly 0.0 once eta t > 750, and np.exp
+    # takes a slow path on such underflowing arguments, so only the others
+    # are evaluated
+    negated = -vals
+    terms = np.zeros_like(vals)
+    values = np.empty(len(times))
+    for i, t in enumerate(times):
+        keep = np.searchsorted(vals, 750.0 / t, side="right")
+        np.exp(negated[:keep] * t, out=terms[:keep])
+        terms[keep:] = 0.0
+        values[i] = np.sum(terms)
+    return values, tails
 
 
 # -- Legendre transform -------------------------------------------------------

@@ -66,6 +66,26 @@ def test_wall_term_slanted_edge_series_branch():
         assert exact == pytest.approx(via_quad, rel=1e-9)
 
 
+@pytest.mark.parametrize("ybar, dy, z", [(-1.5, 1.1e-6, 1000.0),
+                                         (-2.75, -5e-6, 314.0)])
+def test_deep_near_level_edge_matches_mpmath(ybar, dy, z):
+    # |dy| z > 1e-3 but |dy| is tiny against the reach 1/(2 |ybar|) of the
+    # weight: the difference of expm1 terms lost ~1e-10 relative here, so
+    # the gamma = 1 edge takes the series on the lift's criterion
+    mpmath = pytest.importorskip("mpmath")
+    d = PolygonalDomain([(0, 0), (0, ybar - dy / 2), (2, ybar + dy / 2), (2, 0)],
+                        free_edges=[3])
+    (weight, y0, y1), = bounds._wall_edges(d)
+    with mpmath.workdps(50):
+        a0, a1, zz = mpmath.mpf(y0), mpmath.mpf(y1), mpmath.mpf(z)
+
+        def anti(y):
+            return mpmath.expm1(2 * zz * y) / (2 * y)
+
+        want = weight * float((anti(a1) - anti(a0)) / (2 * (a1 - a0)))
+    assert bounds.wall_term_2d(d, z) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_wall_term_cylinder_closed_form_vs_quadrature():
     for z in (0.5, 2.0, 10.0):
         exact = bounds.wall_term(CYL3, z)
@@ -314,6 +334,170 @@ def test_verify_lifted_grid_matches_scalar_bounds():
                                                                    rel=1e-13)
     with pytest.raises(ValueError, match="gamma >= 1"):
         bounds.verify(s, "main", grid, gamma=0.5, domain=TRAPEZOID)
+
+
+# ---------------------------------------------------------------------------
+# gamma = 1 grid evaluation against the public scalar functions, bit for bit
+# ---------------------------------------------------------------------------
+
+SN_EXACT = spectra.rectangle_sn(math.pi, 1.0, 1500)
+SD_EXACT = spectra.rectangle_sd(math.pi, 1.0, 1500)
+
+
+@st.composite
+def notch_polygons(draw):
+    """A wall that turns back under itself below the surface:
+    (0,0) -> (x1,-y1) -> (x1-u,-y2) -> (L,-y3) -> (L,0).  The second edge
+    overhangs with clearance y1 > 0, so the split bound applies."""
+    x1, y1 = draw(st.floats(0.3, 1.0)), draw(st.floats(0.2, 1.0))
+    u, y2 = draw(st.floats(0.1, 0.8)), y1 + draw(st.floats(0.2, 1.0))
+    length, y3 = x1 + draw(st.floats(0.5, 2.0)), y1 + draw(st.floats(0.0, 1.0))
+    return PolygonalDomain([(0, 0), (x1, -y1), (x1 - u, -y2), (length, -y3),
+                            (length, 0)], free_edges=[4])
+
+
+def cylinders():
+    return st.builds(lambda n, area, h: CylinderDomain(
+        n, geometry.ExplicitBase((0.0,), "neumann", area), h),
+        st.integers(2, 4), st.floats(0.5, 5.0), st.floats(0.1, 2.0))
+
+
+def cones(overhang=True):
+    alphas = st.floats(0.2, 1.4)
+    if overhang:
+        alphas = st.one_of(alphas, st.floats(1.75, 2.9))
+    return st.builds(ConeDomain, alphas, st.floats(0.1, 2.0))
+
+
+def z_grids(lo=0.0):
+    point = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u))
+    return st.lists(point, min_size=1, max_size=25).map(
+        lambda zs: lo + np.array(zs))
+
+
+def k_grids(s):
+    return st.lists(st.integers(1, len(s) - 2), min_size=1, max_size=25).map(
+        lambda ks: np.array(ks, dtype=float))
+
+
+def _metadata_domain(n, area, h):
+    # the comparison domain verify builds from metadata for main and split
+    if n == 2:
+        return geometry.rectangle_domain(area, h)
+    return CylinderDomain(n, geometry.ExplicitBase((0.0,), "neumann", area), h)
+
+
+def _grid_case(bound_id, draw):
+    """(spectrum, grid, verify keywords, reference) for one random case; the
+    reference maps the report to (bound values, observed values) from the
+    public scalar functions, point by point."""
+    areas, depths = st.floats(0.5, 5.0), st.floats(0.1, 2.0)
+    if bound_id in ("main", "split"):
+        overhang = bound_id == "main"
+        dom = draw(st.one_of(wall_polygons(), notch_polygons(), cylinders(),
+                             cones(overhang), st.none()))
+        if bound_id == "split" and isinstance(dom, PolygonalDomain) \
+                and geometry.wall_sign_split(dom)[0]:
+            dom = draw(notch_polygons())    # overhang must clear the surface
+        kwargs = {"domain": dom}
+        if dom is None:
+            n, area, h = draw(st.integers(2, 4)), draw(areas), draw(depths)
+            kwargs = {"params": {"n": n, "areaF": area, "depth": h}}
+            dom = _metadata_domain(n, area, h)
+        if bound_id == "main":
+            scalar = lambda z, rep: bounds.sn_lower_main(dom, 1.0, z)
+        else:
+            scalar = lambda z, rep: bounds.sn_lower_split(dom, z)
+        return SN_EXACT, draw(z_grids()), kwargs, scalar
+    if bound_id == "triangle":
+        dom = draw(st.one_of(wall_polygons(), notch_polygons(), st.none()))
+        kwargs = {"domain": dom} if dom is not None else {"params": {
+            "alpha": draw(st.floats(0.2, 2.9)), "beta": draw(st.floats(0.2, 2.9)),
+            "delta": draw(depths), "bc_length": draw(st.floats(0.0, 3.0))}}
+
+        def scalar(z, rep):
+            p = rep.params
+            return bounds.sn_lower_2d_angles(p["alpha"], p["beta"], p["delta"],
+                                             p["bc_length"], p["areaF"], 1.0, z).value
+        return SN_EXACT, draw(z_grids()), kwargs, scalar
+    if bound_id == "john2d":
+        area = draw(areas)
+        return SN_EXACT, draw(z_grids()), {"params": {"areaF": area}}, \
+            lambda z, rep: bounds.sn_lower_john_2d(area, 1.0, z)
+    if bound_id == "johnNd":
+        n, area, h = draw(st.integers(2, 4)), draw(areas), draw(depths)
+        return SN_EXACT, draw(z_grids()), \
+            {"params": {"n": n, "areaF": area, "depth": h}}, \
+            lambda z, rep: bounds.sn_lower_john_ndim(area, h, n, z)
+    if bound_id == "via-neumann":
+        n, area, width = draw(st.integers(3, 4)), draw(areas), draw(areas)
+        return SN_EXACT, draw(z_grids()), \
+            {"params": {"n": n, "areaF": area, "width": width}}, \
+            lambda z, rep: bounds.sn_lower_via_neumann(area, width, n, z)
+    if bound_id == "sd-upper":
+        n, area = draw(st.integers(2, 4)), draw(areas)
+        return SD_EXACT, draw(z_grids()), {"params": {"n": n, "areaF": area}}, \
+            lambda z, rep: bounds.sd_upper_ndim(area, n, 1.0, z)
+    if bound_id == "sd-john2d":
+        area = draw(areas)
+        return SD_EXACT, draw(z_grids()), {"params": {"areaF": area}}, \
+            lambda z, rep: bounds.sd_upper_2d_john(area, z)
+    if bound_id == "sd-lower2d":
+        area = draw(areas)
+        return SD_EXACT, draw(z_grids(lo=1.0)), {"params": {"areaF": area}}, \
+            lambda z, rep: bounds.sd_lower_2d(area, z)
+    if bound_id == "kroger":
+        # the general form keeps the domain's wall term: no John flag in the
+        # spectrum, so the domain's own decides
+        dom = draw(st.one_of(wall_polygons(), notch_polygons(), st.none()))
+        s = SN_EXACT
+        if dom is not None:
+            s = spectra.Spectrum(problem="SN", values=SN_EXACT.values,
+                                 source="exact", meta={})
+        meta = geometry.domain_metadata(dom) if dom is not None else s.meta
+
+        def scalar(k, rep):
+            res = bounds.kroger_sum_bound(s, int(k), n=meta["n"], area=meta["areaF"],
+                                          john=meta["john"], domain=dom)
+            return res.bound, res.observed
+        return s, draw(k_grids(s)), {"domain": dom}, scalar
+    if bound_id == "bracket":
+        def scalar(k, rep):
+            return bounds.eigenvalue_bracket(SN_EXACT, int(k))[0], \
+                SN_EXACT.values[int(k)]
+        return SN_EXACT, draw(k_grids(SN_EXACT)), {}, scalar
+    if bound_id == "sd-sum":
+        n, area = draw(st.integers(2, 4)), draw(areas)
+
+        def scalar(k, rep):
+            return bounds.sd_sum_lower(n, area, int(k)), \
+                riesz.mean_sum(SD_EXACT, int(k))
+        return SD_EXACT, draw(k_grids(SD_EXACT)), \
+            {"params": {"n": n, "areaF": area}}, scalar
+    assert bound_id == "heat-trace"
+    n, area = draw(st.integers(2, 4)), draw(areas)
+
+    def scalar(t, rep):
+        return bounds.sd_heat_trace_upper(area, n, t), sum(riesz.heat_trace(SD_EXACT, t))
+    ts = st.lists(st.floats(0.03, 3.0), min_size=1, max_size=25).map(np.array)
+    return SD_EXACT, draw(ts), {"params": {"n": n, "areaF": area}}, scalar
+
+
+@pytest.mark.parametrize("bound_id", bounds.BOUND_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_verify_grid_matches_scalar_bounds_exactly(bound_id, data):
+    # verify evaluates each bound once per grid from constants resolved once;
+    # the public scalar functions are one-point calls of the same evaluators,
+    # so the two agree bit for bit (and so do the observed sides on k axes)
+    s, grid, kwargs, scalar = _grid_case(bound_id, data.draw)
+    rep = bounds.verify(s, bound_id, grid, **kwargs)
+    ref = [scalar(float(x), rep) for x in grid]
+    if rep.axis_name == "z":
+        assert rep.bound_values.tolist() == ref
+    else:
+        assert rep.bound_values.tolist() == [b for b, _ in ref]
+        assert rep.observed_values.tolist() == [o for _, o in ref]
 
 
 # ---------------------------------------------------------------------------

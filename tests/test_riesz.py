@@ -79,16 +79,43 @@ def random_spectra(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(s=random_spectra(), gamma=st.sampled_from([0.0, 1.0, 2.0, 3.0]),
-       rho=st.sampled_from([1.0, 2.0, 3.0]), frac=st.floats(0.01, 1.0))
+@given(s=random_spectra(),
+       gamma=st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0)),
+       rho=st.one_of(st.sampled_from([1.0, 2.0, 3.0]),
+                     st.floats(0.2, 3.0, exclude_min=True)),
+       frac=st.floats(0.01, 1.0))
 def test_iteration_matches_direct_riesz_mean_random_spectra(s, gamma, rho, frac):
-    # at integer exponents the integrand is polynomial between eigenvalues, so
-    # the 8-point panels integrate it exactly and the lift equals R_{gamma+rho}
+    # each (t - nu)_+^gamma lifts to (z - nu)_+^{gamma+rho}, so the lift of a
+    # spectrum-backed curve is R_{gamma+rho} at integer and fractional
+    # exponents alike (panel quadrature was 1.3e-3 off at fractional ones)
     z = frac * s.ceiling
     curve = riesz.riesz_curve(s, gamma, np.linspace(0.0, s.ceiling, 5))
     lifted = riesz.riesz_iterate(curve, rho, z)
     direct = float(riesz.riesz_mean_grid(s, gamma + rho, z)[0])
     assert lifted == pytest.approx(direct, rel=1e-12, abs=1e-12 * s.ceiling ** (gamma + rho))
+
+
+def test_spectrum_lift_matches_defining_integral():
+    # the lift of a spectrum-backed curve against B * integral_0^z
+    # (z-t)^{rho-1} R_gamma(t) dt, integrated in mpmath after t = z - u^{1/rho}
+    # (which removes the endpoint singularity), split at the eigenvalues
+    mpmath = pytest.importorskip("mpmath")
+    values = [0.0, 0.7, 0.7, 2.3, 4.0]
+    s = spectra.Spectrum(problem="SN", values=np.array(values), source="synthetic")
+    z = 3.1
+    for gamma, rho in ((0.0, 0.5), (0.5, 0.3), (0.05, 0.21), (1.5, 2.5), (2.7, 1.2)):
+        curve = riesz.riesz_curve(s, gamma, np.linspace(0.0, s.ceiling, 5))
+        with mpmath.workdps(30):
+            g, r, zz = mpmath.mpf(gamma), mpmath.mpf(rho), mpmath.mpf(z)
+
+            def integrand(u):
+                t = zz - u ** (1 / r)
+                return sum((t - nu) ** g for nu in values if nu < t) / r
+
+            knots = sorted({(zz - nu) ** r for nu in values if nu < z} | {0})
+            front = mpmath.gamma(g + r + 1) / (mpmath.gamma(g + 1) * mpmath.gamma(r))
+            want = float(front * mpmath.quad(integrand, knots))
+        assert riesz.riesz_iterate(curve, rho, z) == pytest.approx(want, rel=1e-12)
 
 
 def test_validity_ceiling_enforced(rect_sn):
@@ -158,6 +185,13 @@ def test_partial_and_mean_sum(rect_sn):
         riesz.partial_sum(rect_sn, 0)
     with pytest.raises(ValueError):
         riesz.partial_sum(rect_sn, 10 ** 6)
+    # the grid sums every prefix on its own: bit for bit np.sum of the prefix
+    ks = np.arange(1, len(rect_sn) + 1)
+    sums = riesz.partial_sum_grid(rect_sn, ks)
+    assert sums.tolist() == [float(np.sum(rect_sn.values[:k])) for k in ks]
+    for bad in ([0, 3], [len(rect_sn) + 1], [2.0]):
+        with pytest.raises(ValueError):
+            riesz.partial_sum_grid(rect_sn, bad)
 
 
 def test_staircase_sum_formula():
@@ -188,6 +222,19 @@ def test_heat_trace_certified():
     brute = float(np.sum(np.exp(-sd.values * 0.5)))
     assert val == pytest.approx(brute, rel=1e-15)
     assert 0 < tail < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(gaps=st.lists(st.floats(0.05, 20.0), min_size=20, max_size=400),
+       ts=st.lists(st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u), min_size=1,
+                   max_size=20))
+def test_heat_trace_grid_sums_every_exponential(gaps, ts):
+    # terms that underflow to 0.0 are not evaluated; the sums must still be
+    # bit for bit the plain sum of e^{-eta t} over the whole spectrum
+    s = spectra.Spectrum(problem="SD", values=np.cumsum(gaps), source="synthetic")
+    values, tails = riesz.heat_trace_grid(s, ts, tol=math.inf)
+    assert values.tolist() == [float(np.sum(np.exp(-s.values * t))) for t in ts]
+    assert [riesz.heat_trace(s, t, tol=math.inf) for t in ts] == list(zip(values, tails))
 
 
 def test_heat_trace_needs_enough_modes():

@@ -810,7 +810,7 @@ def sd_lower_2d(length: float, z: float) -> float:
 def _sd_lower2d_grid(length: float, zs) -> np.ndarray:
     if not length > 0:
         raise ValueError("surface length must be positive")
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+    zs = _check_zs(zs)
     low = zs < 1.0
     if low.any():
         raise ValueError(f"this bound is stated for z >= 1, got z = {float(zs[low][0])}")

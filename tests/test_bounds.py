@@ -700,8 +700,11 @@ def test_sd_lower_2d_holds_and_rejects_small_z(rect_sd_2000):
     for z in (1.0, 10.0, 500.0):
         lb = bounds.sd_lower_2d(math.pi, z)
         assert riesz.riesz_mean(rect_sd_2000, 1.0, z) >= lb - 1e-9
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="z >= 1"):
         bounds.sd_lower_2d(math.pi, 0.5)
+    for z in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            bounds.sd_lower_2d(math.pi, z)
 
 
 def test_sd_sum_lower_holds(rect_sd_2000):

@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spilu, splu
 
 from steklov import fem, geometry, spectra
 from steklov.fem import Mesh, MeshError
@@ -279,16 +281,101 @@ def dense_schur(mesh, pair, problem):
         K[np.ix_(inner, inner)], K[np.ix_(inner, surf)])
 
 
-def test_schur_complement_matches_dense_oracle():
-    cases = [(geometry.rectangle_domain(1.0, 1.0), 0.3),
-             (MESHER_DOMAINS["triangle"], 0.2), (MESHER_DOMAINS["fan"], 0.15)]
-    for d, h in cases:
-        mesh = fem.triangulate(d, h)
+def grid_mesh(xs, ys, path):
+    """Tensor grid over xs x ys (ys from 0 down), free on top, through
+    save_mesh / load_mesh."""
+    nx, ny = len(xs) - 1, len(ys) - 1
+    gx, gy = np.meshgrid(xs, ys)
+    node = np.arange(gx.size).reshape(ny + 1, nx + 1)
+    a, b = node[:-1, :-1].ravel(), node[:-1, 1:].ravel()     # top left/right
+    c, d = node[1:, 1:].ravel(), node[1:, :-1].ravel()       # bottom right/left
+    tris = np.concatenate([np.stack([d, c, b], 1), np.stack([d, b, a], 1)])
+    rim = [(node[0, i], node[0, i + 1], "free") for i in range(nx)]
+    rim += [(node[j, nx], node[j + 1, nx], "wall") for j in range(ny)]
+    rim += [(node[ny, i + 1], node[ny, i], "wall") for i in range(nx)]
+    rim += [(node[j + 1, 0], node[j, 0], "wall") for j in range(ny)]
+    fem.save_mesh(Mesh(np.column_stack([gx.ravel(), gy.ravel()]), tris,
+                       [(int(i), int(j), t) for i, j, t in rim]), path)
+    return fem.load_mesh(path)
+
+
+def test_schur_complement_matches_dense_oracle(tmp_path):
+    # the last mesh is graded: cell sides shrink 20-30x toward the left corner
+    graded = grid_mesh(2.0 * np.linspace(0.0, 1.0, 15) ** 2,
+                       -np.linspace(0.0, 1.0, 12) ** 2, tmp_path / "graded.txt")
+    cases = [fem.triangulate(geometry.rectangle_domain(1.0, 1.0), 0.3),
+             fem.triangulate(MESHER_DOMAINS["triangle"], 0.2),
+             fem.triangulate(MESHER_DOMAINS["fan"], 0.15), graded]
+    for mesh in cases:
         for problem in ("SN", "SD"):
             pair = fem.dtn_matrices(mesh, problem)
             assert pair.S == pytest.approx(dense_schur(mesh, pair, problem),
                                            abs=1e-10)
             assert pair.asymmetry < 1e-10
+
+
+def test_nested_dissection_is_a_deterministic_permutation():
+    mesh = fem.triangulate(MESHER_DOMAINS["triangle"], 0.05)
+    K, _ = fem.assemble(mesh)
+    inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]), mesh.free_nodes())
+    xy, graph = mesh.nodes[inner], K[inner][:, inner]
+    order = fem._nested_dissection(xy, graph)
+    assert inner.size > 1000
+    assert np.array_equal(np.sort(order), np.arange(inner.size))
+    assert np.array_equal(order, fem._nested_dissection(xy, graph))
+    assert not np.array_equal(order, np.arange(inner.size))
+
+
+def test_nested_dissection_small_and_flat_inputs(tmp_path):
+    for n in (0, 1):
+        order = fem._nested_dissection(np.zeros((n, 2)), sp.csr_matrix((n, n)))
+        assert np.array_equal(order, np.arange(n))
+    # a one-row strip: under SN the interior unknowns are the bottom row, whose
+    # y span is zero; under SD no interior unknown is left (n_in = 0)
+    strip = grid_mesh(np.linspace(0.0, 4.0, 41), [0.0, -0.1],
+                      tmp_path / "strip.txt")
+    K, _ = fem.assemble(strip)
+    bottom = np.flatnonzero(strip.nodes[:, 1] < 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        order = fem._nested_dissection(strip.nodes[bottom],
+                                       K[bottom][:, bottom])
+    assert np.array_equal(np.sort(order), np.arange(bottom.size))
+    # the first cut halves the x span: its separator node is eliminated last
+    assert strip.nodes[bottom[order[-1]], 0] == pytest.approx(2.0, abs=0.11)
+    # n_in = 1: the single reference triangle under SN keeps one wall node
+    for mesh, problem in ((strip, "SN"), (strip, "SD"),
+                          (reference_triangle_mesh(), "SN")):
+        pair = fem.dtn_matrices(mesh, problem)
+        assert pair.S == pytest.approx(dense_schur(mesh, pair, problem),
+                                       abs=1e-10)
+        assert pair.asymmetry < 1e-10
+
+
+def minimum_degree_fill(mesh, pair, problem):
+    """nnz(L) + nnz(U) of the bordered LU with the interior in the minimum-
+    degree order that an incomplete LU dropping everything reads off."""
+    K = fem.assemble(mesh)[0]
+    surf = pair.surface_nodes
+    removed = mesh.wall_nodes() if problem == "SD" else []
+    inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]),
+                         np.union1d(surf, removed))
+    mmd = spilu(K[inner][:, inner].tocsc(), drop_tol=1.0, fill_factor=1.0,
+                permc_spec="MMD_AT_PLUS_A").perm_c
+    order = np.concatenate([inner[np.argsort(mmd)], surf])
+    shift = np.concatenate([np.zeros(inner.size), K.diagonal()[surf]])
+    lu = splu((K[order][:, order] + sp.diags(shift)).tocsc(),
+              permc_spec="NATURAL", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("name, problem", [("triangle", "SN"),
+                                           ("rectangle", "SD")])
+def test_factor_fill_at_most_minimum_degree(name, problem):
+    mesh = fem.triangulate(MESHER_DOMAINS[name], 0.01)
+    pair = fem.dtn_matrices(mesh, problem)
+    assert 0 < pair.factor_nnz <= minimum_degree_fill(mesh, pair, problem)
 
 
 @st.composite

@@ -14,13 +14,15 @@ At gamma > 1 the wall term, and the constant of the two-corner bound, are the
 gamma = 1 terms lifted by Riesz iteration.  Each of them is A(t) = integral_0^t
 phi(r) dr with phi a sum of c r^k e^{-a r} (a >= 0), so the lift has one
 closed form per term, a confluent hypergeometric function (:func:`_lift`),
-evaluated over a whole grid at once.  Adaptive quadrature of the defining
-integrals (``quadrature=True``) is kept as an oracle.
+evaluated over a whole grid at once.  Adaptive quadrature of the gamma = 1
+integrals (``wall_term(..., quadrature=True)``) is kept as an oracle.
 
 Upper bounds for the clamped-wall (SD) problem, two-sided brackets and
 averaged-sum inequalities for SN eigenvalues, and a heat-trace bound complete
-the set.  :func:`verify` runs any of them against a Spectrum and produces a
-:class:`BoundReport` with margins, violations, and hypothesis flags.
+the set.  :data:`BOUNDS` registers each of them with its problem, axis, side
+and hypotheses; :func:`verify` runs any of them against a Spectrum and
+produces a :class:`BoundReport` with margins, violations, and hypothesis
+flags.
 
 Every bound has one evaluator that works on a whole grid (``_*_grid``): it
 resolves the domain and its constants once -- wall edges and weights, I_-,
@@ -37,18 +39,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import geometry, riesz, specfun
 from .geometry import (ConeDomain, CylinderDomain, DomainError, PolygonalDomain)
-from .spectra import Spectrum
-
-#: ids accepted by :func:`verify` (also the CLI --bound vocabulary)
-BOUND_IDS = ("main", "split", "triangle", "john2d", "johnNd", "via-neumann",
-             "kroger", "bracket", "sd-upper", "sd-john2d", "sd-lower2d",
-             "sd-sum", "heat-trace")
+from .spectra import Spectrum, write_text
 
 
 class HypothesisError(ValueError):
@@ -180,12 +177,16 @@ def _cone_coef(dom: ConeDomain) -> float:
 
 
 def _cone_profile(h: float, zs: np.ndarray) -> np.ndarray:
-    """integral_0^z (1 - e^{-2hr} - 2hr e^{-2hr}) dr
-    = z - (1 - e^{-2hz})/h + z e^{-2hz} at every z in zs."""
-    def one(z):
-        e = math.exp(-2.0 * h * z)
-        return z - (1.0 - e) / h + z * e
-    return _pointwise(one, zs)
+    """integral_0^z (1 - e^{-2hr} - 2hr e^{-2hr}) dr at every z in zs.
+
+    With x = 2hz the integrand is the incomplete gamma(2, 2hr), so the
+    integral is (x gamma(2, x) - gamma(3, x)) / (2h).  Unlike the elementary
+    form z - (1 - e^{-x})/h + z e^{-x}, it keeps its relative accuracy as
+    z -> 0, where the value is about (2h)^2 z^3 / 6.
+    """
+    def one(x):
+        return x * specfun.lower_incomplete_gamma(2, x) - specfun.lower_incomplete_gamma(3, x)
+    return _pointwise(one, 2.0 * h * zs) / (2.0 * h)
 
 
 def _wall_grid(domain, zs) -> np.ndarray:
@@ -250,7 +251,8 @@ def wall_term(domain, z: float, *, quadrature: bool = False) -> float:
 
     ``quadrature=True`` integrates the definition adaptively instead (slow;
     used as an oracle).  For the cone of revolution the closed form is
-    sign(cos alpha)/(4 tan^2 alpha) (z - (1-e^{-2hz})/h + z e^{-2hz}); an
+    sign(cos alpha)/(4 tan^2 alpha) (z - (1-e^{-2hz})/h + z e^{-2hz}),
+    evaluated as :func:`_cone_profile` to keep small z accurate; an
     additive 1/(4h^2) constant sometimes attached to it is dimensionally
     inconsistent with the integrand and is not included.
     """
@@ -334,8 +336,7 @@ def _wall_lift(domain, g: float, zs: np.ndarray) -> np.ndarray:
     raise DomainError(f"no wall term for domain type {type(domain).__name__}")
 
 
-def wall_term_gamma(domain, gamma: float, z: float, *,
-                    quadrature: bool = False) -> float:
+def wall_term_gamma(domain, gamma: float, z: float) -> float:
     """Wall term for Riesz exponent gamma >= 1:
 
         gamma = 1: wall_term;  gamma > 1:
@@ -344,33 +345,19 @@ def wall_term_gamma(domain, gamma: float, z: float, *,
     which is exactly the Riesz lift of the gamma = 1 term.  It is evaluated
     in closed form by the lift shared with :func:`verify`'s grid path, to
     about 1e-12 relative to the size of its terms at every z > 0.
-    ``quadrature=True`` integrates the lift adaptively over the quadrature
-    wall term instead: an oracle that is slow and stops on its absolute
-    tolerance (1e-12) once the value is small.
     """
     g = float(gamma)
     if g < 1:
         raise ValueError(f"wall terms are defined for gamma >= 1, got {gamma}")
     z = _check_z(z)
     if g == 1.0:
-        return wall_term(domain, z, quadrature=quadrature)
+        return wall_term(domain, z)
     if z == 0.0:
         return 0.0
-    if not quadrature:
-        return float(_wall_lift(domain, g, np.array([z]))[0])
-    from scipy.integrate import quad
-    a1 = lambda t: wall_term(domain, t, quadrature=True)
-    if g >= 2.0:
-        val, _ = quad(lambda t: (z - t) ** (g - 2.0) * a1(t), 0.0, z,
-                      epsabs=1e-12, epsrel=1e-11, limit=200)
-        return g * (g - 1.0) * val
-    # 1 < gamma < 2: substitute u = (z-t)^{gamma-1}
-    val, _ = quad(lambda u: a1(z - u ** (1.0 / (g - 1.0))), 0.0, z ** (g - 1.0),
-                  epsabs=1e-12, epsrel=1e-11, limit=200)
-    return g * val
+    return float(_wall_lift(domain, g, np.array([z]))[0])
 
 
-def sum_bound_wall_term(domain, R: float, *, quadrature: bool = False) -> float:
+def sum_bound_wall_term(domain, R: float) -> float:
     """Normalized wall integral entering the eigenvalue-sum inequality:
 
         c(R) = (n-1) omega_{n-1} |F|^{-1} integral_0^R integral_B <n,e_n> r^{n-1} e^{2 x_n r} ds dr
@@ -382,10 +369,10 @@ def sum_bound_wall_term(domain, R: float, *, quadrature: bool = False) -> float:
     ``domain`` may also be a metadata dict with keys n, areaF, depth, in
     which case the comparison domain is the vertical cylinder F x (-h, 0).
     """
-    return float(_sum_wall_grid(domain, [R], quadrature=quadrature)[0])
+    return float(_sum_wall_grid(domain, [R])[0])
 
 
-def _sum_wall_grid(domain, Rs, *, quadrature: bool = False) -> np.ndarray:
+def _sum_wall_grid(domain, Rs) -> np.ndarray:
     """:func:`sum_bound_wall_term` at every R in Rs."""
     if isinstance(domain, dict):
         n, area, h = domain.get("n"), domain.get("areaF"), domain.get("depth")
@@ -398,11 +385,7 @@ def _sum_wall_grid(domain, Rs, *, quadrature: bool = False) -> np.ndarray:
     else:
         n = geometry.ambient_dim(domain)
         area = geometry.free_area(domain)
-        if quadrature:
-            a_val = _pointwise(lambda R: wall_term(domain, R, quadrature=True),
-                               _check_zs(Rs))
-        else:
-            a_val = _wall_grid(domain, Rs)
+        a_val = _wall_grid(domain, Rs)
     return -(2.0 * math.pi) ** (n - 1) / area * a_val
 
 
@@ -410,32 +393,27 @@ def _sum_wall_grid(domain, Rs, *, quadrature: bool = False) -> np.ndarray:
 # SN lower bounds (Riesz-mean form)
 # ---------------------------------------------------------------------------
 
-def sn_lower_main(domain, gamma: float, z: float, *,
-                  quadrature: bool = False) -> float:
+def sn_lower_main(domain, gamma: float, z: float) -> float:
     """General sloshing lower bound C_{n,gamma} |F| z^{n+gamma-1} + wall term.
 
     The verification margin of this bound against a computed spectrum is the
     defect of the averaged variational principle with the exponential test
     family underlying the proof.
     """
-    return float(_main_grid(domain, float(gamma), [z], quadrature=quadrature)[0])
+    return float(_main_grid(domain, float(gamma), [z])[0])
 
 
-def _main_grid(domain, g: float, zs, *, quadrature: bool = False) -> np.ndarray:
+def _main_grid(domain, g: float, zs) -> np.ndarray:
     """:func:`sn_lower_main` at every z in zs.  At g > 1 the wall term is
     the closed-form lift, evaluated by numpy over the grid with the leading
-    term; ``quadrature=True`` takes the quadrature oracle point by point."""
+    term."""
     zs = _check_zs(zs)
     n = geometry.ambient_dim(domain)
     weyl = specfun.weyl_constant(n, g) * geometry.free_area(domain)
     p = n + g - 1
-    if quadrature:
-        wall = _pointwise(lambda z: wall_term_gamma(domain, g, z, quadrature=True), zs)
-    elif g == 1.0:
-        wall = _wall_grid(domain, zs)
-    else:
-        return weyl * zs ** p + _wall_lift(domain, g, zs)
-    return weyl * _powers(zs, p) + wall
+    if g == 1.0:
+        return weyl * _powers(zs, p) + _wall_grid(domain, zs)
+    return weyl * zs ** p + _wall_lift(domain, g, zs)
 
 
 def sn_lower_split(domain, z: float) -> float:
@@ -460,14 +438,12 @@ def _split_grid(domain, zs) -> np.ndarray:
         area = geometry.free_length(domain)
         h = geometry.depth(domain)
         upward, downward = geometry.wall_sign_split(domain)
-        i_minus = sum(abs(float(domain.edge_normal(i)[1]))
-                      * float(np.hypot(*(domain.vertices[(i + 1) % domain.n_vertices]
-                                         - domain.vertices[i])))
-                      for i in downward)
-        i_plus = sum(float(domain.edge_normal(i)[1])
-                     * float(np.hypot(*(domain.vertices[(i + 1) % domain.n_vertices]
-                                        - domain.vertices[i])))
-                     for i in upward)
+
+        def flux(i):   # |<n, e_2>| times the length of edge i
+            a, b = domain.vertices[i], domain.vertices[(i + 1) % domain.n_vertices]
+            return abs(float(domain.edge_normal(i)[1])) * float(np.hypot(*(b - a)))
+        i_minus = sum(map(flux, downward))
+        i_plus = sum(map(flux, upward))
         delta = geometry.overhang_depth(domain)
     elif isinstance(domain, CylinderDomain):
         n, area, h = domain.n, domain.base_area, domain.depth
@@ -584,10 +560,10 @@ def _john2d_grid(length: float, gamma: float, zs) -> np.ndarray:
 def sn_lower_john_ndim(area: float, h: float, n: int, z: float) -> float:
     """n-dimensional strip bound:
     C_{n,1}|F| z^n + kappa_n |F| (Gamma(n)-Gamma(n,2hz)) / (2h)^n."""
-    return float(_john_ndim_grid(area, h, n, [z])[0])
+    return float(_john_ndim_grid(n, area, h, [z])[0])
 
 
-def _john_ndim_grid(area: float, h: float, n: int, zs) -> np.ndarray:
+def _john_ndim_grid(n: int, area: float, h: float, zs) -> np.ndarray:
     if not (area > 0 and h > 0):
         raise ValueError("area and depth must be positive")
     zs = _check_zs(zs)
@@ -604,10 +580,10 @@ def sn_lower_via_neumann(area: float, width: float, n: int, z: float) -> float:
 
     where w is the width of the free surface in a chosen direction.
     """
-    return float(_via_neumann_grid(area, width, n, [z])[0])
+    return float(_via_neumann_grid(n, area, width, [z])[0])
 
 
-def _via_neumann_grid(area: float, width: float, n: int, zs) -> np.ndarray:
+def _via_neumann_grid(n: int, area: float, width: float, zs) -> np.ndarray:
     if not isinstance(n, int) or n < 3:
         raise ValueError("this route needs ambient dimension n >= 3")
     if not (area > 0 and width > 0):
@@ -644,6 +620,16 @@ def _means(s: Spectrum, ks: np.ndarray) -> np.ndarray:
     return riesz.partial_sum_grid(s, ks) / ks
 
 
+def _check_k(s: Spectrum, k, subject: str) -> None:
+    """k must be a positive integer with nu_{k+1} stored in the SN spectrum s."""
+    if s.problem != "SN":
+        raise ValueError(f"{subject} sloshing (SN) spectra")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if k + 1 > len(s):
+        raise ValueError(f"need eigenvalue {k + 1}, spectrum has {len(s)}")
+
+
 def kroger_master(s: Spectrum, k: int, R: float, *, n=None, area=None,
                   domain=None):
     """Both sides of the master sum inequality
@@ -655,12 +641,7 @@ def kroger_master(s: Spectrum, k: int, R: float, *, n=None, area=None,
     Returns (lhs, rhs).  Without an explicit domain the wall integral uses
     the vertical cylinder built from the spectrum's metadata.
     """
-    if s.problem != "SN":
-        raise ValueError("the sum inequalities concern sloshing (SN) spectra")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k + 1 > len(s):
-        raise ValueError(f"need eigenvalue {k + 1}, spectrum has {len(s)}")
+    _check_k(s, k, "the sum inequalities concern")
     R = float(R)
     if not R > 0:
         raise ValueError(f"R must be positive, got {R}")
@@ -692,10 +673,7 @@ def kroger_sum_bound(s: Spectrum, k: int, *, n=None, area=None,
     is not confirmed (the wall term is <= 0 on John domains, so dropping it
     is only legitimate there).
     """
-    if s.problem != "SN":
-        raise ValueError("the sum inequalities concern sloshing (SN) spectra")
-    if k + 1 > len(s):
-        raise ValueError(f"need eigenvalue {k + 1}, spectrum has {len(s)}")
+    _check_k(s, k, "the sum inequalities concern")
     bound, observed, form = _kroger_grid(s, np.array([k]), n=n, area=area,
                                          john=john, domain=domain)
     return KrogerBound(float(bound[0]), float(observed[0]),
@@ -730,12 +708,7 @@ def eigenvalue_bracket(s: Spectrum, k: int, *, n=None, area=None):
     S > 1 is impossible on John domains (it would contradict the sum bound),
     so it raises with a loud diagnostic instead of returning NaN.
     """
-    if s.problem != "SN":
-        raise ValueError("the bracket concerns sloshing (SN) spectra")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k + 1 > len(s):
-        raise ValueError(f"need eigenvalue {k + 1}, spectrum has {len(s)}")
+    _check_k(s, k, "the bracket concerns")
     low, high = _bracket_grid(s, np.array([k]), n=n, area=area)
     return float(low[0]), float(high[0])
 
@@ -762,10 +735,10 @@ def _bracket_grid(s: Spectrum, ks: np.ndarray, *, n=None, area=None):
 
 def sd_upper_ndim(area: float, n: int, gamma: float, z: float) -> float:
     """Clamped-wall Riesz mean upper bound C_{n,gamma} |F| z^{n+gamma-1}."""
-    return float(_sd_upper_grid(area, n, gamma, [z])[0])
+    return float(_sd_upper_grid(n, area, gamma, [z])[0])
 
 
-def _sd_upper_grid(area: float, n: int, gamma: float, zs) -> np.ndarray:
+def _sd_upper_grid(n: int, area: float, gamma: float, zs) -> np.ndarray:
     if not area > 0:
         raise ValueError("area must be positive")
     g = float(gamma)
@@ -820,10 +793,10 @@ def _sd_lower2d_grid(length: float, zs) -> np.ndarray:
 def sd_heat_trace_upper(area: float, n: int, t: float) -> float:
     """Heat-trace upper bound Gamma(n) / ((4 pi)^{(n-1)/2} Gamma((n+1)/2))
     * |F| / t^{n-1}; for n = 2 this is |F| / (pi t)."""
-    return float(_heat_upper_grid(area, n, [t])[0])
+    return float(_heat_upper_grid(n, area, [t])[0])
 
 
-def _heat_upper_grid(area: float, n: int, ts) -> np.ndarray:
+def _heat_upper_grid(n: int, area: float, ts) -> np.ndarray:
     if not area > 0:
         raise ValueError("area must be positive")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -862,25 +835,18 @@ def two_corner_params(d: PolygonalDomain) -> dict:
     edges = list(d.edges())
     wall_ids = [i for i, _, _, tag in edges if tag == geometry.WALL]
     special = set(corner_edge.values())
-    far_depths = []
-    for i in special:
-        _, a, b, _ = edges[i]
-        far_depths.append(max(-float(a[1]), -float(b[1])))
+    far = {i: max(-float(edges[i][1][1]), -float(edges[i][2][1])) for i in special}
     other_min = min((min(-float(a[1]), -float(b[1]))
                      for i, a, b, _ in edges
                      if i in wall_ids and i not in special),
                     default=math.inf)
-    delta = min(min(far_depths), other_min)
+    delta = min(min(far.values()), other_min)
     if not delta > 0:
         raise HypothesisError("corner walls have no depth; bound undefined")
     total_wall = sum(float(np.hypot(*(b - a)))
                      for i, a, b, _ in edges if i in wall_ids)
-    above = 0.0
-    for i in special:
-        _, a, b, _ = edges[i]
-        length = float(np.hypot(*(b - a)))
-        far = max(-float(a[1]), -float(b[1]))
-        above += length * (delta / far)
+    above = sum(float(np.hypot(*(edges[i][2] - edges[i][1]))) * (delta / far[i])
+                for i in special)
     bc_length = max(0.0, total_wall - above)
     return {"alpha": corners[0][1], "beta": corners[1][1],
             "delta": float(delta), "bc_length": float(bc_length)}
@@ -889,21 +855,6 @@ def two_corner_params(d: PolygonalDomain) -> dict:
 # ---------------------------------------------------------------------------
 # verification harness
 # ---------------------------------------------------------------------------
-
-_LOWER = {"main", "split", "triangle", "john2d", "johnNd", "via-neumann",
-          "sd-lower2d", "sd-sum"}
-_K_AXIS = {"kroger", "bracket", "sd-sum"}
-_SN_ONLY = {"main", "split", "triangle", "john2d", "johnNd", "via-neumann",
-            "kroger", "bracket"}
-_SD_ONLY = {"sd-upper", "sd-john2d", "sd-lower2d", "sd-sum", "heat-trace"}
-#: hypothesis flags that must be True for the clean form of each bound
-_REQUIRED_FLAGS = {
-    "john2d": ("john",), "johnNd": ("john",), "via-neumann": ("john",),
-    "bracket": ("john",), "sd-upper": ("john",), "sd-john2d": ("john",),
-    "sd-sum": ("john",), "heat-trace": ("john",),
-    "sd-lower2d": ("contains_unit_depth_rectangle",),
-}
-
 
 @dataclass
 class BoundReport:
@@ -963,31 +914,213 @@ def _jsonable(obj):
 
 
 def save_report(report: BoundReport, path) -> None:
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
+    write_text(json.dumps(report.to_dict(), indent=2) + "\n", path)
+
+
+@dataclass
+class _Call:
+    """One :func:`verify` call as a bound's evaluator sees it.  Evaluators
+    record the parameters they resolve in ``used``, what they confirm in
+    ``flags`` and ``extra``, and, off the z axis, the observed side in
+    ``observed`` (on the z axis it is R_g, computed before them)."""
+
+    s: Spectrum
+    axis: np.ndarray                 # the grid points (integers on the k axis)
+    g: float                         # the bound's Riesz exponent
+    domain: object
+    meta: dict                       # spectrum metadata, then domain metadata
+    params: dict
+    used: dict
+    flags: dict
+    extra: dict = field(default_factory=dict)
+    observed: Optional[np.ndarray] = None
+
+    def param(self, name: str, meta: Optional[dict] = None, default=None):
+        """``name`` from the explicit params, else from ``meta`` (by default
+        the merged metadata), else ``default``; required when ``default`` is
+        None.  n is cast to int, the rest to float; the value goes to
+        ``used``."""
+        sources = (self.params, self.meta if meta is None else meta)
+        value = next((src[name] for src in sources if src.get(name) is not None), default)
+        if value is None:
+            raise HypothesisError(
+                f"bound needs parameter {name!r}: not in explicit params nor in "
+                "the spectrum metadata")
+        value = int(value) if name == "n" else float(value)
+        self.used[name] = value
+        return value
+
+
+def _comparison_domain(c: _Call):
+    """The given domain; without one, the vertical cylinder F x (-h, 0) from
+    the metadata (in the plane, the rectangle over F)."""
+    if c.domain is not None:
+        return c.domain
+    n, area, h = c.param("n"), c.param("areaF"), c.param("depth")
+    c.flags["comparison_cylinder_from_metadata"] = True
+    if n == 2:
+        return geometry.rectangle_domain(area, h)
+    return CylinderDomain(n, geometry.ExplicitBase((0.0,), "neumann", area), h)
+
+
+def _eval_triangle(c: _Call) -> np.ndarray:
+    tri = two_corner_params(c.domain) if isinstance(c.domain, PolygonalDomain) else {}
+    corners = {**c.meta, **tri}
+    alpha, beta = c.param("alpha", corners), c.param("beta", corners)
+    delta = c.param("delta", {"delta": c.meta.get("depth"), **tri})
+    bc_len = c.param("bc_length", tri, default=0.0)
+    area = c.param("areaF")
+    cots, _ = _two_corner_cots(alpha, beta, delta, bc_len, c.g)
+    bound, const, const_stated = _two_corner_grid(cots, delta, bc_len, area, c.g, c.axis)
+    c.used.update(c_reading="derivation sign (corner piece negative); "
+                            "c_stated_at_grid_end shows the flipped-sign variant",
+                  c_at_grid_end=float(const[-1]),
+                  c_stated_at_grid_end=float(const_stated[-1]))
+    c.flags["two_surface_corners"] = True if (c.domain is not None or (
+        "alpha" in c.meta and "beta" in c.meta)) else None
+    return bound
+
+
+def _eval_via_neumann(c: _Call) -> np.ndarray:
+    bound = _via_neumann_grid(c.param("n"), c.param("areaF"), c.param("width"), c.axis)
+    c.used["leading_constant_note"] = "leading constant deliberately " \
+        "non-sharp by factor n/(n+1)"
+    return bound
+
+
+def _eval_kroger(c: _Call) -> np.ndarray:
+    n, area = c.param("n"), c.param("areaF")
+    bound, c.observed, c.used["form"] = _kroger_grid(
+        c.s, c.axis, n=n, area=area, john=c.meta.get("john"), domain=c.domain)
+    return bound
+
+
+def _eval_bracket(c: _Call) -> np.ndarray:
+    n, area = c.param("n"), c.param("areaF")
+    low, c.extra["upper"] = _bracket_grid(c.s, c.axis, n=n, area=area)
+    c.observed = c.s.values[c.axis]     # nu_{k+1} (0-based index k)
+    return low
+
+
+def _eval_sd_lower2d(c: _Call) -> np.ndarray:
+    length = c.param("areaF")
+    if np.any(c.axis < 1.0):
+        raise ValueError("the planar SD lower bound is stated for z >= 1")
+    bound = _sd_lower2d_grid(length, c.axis)
+    dep, al, be = (c.meta.get(key) for key in ("depth", "alpha", "beta"))
+    vertical = all(a is not None and abs(a - math.pi / 2) < 1e-9 for a in (al, be))
+    if dep is not None and dep < 1.0:
+        c.flags["contains_unit_depth_rectangle"] = False
+    elif vertical and c.meta.get("john") is True and dep is not None:
+        c.flags["contains_unit_depth_rectangle"] = True
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        c.flags["contains_unit_depth_rectangle"] = None
+    return bound
 
 
-def _get_param(name, params, meta, *, required=True, default=None):
-    if params and name in params and params[name] is not None:
-        return params[name]
-    if name in meta and meta[name] is not None:
-        return meta[name]
-    if required:
-        raise HypothesisError(
-            f"bound needs parameter {name!r}: not in explicit params nor in "
-            "the spectrum metadata")
-    return default
+def _eval_sd_sum(c: _Call) -> np.ndarray:
+    bound = _sd_sum_grid(c.param("n"), c.param("areaF"), c.axis)
+    c.observed = _means(c.s, c.axis)
+    return bound
+
+
+def _eval_heat_trace(c: _Call) -> np.ndarray:
+    n, area = c.param("n"), c.param("areaF")
+    values, tails = riesz.heat_trace_grid(c.s, c.axis)
+    c.observed = values + tails       # certified upper evaluation
+    c.extra["tail_bounds"] = tails
+    return _heat_upper_grid(n, area, c.axis)
+
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """One bound as :func:`verify` runs it."""
+
+    problem: str                     # "SN" | "SD": the spectra it applies to
+    axis: str                        # "z" | "k" | "t": what the grid holds
+    side: str                        # "lower" | "upper" | "bracket"
+    evaluate: Callable[[_Call], np.ndarray]   # the bound over the grid
+    r1_only: bool = False            # an R_1 statement: gamma is fixed to 1
+    flags: tuple = ()                # hypothesis flags needed for "holds"
+
+
+_JOHN = ("john",)
+
+#: every bound :func:`verify` knows, by id (also the CLI --bound vocabulary)
+BOUNDS = {
+    "main": BoundSpec("SN", "z", "lower",
+                      lambda c: _main_grid(_comparison_domain(c), c.g, c.axis)),
+    "split": BoundSpec("SN", "z", "lower",
+                       lambda c: _split_grid(_comparison_domain(c), c.axis),
+                       r1_only=True),
+    "triangle": BoundSpec("SN", "z", "lower", _eval_triangle),
+    "john2d": BoundSpec("SN", "z", "lower",
+                        lambda c: _john2d_grid(c.param("areaF"), c.g, c.axis),
+                        flags=_JOHN),
+    "johnNd": BoundSpec("SN", "z", "lower",
+                        lambda c: _john_ndim_grid(c.param("n"), c.param("areaF"),
+                                                  c.param("depth"), c.axis),
+                        r1_only=True, flags=_JOHN),
+    "via-neumann": BoundSpec("SN", "z", "lower", _eval_via_neumann, r1_only=True,
+                             flags=_JOHN),
+    "kroger": BoundSpec("SN", "k", "upper", _eval_kroger),
+    "bracket": BoundSpec("SN", "k", "bracket", _eval_bracket, flags=_JOHN),
+    "sd-upper": BoundSpec("SD", "z", "upper",
+                          lambda c: _sd_upper_grid(c.param("n"), c.param("areaF"),
+                                                   c.g, c.axis),
+                          flags=_JOHN),
+    "sd-john2d": BoundSpec("SD", "z", "upper",
+                           lambda c: _sd_john2d_grid(c.param("areaF"), c.axis),
+                           r1_only=True, flags=_JOHN),
+    "sd-lower2d": BoundSpec("SD", "z", "lower", _eval_sd_lower2d, r1_only=True,
+                            flags=("contains_unit_depth_rectangle",)),
+    "sd-sum": BoundSpec("SD", "k", "lower", _eval_sd_sum, flags=_JOHN),
+    "heat-trace": BoundSpec("SD", "t", "upper", _eval_heat_trace, flags=_JOHN),
+}
+
+#: ids accepted by :func:`verify`, in table order
+BOUND_IDS = tuple(BOUNDS)
+
+_PROBLEM_NAMES = {"SN": "sloshing (SN)", "SD": "clamped-wall (SD)"}
+
+
+def _axis_points(spec: BoundSpec, grid: np.ndarray, s: Spectrum) -> np.ndarray:
+    """The grid checked for the bound's axis (as integers on the k axis)."""
+    if spec.axis == "k":
+        ks = grid.astype(int)
+        if np.any(ks != grid) or np.any(ks < 1):
+            raise ValueError("k grid must consist of integers >= 1")
+        if int(ks.max()) + 1 > len(s):
+            raise ValueError(
+                f"k up to {int(ks.max())} needs {int(ks.max()) + 1} eigenvalues, "
+                f"spectrum has {len(s)}")
+        return ks
+    if spec.axis == "t" and np.any(grid <= 0):
+        raise ValueError("heat-trace times must be positive")
+    if spec.axis == "z" and np.any(grid < 0):
+        raise ValueError("z grid must be nonnegative")
+    return grid
+
+
+def _error_allowance(spec: BoundSpec, c: _Call, errors: np.ndarray):
+    """The per-eigenvalue ``errors`` propagated to the observed side at every
+    grid point (none on the t axis, whose tail bound is already added)."""
+    cum_err = np.concatenate(([0.0], np.cumsum(errors)))
+    if spec.axis == "z":
+        counts = np.searchsorted(c.s.values, c.axis, side="left")
+        return c.g * np.where(c.axis > 0, c.axis, 1.0) ** (c.g - 1.0) * cum_err[counts]
+    if spec.axis == "t":
+        return 0.0
+    if spec.side == "bracket":
+        return errors[c.axis]
+    return cum_err[c.axis] / c.axis
 
 
 def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
            domain=None, params: Optional[dict] = None,
-           tolerance: Optional[float] = None, errors=None,
-           quadrature: bool = False) -> BoundReport:
-    """Check one bound against a spectrum over a grid (z, k, or t values).
+           tolerance: Optional[float] = None, errors=None) -> BoundReport:
+    """Check one bound of :data:`BOUNDS` against a spectrum over a grid (z,
+    k, or t values).
 
     The bound is evaluated once for the whole grid by its grid evaluator,
     which resolves the domain and the bound's constants once; the public
@@ -1004,209 +1137,61 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
     confirmed from the metadata; unconfirmed-but-needed flags downgrade the
     status to "holds-with-flags" without counting as a violation.
     """
-    if bound_id not in BOUND_IDS:
+    spec = BOUNDS.get(bound_id)
+    if spec is None:
         raise ValueError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")
-    if bound_id in _SN_ONLY and s.problem != "SN":
-        raise ValueError(f"bound {bound_id!r} applies to sloshing (SN) spectra")
-    if bound_id in _SD_ONLY and s.problem != "SD":
-        raise ValueError(f"bound {bound_id!r} applies to clamped-wall (SD) spectra")
+    if s.problem != spec.problem:
+        raise ValueError(
+            f"bound {bound_id!r} applies to {_PROBLEM_NAMES[spec.problem]} spectra")
     meta = dict(s.meta)
     if domain is not None:
         for key, val in geometry.domain_metadata(domain).items():
             meta.setdefault(key, val)
-    params = dict(params or {})
     g = float(gamma)
-    flags: dict = {}
-    extra: dict = {}
-    used: dict = {"gamma": g} if bound_id not in _K_AXIS else {}
-
+    if spec.r1_only:
+        g = 1.0
     if errors is not None:
         errors = np.asarray(errors, dtype=float).ravel()
         if errors.size != len(s):
             raise ValueError("errors must align with the spectrum (same length)")
-        cum_err = np.concatenate(([0.0], np.cumsum(errors)))
-
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("empty verification grid")
-
     john = meta.get("john")
-    flags["john"] = john if isinstance(john, bool) else None
+    flags = {"john": john if isinstance(john, bool) else None}
+    c = _Call(s, _axis_points(spec, grid, s), g, domain, meta, dict(params or {}),
+              {"gamma": g} if spec.axis == "z" else {}, flags)
+    axis = c.axis.astype(float)
+    if spec.axis == "z":
+        c.observed = riesz.riesz_mean_grid(s, g, axis)
+    bound_vals = spec.evaluate(c)
+    observed = c.observed
 
-    if bound_id in _K_AXIS:
-        ks = grid.astype(int)
-        if np.any(ks != grid) or np.any(ks < 1):
-            raise ValueError("k grid must consist of integers >= 1")
-        if int(ks.max()) + 1 > len(s):
-            raise ValueError(
-                f"k up to {int(ks.max())} needs {int(ks.max()) + 1} eigenvalues, "
-                f"spectrum has {len(s)}")
-        axis = ks.astype(float)
-        n_dim = int(_get_param("n", params, meta))
-        area = float(_get_param("areaF", params, meta))
-        used.update({"n": n_dim, "areaF": area})
-        if bound_id == "kroger":
-            bound_vals, observed, form = _kroger_grid(s, ks, n=n_dim, area=area,
-                                                      john=john, domain=domain)
-            margins = bound_vals - observed
-            used["form"] = form
-            if form == "john":
-                flags["john"] = True if john is True else flags["john"]
-        elif bound_id == "bracket":
-            bound_vals, extra["upper"] = _bracket_grid(s, ks, n=n_dim, area=area)
-            observed = s.values[ks]     # nu_{k+1} (0-based index k)
-            margins = np.minimum(observed - bound_vals, extra["upper"] - observed)
-        else:   # sd-sum
-            bound_vals = _sd_sum_grid(n_dim, area, ks)
-            observed = _means(s, ks)
-            margins = observed - bound_vals
-        if tolerance is not None:
-            tol = np.full(axis.shape, float(tolerance))
-        elif bound_id == "bracket":
-            tol = 1e-9 * (1.0 + np.abs(observed))
-        else:
-            tol = 1e-9 * (1.0 + np.abs(bound_vals))
-        if errors is not None:
-            tol = tol + (errors[ks] if bound_id == "bracket"
-                         else cum_err[ks] / ks)
-    elif bound_id == "heat-trace":
-        axis = grid
-        if np.any(axis <= 0):
-            raise ValueError("heat-trace times must be positive")
-        n_dim = int(_get_param("n", params, meta))
-        area = float(_get_param("areaF", params, meta))
-        used.update({"n": n_dim, "areaF": area})
-        used.pop("gamma", None)
-        values, tails = riesz.heat_trace_grid(s, axis)
-        observed = values + tails       # certified upper evaluation
-        bound_vals = _heat_upper_grid(area, n_dim, axis)
+    if spec.side == "lower":
+        margins = observed - bound_vals
+    elif spec.side == "upper":
         margins = bound_vals - observed
-        extra["tail_bounds"] = tails
-        tol = np.full(axis.shape, tolerance) if tolerance is not None \
-            else 1e-9 * (1.0 + np.abs(bound_vals))
     else:
-        axis = grid
-        if np.any(axis < 0):
-            raise ValueError("z grid must be nonnegative")
-        g_eff = g
-        if bound_id in ("split", "johnNd", "via-neumann", "sd-john2d",
-                        "sd-lower2d"):
-            g_eff = 1.0     # these are R_1 statements
-            used["gamma"] = 1.0
-        observed = riesz.riesz_mean_grid(s, g_eff, axis)
-
-        if bound_id == "main" or bound_id == "split":
-            dom = domain
-            if dom is None:
-                n_dim = int(_get_param("n", params, meta))
-                area = float(_get_param("areaF", params, meta))
-                h = float(_get_param("depth", params, meta))
-                dom = CylinderDomain(n_dim, geometry.ExplicitBase(
-                    (0.0,), "neumann", area), h) if n_dim != 2 else None
-                if dom is None:
-                    # planar fallback: the rectangle over F
-                    dom = geometry.rectangle_domain(area, h)
-                flags["comparison_cylinder_from_metadata"] = True
-                used.update({"n": n_dim, "areaF": area, "depth": h})
-            bound_vals = _split_grid(dom, axis) if bound_id == "split" \
-                else _main_grid(dom, g_eff, axis, quadrature=quadrature)
-        elif bound_id == "triangle":
-            tri = {}
-            if domain is not None and isinstance(domain, PolygonalDomain):
-                tri = two_corner_params(domain)
-            alpha = float(_get_param("alpha", params, {**meta, **tri}))
-            beta = float(_get_param("beta", params, {**meta, **tri}))
-            delta = float(_get_param("delta", params,
-                                     {"delta": meta.get("depth"), **tri}))
-            bc_len = float(_get_param("bc_length", params, tri,
-                                      required=False, default=0.0))
-            area = float(_get_param("areaF", params, meta))
-            used.update({"alpha": alpha, "beta": beta, "delta": delta,
-                         "bc_length": bc_len, "areaF": area})
-            cots, _ = _two_corner_cots(alpha, beta, delta, bc_len, g_eff)
-            bound_vals, c, c_stated = _two_corner_grid(cots, delta, bc_len, area,
-                                                       g_eff, axis)
-            used["c_reading"] = "derivation sign (corner piece negative); " \
-                "c_stated_at_grid_end shows the flipped-sign variant"
-            used["c_at_grid_end"] = float(c[-1])
-            used["c_stated_at_grid_end"] = float(c_stated[-1])
-            flags["two_surface_corners"] = True if (domain is not None or
-                                                    ("alpha" in meta and
-                                                     "beta" in meta)) else None
-        elif bound_id == "john2d":
-            length = float(_get_param("areaF", params, meta))
-            used["areaF"] = length
-            bound_vals = _john2d_grid(length, g_eff, axis)
-        elif bound_id == "johnNd":
-            n_dim = int(_get_param("n", params, meta))
-            area = float(_get_param("areaF", params, meta))
-            h = float(_get_param("depth", params, meta))
-            used.update({"n": n_dim, "areaF": area, "depth": h})
-            bound_vals = _john_ndim_grid(area, h, n_dim, axis)
-        elif bound_id == "via-neumann":
-            n_dim = int(_get_param("n", params, meta))
-            area = float(_get_param("areaF", params, meta))
-            width = float(_get_param("width", params, meta))
-            used.update({"n": n_dim, "areaF": area, "width": width})
-            used["leading_constant_note"] = "leading constant deliberately " \
-                "non-sharp by factor n/(n+1)"
-            bound_vals = _via_neumann_grid(area, width, n_dim, axis)
-        elif bound_id == "sd-upper":
-            n_dim = int(_get_param("n", params, meta))
-            area = float(_get_param("areaF", params, meta))
-            used.update({"n": n_dim, "areaF": area})
-            bound_vals = _sd_upper_grid(area, n_dim, g_eff, axis)
-        elif bound_id == "sd-john2d":
-            length = float(_get_param("areaF", params, meta))
-            used["areaF"] = length
-            bound_vals = _sd_john2d_grid(length, axis)
-        elif bound_id == "sd-lower2d":
-            length = float(_get_param("areaF", params, meta))
-            used["areaF"] = length
-            if np.any(axis < 1.0):
-                raise ValueError("the planar SD lower bound is stated for z >= 1")
-            bound_vals = _sd_lower2d_grid(length, axis)
-            dep = meta.get("depth")
-            al, be = meta.get("alpha"), meta.get("beta")
-            vertical = (al is not None and be is not None
-                        and abs(al - math.pi / 2) < 1e-9
-                        and abs(be - math.pi / 2) < 1e-9)
-            if dep is not None and dep < 1.0:
-                flags["contains_unit_depth_rectangle"] = False
-            elif vertical and meta.get("john") is True and dep is not None:
-                flags["contains_unit_depth_rectangle"] = True
-            else:
-                flags["contains_unit_depth_rectangle"] = None
-        else:       # pragma: no cover - guarded by BOUND_IDS check
-            raise AssertionError(bound_id)
-
-        if bound_id in _LOWER:
-            margins = observed - bound_vals
-        else:
-            margins = bound_vals - observed
-        base = np.full(axis.shape, tolerance) if tolerance is not None \
-            else 1e-9 * (1.0 + np.abs(bound_vals))
-        tol = base
-        if errors is not None:
-            counts = np.searchsorted(s.values, axis, side="left")
-            tol = tol + g_eff * np.where(axis > 0, axis, 1.0) ** (g_eff - 1.0) \
-                * cum_err[counts]
+        margins = np.minimum(observed - bound_vals, c.extra["upper"] - observed)
+    if tolerance is not None:
+        tol = np.full(axis.shape, float(tolerance))
+    else:
+        tol = 1e-9 * (1.0 + np.abs(observed if spec.side == "bracket" else bound_vals))
+    if errors is not None:
+        tol = tol + _error_allowance(spec, c, errors)
 
     violations = [{"axis": float(axis[i]), "margin": float(margins[i])}
                   for i in np.flatnonzero(margins < -tol)]
-    required = _REQUIRED_FLAGS.get(bound_id, ())
-    flagged = any(flags.get(name) is not True for name in required)
-    if bound_id in ("main", "split") and flags.get("comparison_cylinder_from_metadata"):
+    flagged = any(flags.get(name) is not True for name in spec.flags)
+    if flags.get("comparison_cylinder_from_metadata"):
         # the metadata cylinder only dominates the true domain under the strip condition
         flagged = flagged or flags.get("john") is not True
     status = ("violated" if violations else
               "holds-with-flags" if flagged else "holds")
     return BoundReport(
         bound_id=bound_id,
-        kind="bracket" if bound_id == "bracket" else
-             ("lower" if bound_id in _LOWER else "upper"),
-        axis_name="k" if bound_id in _K_AXIS else
-                  ("t" if bound_id == "heat-trace" else "z"),
+        kind=spec.side,
+        axis_name=spec.axis,
         axis=axis,
         bound_values=bound_vals,
         observed_values=observed,
@@ -1216,6 +1201,6 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
         violations=violations,
         hypothesis_flags=flags,
         status=status,
-        params=used,
-        extra=extra,
+        params=c.used,
+        extra=c.extra,
     )

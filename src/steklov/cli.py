@@ -151,13 +151,6 @@ def _resolve_domain(args):
     return None
 
 
-def _write(emit, out):
-    if out:
-        emit(out)
-    else:
-        emit(sys.stdout)
-
-
 def _compute_spectrum(args):
     dom = _resolve_domain(args)
     if dom is None:
@@ -181,7 +174,7 @@ def _compute_spectrum(args):
 
 def cmd_spectrum(args) -> int:
     s = _compute_spectrum(args)
-    _write(lambda out: spectra.save_spectrum(s, out), args.out)
+    spectra.save_spectrum(s, args.out or sys.stdout)
     return 0
 
 
@@ -194,7 +187,7 @@ def _source_spectrum(args):
 def cmd_riesz(args) -> int:
     s = _source_spectrum(args)
     curve = riesz.riesz_curve(s, args.gamma, parse_grid(args.grid))
-    _write(lambda out: riesz.save_curve(curve, out), args.out)
+    riesz.save_curve(curve, args.out or sys.stdout)
     return 0
 
 
@@ -206,9 +199,8 @@ def cmd_verify(args) -> int:
         errors = np.loadtxt(args.errors, ndmin=1)
     report = bounds.verify(s, args.bound, parse_grid(args.grid),
                            gamma=args.gamma, domain=dom,
-                           tolerance=args.tolerance, errors=errors,
-                           quadrature=args.quadrature)
-    _write(lambda out: bounds.save_report(report, out), args.out)
+                           tolerance=args.tolerance, errors=errors)
+    bounds.save_report(report, args.out or sys.stdout)
     if report.status == "violated":
         return 1
     if report.status == "holds-with-flags":
@@ -222,12 +214,8 @@ def cmd_asym(args) -> int:
     if not _:
         raise ValueError(f"window must be 'z1,z2', got {args.window!r}")
     result = asymptotics.fit_second_term(s, args.gamma, (_num(z1), _num(z2)))
-    text = json.dumps(result.to_dict(), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    spectra.write_text(json.dumps(result.to_dict(), indent=2) + "\n",
+                       args.out or sys.stdout)
     return 0
 
 
@@ -281,9 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--errors", help="per-eigenvalue certified error file "
                                     "(one number per line)")
-    p.add_argument("--quadrature", action="store_true",
-                   help="evaluate wall terms and their Riesz lift by the "
-                        "adaptive-quadrature oracle, slow")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .spectra import Spectrum
+from .spectra import Spectrum, read_table, write_table
 
 
 class ValidityCeilingError(ValueError):
@@ -350,67 +350,17 @@ def legendre_sum_bound(curve: RieszCurve, k: int) -> LegendreBound:
 
 def save_curve(curve: RieszCurve, path) -> None:
     """Write a Riesz curve as CSV ('# key=value' header, 'z,value' rows)."""
-    lines = [f"# gamma={format(curve.gamma, '.17g')}",
-             f"# validity_ceiling={format(curve.validity_ceiling, '.17g')}"]
-    for key in sorted(curve.meta):
-        v = curve.meta[key]
-        if isinstance(v, bool):
-            txt = "true" if v else "false"
-        elif isinstance(v, (int, np.integer)):
-            txt = str(int(v))
-        elif isinstance(v, float):
-            txt = format(v, ".17g")
-        else:
-            txt = str(v)
-        lines.append(f"# {key}={txt}")
-    lines.append("z,value")
-    for z, v in zip(curve.grid, curve.values):
-        lines.append(f"{format(float(z), '.17g')},{format(float(v), '.17g')}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    head = {"gamma": curve.gamma, "validity_ceiling": curve.validity_ceiling}
+    write_table(path, head, curve.meta, "z,value", zip(curve.grid, curve.values))
 
 
 def load_curve(path) -> RieszCurve:
     """Read a curve written by :func:`save_curve` (no spectrum attached)."""
-    gamma = None
-    ceiling = None
-    meta: dict = {}
-    zs, vs = [], []
-    header_seen = False
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, text = line[1:].strip().partition("=")
-                key, text = key.strip(), text.strip()
-                if key == "gamma":
-                    gamma = float(text)
-                elif key == "validity_ceiling":
-                    ceiling = float(text)
-                elif key == "n":
-                    meta[key] = int(text)
-                elif key == "john":
-                    meta[key] = text == "true"
-                else:
-                    try:
-                        meta[key] = float(text)
-                    except ValueError:
-                        meta[key] = text
-                continue
-            if not header_seen:
-                if line != "z,value":
-                    raise ValueError(f"{path}:{lineno}: expected header 'z,value'")
-                header_seen = True
-                continue
-            a, _, b = line.partition(",")
-            zs.append(float(a))
-            vs.append(float(b))
-    if gamma is None or ceiling is None or not zs:
+    meta, rows = read_table(path, "z,value", (float, float))
+    gamma = meta.pop("gamma", None)
+    ceiling = meta.pop("validity_ceiling", None)
+    if gamma is None or ceiling is None or not rows:
         raise ValueError(f"{path}: missing gamma/validity_ceiling header or data")
-    return RieszCurve(gamma, np.array(zs), np.array(vs), ceiling, meta=meta)
+    zs, vs = zip(*(fields for _, fields in rows))
+    return RieszCurve(float(gamma), np.array(zs), np.array(vs), float(ceiling),
+                      meta=meta)

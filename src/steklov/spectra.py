@@ -181,14 +181,7 @@ def cylinder_sn(base_values, h: float, count: int, *, area=None, n=None,
     """Sloshing spectrum of a cylinder from its Neumann base spectrum."""
     base = _check_base(base_values, h, count, first_zero=True)
     vals = np.sort(_surface_values(base[:count], h, "SN"))
-    meta = {}
-    if n is not None:
-        meta["n"] = int(n)
-    if area is not None:
-        meta["areaF"] = float(area)
-    meta["depth"] = float(h)
-    meta["john"] = True
-    return Spectrum("SN", vals, source=source, meta=meta)
+    return Spectrum("SN", vals, source=source, meta=_cylinder_meta(n, area, h))
 
 
 def cylinder_sd(base_values, h: float, count: int, *, area=None, n=None,
@@ -199,14 +192,16 @@ def cylinder_sd(base_values, h: float, count: int, *, area=None, n=None,
         raise ValueError("a Dirichlet base spectrum must be strictly positive "
                          "(0 would make the surface value blow up)")
     vals = np.sort(_surface_values(base[:count], h, "SD"))
-    meta = {}
-    if n is not None:
-        meta["n"] = int(n)
+    return Spectrum("SD", vals, source=source, meta=_cylinder_meta(n, area, h))
+
+
+def _cylinder_meta(n, area, h) -> dict:
+    """n and areaF where given, the depth, and the John flag (a cylinder
+    lies below its free surface)."""
+    meta = {} if n is None else {"n": int(n)}
     if area is not None:
         meta["areaF"] = float(area)
-    meta["depth"] = float(h)
-    meta["john"] = True
-    return Spectrum("SD", vals, source=source, meta=meta)
+    return {**meta, "depth": float(h), "john": True}
 
 
 def _check_base(base_values, h, count, *, first_zero: bool) -> np.ndarray:
@@ -253,8 +248,13 @@ def cylinder_spectrum(dom: CylinderDomain, problem: str, count: int) -> Spectrum
 
 
 # -- CSV round trip ---------------------------------------------------------
+#
+# One codec serves spectra and Riesz curves: '# key=value' metadata lines, a
+# column header, then comma-separated rows.  Numbers carry 17 significant
+# digits, so the decimal round trip is bit-exact.
 
-_META_BOOL = ("john",)
+#: metadata keys read back as text whatever they look like
+_META_TEXT = ("problem", "source")
 
 
 def _fmt(v) -> str:
@@ -262,33 +262,18 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
+    if isinstance(v, str):
+        return v
     return format(float(v), ".17g")
 
 
-def save_spectrum(s: Spectrum, path) -> None:
-    """Write a spectrum as CSV: '# key=value' header lines, then index,value
-    rows with 17 significant digits (bit-exact decimal round trip)."""
-    lines = [f"# problem={s.problem}", f"# source={s.source}"]
-    if s.zero_tol != TOL_ZERO:
-        lines.append(f"# zero_tol={_fmt(s.zero_tol)}")
-    for key in sorted(s.meta):
-        lines.append(f"# {key}={_fmt(s.meta[key])}")
-    lines.append("index,value")
-    for i, v in enumerate(s.values, start=1):
-        lines.append(f"{i},{format(float(v), '.17g')}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
 def _parse_meta_value(key: str, text: str):
-    if key in _META_BOOL:
-        if text not in ("true", "false"):
-            raise SpectrumError(f"meta key {key} must be true/false, got {text!r}")
+    if key in _META_TEXT:
+        return text
+    if text in ("true", "false"):
         return text == "true"
+    if key == "john":
+        raise SpectrumError(f"meta key {key} must be true/false, got {text!r}")
     if key == "n":
         return int(text)
     try:
@@ -297,13 +282,30 @@ def _parse_meta_value(key: str, text: str):
         return text
 
 
-def load_spectrum(path) -> Spectrum:
-    """Read a spectrum CSV written by :func:`save_spectrum` (validates
-    sortedness, signs, and the header structure)."""
-    problem = None
-    source = None
+def write_text(text: str, dest) -> None:
+    """Write ``text`` to an open text stream, or to a new file at path ``dest``."""
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        with open(dest, "w") as fh:
+            fh.write(text)
+
+
+def write_table(dest, head: dict, meta: dict, columns: str, rows) -> None:
+    """Write '# key=value' lines for ``head`` (in its order) and ``meta``
+    (sorted by key), the ``columns`` header, then one line per row."""
+    lines = [f"# {key}={_fmt(val)}"
+             for key, val in [*head.items(), *sorted(meta.items())]]
+    lines.append(columns)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    write_text("\n".join(lines) + "\n", dest)
+
+
+def read_table(path, columns: str, types):
+    """Read a file written by :func:`write_table`: (meta, rows), each row a
+    (line number, fields) pair with its fields converted by ``types``."""
     meta: dict = {}
-    values = []
+    rows = []
     header_seen = False
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -316,36 +318,48 @@ def load_spectrum(path) -> Spectrum:
                     raise SpectrumError(f"{path}:{lineno}: malformed meta line {line!r}")
                 key, _, text = body.partition("=")
                 key = key.strip()
-                text = text.strip()
-                if key == "problem":
-                    problem = text
-                elif key == "source":
-                    source = text
-                else:
-                    meta[key] = _parse_meta_value(key, text)
+                meta[key] = _parse_meta_value(key, text.strip())
                 continue
             if not header_seen:
-                if line != "index,value":
+                if line != columns:
                     raise SpectrumError(
-                        f"{path}:{lineno}: expected header 'index,value', got {line!r}")
+                        f"{path}:{lineno}: expected header {columns!r}, got {line!r}")
                 header_seen = True
                 continue
             parts = line.split(",")
-            if len(parts) != 2:
-                raise SpectrumError(f"{path}:{lineno}: expected 'index,value', got {line!r}")
+            if len(parts) != len(types):
+                raise SpectrumError(f"{path}:{lineno}: expected {columns!r}, got {line!r}")
             try:
-                idx = int(parts[0])
-                val = float(parts[1])
+                rows.append((lineno, [t(p) for t, p in zip(types, parts)]))
             except ValueError as exc:
                 raise SpectrumError(f"{path}:{lineno}: non-numeric row {line!r}") from exc
-            if idx != len(values) + 1:
-                raise SpectrumError(
-                    f"{path}:{lineno}: index column must run 1,2,...; got {idx}")
-            values.append(val)
+    return meta, rows
+
+
+def save_spectrum(s: Spectrum, path) -> None:
+    """Write a spectrum as CSV: '# key=value' header lines, then index,value
+    rows with 17 significant digits (bit-exact decimal round trip)."""
+    head = {"problem": s.problem, "source": s.source}
+    if s.zero_tol != TOL_ZERO:
+        head["zero_tol"] = s.zero_tol
+    write_table(path, head, s.meta, "index,value", enumerate(s.values, start=1))
+
+
+def load_spectrum(path) -> Spectrum:
+    """Read a spectrum CSV written by :func:`save_spectrum` (validates
+    sortedness, signs, and the header structure)."""
+    meta, rows = read_table(path, "index,value", (int, float))
+    for i, (lineno, (idx, _)) in enumerate(rows, start=1):
+        if idx != i:
+            raise SpectrumError(
+                f"{path}:{lineno}: index column must run 1,2,...; got {idx}")
+    problem = meta.pop("problem", None)
+    source = meta.pop("source", None)
     if problem is None:
         raise SpectrumError(f"{path}: missing '# problem=' line")
-    if not header_seen or not values:
+    if not rows:
         raise SpectrumError(f"{path}: no eigenvalue rows found")
     zero_tol = meta.pop("zero_tol", TOL_ZERO)
-    return Spectrum(problem, np.array(values), source=source or f"file:{path}",
+    values = np.array([val for _, (_, val) in rows])
+    return Spectrum(problem, values, source=source or f"file:{path}",
                     meta=meta, zero_tol=float(zero_tol))

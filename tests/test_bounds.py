@@ -11,6 +11,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +100,18 @@ def test_wall_term_cone_closed_form_vs_quadrature():
         exact = bounds.wall_term(CONE, z)
         via_quad = bounds.wall_term(CONE, z, quadrature=True)
         assert exact == pytest.approx(via_quad, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("z", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0])
+def test_cone_wall_term_matches_mpmath_at_small_z(z):
+    # the elementary form z - (1 - e^{-2hz})/h + z e^{-2hz} cancels as z -> 0
+    # (1.2e2 relative off at z = 1e-6 on this cone)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        h, zz = mpmath.mpf(CONE.depth), mpmath.mpf(z)
+        e = mpmath.exp(-2 * h * zz)
+        want = float(cone_coef(CONE) * (zz - (1 - e) / h + zz * e))
+    assert bounds.wall_term(CONE, z) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_wall_term_overhanging_cone_sign():
@@ -853,3 +867,59 @@ def test_verify_main_from_metadata_cylinder_is_flagged():
                           meta=meta)
     rep2 = bounds.verify(s2, "main", np.array([2.0, 10.0]))
     assert rep2.status == "holds-with-flags"
+
+
+# ---------------------------------------------------------------------------
+# the bound registry
+# ---------------------------------------------------------------------------
+
+CONTRACT_SN = spectra.rectangle_sn(math.pi, 1.0, 400)
+CONTRACT_SD = spectra.rectangle_sd(math.pi, 1.0, 400)
+CONTRACT_GRIDS = {"z": [1.0, 2.0, 5.0], "k": [1, 2, 5], "t": [0.5, 1.0]}
+PROBLEM_NAMES = {"SN": "sloshing (SN)", "SD": "clamped-wall (SD)"}
+
+
+@pytest.mark.parametrize("bound_id", bounds.BOUND_IDS)
+def test_registry_entry_drives_verify(bound_id):
+    spec = bounds.BOUNDS[bound_id]
+    right, wrong = (CONTRACT_SN, CONTRACT_SD) if spec.problem == "SN" \
+        else (CONTRACT_SD, CONTRACT_SN)
+    grid = CONTRACT_GRIDS[spec.axis]
+    message = f"bound {bound_id!r} applies to {PROBLEM_NAMES[spec.problem]} spectra"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bounds.verify(wrong, bound_id, grid)
+
+    kwargs = {"domain": RECT}
+    if bound_id == "via-neumann":     # needs n >= 3
+        right = spectra.cylinder_spectrum(BOX, "SN", 400)
+        kwargs = {"params": {"width": math.pi}}
+    rep = bounds.verify(right, bound_id, grid, gamma=2.5, **kwargs)
+    assert (rep.kind, rep.axis_name) == (spec.side, spec.axis)
+    assert rep.status == "holds"
+    if spec.axis == "z":
+        assert rep.params["gamma"] == (1.0 if spec.r1_only else 2.5)
+    else:
+        assert "gamma" not in rep.params
+
+
+def test_bound_ids_follow_the_registry():
+    assert bounds.BOUND_IDS == tuple(bounds.BOUNDS) == (
+        "main", "split", "triangle", "john2d", "johnNd", "via-neumann",
+        "kroger", "bracket", "sd-upper", "sd-john2d", "sd-lower2d",
+        "sd-sum", "heat-trace")
+
+
+def test_readme_bound_list_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Bound identifiers", 1)[1].split("\n## ", 1)[0]
+    named = []
+    for item in re.findall(r"^- (.*?)(?=^- |\n\n|\Z)", section, flags=re.M | re.S):
+        head, _, text = item.partition(" — ")
+        ids = re.findall(r"`([^`]+)`", head)
+        named += ids
+        for bound_id in ids:   # the Riesz exponent each item claims
+            if "`R_1`" in text:
+                assert bounds.BOUNDS[bound_id].r1_only, bound_id
+            if "`R_γ`" in text:
+                assert not bounds.BOUNDS[bound_id].r1_only, bound_id
+    assert sorted(named) == sorted(bounds.BOUND_IDS)

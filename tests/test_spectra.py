@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steklov import geometry, spectra
+from steklov import geometry, riesz, spectra
 from steklov.geometry import CylinderDomain, IntervalBase, RectangleBase
 from steklov.spectra import Spectrum, SpectrumError
 
@@ -148,3 +151,75 @@ def test_counts_are_validated():
         spectra.rectangle_sn(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         spectra.rectangle_sd(-1.0, 1.0, 5)
+
+
+# ---------------------------------------------------------------------------
+# the '# key=value' CSV codec shared by spectra and Riesz curves
+# ---------------------------------------------------------------------------
+
+def _reads_as_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+META_KEYS = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True).filter(
+    lambda k: k not in ("problem", "source", "zero_tol", "gamma",
+                        "validity_ceiling", "john", "n"))
+META_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                    min_size=1, max_size=12).filter(
+    lambda t: t == t.strip() and t not in ("true", "false")
+    and not _reads_as_number(t))
+META_VALUES = st.one_of(st.booleans(), st.floats(allow_nan=False), META_TEXT)
+
+
+@st.composite
+def metadata(draw):
+    meta = draw(st.dictionaries(META_KEYS, META_VALUES, max_size=6))
+    if draw(st.booleans()):
+        meta["john"] = draw(st.booleans())
+    if draw(st.booleans()):
+        meta["n"] = draw(st.integers())
+    return meta
+
+
+def _typed(meta):
+    """Type and repr of every value: equal only for a bit-exact round trip."""
+    return {k: (type(v), repr(v)) for k, v in meta.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(meta=metadata())
+def test_codec_round_trips_random_metadata_bit_exactly(meta, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "codec.csv"
+    s = Spectrum("SN", [0.0, 0.5, 2.25], source="random meta", meta=meta)
+    spectra.save_spectrum(s, path)
+    back = spectra.load_spectrum(path)
+    assert _typed(back.meta) == _typed(meta)
+    assert back.source == "random meta"
+
+    curve = riesz.RieszCurve(1.5, [0.0, 1.0], [0.0, 1.0], 2.25, meta=meta)
+    riesz.save_curve(curve, path)
+    assert _typed(riesz.load_curve(path).meta) == _typed(meta)
+
+
+def test_curve_codec_rejects_what_the_spectrum_codec_rejects(tmp_path):
+    path = tmp_path / "curve.csv"
+    good = "# gamma=1\n# validity_ceiling=5\nz,value\n0,0\n1,1\n"
+    for bad, message in (("# john=maybe\n", "must be true/false"),
+                         ("# oops\n", "malformed meta line")):
+        path.write_text(bad + good)
+        with pytest.raises(SpectrumError, match=message):
+            riesz.load_curve(path)
+    path.write_text(good + "2\n")
+    with pytest.raises(SpectrumError, match=re.escape(f"{path}:6: expected 'z,value'")):
+        riesz.load_curve(path)
+
+
+def test_save_spectrum_writes_text_metadata(tmp_path):
+    path = tmp_path / "s.csv"
+    spectra.save_spectrum(Spectrum("SD", [1.0, 2.0], meta={"label": "abc"}), path)
+    assert "# label=abc\n" in path.read_text()
+    assert spectra.load_spectrum(path).meta == {"label": "abc"}

@@ -6,6 +6,7 @@ Dirichlet-to-Neumann map on the free surface, evaluates semiclassical
 Riesz-mean and eigenvalue-sum bounds, and checks two-term asymptotics.
 """
 
+import importlib as _importlib
 import os as _os
 
 # Cap BLAS/OpenMP threading before numpy is imported anywhere in the package.
@@ -16,13 +17,22 @@ if _threads:
                  "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from . import specfun, geometry, spectra, riesz, bounds, asymptotics, fem
+from . import specfun, geometry, spectra, riesz, bounds, asymptotics
 from .geometry import PolygonalDomain, CylinderDomain, ConeDomain, DomainError
 from .spectra import Spectrum, load_spectrum, save_spectrum
 from .riesz import RieszCurve, ValidityCeilingError, riesz_mean, riesz_curve
 from .bounds import BoundReport, verify
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # fem loads scipy.sparse and scipy.linalg, which only the finite-element
+    # solver needs: steklov.fem is imported on first use
+    if name == "fem":
+        return _importlib.import_module(f"{__name__}.fem")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "specfun", "geometry", "spectra", "riesz", "bounds", "asymptotics", "fem",

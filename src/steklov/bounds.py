@@ -5,17 +5,15 @@ Lower bounds for the sloshing (SN) Riesz means all share the shape
     R_gamma(z) >= C_{n,gamma} |F| z^{n+gamma-1} + (wall term),
 
 where the wall term integrates <n, e_n> e^{2 x_n r} r^{n-1} over the walls.
-For polygons the wall term has per-edge closed forms (elementary integrals of
-r e^{2yr} along straight edges, derived here and cross-checked against
-adaptive quadrature); cylinders reduce to an incomplete-gamma expression over
-the flat bottom, and the cone of revolution has its own closed form.
-
-At gamma > 1 the wall term, and the constant of the two-corner bound, are the
-gamma = 1 terms lifted by Riesz iteration.  Each of them is A(t) = integral_0^t
-phi(r) dr with phi a sum of c r^k e^{-a r} (a >= 0), so the lift has one
-closed form per term, a confluent hypergeometric function (:func:`_lift`),
-evaluated over a whole grid at once.  Adaptive quadrature of the gamma = 1
-integrals (``wall_term(..., quadrature=True)``) is kept as an oracle.
+Every wall term the module supports (per straight polygon edge, over the
+flat bottom of a cylinder, over the cone of revolution) is
+A(t) = integral_0^t phi(r) dr with phi a sum of c r^k e^{-a r} (a >= 0), and
+so is each piece of the two-corner constant.  One operator, the Riesz lift
+:func:`_lift`, evaluates all of them for every gamma >= 1: one confluent
+hypergeometric term per piece, over a whole grid at once.  At gamma = 1 the
+lift is the integral A itself; at gamma > 1 it is A lifted by Riesz
+iteration.  Adaptive quadrature of the gamma = 1 integrals
+(``wall_term(..., quadrature=True)``) is kept as an oracle.
 
 Upper bounds for the clamped-wall (SD) problem, two-sided brackets and
 averaged-sum inequalities for SN eigenvalues, and a heat-trace bound complete
@@ -28,10 +26,8 @@ Every bound has one evaluator that works on a whole grid (``_*_grid``): it
 resolves the domain and its constants once -- wall edges and weights, I_-,
 I_+, delta, h, |F|, C_{n,gamma}, kappa_n, the two-corner cots -- and then
 evaluates all points.  The public scalar functions are one-point calls of
-the same evaluators.  Wherever a point needs pow, exp, expm1 or the
-incomplete gamma function, it gets one scalar libm call (numpy's vectorized
-versions round differently in a few percent of arguments), so a grid value
-is bit for bit the value of the one-point call.
+the same evaluators.  Numpy and scipy ufuncs work element by element, so a
+grid value is bit for bit the value of the one-point call.
 """
 
 from __future__ import annotations
@@ -82,31 +78,31 @@ def _check_zs(zs) -> np.ndarray:
     return zs
 
 
-def _pointwise(f, xs: np.ndarray) -> np.ndarray:
-    """f(x) at every x in xs, one scalar call each.
+# ---------------------------------------------------------------------------
+# wall terms: one Riesz lift for every gamma >= 1
+# ---------------------------------------------------------------------------
 
-    For f built on pow, exp, expm1 or the incomplete gamma function: numpy's
-    vectorized versions round differently from libm in a few percent of
-    arguments, so a grid evaluated this way agrees bit for bit with its
-    one-point calls.
+def _lift(terms, g: float, zs: np.ndarray, order: int = 1) -> np.ndarray:
+    """Riesz lift to exponent g >= 1 of A = I^order psi, the order-fold
+    integral from 0 of psi(r) = sum over ``terms`` (c, k, a) of c r^k e^{-a r}
+    (integer k >= 0, a >= 0), at every z in ``zs``:
+
+        g (g-1) integral_0^z (z-t)^{g-2} A(t) dt
+            = Gamma(g+1)/Gamma(p) integral_0^z (z-r)^{p-1} psi(r) dr,  p = g+order-1,
+            = sum c Gamma(g+1) k!/Gamma(p+k+1) z^{p+k} 1F1(k+1; p+k+1; -a z).
+
+    At g = 1 the middle line is Cauchy's formula for A itself, so the same
+    sum is the unlifted wall term.  Each term is positive for c > 0, so a
+    sum of same-signed terms carries no cancellation; callers keep
+    differences out of ``terms`` where they would cancel.
     """
-    return np.fromiter(map(f, xs.tolist()), dtype=float, count=xs.size)
-
-
-def _powers(xs: np.ndarray, p) -> np.ndarray:
-    """x ** p at every x in xs by libm's pow (see :func:`_pointwise`)."""
-    return _pointwise(lambda x: x ** p, xs)
-
-
-# ---------------------------------------------------------------------------
-# wall terms
-# ---------------------------------------------------------------------------
-
-def _exp_moment(y: float, k: int, zs: np.ndarray) -> np.ndarray:
-    """integral_0^z r^k e^{2yr} dr at every z in zs, for a depth y < 0."""
-    a = -2.0 * y
-    scale = a ** (k + 1)
-    return _pointwise(lambda z: specfun.lower_incomplete_gamma(k + 1, a * z) / scale, zs)
+    from scipy.special import hyp1f1
+    p = g + order - 1.0
+    out = np.zeros_like(zs)
+    for c, k, a in terms:
+        front = c * math.gamma(g + 1.0) * math.factorial(k) / math.gamma(p + k + 1.0)
+        out += front * zs ** (p + k) * hyp1f1(k + 1.0, p + k + 1.0, -a * zs)
+    return out
 
 
 def _near_level(dy: float, ybar: float, zs: np.ndarray) -> np.ndarray:
@@ -117,33 +113,22 @@ def _near_level(dy: float, ybar: float, zs: np.ndarray) -> np.ndarray:
     return abs(dy) * zs <= 1e-3 * (1.0 + 2.0 * abs(ybar) * zs)
 
 
-def _edge_flux(y0: float, y1: float, zs: np.ndarray) -> np.ndarray:
-    """integral_0^z r * mean_{s in [0,1]} e^{2 r (y0 + s (y1-y0))} dr at
-    every z in zs.
-
-    This is the per-unit-length edge integral for a straight wall edge whose
-    endpoints sit at heights y0, y1 <= 0 (ybar < 0 on any wall edge).  For
-    a sloped edge the r factor cancels against the arclength average and the
-    closed form is a difference of (e^{2zy} - 1) / (2y) terms.  Nearly level
-    edges (:func:`_near_level`) take a two-term series instead, to dodge the
-    cancellation in that difference.
+def _edge_flux_lift(y0: float, y1: float, g: float, zs: np.ndarray) -> np.ndarray:
+    """The per-unit-length flux of a straight wall edge with endpoint heights
+    y0, y1 <= 0, lifted to exponent g.  Its integrand is
+    phi(r) = r mean_{s in [0,1]} e^{2 r (y0 + s (y1-y0))}
+           = e^{2 r ybar} sinh(r dy) / dy,
+    a difference of two exponentials over 2 dy.  Where that difference
+    cancels (:func:`_near_level`), the point takes the series
+    e^{2 r ybar} (r + dy^2 r^3 / 6) instead.
     """
     dy = y1 - y0
     ybar = 0.5 * (y0 + y1)
-    near_level = _near_level(dy, ybar, zs)
-    out = np.empty_like(zs)
-    near, far = zs[near_level], zs[~near_level]
-    # mean_s e^{2ry} = e^{2 r ybar} sinh(r dy)/(r dy) ~ e^{2 r ybar}(1 + (r dy)^2/6)
-    out[near_level] = _exp_moment(ybar, 1, near) \
-        + dy * dy / 6.0 * _exp_moment(ybar, 3, near)
-
-    def anti(y):   # integral_0^z e^{2ry} dr, stable at y -> 0
-        if y == 0.0:
-            return far
-        return _pointwise(lambda z: math.expm1(2.0 * z * y) / (2.0 * y), far)
-
-    out[~near_level] = (anti(y1) - anti(y0)) / (2.0 * dy)
-    return out
+    series = _lift([(1.0, 1, -2.0 * ybar), (dy * dy / 6.0, 3, -2.0 * ybar)], g, zs)
+    if dy == 0.0:
+        return series
+    diff = _lift([(0.5 / dy, 0, -2.0 * y1), (-0.5 / dy, 0, -2.0 * y0)], g, zs)
+    return np.where(_near_level(dy, ybar, zs), series, diff)
 
 
 def _wall_edges(d: PolygonalDomain):
@@ -160,14 +145,11 @@ def _wall_edges(d: PolygonalDomain):
         yield -n2 * length / math.pi, float(a[1]), float(b[1])
 
 
-def _flat_wall(n: int, weight: float, h: float, zs: np.ndarray) -> np.ndarray:
-    """kappa_n w (Gamma(n) - Gamma(n, 2hz)) / (2h)^n at every z in zs: the
-    wall term of a flat bottom of measure w at depth h."""
-    front = _kappa(n) * weight
-    two_h = 2.0 * h
-    scale = two_h ** n
-    return front * _pointwise(lambda x: specfun.lower_incomplete_gamma(n, x),
-                              two_h * zs) / scale
+def _flat_wall(n: int, weight: float, h: float, zs: np.ndarray,
+               g: float = 1.0) -> np.ndarray:
+    """The wall term of a flat bottom of measure w at depth h, lifted to
+    exponent g: at g = 1, kappa_n w (Gamma(n) - Gamma(n, 2hz)) / (2h)^n."""
+    return _lift([(_kappa(n) * weight, n - 1, 2.0 * h)], g, zs)
 
 
 def _cone_coef(dom: ConeDomain) -> float:
@@ -176,42 +158,29 @@ def _cone_coef(dom: ConeDomain) -> float:
     return math.copysign(1.0, math.cos(alpha)) / (4.0 * math.tan(alpha) ** 2)
 
 
-def _cone_profile(h: float, zs: np.ndarray) -> np.ndarray:
-    """integral_0^z (1 - e^{-2hr} - 2hr e^{-2hr}) dr at every z in zs.
+def _wall(domain, g: float, zs: np.ndarray) -> np.ndarray:
+    """The wall term lifted to exponent g >= 1 at every z in ``zs`` (at
+    g = 1 the wall term A(z) itself); the value at z = 0 is 0.
 
-    With x = 2hz the integrand is the incomplete gamma(2, 2hr), so the
-    integral is (x gamma(2, x) - gamma(3, x)) / (2h).  Unlike the elementary
-    form z - (1 - e^{-x})/h + z e^{-x}, it keeps its relative accuracy as
-    z -> 0, where the value is about (2h)^2 z^3 / 6.
-    """
-    def one(x):
-        return x * specfun.lower_incomplete_gamma(2, x) - specfun.lower_incomplete_gamma(3, x)
-    return _pointwise(one, 2.0 * h * zs) / (2.0 * h)
-
-
-def _wall_grid(domain, zs) -> np.ndarray:
-    """Wall term A(z) (gamma = 1) at every z in zs; A(0) = 0 exactly.
-
-    Polygons sum a closed form per wall edge, the vertical cylinder has only
+    Polygons sum a lifted flux per wall edge, the vertical cylinder has only
     its flat bottom, and the cone of revolution integrates
     sign(cos alpha)/(4 tan^2 alpha) (1 - e^{-2hr} - 2hr e^{-2hr}).
     """
-    zs = _check_zs(zs)
-    out = np.zeros_like(zs)
-    pos = zs > 0
-    z = zs[pos]
+    if not g >= 1.0:
+        raise ValueError(f"wall terms are defined for gamma >= 1, got {g}")
     if isinstance(domain, PolygonalDomain):
-        total = np.zeros_like(z)
+        total = np.zeros_like(zs)
         for weight, y0, y1 in _wall_edges(domain):
-            total += weight * _edge_flux(y0, y1, z)
-    elif isinstance(domain, CylinderDomain):
-        total = _flat_wall(domain.n, domain.base_area, domain.depth, z)
-    elif isinstance(domain, ConeDomain):
-        total = _cone_coef(domain) * _cone_profile(domain.depth, z)
-    else:
-        raise DomainError(f"no wall term for domain type {type(domain).__name__}")
-    out[pos] = total
-    return out
+            total += weight * _edge_flux_lift(y0, y1, g, zs)
+        return total
+    if isinstance(domain, CylinderDomain):
+        return _flat_wall(domain.n, domain.base_area, domain.depth, zs, g)
+    if isinstance(domain, ConeDomain):
+        # 1 - e^{-2hr}(1 + 2hr) cancels at small r; it is the integral from 0
+        # of (2h)^2 s e^{-2hs}, so the profile is the twice-integrated term
+        h = domain.depth
+        return _cone_coef(domain) * _lift([(4.0 * h * h, 1, 2.0 * h)], g, zs, order=2)
+    raise DomainError(f"no wall term for domain type {type(domain).__name__}")
 
 
 def _wall_quadrature(domain, z: float) -> float:
@@ -252,13 +221,13 @@ def wall_term(domain, z: float, *, quadrature: bool = False) -> float:
     ``quadrature=True`` integrates the definition adaptively instead (slow;
     used as an oracle).  For the cone of revolution the closed form is
     sign(cos alpha)/(4 tan^2 alpha) (z - (1-e^{-2hz})/h + z e^{-2hz}),
-    evaluated as :func:`_cone_profile` to keep small z accurate; an
-    additive 1/(4h^2) constant sometimes attached to it is dimensionally
-    inconsistent with the integrand and is not included.
+    evaluated as the twice-integrated term of :func:`_wall` to keep small z
+    accurate; an additive 1/(4h^2) constant sometimes attached to it is
+    dimensionally inconsistent with the integrand and is not included.
     """
     if quadrature:
         return _wall_quadrature(domain, _check_z(z))
-    return float(_wall_grid(domain, [z])[0])
+    return wall_term_gamma(domain, 1.0, z)
 
 
 def wall_term_2d(d: PolygonalDomain, z: float, *, quadrature: bool = False) -> float:
@@ -274,68 +243,6 @@ def wall_term_2d(d: PolygonalDomain, z: float, *, quadrature: bool = False) -> f
     return wall_term(d, z, quadrature=quadrature)
 
 
-# ---------------------------------------------------------------------------
-# Riesz lift of the wall terms (gamma > 1)
-# ---------------------------------------------------------------------------
-
-def _lift(terms, g: float, zs: np.ndarray, order: int = 1) -> np.ndarray:
-    """Riesz lift to exponent g > 1 of A = I^order psi, the order-fold
-    integral from 0 of psi(r) = sum over ``terms`` (c, k, a) of c r^k e^{-a r}
-    (integer k >= 0, a >= 0), at every z in ``zs``:
-
-        g (g-1) integral_0^z (z-t)^{g-2} A(t) dt
-            = Gamma(g+1)/Gamma(p) integral_0^z (z-r)^{p-1} psi(r) dr,  p = g+order-1,
-            = sum c Gamma(g+1) k!/Gamma(p+k+1) z^{p+k} 1F1(k+1; p+k+1; -a z).
-
-    Each term is positive for c > 0, so a sum of same-signed terms carries no
-    cancellation; callers keep differences out of ``terms`` where they would
-    cancel.
-    """
-    from scipy.special import hyp1f1
-    p = g + order - 1.0
-    out = np.zeros_like(zs)
-    for c, k, a in terms:
-        front = c * math.gamma(g + 1.0) * math.factorial(k) / math.gamma(p + k + 1.0)
-        out += front * zs ** (p + k) * hyp1f1(k + 1.0, p + k + 1.0, -a * zs)
-    return out
-
-
-def _edge_flux_lift(y0: float, y1: float, g: float, zs: np.ndarray) -> np.ndarray:
-    """:func:`_edge_flux` lifted to exponent g.  The integrand is
-    phi(r) = e^{2 r ybar} sinh(r dy) / dy, a difference of two exponentials
-    over 2 dy.  Where that difference cancels (:func:`_near_level`, the
-    switch of :func:`_edge_flux`), the point takes the series
-    e^{2 r ybar} (r + dy^2 r^3 / 6) instead.
-    """
-    dy = y1 - y0
-    ybar = 0.5 * (y0 + y1)
-    series = _lift([(1.0, 1, -2.0 * ybar), (dy * dy / 6.0, 3, -2.0 * ybar)], g, zs)
-    if dy == 0.0:
-        return series
-    diff = _lift([(0.5 / dy, 0, -2.0 * y1), (-0.5 / dy, 0, -2.0 * y0)], g, zs)
-    return np.where(_near_level(dy, ybar, zs), series, diff)
-
-
-def _wall_lift(domain, g: float, zs: np.ndarray) -> np.ndarray:
-    """The wall term lifted to exponent g > 1 at every z in ``zs``."""
-    if not g > 1.0:
-        raise ValueError(f"wall terms are defined for gamma >= 1, got {g}")
-    if isinstance(domain, PolygonalDomain):
-        total = np.zeros_like(zs)
-        for weight, y0, y1 in _wall_edges(domain):
-            total += weight * _edge_flux_lift(y0, y1, g, zs)
-        return total
-    if isinstance(domain, CylinderDomain):
-        n, h = domain.n, domain.depth
-        return _lift([(_kappa(n) * domain.base_area, n - 1, 2.0 * h)], g, zs)
-    if isinstance(domain, ConeDomain):
-        # 1 - e^{-2hr}(1 + 2hr) cancels at small r; it is the integral from 0
-        # of (2h)^2 s e^{-2hs}, so the profile is the twice-integrated term
-        h = domain.depth
-        return _cone_coef(domain) * _lift([(4.0 * h * h, 1, 2.0 * h)], g, zs, order=2)
-    raise DomainError(f"no wall term for domain type {type(domain).__name__}")
-
-
 def wall_term_gamma(domain, gamma: float, z: float) -> float:
     """Wall term for Riesz exponent gamma >= 1:
 
@@ -346,15 +253,7 @@ def wall_term_gamma(domain, gamma: float, z: float) -> float:
     in closed form by the lift shared with :func:`verify`'s grid path, to
     about 1e-12 relative to the size of its terms at every z > 0.
     """
-    g = float(gamma)
-    if g < 1:
-        raise ValueError(f"wall terms are defined for gamma >= 1, got {gamma}")
-    z = _check_z(z)
-    if g == 1.0:
-        return wall_term(domain, z)
-    if z == 0.0:
-        return 0.0
-    return float(_wall_lift(domain, g, np.array([z]))[0])
+    return float(_wall(domain, float(gamma), _check_zs([z]))[0])
 
 
 def sum_bound_wall_term(domain, R: float) -> float:
@@ -374,6 +273,7 @@ def sum_bound_wall_term(domain, R: float) -> float:
 
 def _sum_wall_grid(domain, Rs) -> np.ndarray:
     """:func:`sum_bound_wall_term` at every R in Rs."""
+    Rs = _check_zs(Rs)
     if isinstance(domain, dict):
         n, area, h = domain.get("n"), domain.get("areaF"), domain.get("depth")
         if n is None or area is None or h is None:
@@ -381,11 +281,11 @@ def _sum_wall_grid(domain, Rs) -> np.ndarray:
                 "metadata lacks n/areaF/depth; cannot build the comparison "
                 "cylinder for the wall integral")
         n, area, h = int(n), float(area), float(h)
-        a_val = _flat_wall(n, area, h, _check_zs(Rs))
+        a_val = _flat_wall(n, area, h, Rs)
     else:
         n = geometry.ambient_dim(domain)
         area = geometry.free_area(domain)
-        a_val = _wall_grid(domain, Rs)
+        a_val = _wall(domain, 1.0, Rs)
     return -(2.0 * math.pi) ** (n - 1) / area * a_val
 
 
@@ -404,16 +304,11 @@ def sn_lower_main(domain, gamma: float, z: float) -> float:
 
 
 def _main_grid(domain, g: float, zs) -> np.ndarray:
-    """:func:`sn_lower_main` at every z in zs.  At g > 1 the wall term is
-    the closed-form lift, evaluated by numpy over the grid with the leading
-    term."""
+    """:func:`sn_lower_main` at every z in zs."""
     zs = _check_zs(zs)
     n = geometry.ambient_dim(domain)
     weyl = specfun.weyl_constant(n, g) * geometry.free_area(domain)
-    p = n + g - 1
-    if g == 1.0:
-        return weyl * _powers(zs, p) + _wall_grid(domain, zs)
-    return weyl * zs ** p + _wall_lift(domain, g, zs)
+    return weyl * zs ** (n + g - 1) + _wall(domain, g, zs)
 
 
 def sn_lower_split(domain, z: float) -> float:
@@ -464,7 +359,7 @@ def _split_grid(domain, zs) -> np.ndarray:
         if delta is None:
             raise DomainError("overhang clearance undefined with overhanging walls")
         est = est - _flat_wall(n, i_plus, delta, zs)
-    return specfun.weyl_constant(n, 1.0) * area * _powers(zs, n) + est
+    return specfun.weyl_constant(n, 1.0) * area * zs ** n + est
 
 
 class TwoCornerBound(NamedTuple):
@@ -521,23 +416,15 @@ def _two_corner_grid(cots: float, delta: float, bc_length: float, area: float,
     """:func:`sn_lower_2d_angles` over a grid: (value, c, c_stated).
 
     c1 = integral_0^t e^{-2 d r} (sign (cot a + cot b)/(2 pi) - |Bc| r / pi) dr,
-    so the corner and residual-wall pieces are evaluated (at g > 1: lifted)
-    once each and the two sign readings differ only in how they combine.
+    so the corner and residual-wall pieces are lifted once each and the two
+    sign readings differ only in how they combine.
     """
     weyl = specfun.weyl_constant(2, g) * area
     slope = cots / (2.0 * math.pi)
-    if g == 1.0:
-        e = _pointwise(lambda t: math.exp(-2.0 * delta * t), zs)
-        corner = cots * (1.0 - e) / (4.0 * math.pi * delta)
-        residual = bc_length * (1.0 - e * (1.0 + 2.0 * delta * zs)) \
-            / (4.0 * math.pi * delta ** 2)
-        lead, second = weyl * _powers(zs, g + 1.0), slope * _powers(zs, g)
-    else:
-        corner = _lift([(slope, 0, 2.0 * delta)], g, zs)
-        residual = _lift([(bc_length / math.pi, 1, 2.0 * delta)], g, zs)
-        lead, second = weyl * zs ** (g + 1.0), slope * zs ** g
+    corner = _lift([(slope, 0, 2.0 * delta)], g, zs)
+    residual = _lift([(bc_length / math.pi, 1, 2.0 * delta)], g, zs)
     c = -corner - residual
-    return lead + second + c, c, corner - residual
+    return weyl * zs ** (g + 1.0) + slope * zs ** g + c, c, corner - residual
 
 
 def sn_lower_john_2d(length: float, gamma: float, z: float) -> float:
@@ -553,8 +440,7 @@ def _john2d_grid(length: float, gamma: float, zs) -> np.ndarray:
     if g < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     zs = _check_zs(zs)
-    return length / (math.pi * (g + 1.0)) * _powers(zs, g + 1.0) \
-        + 0.5 * _powers(zs, g)
+    return length / (math.pi * (g + 1.0)) * zs ** (g + 1.0) + 0.5 * zs ** g
 
 
 def sn_lower_john_ndim(area: float, h: float, n: int, z: float) -> float:
@@ -567,7 +453,7 @@ def _john_ndim_grid(n: int, area: float, h: float, zs) -> np.ndarray:
     if not (area > 0 and h > 0):
         raise ValueError("area and depth must be positive")
     zs = _check_zs(zs)
-    return specfun.weyl_constant(n, 1.0) * area * _powers(zs, n) \
+    return specfun.weyl_constant(n, 1.0) * area * zs ** n \
         + _flat_wall(n, area, h, zs)
 
 
@@ -589,10 +475,10 @@ def _via_neumann_grid(n: int, area: float, width: float, zs) -> np.ndarray:
     if not (area > 0 and width > 0):
         raise ValueError("area and width must be positive")
     zs = _check_zs(zs)
-    lead = n / (n + 1.0) * specfun.weyl_constant(n, 1.0) * area * _powers(zs, n)
-    mid = 0.125 * specfun.berezin_constant(n - 1) * (area / width) * _powers(zs, n - 1)
+    lead = n / (n + 1.0) * specfun.weyl_constant(n, 1.0) * area * zs ** n
+    mid = 0.125 * specfun.berezin_constant(n - 1) * (area / width) * zs ** (n - 1)
     last = (2.0 * math.pi) ** (2 - n) * specfun.unit_ball_volume(n) \
-        * (area / width ** 2) * _powers(zs, n - 2) / 192.0
+        * (area / width ** 2) * zs ** (n - 2) / 192.0
     return lead + mid - last
 
 
@@ -688,14 +574,14 @@ def _kroger_grid(s: Spectrum, ks: np.ndarray, *, n=None, area=None,
         john = s.meta.get("john")
     w = _scales(n, ks, area)
     nu_next = s.values[ks]
-    core = (n - 1) / n * (w - _powers(nu_next - w, 2) / w)
+    core = (n - 1) / n * (w - (nu_next - w) ** 2 / w)
     if john is True:
         bound, form = core, "john"
     else:
         c_val = _sum_wall_grid(domain if domain is not None else
                                {"n": n, "areaF": area, "depth": s.meta.get("depth")},
                                nu_next)
-        bound, form = core + _powers(w, 1 - n) * c_val, "general"
+        bound, form = core + w ** (1 - n) * c_val, "general"
     return bound, _means(s, ks), form
 
 
@@ -745,7 +631,7 @@ def _sd_upper_grid(n: int, area: float, gamma: float, zs) -> np.ndarray:
     if g < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     zs = _check_zs(zs)
-    return specfun.weyl_constant(n, g) * area * _powers(zs, n + g - 1.0)
+    return specfun.weyl_constant(n, g) * area * zs ** (n + g - 1.0)
 
 
 def sd_sum_lower(n: int, area: float, k: int) -> float:
@@ -805,7 +691,7 @@ def _heat_upper_grid(n: int, area: float, ts) -> np.ndarray:
         raise ValueError(f"time must be positive, got {float(ts[bad][0])}")
     coef = math.factorial(n - 1) / ((4 * math.pi) ** ((n - 1) / 2)
                                     * math.gamma((n + 1) / 2))
-    return coef * area / _powers(ts, n - 1)
+    return coef * area / ts ** (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,13 +990,16 @@ def _axis_points(spec: BoundSpec, grid: np.ndarray, s: Spectrum) -> np.ndarray:
 
 def _error_allowance(spec: BoundSpec, c: _Call, errors: np.ndarray):
     """The per-eigenvalue ``errors`` propagated to the observed side at every
-    grid point (none on the t axis, whose tail bound is already added)."""
+    grid point."""
+    if spec.axis == "t":
+        # mean value theorem: |e^{-nu t} - e^{-nu_h t}| <= t err e^{-min(nu, nu_h) t}
+        # for |nu - nu_h| <= err, and min(nu, nu_h) >= max(nu_h - err, 0)
+        low = np.maximum(c.s.values - errors, 0.0)
+        return np.array([t * np.dot(errors, np.exp(-low * t)) for t in c.axis.tolist()])
     cum_err = np.concatenate(([0.0], np.cumsum(errors)))
     if spec.axis == "z":
         counts = np.searchsorted(c.s.values, c.axis, side="left")
         return c.g * np.where(c.axis > 0, c.axis, 1.0) ** (c.g - 1.0) * cum_err[counts]
-    if spec.axis == "t":
-        return 0.0
     if spec.side == "bracket":
         return errors[c.axis]
     return cum_err[c.axis] / c.axis
@@ -1131,7 +1020,9 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
     margin drops below the tolerance are listed as violations.  Exact
     spectra default to tolerance 1e-9 (1 + |bound|); passing per-eigenvalue
     ``errors`` (certified, same length as the spectrum) adds the propagated
-    discretization allowance gamma z^{gamma-1} * sum of errors below z.
+    discretization allowance: gamma z^{gamma-1} * sum of errors below z on
+    the z axis, the mean error (or the error of nu_{k+1}) on the k axis, and
+    sum_j t err_j e^{-max(nu_j - err_j, 0) t} on the heat-trace t axis.
 
     The report's hypothesis flags record which geometric hypotheses could be
     confirmed from the metadata; unconfirmed-but-needed flags downgrade the

@@ -30,10 +30,10 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, bounds, fem, geometry, riesz, spectra
+from . import asymptotics, bounds, geometry, riesz, spectra
 from .bounds import HypothesisError
-from .geometry import (ConeDomain, CylinderDomain, DomainError, IntervalBase,
-                       PolygonalDomain, RectangleBase)
+from .geometry import (ConeDomain, CylinderDomain, IntervalBase, PolygonalDomain,
+                       RectangleBase)
 from .riesz import ValidityCeilingError
 
 
@@ -163,6 +163,7 @@ def _compute_spectrum(args):
         raise ValueError("no spectrum solver for the cone; it supports wall "
                          "terms and bound evaluation only")
     if args.fem_h is not None:
+        from . import fem      # scipy.sparse and scipy.linalg load only here
         return fem.dtn_spectrum(dom, problem, count, args.fem_h)
     sides = geometry.axis_rectangle_sides(dom)
     if sides is not None:
@@ -291,8 +292,7 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, fem.MeshError, spectra.SpectrumError, ValueError,
-            KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

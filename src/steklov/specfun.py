@@ -2,12 +2,7 @@
 
 All quantities are evaluated in closed form: integer gamma values go through
 exact factorials, real arguments through math.gamma (a Lanczos-class
-implementation, accurate to ~1e-15 relative).  The upper incomplete gamma
-function at integer order is the exact finite sum
-
-    Gamma(n, x) = (n-1)! e^{-x} sum_{k=0}^{n-1} x^k / k!,
-
-not a continued-fraction approximation.
+implementation, accurate to ~1e-15 relative).
 """
 
 from __future__ import annotations
@@ -39,51 +34,6 @@ def unit_ball_volume(m: int) -> float:
     if m == 1:
         return 2.0
     return 2.0 * math.pi / m * unit_ball_volume(m - 2)
-
-
-def upper_incomplete_gamma(n: int, x: float) -> float:
-    """Gamma(n, x) for integer n >= 1 via the exact finite sum.
-
-    Gamma(n, x) = (n-1)! e^{-x} sum_{k=0}^{n-1} x^k / k!.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"order must be an integer >= 1, got {n!r}")
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    term = 1.0          # x^k / k! at k = 0
-    acc = 1.0
-    for k in range(1, n):
-        term *= x / k
-        acc += term
-    return math.factorial(n - 1) * math.exp(-x) * acc
-
-
-def lower_incomplete_gamma(n: int, x: float) -> float:
-    """gamma(n, x) = Gamma(n) - Gamma(n, x) = integral_0^x t^{n-1} e^{-t} dt.
-
-    For small x the complement loses all significant digits to cancellation,
-    so that branch uses the ascending series
-    gamma(n, x) = x^n e^{-x} sum_{k>=0} x^k / (n (n+1) ... (n+k)).
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"order must be an integer >= 1, got {n!r}")
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x >= n + 1:
-        return math.factorial(n - 1) - upper_incomplete_gamma(n, x)
-    # ascending series; terms decay at least geometrically for x < n + 1
-    term = 1.0 / n
-    acc = term
-    k = 1
-    while True:
-        term *= x / (n + k)
-        acc += term
-        if term < 1e-18 * acc:
-            break
-        k += 1
-    return x ** n * math.exp(-x) * acc
 
 
 def weyl_constant(n: int, gamma: float) -> float:

@@ -249,7 +249,8 @@ def test_lift_keeps_relative_accuracy_at_small_z(z):
     assert res.c_stated == pytest.approx(corner - resid, rel=1e-10, abs=0)
 
 
-gammas = st.floats(1.0, 4.0, exclude_min=True)
+# gamma = 1 exactly is the unlifted wall term, through the same lift
+gammas = st.one_of(st.just(1.0), st.floats(1.0, 4.0, exclude_min=True))
 log_z = st.floats(-3.0, 3.0)
 
 
@@ -810,6 +811,19 @@ def test_verify_propagates_errors_into_tolerance(rect_sn_600):
     counts = np.searchsorted(rect_sn_600.values, grid)
     assert rep.tolerance == pytest.approx(1e-9 * (1 + np.abs(rep.bound_values))
                                           + 1e-3 * counts)
+
+
+def test_verify_heat_trace_propagates_errors():
+    # |e^{-nu t} - e^{-nu_h t}| <= t err e^{-max(nu_h - err, 0) t}, summed
+    s = spectra.rectangle_sd(math.pi, 1.0, 400)
+    errs = np.full(len(s), 1.0)
+    grid = np.array([0.5, 1.0])
+    plain = bounds.verify(s, "heat-trace", grid)
+    rep = bounds.verify(s, "heat-trace", grid, errors=errs)
+    want = [math.fsum(t * e * math.exp(-max(nu - e, 0.0) * t)
+                      for nu, e in zip(s.values.tolist(), errs.tolist()))
+            for t in grid.tolist()]
+    assert rep.tolerance - plain.tolerance == pytest.approx(want, rel=1e-12)
 
 
 def test_verify_heat_trace(rect_sd_2000):

@@ -229,15 +229,20 @@ def test_verify_lifted_bound_matches_quadrature_oracle(tmp_path):
 
 
 def test_lifted_verify_does_not_import_scipy_integrate(tmp_path):
+    # nor scipy.sparse: only the finite-element solver needs it, and an exact
+    # spectrum and verify at any gamma leave steklov.fem unloaded
     spec = tmp_path / "sn.csv"
-    cli.main(["spectrum", "--preset", "rectangle:pi,1", "--problem", "sn",
-              "--count", "300", "--out", str(spec)])
     code = ("import sys, steklov.cli\n"
-            f"rc = steklov.cli.main(['verify', '--spectrum', {str(spec)!r}, "
-            "'--bound', 'main', '--gamma', '2.5', '--preset', 'trapezoid:pi,2pi/3,1', "
-            f"'--grid', 'log20(0.1,50)', '--out', {str(tmp_path / 'rep.json')!r}])\n"
+            "rc = steklov.cli.main(['spectrum', '--preset', 'rectangle:pi,1', "
+            f"'--problem', 'sn', '--count', '300', '--out', {str(spec)!r}])\n"
             "assert rc == 0, rc\n"
-            "assert 'scipy.integrate' not in sys.modules\n")
+            "for gamma in ('1', '2.5'):\n"
+            f"    rc = steklov.cli.main(['verify', '--spectrum', {str(spec)!r}, "
+            "'--bound', 'main', '--gamma', gamma, '--preset', 'trapezoid:pi,2pi/3,1', "
+            f"'--grid', 'log20(0.1,50)', '--out', {str(tmp_path / 'rep.json')!r}])\n"
+            "    assert rc == 0, rc\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "assert 'scipy.sparse' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True)
 
 

@@ -1,8 +1,5 @@
-"""Constants and special functions: exact values plus scipy cross-checks.
-
-scipy.special is used here only as an independent oracle; the package itself
-evaluates everything in closed form.
-"""
+"""Constants and special functions: exact values and the identities between
+them."""
 
 from __future__ import annotations
 
@@ -10,7 +7,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special as sps
 
 from steklov import specfun
 
@@ -33,71 +29,6 @@ def test_unit_ball_volume_rejects_bad_input():
         specfun.unit_ball_volume(-1)
     with pytest.raises(ValueError):
         specfun.unit_ball_volume(2.5)
-
-
-def test_upper_incomplete_gamma_trivial_orders():
-    # n = 1 reduces to e^{-x}; x = 0 gives (n-1)!
-    for x in (0.0, 0.3, 2.0, 17.5):
-        assert specfun.upper_incomplete_gamma(1, x) == pytest.approx(math.exp(-x), rel=1e-15)
-    for n in range(1, 9):
-        assert specfun.upper_incomplete_gamma(n, 0.0) == math.factorial(n - 1)
-
-
-def test_upper_incomplete_gamma_value():
-    # Gamma(2, 1) = 2/e, frozen from the finite sum 1!*e^{-1}*(1 + 1)
-    assert specfun.upper_incomplete_gamma(2, 1.0) == pytest.approx(2 / math.e, rel=1e-15)
-
-
-def test_upper_incomplete_gamma_against_scipy():
-    rng = np.random.default_rng(42)
-    for n in range(1, 13):
-        for x in rng.uniform(0.0, 50.0, size=20):
-            mine = specfun.upper_incomplete_gamma(n, float(x))
-            ref = sps.gammaincc(n, x) * math.factorial(n - 1)
-            assert mine == pytest.approx(ref, rel=1e-12, abs=1e-300)
-
-
-def test_upper_incomplete_gamma_recurrence():
-    # Gamma(n+1, x) = n Gamma(n, x) + x^n e^{-x}
-    for n in range(1, 10):
-        for x in (0.1, 1.0, 7.3, 30.0):
-            lhs = specfun.upper_incomplete_gamma(n + 1, x)
-            rhs = n * specfun.upper_incomplete_gamma(n, x) + x ** n * math.exp(-x)
-            assert lhs == pytest.approx(rhs, rel=1e-13)
-
-
-def test_upper_incomplete_gamma_monotone_in_x():
-    xs = np.linspace(0.0, 40.0, 200)
-    for n in (1, 2, 3, 5, 8):
-        vals = [specfun.upper_incomplete_gamma(n, float(x)) for x in xs]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def test_upper_incomplete_gamma_rejects_bad_input():
-    with pytest.raises(ValueError):
-        specfun.upper_incomplete_gamma(0, 1.0)
-    with pytest.raises(ValueError):
-        specfun.upper_incomplete_gamma(2, -0.5)
-    with pytest.raises(ValueError):
-        specfun.upper_incomplete_gamma(2.5, 1.0)  # type: ignore[arg-type]
-
-
-def test_lower_incomplete_gamma_against_scipy():
-    # includes tiny x where the naive complement would cancel catastrophically
-    xs = [1e-14, 1e-8, 1e-3, 0.5, 1.0, 3.0, 10.0, 45.0]
-    for n in range(1, 13):
-        for x in xs:
-            mine = specfun.lower_incomplete_gamma(n, x)
-            ref = sps.gammainc(n, x) * math.factorial(n - 1)
-            assert mine == pytest.approx(ref, rel=1e-12, abs=1e-300)
-
-
-def test_lower_plus_upper_is_gamma():
-    for n in range(1, 10):
-        for x in (1e-6, 0.2, 2.0, 9.0):
-            total = (specfun.lower_incomplete_gamma(n, x)
-                     + specfun.upper_incomplete_gamma(n, x))
-            assert total == pytest.approx(math.factorial(n - 1), rel=1e-13)
 
 
 def test_weyl_constant_planar_closed_form():

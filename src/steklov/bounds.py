@@ -22,12 +22,13 @@ and hypotheses; :func:`verify` runs any of them against a Spectrum and
 produces a :class:`BoundReport` with margins, violations, and hypothesis
 flags.
 
-Every bound has one evaluator that works on a whole grid (``_*_grid``): it
-resolves the domain and its constants once -- wall edges and weights, I_-,
-I_+, delta, h, |F|, C_{n,gamma}, kappa_n, the two-corner cots -- and then
-evaluates all points.  The public scalar functions are one-point calls of
-the same evaluators.  Numpy and scipy ufuncs work element by element, so a
-grid value is bit for bit the value of the one-point call.
+Each bound is one public function that takes a number or a grid for its
+axis (z, k or t): a number gives a float (or a NamedTuple of floats), a grid
+gives arrays.  It resolves the domain and its constants once -- wall edges
+and weights, I_-, I_+, delta, h, |F|, C_{n,gamma}, kappa_n, the two-corner
+cots -- and then evaluates every point of np.atleast_1d of its axis.  Numpy
+and scipy ufuncs work element by element, so a grid value is bit for bit
+the value of the one-point call.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 
 from . import geometry, riesz, specfun
 from .geometry import (ConeDomain, CylinderDomain, DomainError, PolygonalDomain)
+from .specfun import floats_if_scalar
 from .spectra import Spectrum, write_text
 
 
@@ -62,16 +64,10 @@ def _kappa(n: int) -> float:
     return (n - 1) * specfun.unit_ball_volume(n - 1) / (2 * math.pi) ** (n - 1)
 
 
-def _check_z(z: float) -> float:
-    z = float(z)
-    if not (z >= 0 and math.isfinite(z)):
-        raise ValueError(f"z must be a finite real >= 0, got {z}")
-    return z
-
-
-def _check_zs(zs) -> np.ndarray:
-    """A grid as a 1-d float array whose points are finite reals >= 0."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+def _check_zs(z) -> np.ndarray:
+    """z, a number or a grid, as a 1-d float array whose points are finite
+    reals >= 0."""
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
     bad = ~(np.isfinite(zs) & (zs >= 0))
     if bad.any():
         raise ValueError(f"z must be a finite real >= 0, got {float(zs[bad][0])}")
@@ -214,49 +210,41 @@ def _wall_quadrature(domain, z: float) -> float:
     raise DomainError(f"no wall term for domain type {type(domain).__name__}")
 
 
-def wall_term(domain, z: float, *, quadrature: bool = False) -> float:
+def wall_term(domain, z, *, quadrature: bool = False):
     """Wall term A(z) = -kappa_n * integral_0^z integral_B <n,e_n> e^{2 x_n r} r^{n-1} ds dr
     for any supported domain kind (gamma = 1 member of the family).
 
     ``quadrature=True`` integrates the definition adaptively instead (slow;
-    used as an oracle).  For the cone of revolution the closed form is
+    used as an oracle).  On a polygon the integrand is
+    -(1/pi) n2 r e^{2yr} over the walls; for the triangle with base angles
+    alpha, beta and depth h, A(z) = (cot a + cot b)/(2 pi) (z - (1 - e^{-2hz})/(2h)).
+    For the cone of revolution the closed form is
     sign(cos alpha)/(4 tan^2 alpha) (z - (1-e^{-2hz})/h + z e^{-2hz}),
     evaluated as the twice-integrated term of :func:`_wall` to keep small z
     accurate; an additive 1/(4h^2) constant sometimes attached to it is
     dimensionally inconsistent with the integrand and is not included.
     """
     if quadrature:
-        return _wall_quadrature(domain, _check_z(z))
+        zs = _check_zs(z)
+        return floats_if_scalar(
+            z, np.array([_wall_quadrature(domain, x) for x in zs.tolist()]))
     return wall_term_gamma(domain, 1.0, z)
 
 
-def wall_term_2d(d: PolygonalDomain, z: float, *, quadrature: bool = False) -> float:
-    """Planar wall term -(1/pi) * integral_0^z integral_walls n2 r e^{2yr} ds dr.
-
-    Closed form per edge; ``quadrature=True`` switches to nested adaptive
-    quadrature of the defining double integral (slow; used as an oracle).
-    For the triangle with base angles alpha, beta and depth h this equals
-    (cot a + cot b)/(2 pi) * (z - (1 - e^{-2hz})/(2h)).
-    """
-    if not isinstance(d, PolygonalDomain):
-        raise DomainError(f"wall_term_2d needs a polygon, got {type(d).__name__}")
-    return wall_term(d, z, quadrature=quadrature)
-
-
-def wall_term_gamma(domain, gamma: float, z: float) -> float:
+def wall_term_gamma(domain, gamma: float, z):
     """Wall term for Riesz exponent gamma >= 1:
 
         gamma = 1: wall_term;  gamma > 1:
         gamma (gamma-1) integral_0^z (z-t)^{gamma-2} A(t) dt,
 
     which is exactly the Riesz lift of the gamma = 1 term.  It is evaluated
-    in closed form by the lift shared with :func:`verify`'s grid path, to
-    about 1e-12 relative to the size of its terms at every z > 0.
+    in closed form by the lift :func:`_lift`, to about 1e-12 relative to the
+    size of its terms at every z > 0.
     """
-    return float(_wall(domain, float(gamma), _check_zs([z]))[0])
+    return floats_if_scalar(z, _wall(domain, float(gamma), _check_zs(z)))
 
 
-def sum_bound_wall_term(domain, R: float) -> float:
+def sum_bound_wall_term(domain, R):
     """Normalized wall integral entering the eigenvalue-sum inequality:
 
         c(R) = (n-1) omega_{n-1} |F|^{-1} integral_0^R integral_B <n,e_n> r^{n-1} e^{2 x_n r} ds dr
@@ -268,12 +256,7 @@ def sum_bound_wall_term(domain, R: float) -> float:
     ``domain`` may also be a metadata dict with keys n, areaF, depth, in
     which case the comparison domain is the vertical cylinder F x (-h, 0).
     """
-    return float(_sum_wall_grid(domain, [R])[0])
-
-
-def _sum_wall_grid(domain, Rs) -> np.ndarray:
-    """:func:`sum_bound_wall_term` at every R in Rs."""
-    Rs = _check_zs(Rs)
+    Rs = _check_zs(R)
     if isinstance(domain, dict):
         n, area, h = domain.get("n"), domain.get("areaF"), domain.get("depth")
         if n is None or area is None or h is None:
@@ -286,32 +269,27 @@ def _sum_wall_grid(domain, Rs) -> np.ndarray:
         n = geometry.ambient_dim(domain)
         area = geometry.free_area(domain)
         a_val = _wall(domain, 1.0, Rs)
-    return -(2.0 * math.pi) ** (n - 1) / area * a_val
+    return floats_if_scalar(R, -(2.0 * math.pi) ** (n - 1) / area * a_val)
 
 
 # ---------------------------------------------------------------------------
 # SN lower bounds (Riesz-mean form)
 # ---------------------------------------------------------------------------
 
-def sn_lower_main(domain, gamma: float, z: float) -> float:
+def sn_lower_main(domain, gamma: float, z):
     """General sloshing lower bound C_{n,gamma} |F| z^{n+gamma-1} + wall term.
 
     The verification margin of this bound against a computed spectrum is the
     defect of the averaged variational principle with the exponential test
     family underlying the proof.
     """
-    return float(_main_grid(domain, float(gamma), [z])[0])
-
-
-def _main_grid(domain, g: float, zs) -> np.ndarray:
-    """:func:`sn_lower_main` at every z in zs."""
-    zs = _check_zs(zs)
+    g, zs = float(gamma), _check_zs(z)
     n = geometry.ambient_dim(domain)
     weyl = specfun.weyl_constant(n, g) * geometry.free_area(domain)
-    return weyl * zs ** (n + g - 1) + _wall(domain, g, zs)
+    return floats_if_scalar(z, weyl * zs ** (n + g - 1) + _wall(domain, g, zs))
 
 
-def sn_lower_split(domain, z: float) -> float:
+def sn_lower_split(domain, z):
     """Sloshing lower bound with the wall term estimated through incomplete
     gamma functions of the extreme depths:
 
@@ -322,12 +300,7 @@ def sn_lower_split(domain, z: float) -> float:
     domain depth), I_+ integrates <n,e_n> over overhanging walls, and delta
     is the overhang clearance.  Requires delta > 0 whenever I_+ > 0.
     """
-    return float(_split_grid(domain, [z])[0])
-
-
-def _split_grid(domain, zs) -> np.ndarray:
-    """:func:`sn_lower_split` at every z in zs."""
-    zs = _check_zs(zs)
+    zs = _check_zs(z)
     if isinstance(domain, PolygonalDomain):
         n = 2
         area = geometry.free_length(domain)
@@ -359,7 +332,7 @@ def _split_grid(domain, zs) -> np.ndarray:
         if delta is None:
             raise DomainError("overhang clearance undefined with overhanging walls")
         est = est - _flat_wall(n, i_plus, delta, zs)
-    return specfun.weyl_constant(n, 1.0) * area * zs ** n + est
+    return floats_if_scalar(z, specfun.weyl_constant(n, 1.0) * area * zs ** n + est)
 
 
 class TwoCornerBound(NamedTuple):
@@ -370,7 +343,7 @@ class TwoCornerBound(NamedTuple):
 
 def sn_lower_2d_angles(alpha: float, beta: float, delta: float,
                        bc_length: float, area: float, gamma: float,
-                       z: float) -> TwoCornerBound:
+                       z) -> TwoCornerBound:
     """Two-corner sloshing bound in the plane:
 
         R_gamma(z) >= C_{2,gamma}|F| z^{gamma+1} + (cot a + cot b)/(2 pi) z^gamma + c,
@@ -387,18 +360,11 @@ def sn_lower_2d_angles(alpha: float, beta: float, delta: float,
     a variant convention flips the sign of the first piece.  Both readings
     are returned and the bound uses the derivation's.  gamma > 1 lifts the
     gamma = 1 bound by Riesz iteration: the two leading terms map onto
-    themselves, and each piece of the constant is the integral from 0 of one
-    term c r^k e^{-2 d r}, lifted in closed form (:func:`_two_corner_grid`).
+    themselves, and
+    c1 = integral_0^t e^{-2 d r} (sign (cot a + cot b)/(2 pi) - |Bc| r / pi) dr,
+    so the corner and residual-wall pieces are lifted in closed form once
+    each and the two sign readings differ only in how they combine.
     """
-    cots, g = _two_corner_cots(alpha, beta, delta, bc_length, gamma)
-    value, c, c_stated = _two_corner_grid(cots, delta, bc_length, area, g,
-                                          _check_zs([z]))
-    return TwoCornerBound(float(value[0]), float(c[0]), float(c_stated[0]))
-
-
-def _two_corner_cots(alpha: float, beta: float, delta: float,
-                     bc_length: float, gamma: float):
-    """Check the two-corner parameters; return (cot a + cot b, float gamma)."""
     if not 0 < alpha < math.pi or not 0 < beta < math.pi:
         raise ValueError("corner angles must lie in (0, pi)")
     if not delta > 0:
@@ -408,56 +374,40 @@ def _two_corner_cots(alpha: float, beta: float, delta: float,
     g = float(gamma)
     if g < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    return _cot(alpha) + _cot(beta), g
-
-
-def _two_corner_grid(cots: float, delta: float, bc_length: float, area: float,
-                     g: float, zs: np.ndarray):
-    """:func:`sn_lower_2d_angles` over a grid: (value, c, c_stated).
-
-    c1 = integral_0^t e^{-2 d r} (sign (cot a + cot b)/(2 pi) - |Bc| r / pi) dr,
-    so the corner and residual-wall pieces are lifted once each and the two
-    sign readings differ only in how they combine.
-    """
+    zs = _check_zs(z)
     weyl = specfun.weyl_constant(2, g) * area
-    slope = cots / (2.0 * math.pi)
+    slope = (_cot(alpha) + _cot(beta)) / (2.0 * math.pi)
     corner = _lift([(slope, 0, 2.0 * delta)], g, zs)
     residual = _lift([(bc_length / math.pi, 1, 2.0 * delta)], g, zs)
     c = -corner - residual
-    return weyl * zs ** (g + 1.0) + slope * zs ** g + c, c, corner - residual
+    return floats_if_scalar(z, TwoCornerBound(
+        weyl * zs ** (g + 1.0) + slope * zs ** g + c, c, corner - residual))
 
 
-def sn_lower_john_2d(length: float, gamma: float, z: float) -> float:
+def sn_lower_john_2d(length: float, gamma: float, z):
     """Planar sloshing bound for domains under their free surface:
     R_gamma(z) >= (l / (pi (gamma+1))) z^{gamma+1} + z^gamma / 2."""
-    return float(_john2d_grid(length, gamma, [z])[0])
-
-
-def _john2d_grid(length: float, gamma: float, zs) -> np.ndarray:
     if not length > 0:
         raise ValueError("surface length must be positive")
     g = float(gamma)
     if g < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    zs = _check_zs(zs)
-    return length / (math.pi * (g + 1.0)) * zs ** (g + 1.0) + 0.5 * zs ** g
+    zs = _check_zs(z)
+    return floats_if_scalar(
+        z, length / (math.pi * (g + 1.0)) * zs ** (g + 1.0) + 0.5 * zs ** g)
 
 
-def sn_lower_john_ndim(area: float, h: float, n: int, z: float) -> float:
+def sn_lower_john_ndim(area: float, h: float, n: int, z):
     """n-dimensional strip bound:
     C_{n,1}|F| z^n + kappa_n |F| (Gamma(n)-Gamma(n,2hz)) / (2h)^n."""
-    return float(_john_ndim_grid(n, area, h, [z])[0])
-
-
-def _john_ndim_grid(n: int, area: float, h: float, zs) -> np.ndarray:
     if not (area > 0 and h > 0):
         raise ValueError("area and depth must be positive")
-    zs = _check_zs(zs)
-    return specfun.weyl_constant(n, 1.0) * area * zs ** n \
-        + _flat_wall(n, area, h, zs)
+    zs = _check_zs(z)
+    return floats_if_scalar(
+        z, specfun.weyl_constant(n, 1.0) * area * zs ** n + _flat_wall(n, area, h, zs))
 
 
-def sn_lower_via_neumann(area: float, width: float, n: int, z: float) -> float:
+def sn_lower_via_neumann(area: float, width: float, n: int, z):
     """Sloshing lower bound routed through Neumann Laplacian bounds on the
     surface (deliberately non-sharp leading constant, factor n/(n+1)):
 
@@ -466,20 +416,16 @@ def sn_lower_via_neumann(area: float, width: float, n: int, z: float) -> float:
 
     where w is the width of the free surface in a chosen direction.
     """
-    return float(_via_neumann_grid(n, area, width, [z])[0])
-
-
-def _via_neumann_grid(n: int, area: float, width: float, zs) -> np.ndarray:
     if not isinstance(n, int) or n < 3:
         raise ValueError("this route needs ambient dimension n >= 3")
     if not (area > 0 and width > 0):
         raise ValueError("area and width must be positive")
-    zs = _check_zs(zs)
+    zs = _check_zs(z)
     lead = n / (n + 1.0) * specfun.weyl_constant(n, 1.0) * area * zs ** n
     mid = 0.125 * specfun.berezin_constant(n - 1) * (area / width) * zs ** (n - 1)
     last = (2.0 * math.pi) ** (2 - n) * specfun.unit_ball_volume(n) \
         * (area / width ** 2) * zs ** (n - 2) / 192.0
-    return lead + mid - last
+    return floats_if_scalar(z, lead + mid - last)
 
 
 # ---------------------------------------------------------------------------
@@ -496,50 +442,44 @@ def _resolve_nk(s: Spectrum, n, area):
     return n, float(area)
 
 
-def _scales(n: int, ks: np.ndarray, area: float) -> np.ndarray:
-    """The semiclassical scale W_{n,k} at every k in ks."""
-    return np.array([specfun.semiclassical_scale(n, k, area) for k in ks.tolist()])
-
-
-def _means(s: Spectrum, ks: np.ndarray) -> np.ndarray:
-    """The mean of the first k stored eigenvalues at every k in ks."""
-    return riesz.partial_sum_grid(s, ks) / ks
-
-
-def _check_k(s: Spectrum, k, subject: str) -> None:
-    """k must be a positive integer with nu_{k+1} stored in the SN spectrum s."""
+def _check_k(s: Spectrum, k, subject: str) -> np.ndarray:
+    """k, a number or a grid, as an integer array: every point must be a
+    positive integer with nu_{k+1} stored in the SN spectrum s."""
     if s.problem != "SN":
         raise ValueError(f"{subject} sloshing (SN) spectra")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k + 1 > len(s):
-        raise ValueError(f"need eigenvalue {k + 1}, spectrum has {len(s)}")
+    ks = specfun.indices(k, "k must be a positive integer")
+    over = ks[ks + 1 > len(s)]
+    if over.size:
+        raise ValueError(f"need eigenvalue {over[0] + 1}, spectrum has {len(s)}")
+    return ks
 
 
-def kroger_master(s: Spectrum, k: int, R: float, *, n=None, area=None,
-                  domain=None):
+def kroger_master(s: Spectrum, k, R, *, n=None, area=None, domain=None):
     """Both sides of the master sum inequality
 
         nu_{k+1} R^{n-1} - (n-1)/n R^n
             <= W^{n-1} (nu_{k+1} - mean of first k) + c(R),
 
     with W the semiclassical scale and c the normalized wall integral.
-    Returns (lhs, rhs).  Without an explicit domain the wall integral uses
-    the vertical cylinder built from the spectrum's metadata.
+    Returns (lhs, rhs), floats when k and R are numbers and arrays over
+    their broadcast grid otherwise.  Without an explicit domain the wall
+    integral uses the vertical cylinder built from the spectrum's metadata.
     """
-    _check_k(s, k, "the sum inequalities concern")
-    R = float(R)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R}")
+    ks = _check_k(s, k, "the sum inequalities concern")
+    Rs = np.atleast_1d(np.asarray(R, dtype=float))
+    bad = ~(Rs > 0)
+    if bad.any():
+        raise ValueError(f"R must be positive, got {float(Rs[bad][0])}")
+    ks, Rs = np.broadcast_arrays(ks, Rs)
     n, area = _resolve_nk(s, n, area)
-    w = specfun.semiclassical_scale(n, k, area)
-    nu_next = float(s.values[k])
-    lhs = nu_next * R ** (n - 1) - (n - 1) / n * R ** n
+    w = specfun.semiclassical_scale(n, ks, area)
+    nu_next = s.values[ks]
+    lhs = nu_next * Rs ** (n - 1) - (n - 1) / n * Rs ** n
     c_val = sum_bound_wall_term(domain if domain is not None else
                                 {"n": n, "areaF": area, "depth": s.meta.get("depth")},
-                                R)
-    rhs = w ** (n - 1) * (nu_next - riesz.mean_sum(s, k)) + c_val
-    return lhs, rhs
+                                Rs)
+    rhs = w ** (n - 1) * (nu_next - riesz.mean_sum(s, ks)) + c_val
+    return floats_if_scalar(R if np.ndim(k) == 0 else k, (lhs, rhs))
 
 
 class KrogerBound(NamedTuple):
@@ -549,7 +489,7 @@ class KrogerBound(NamedTuple):
     form: str     # "john" (wall term dropped) or "general"
 
 
-def kroger_sum_bound(s: Spectrum, k: int, *, n=None, area=None,
+def kroger_sum_bound(s: Spectrum, k, *, n=None, area=None,
                      john: Optional[bool] = None, domain=None) -> KrogerBound:
     """Upper bound on the mean of the first k sloshing eigenvalues:
 
@@ -557,53 +497,41 @@ def kroger_sum_bound(s: Spectrum, k: int, *, n=None, area=None,
 
     plus W^{-(n-1)} c(nu_{k+1}) in the general form used when the John flag
     is not confirmed (the wall term is <= 0 on John domains, so dropping it
-    is only legitimate there).
+    is only legitimate there).  Without an explicit domain the general form
+    takes c on the vertical cylinder built from the spectrum's metadata.
     """
-    _check_k(s, k, "the sum inequalities concern")
-    bound, observed, form = _kroger_grid(s, np.array([k]), n=n, area=area,
-                                         john=john, domain=domain)
-    return KrogerBound(float(bound[0]), float(observed[0]),
-                       float(bound[0] - observed[0]), form)
-
-
-def _kroger_grid(s: Spectrum, ks: np.ndarray, *, n=None, area=None,
-                 john: Optional[bool] = None, domain=None):
-    """:func:`kroger_sum_bound` at every k in ks: (bounds, observed, form)."""
+    ks = _check_k(s, k, "the sum inequalities concern")
     n, area = _resolve_nk(s, n, area)
     if john is None:
         john = s.meta.get("john")
-    w = _scales(n, ks, area)
+    w = specfun.semiclassical_scale(n, ks, area)
     nu_next = s.values[ks]
     core = (n - 1) / n * (w - (nu_next - w) ** 2 / w)
     if john is True:
         bound, form = core, "john"
     else:
-        c_val = _sum_wall_grid(domain if domain is not None else
-                               {"n": n, "areaF": area, "depth": s.meta.get("depth")},
-                               nu_next)
+        c_val = sum_bound_wall_term(domain if domain is not None else
+                                    {"n": n, "areaF": area, "depth": s.meta.get("depth")},
+                                    nu_next)
         bound, form = core + w ** (1 - n) * c_val, "general"
-    return bound, _means(s, ks), form
+    observed = riesz.mean_sum(s, ks)
+    return floats_if_scalar(k, KrogerBound(bound, observed, bound - observed, form))
 
 
-def eigenvalue_bracket(s: Spectrum, k: int, *, n=None, area=None):
+def eigenvalue_bracket(s: Spectrum, k, *, n=None, area=None):
     """Two-sided enclosure of nu_{k+1} from the running mean:
 
         W (1 - sqrt(1 - S)) <= nu_{k+1} <= W (1 + sqrt(1 - S)),
         S = (n/(n-1)) * mean_k / W.
 
+    Returns (lower, upper), floats for a number k and arrays for a grid.
     S > 1 is impossible on John domains (it would contradict the sum bound),
     so it raises with a loud diagnostic instead of returning NaN.
     """
-    _check_k(s, k, "the bracket concerns")
-    low, high = _bracket_grid(s, np.array([k]), n=n, area=area)
-    return float(low[0]), float(high[0])
-
-
-def _bracket_grid(s: Spectrum, ks: np.ndarray, *, n=None, area=None):
-    """:func:`eigenvalue_bracket` at every k in ks: (lower ends, upper ends)."""
+    ks = _check_k(s, k, "the bracket concerns")
     n, area = _resolve_nk(s, n, area)
-    w = _scales(n, ks, area)
-    s_k = n / (n - 1) * _means(s, ks) / w
+    w = specfun.semiclassical_scale(n, ks, area)
+    s_k = n / (n - 1) * riesz.mean_sum(s, ks) / w
     over = np.flatnonzero(s_k > 1.0)
     if over.size:
         i = over[0]
@@ -612,86 +540,67 @@ def _bracket_grid(s: Spectrum, ks: np.ndarray, *, n=None, area=None):
             "a domain below its free surface this would contradict the "
             "averaged sum bound -- check the spectrum and the metadata")
     root = np.sqrt(1.0 - s_k)
-    return w * (1.0 - root), w * (1.0 + root)
+    return floats_if_scalar(k, (w * (1.0 - root), w * (1.0 + root)))
 
 
 # ---------------------------------------------------------------------------
 # SD bounds
 # ---------------------------------------------------------------------------
 
-def sd_upper_ndim(area: float, n: int, gamma: float, z: float) -> float:
+def sd_upper_ndim(area: float, n: int, gamma: float, z):
     """Clamped-wall Riesz mean upper bound C_{n,gamma} |F| z^{n+gamma-1}."""
-    return float(_sd_upper_grid(n, area, gamma, [z])[0])
-
-
-def _sd_upper_grid(n: int, area: float, gamma: float, zs) -> np.ndarray:
     if not area > 0:
         raise ValueError("area must be positive")
     g = float(gamma)
     if g < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    zs = _check_zs(zs)
-    return specfun.weyl_constant(n, g) * area * zs ** (n + g - 1.0)
+    zs = _check_zs(z)
+    return floats_if_scalar(z, specfun.weyl_constant(n, g) * area * zs ** (n + g - 1.0))
 
 
-def sd_sum_lower(n: int, area: float, k: int) -> float:
+def sd_sum_lower(n: int, area: float, k):
     """Lower bound (n-1)/n * W_{n,k} for the mean of the first k clamped
     eigenvalues (Legendre-dual to the Riesz upper bound)."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    return float(_sd_sum_grid(n, area, np.array([k]))[0])
+    ks = specfun.indices(k, "k must be a positive integer")
+    return floats_if_scalar(k, (n - 1) / n * specfun.semiclassical_scale(n, ks, area))
 
 
-def _sd_sum_grid(n: int, area: float, ks: np.ndarray) -> np.ndarray:
-    return (n - 1) / n * _scales(n, ks, area)
-
-
-def sd_upper_2d_john(length: float, z: float) -> float:
+def sd_upper_2d_john(length: float, z):
     """Planar clamped-wall upper bound (l/2pi) z^2 - z/2 + pi/(2l) for
     domains below their free surface."""
-    return float(_sd_john2d_grid(length, [z])[0])
-
-
-def _sd_john2d_grid(length: float, zs) -> np.ndarray:
     if not length > 0:
         raise ValueError("surface length must be positive")
-    zs = _check_zs(zs)
-    return length / (2 * math.pi) * zs * zs - 0.5 * zs + math.pi / (2 * length)
+    zs = _check_zs(z)
+    return floats_if_scalar(
+        z, length / (2 * math.pi) * zs * zs - 0.5 * zs + math.pi / (2 * length))
 
 
-def sd_lower_2d(length: float, z: float) -> float:
+def sd_lower_2d(length: float, z):
     """Planar clamped-wall lower bound (l/2pi) z^2 - (1/2 + l/pi) z + 1/2,
     valid for z >= 1 on domains containing the unit-depth rectangle over
     their free surface."""
-    return float(_sd_lower2d_grid(length, [z])[0])
-
-
-def _sd_lower2d_grid(length: float, zs) -> np.ndarray:
     if not length > 0:
         raise ValueError("surface length must be positive")
-    zs = _check_zs(zs)
+    zs = _check_zs(z)
     low = zs < 1.0
     if low.any():
         raise ValueError(f"this bound is stated for z >= 1, got z = {float(zs[low][0])}")
-    return length / (2 * math.pi) * zs * zs - (0.5 + length / math.pi) * zs + 0.5
+    return floats_if_scalar(
+        z, length / (2 * math.pi) * zs * zs - (0.5 + length / math.pi) * zs + 0.5)
 
 
-def sd_heat_trace_upper(area: float, n: int, t: float) -> float:
+def sd_heat_trace_upper(area: float, n: int, t):
     """Heat-trace upper bound Gamma(n) / ((4 pi)^{(n-1)/2} Gamma((n+1)/2))
     * |F| / t^{n-1}; for n = 2 this is |F| / (pi t)."""
-    return float(_heat_upper_grid(n, area, [t])[0])
-
-
-def _heat_upper_grid(n: int, area: float, ts) -> np.ndarray:
     if not area > 0:
         raise ValueError("area must be positive")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     bad = ~(ts > 0)
     if bad.any():
         raise ValueError(f"time must be positive, got {float(ts[bad][0])}")
     coef = math.factorial(n - 1) / ((4 * math.pi) ** ((n - 1) / 2)
                                     * math.gamma((n + 1) / 2))
-    return coef * area / ts ** (n - 1)
+    return floats_if_scalar(t, coef * area / ts ** (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +765,8 @@ def _eval_triangle(c: _Call) -> np.ndarray:
     delta = c.param("delta", {"delta": c.meta.get("depth"), **tri})
     bc_len = c.param("bc_length", tri, default=0.0)
     area = c.param("areaF")
-    cots, _ = _two_corner_cots(alpha, beta, delta, bc_len, c.g)
-    bound, const, const_stated = _two_corner_grid(cots, delta, bc_len, area, c.g, c.axis)
+    bound, const, const_stated = sn_lower_2d_angles(alpha, beta, delta, bc_len,
+                                                    area, c.g, c.axis)
     c.used.update(c_reading="derivation sign (corner piece negative); "
                             "c_stated_at_grid_end shows the flipped-sign variant",
                   c_at_grid_end=float(const[-1]),
@@ -868,7 +777,8 @@ def _eval_triangle(c: _Call) -> np.ndarray:
 
 
 def _eval_via_neumann(c: _Call) -> np.ndarray:
-    bound = _via_neumann_grid(c.param("n"), c.param("areaF"), c.param("width"), c.axis)
+    bound = sn_lower_via_neumann(n=c.param("n"), area=c.param("areaF"),
+                                 width=c.param("width"), z=c.axis)
     c.used["leading_constant_note"] = "leading constant deliberately " \
         "non-sharp by factor n/(n+1)"
     return bound
@@ -876,23 +786,23 @@ def _eval_via_neumann(c: _Call) -> np.ndarray:
 
 def _eval_kroger(c: _Call) -> np.ndarray:
     n, area = c.param("n"), c.param("areaF")
-    bound, c.observed, c.used["form"] = _kroger_grid(
+    bound, c.observed, _, c.used["form"] = kroger_sum_bound(
         c.s, c.axis, n=n, area=area, john=c.meta.get("john"), domain=c.domain)
+    if c.used["form"] == "general" and c.domain is None:
+        # the wall integral was taken on the metadata cylinder
+        c.flags["comparison_cylinder_from_metadata"] = True
     return bound
 
 
 def _eval_bracket(c: _Call) -> np.ndarray:
     n, area = c.param("n"), c.param("areaF")
-    low, c.extra["upper"] = _bracket_grid(c.s, c.axis, n=n, area=area)
+    low, c.extra["upper"] = eigenvalue_bracket(c.s, c.axis, n=n, area=area)
     c.observed = c.s.values[c.axis]     # nu_{k+1} (0-based index k)
     return low
 
 
 def _eval_sd_lower2d(c: _Call) -> np.ndarray:
-    length = c.param("areaF")
-    if np.any(c.axis < 1.0):
-        raise ValueError("the planar SD lower bound is stated for z >= 1")
-    bound = _sd_lower2d_grid(length, c.axis)
+    bound = sd_lower_2d(c.param("areaF"), c.axis)
     dep, al, be = (c.meta.get(key) for key in ("depth", "alpha", "beta"))
     vertical = all(a is not None and abs(a - math.pi / 2) < 1e-9 for a in (al, be))
     if dep is not None and dep < 1.0:
@@ -905,17 +815,18 @@ def _eval_sd_lower2d(c: _Call) -> np.ndarray:
 
 
 def _eval_sd_sum(c: _Call) -> np.ndarray:
-    bound = _sd_sum_grid(c.param("n"), c.param("areaF"), c.axis)
-    c.observed = _means(c.s, c.axis)
+    bound = sd_sum_lower(c.param("n"), c.param("areaF"), c.axis)
+    c.observed = riesz.mean_sum(c.s, c.axis)
     return bound
 
 
 def _eval_heat_trace(c: _Call) -> np.ndarray:
     n, area = c.param("n"), c.param("areaF")
-    values, tails = riesz.heat_trace_grid(c.s, c.axis)
-    c.observed = values + tails       # certified upper evaluation
+    values, tails = riesz.heat_trace(c.s, c.axis)
+    # an upper evaluation only if the gaps do not shrink past the last decile
+    c.observed = values + tails
     c.extra["tail_bounds"] = tails
-    return _heat_upper_grid(n, area, c.axis)
+    return sd_heat_trace_upper(area, n, c.axis)
 
 
 @dataclass(frozen=True)
@@ -935,28 +846,28 @@ _JOHN = ("john",)
 #: every bound :func:`verify` knows, by id (also the CLI --bound vocabulary)
 BOUNDS = {
     "main": BoundSpec("SN", "z", "lower",
-                      lambda c: _main_grid(_comparison_domain(c), c.g, c.axis)),
+                      lambda c: sn_lower_main(_comparison_domain(c), c.g, c.axis)),
     "split": BoundSpec("SN", "z", "lower",
-                       lambda c: _split_grid(_comparison_domain(c), c.axis),
+                       lambda c: sn_lower_split(_comparison_domain(c), c.axis),
                        r1_only=True),
     "triangle": BoundSpec("SN", "z", "lower", _eval_triangle),
     "john2d": BoundSpec("SN", "z", "lower",
-                        lambda c: _john2d_grid(c.param("areaF"), c.g, c.axis),
+                        lambda c: sn_lower_john_2d(c.param("areaF"), c.g, c.axis),
                         flags=_JOHN),
     "johnNd": BoundSpec("SN", "z", "lower",
-                        lambda c: _john_ndim_grid(c.param("n"), c.param("areaF"),
-                                                  c.param("depth"), c.axis),
+                        lambda c: sn_lower_john_ndim(n=c.param("n"), area=c.param("areaF"),
+                                                     h=c.param("depth"), z=c.axis),
                         r1_only=True, flags=_JOHN),
     "via-neumann": BoundSpec("SN", "z", "lower", _eval_via_neumann, r1_only=True,
                              flags=_JOHN),
     "kroger": BoundSpec("SN", "k", "upper", _eval_kroger),
     "bracket": BoundSpec("SN", "k", "bracket", _eval_bracket, flags=_JOHN),
     "sd-upper": BoundSpec("SD", "z", "upper",
-                          lambda c: _sd_upper_grid(c.param("n"), c.param("areaF"),
-                                                   c.g, c.axis),
+                          lambda c: sd_upper_ndim(n=c.param("n"), area=c.param("areaF"),
+                                                  gamma=c.g, z=c.axis),
                           flags=_JOHN),
     "sd-john2d": BoundSpec("SD", "z", "upper",
-                           lambda c: _sd_john2d_grid(c.param("areaF"), c.axis),
+                           lambda c: sd_upper_2d_john(c.param("areaF"), c.axis),
                            r1_only=True, flags=_JOHN),
     "sd-lower2d": BoundSpec("SD", "z", "lower", _eval_sd_lower2d, r1_only=True,
                             flags=("contains_unit_depth_rectangle",)),
@@ -1011,10 +922,9 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
     """Check one bound of :data:`BOUNDS` against a spectrum over a grid (z,
     k, or t values).
 
-    The bound is evaluated once for the whole grid by its grid evaluator,
-    which resolves the domain and the bound's constants once; the public
-    scalar bound functions are one-point calls of the same evaluator, so
-    the report's values equal them bit for bit.
+    The bound is evaluated once for the whole grid by its public function,
+    which resolves the domain and the bound's constants once; a one-point
+    call of the same function gives each value bit for bit.
 
     Margins are signed so that >= 0 means the bound holds; points whose
     margin drops below the tolerance are listed as violations.  Exact

@@ -483,7 +483,9 @@ def domain_metadata(d: Domain) -> dict:
             meta["beta"] = corners[1][1]
         meta["john"] = john_condition(d)
     elif isinstance(d, CylinderDomain):
-        if d.n == 2:
+        # only an interval base surely has two right-angle surface corners: an
+        # explicit eigenvalue list may describe a disconnected surface
+        if isinstance(d.base, IntervalBase):
             meta["alpha"] = math.pi / 2
             meta["beta"] = math.pi / 2
         meta["john"] = True

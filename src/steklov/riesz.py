@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import specfun
 from .spectra import Spectrum, read_table, write_table
 
 
@@ -207,33 +208,28 @@ def _pwl_weighted_integral(grid: np.ndarray, fvals: np.ndarray, rho: float,
 
 # -- sums and staircase -------------------------------------------------------
 
-def partial_sum(s: Spectrum, k: int) -> float:
-    """Sum of the first k stored eigenvalues (SN includes the zero mode)."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k > len(s):
-        raise ValueError(f"k = {k} exceeds the {len(s)} stored eigenvalues")
-    return float(partial_sum_grid(s, [int(k)])[0])
+def partial_sum(s: Spectrum, k):
+    """Sum of the first k stored eigenvalues (SN includes the zero mode), at a
+    number k or at every k of a grid (integers 1 <= k <= len(s)).
 
-
-def partial_sum_grid(s: Spectrum, ks) -> np.ndarray:
-    """:func:`partial_sum` at every k in ks (integers 1 <= k <= len(s)).
-
-    Each prefix is summed on its own by numpy's pairwise summation, so every
+    Each prefix is summed on its own by numpy's pairwise summation, so a grid
     value is bit for bit its one-point call; a running cumsum would round
     differently.
     """
-    ks = np.atleast_1d(np.asarray(ks))
-    if not np.issubdtype(ks.dtype, np.integer) or np.any(ks < 1) \
-            or np.any(ks > len(s)):
-        raise ValueError(f"k must be integers in 1..{len(s)}, got {ks!r}")
+    ks = specfun.indices(k, "k must be a positive integer")
+    over = ks[ks > len(s)]
+    if over.size:
+        raise ValueError(f"k = {over[0]} exceeds the {len(s)} stored eigenvalues")
     vals = s.values
-    return np.array([np.add.reduce(vals[:k]) for k in ks.tolist()], dtype=float)
+    return specfun.floats_if_scalar(
+        k, np.array([np.add.reduce(vals[:j]) for j in ks.tolist()], dtype=float))
 
 
-def mean_sum(s: Spectrum, k: int) -> float:
-    """Average of the first k stored eigenvalues."""
-    return partial_sum(s, k) / k
+def mean_sum(s: Spectrum, k):
+    """Average of the first k stored eigenvalues, at a number k or at every k
+    of a grid."""
+    ks = specfun.indices(k, "k must be a positive integer")
+    return specfun.floats_if_scalar(k, partial_sum(s, ks) / ks)
 
 
 def staircase_sum(R: float) -> float:
@@ -258,29 +254,21 @@ def staircase_bounds(R: float):
 
 # -- heat trace ---------------------------------------------------------------
 
-def heat_trace(s: Spectrum, t: float, tol: float = 1e-10):
-    """(sum_j e^{-eta_j t} over the stored spectrum, certified tail bound).
+def heat_trace(s: Spectrum, t, tol: float = 1e-10):
+    """(sum_j e^{-eta_j t} over the stored spectrum, tail bound), at a number
+    t or, as two arrays, at every t of a grid.
 
     The tail past the last stored eigenvalue is bounded geometrically by
     e^{-eta_last t} / (1 - e^{-gap t}) with gap = the smallest spacing in the
-    last decile of the spectrum; this encodes the assumption that spacings do
-    not shrink below that observed gap further out.  Raises when the spectrum
-    is too short to push the tail bound under ``tol``, or when the last
-    decile contains a repeated eigenvalue (no certification possible).
-    """
-    values, tails = heat_trace_grid(s, [t], tol)
-    return float(values[0]), float(tails[0])
-
-
-def heat_trace_grid(s: Spectrum, ts, tol: float = 1e-10):
-    """:func:`heat_trace` at every t in ts: (values, tail bounds) arrays.
-
-    The last-decile gap is found once per grid; each value is one
-    exponential sum over the stored spectrum.
+    last decile of the spectrum, found once per grid.  The bound rests on the
+    assumption that spacings do not shrink below that observed gap further
+    out; nothing here proves it.  Raises when the spectrum is too short to
+    push the tail bound under ``tol``, or when the last decile contains a
+    repeated eigenvalue (no gap to extrapolate).
     """
     if s.problem != "SD":
         raise ValueError("heat_trace expects an SD spectrum (positive eigenvalues)")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     bad = ~(ts > 0)
     if bad.any():
         raise ValueError(f"time must be positive, got {float(ts[bad][0])}")
@@ -293,7 +281,7 @@ def heat_trace_grid(s: Spectrum, ts, tol: float = 1e-10):
     gap = float(gaps.min())
     top = vals[-1]
     times = ts.tolist()
-    tails = np.array([math.exp(-top * t) / -math.expm1(-gap * t) for t in times])
+    tails = np.array([math.exp(-top * x) / -math.expm1(-gap * x) for x in times])
     over = np.flatnonzero(tails > tol)
     if over.size:
         i = over[0]
@@ -307,12 +295,12 @@ def heat_trace_grid(s: Spectrum, ts, tol: float = 1e-10):
     negated = -vals
     terms = np.zeros_like(vals)
     values = np.empty(len(times))
-    for i, t in enumerate(times):
-        keep = np.searchsorted(vals, 750.0 / t, side="right")
-        np.exp(negated[:keep] * t, out=terms[:keep])
+    for i, x in enumerate(times):
+        keep = np.searchsorted(vals, 750.0 / x, side="right")
+        np.exp(negated[:keep] * x, out=terms[:keep])
         terms[keep:] = 0.0
         values[i] = np.sum(terms)
-    return values, tails
+    return specfun.floats_if_scalar(t, (values, tails))
 
 
 # -- Legendre transform -------------------------------------------------------

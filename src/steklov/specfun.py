@@ -3,11 +3,48 @@
 All quantities are evaluated in closed form: integer gamma values go through
 exact factorials, real arguments through math.gamma (a Lanczos-class
 implementation, accurate to ~1e-15 relative).
+
+The module also holds the two conventions every evaluator along an axis
+shares: :func:`indices` reads a number or a grid of indices k, and
+:func:`floats_if_scalar` hands back Python floats for a single number.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+
+def floats_if_scalar(x, out):
+    """``out``, computed over the points np.atleast_1d(x), as the caller
+    asked for it: unchanged for a grid x; for a single number x (0-d arrays
+    included) each array becomes the float of its one point, in a tuple or
+    NamedTuple entry by entry."""
+    if np.ndim(x) != 0:
+        return out
+    if not isinstance(out, tuple):
+        return float(out[0])
+    vals = [floats_if_scalar(x, v) if isinstance(v, np.ndarray) else v for v in out]
+    return type(out)(*vals) if hasattr(out, "_fields") else tuple(vals)
+
+
+def indices(k, message: str) -> np.ndarray:
+    """k, a number or a grid, as a 1-d integer array.  The first point that
+    is not an integer >= 1 (a bool, or a float such as 2.0, is not) raises
+    ValueError(f"{message}, got {point!r}"), as a one-point call with that
+    point would."""
+    ks = np.atleast_1d(np.asarray(k))
+    # numpy reads True in a list of ints as 1: only an integer array skips
+    # the point-by-point check
+    if isinstance(k, np.ndarray) and ks.dtype.kind in "iu" and not np.any(ks < 1):
+        return ks
+    points = [k] if np.ndim(k) == 0 else np.asarray(k, dtype=object).ravel().tolist()
+    for point in points:
+        if isinstance(point, bool) or not isinstance(point, (int, np.integer)) \
+                or point < 1:
+            raise ValueError(f"{message}, got {point!r}")
+    return ks.astype(int)
 
 
 def _gamma(x: float) -> float:
@@ -63,8 +100,9 @@ def berezin_constant(n: int) -> float:
     return 1.0 / ((4.0 * math.pi) ** ((n - 1) / 2.0) * _gamma((n + 3) / 2.0))
 
 
-def semiclassical_scale(n: int, k: int, area: float) -> float:
-    """Natural scale of the k-th surface eigenvalue:
+def semiclassical_scale(n: int, k, area: float):
+    """Natural scale of the k-th surface eigenvalue, at a number k or at every
+    k of a grid:
 
         W = 2 pi * omega_{n-1}^{-1/(n-1)} * (k / area)^{1/(n-1)},
 
@@ -73,9 +111,9 @@ def semiclassical_scale(n: int, k: int, area: float) -> float:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"index must be an integer >= 1, got {k!r}")
+    ks = indices(k, "index must be an integer >= 1")
     if not area > 0:
         raise ValueError(f"free-surface measure must be positive, got {area}")
     m = n - 1
-    return 2.0 * math.pi * unit_ball_volume(m) ** (-1.0 / m) * (k / area) ** (1.0 / m)
+    return floats_if_scalar(
+        k, 2.0 * math.pi * unit_ball_volume(m) ** (-1.0 / m) * (ks / area) ** (1.0 / m))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (CylinderDomain, DomainError, ExplicitBase, IntervalBase,
-                       RectangleBase)
+                       RectangleBase, domain_metadata)
 
 #: absolute tolerance for "the first sloshing eigenvalue is zero" (exact data)
 TOL_ZERO = 1e-10
@@ -106,33 +106,14 @@ def rectangle_sn(length: float, h: float, count: int) -> Spectrum:
     """First ``count`` sloshing eigenvalues of the rectangle (0,length)x(-h,0):
     (k pi / length) tanh(k pi h / length), k = 0, 1, ...  (zero mode included).
     """
-    _check_rect_args(length, h, count)
-    k = np.arange(count, dtype=float)
-    x = k * math.pi / length
-    vals = x * _stable_tanh(x * h)
-    meta = {"n": 2, "areaF": length, "depth": h,
-            "alpha": math.pi / 2, "beta": math.pi / 2, "john": True}
-    return Spectrum("SN", vals, source="exact", meta=meta)
+    return cylinder_spectrum(CylinderDomain(2, IntervalBase(length), h), "SN", count)
 
 
 def rectangle_sd(length: float, h: float, count: int) -> Spectrum:
     """First ``count`` clamped-wall eigenvalues of the rectangle:
     (j pi / length) coth(j pi h / length), j = 1, 2, ...
     """
-    _check_rect_args(length, h, count)
-    j = np.arange(1, count + 1, dtype=float)
-    x = j * math.pi / length
-    vals = x / _stable_tanh(x * h)
-    meta = {"n": 2, "areaF": length, "depth": h,
-            "alpha": math.pi / 2, "beta": math.pi / 2, "john": True}
-    return Spectrum("SD", vals, source="exact", meta=meta)
-
-
-def _check_rect_args(length, h, count):
-    if not (length > 0 and h > 0):
-        raise ValueError("length and depth must be positive")
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    return cylinder_spectrum(CylinderDomain(2, IntervalBase(length), h), "SD", count)
 
 
 def interval_laplacian(length: float, bc: str, count: int) -> np.ndarray:
@@ -176,56 +157,14 @@ def rectangle_laplacian(a: float, b: float, bc: str, count: int) -> np.ndarray:
     return np.array(out)
 
 
-def cylinder_sn(base_values, h: float, count: int, *, area=None, n=None,
-                source: str = "exact") -> Spectrum:
-    """Sloshing spectrum of a cylinder from its Neumann base spectrum."""
-    base = _check_base(base_values, h, count, first_zero=True)
-    vals = np.sort(_surface_values(base[:count], h, "SN"))
-    return Spectrum("SN", vals, source=source, meta=_cylinder_meta(n, area, h))
-
-
-def cylinder_sd(base_values, h: float, count: int, *, area=None, n=None,
-                source: str = "exact") -> Spectrum:
-    """Clamped-wall spectrum of a cylinder from its Dirichlet base spectrum."""
-    base = _check_base(base_values, h, count, first_zero=False)
-    if base[0] <= 0:
-        raise ValueError("a Dirichlet base spectrum must be strictly positive "
-                         "(0 would make the surface value blow up)")
-    vals = np.sort(_surface_values(base[:count], h, "SD"))
-    return Spectrum("SD", vals, source=source, meta=_cylinder_meta(n, area, h))
-
-
-def _cylinder_meta(n, area, h) -> dict:
-    """n and areaF where given, the depth, and the John flag (a cylinder
-    lies below its free surface)."""
-    meta = {} if n is None else {"n": int(n)}
-    if area is not None:
-        meta["areaF"] = float(area)
-    return {**meta, "depth": float(h), "john": True}
-
-
-def _check_base(base_values, h, count, *, first_zero: bool) -> np.ndarray:
-    base = np.asarray(base_values, dtype=float).ravel()
-    if not h > 0:
-        raise ValueError("depth must be positive")
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    if base.size < count:
-        raise ValueError(f"base spectrum has {base.size} values, need {count}")
-    if np.any(np.diff(base) < 0):
-        raise ValueError("base eigenvalues must be sorted nondecreasing")
-    if np.any(base < -TOL_ZERO):
-        raise ValueError("base eigenvalues must be nonnegative")
-    if first_zero and abs(base[0]) > TOL_ZERO:
-        raise ValueError(f"a Neumann base spectrum starts at 0, got {base[0]!r}")
-    return np.maximum(base, 0.0)
-
-
 def cylinder_spectrum(dom: CylinderDomain, problem: str, count: int) -> Spectrum:
     """Exact surface spectrum of a CylinderDomain (interval, rectangle, or
-    explicit base)."""
+    explicit base): the first ``count`` surface values of its base spectrum
+    (Neumann for SN, Dirichlet for SD), with the domain's metadata."""
     if problem not in ("SN", "SD"):
         raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
+    if not isinstance(count, int) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     bc = "neumann" if problem == "SN" else "dirichlet"
     if isinstance(dom.base, IntervalBase):
         base = interval_laplacian(dom.base.length, bc, count)
@@ -237,14 +176,13 @@ def cylinder_spectrum(dom: CylinderDomain, problem: str, count: int) -> Spectrum
                 f"problem {problem} needs a {bc} base spectrum, the explicit "
                 f"base is tagged {dom.base.bc}")
         base = np.asarray(dom.base.eigenvalues)
+        if base.size < count:
+            raise ValueError(f"base spectrum has {base.size} values, need {count}")
     else:
         raise DomainError(f"unsupported base {type(dom.base).__name__}")
-    maker = cylinder_sn if problem == "SN" else cylinder_sd
-    s = maker(base, dom.depth, count, area=dom.base_area, n=dom.n)
-    if isinstance(dom.base, IntervalBase):
-        s.meta["alpha"] = math.pi / 2
-        s.meta["beta"] = math.pi / 2
-    return s
+    # an explicit list may carry roundoff below 0 (ExplicitBase allows -1e-10)
+    vals = np.sort(_surface_values(np.maximum(base[:count], 0.0), dom.depth, problem))
+    return Spectrum(problem, vals, source="exact", meta=domain_metadata(dom))
 
 
 # -- CSV round trip ---------------------------------------------------------

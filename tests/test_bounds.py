@@ -63,8 +63,8 @@ def test_wall_term_slanted_edge_series_branch():
     d = PolygonalDomain([(0, 0), (0, -1), (3, -1 - 1e-7), (3, 0)],
                         free_edges=[3])
     for z in (0.5, 4.0):
-        exact = bounds.wall_term_2d(d, z)
-        via_quad = bounds.wall_term_2d(d, z, quadrature=True)
+        exact = bounds.wall_term(d, z)
+        via_quad = bounds.wall_term(d, z, quadrature=True)
         assert exact == pytest.approx(via_quad, rel=1e-9)
 
 
@@ -85,7 +85,7 @@ def test_deep_near_level_edge_matches_mpmath(ybar, dy, z):
             return mpmath.expm1(2 * zz * y) / (2 * y)
 
         want = weight * float((anti(a1) - anti(a0)) / (2 * (a1 - a0)))
-    assert bounds.wall_term_2d(d, z) == pytest.approx(want, rel=1e-12, abs=0)
+    assert bounds.wall_term(d, z) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_wall_term_cylinder_closed_form_vs_quadrature():
@@ -502,9 +502,9 @@ def _grid_case(bound_id, draw):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_verify_grid_matches_scalar_bounds_exactly(bound_id, data):
-    # verify evaluates each bound once per grid from constants resolved once;
-    # the public scalar functions are one-point calls of the same evaluators,
-    # so the two agree bit for bit (and so do the observed sides on k axes)
+    # verify evaluates each bound once per grid from constants resolved once,
+    # by the same public function a one-point call runs, so the two agree bit
+    # for bit (and so do the observed sides on k axes)
     s, grid, kwargs, scalar = _grid_case(bound_id, data.draw)
     rep = bounds.verify(s, bound_id, grid, **kwargs)
     ref = [scalar(float(x), rep) for x in grid]
@@ -513,6 +513,102 @@ def test_verify_grid_matches_scalar_bounds_exactly(bound_id, data):
     else:
         assert rep.bound_values.tolist() == [b for b, _ in ref]
         assert rep.observed_values.tolist() == [o for _, o in ref]
+
+
+# ---------------------------------------------------------------------------
+# every function along an axis takes a number or a grid
+# ---------------------------------------------------------------------------
+
+Z_POINTS = [0.0, 1e-3, 0.4, 3.7, 55.0]
+K_POINTS = [1, 2, 7, 100, 598]
+T_POINTS = [0.05, 0.3, 1.0]
+SN_600 = spectra.rectangle_sn(math.pi, 1.0, 600)
+SD_600 = spectra.rectangle_sd(math.pi, 1.0, 600)
+
+# name -> (call on the axis argument, good points, a point the call rejects)
+AXIS_FUNCTIONS = {
+    "wall_term": (lambda z: bounds.wall_term(TRAPEZOID, z), Z_POINTS, -1.0),
+    "wall_term quadrature": (lambda z: bounds.wall_term(CONE, z, quadrature=True),
+                             [0.0, 0.3, 2.0], float("nan")),
+    "wall_term_gamma": (lambda z: bounds.wall_term_gamma(CYL3, 1.7, z), Z_POINTS,
+                        float("inf")),
+    "sum_bound_wall_term": (lambda r: bounds.sum_bound_wall_term(CONE, r), Z_POINTS,
+                            -2.0),
+    "sn_lower_main": (lambda z: bounds.sn_lower_main(TRAPEZOID, 2.5, z), Z_POINTS,
+                      -1.0),
+    "sn_lower_split": (lambda z: bounds.sn_lower_split(CYL3, z), Z_POINTS, -1.0),
+    "sn_lower_2d_angles": (lambda z: bounds.sn_lower_2d_angles(
+        1.1, 2.0, 0.3, 0.8, 2.0, 1.5, z), Z_POINTS, -1.0),
+    "sn_lower_john_2d": (lambda z: bounds.sn_lower_john_2d(2.0, 1.5, z), Z_POINTS,
+                         -1.0),
+    "sn_lower_john_ndim": (lambda z: bounds.sn_lower_john_ndim(2.0, 0.4, 3, z),
+                           Z_POINTS, -1.0),
+    "sn_lower_via_neumann": (lambda z: bounds.sn_lower_via_neumann(2.0, 1.5, 4, z),
+                             Z_POINTS, -1.0),
+    "kroger_master k": (lambda k: bounds.kroger_master(SN_600, k, 3.5, domain=RECT),
+                        K_POINTS, 0),
+    "kroger_master R": (lambda r: bounds.kroger_master(SN_600, 7, r), [0.1, 3.5, 40.0],
+                        0.0),
+    "kroger_sum_bound": (lambda k: bounds.kroger_sum_bound(
+        SN_600, k, john=False, domain=TRAPEZOID), K_POINTS, 600),
+    "eigenvalue_bracket": (lambda k: bounds.eigenvalue_bracket(SN_600, k), K_POINTS,
+                           -3),
+    "sd_upper_ndim": (lambda z: bounds.sd_upper_ndim(2.0, 3, 2.5, z), Z_POINTS, -1.0),
+    "sd_sum_lower": (lambda k: bounds.sd_sum_lower(4, 2.0, k), K_POINTS, 0),
+    "sd_upper_2d_john": (lambda z: bounds.sd_upper_2d_john(2.0, z), Z_POINTS, -1.0),
+    "sd_lower_2d": (lambda z: bounds.sd_lower_2d(2.0, z), [1.0, 3.7, 55.0], 0.5),
+    "sd_heat_trace_upper": (lambda t: bounds.sd_heat_trace_upper(2.0, 3, t), T_POINTS,
+                            0.0),
+    "partial_sum": (lambda k: riesz.partial_sum(SN_600, k), K_POINTS, 601),
+    "mean_sum": (lambda k: riesz.mean_sum(SD_600, k), K_POINTS, -2),
+    "heat_trace": (lambda t: riesz.heat_trace(SD_600, t), T_POINTS, -1.0),
+    "semiclassical_scale": (lambda k: specfun.semiclassical_scale(3, k, 2.0), K_POINTS,
+                            0),
+}
+
+
+def _entries(value):
+    return list(value) if isinstance(value, tuple) else [value]
+
+
+@pytest.mark.parametrize("name", AXIS_FUNCTIONS)
+def test_axis_functions_take_numbers_and_grids(name):
+    f, points, bad = AXIS_FUNCTIONS[name]
+    singles = [f(x) for x in points]
+    for x, one in zip(points, singles):
+        # a number, or a 0-d array, gives Python floats (text fields aside)
+        assert all(type(v) in (float, str) for v in _entries(one))
+        zero_d = f(np.asarray(x))
+        assert type(zero_d) is type(one) and _entries(zero_d) == _entries(one)
+    for grid in (list(points), np.asarray(points)):
+        result = f(grid)
+        if isinstance(singles[0], tuple):
+            assert type(result) is type(singles[0])
+        for i, column in enumerate(_entries(result)):
+            want = [_entries(one)[i] for one in singles]
+            if isinstance(column, str):
+                assert want == [column] * len(points)
+            else:   # bit for bit the one-point calls
+                assert isinstance(column, np.ndarray) and column.tolist() == want
+    with pytest.raises(ValueError) as one_point:
+        f(bad)
+    for grid in (points[:2] + [bad] + points[2:], np.array(points[:2] + [bad])):
+        with pytest.raises(ValueError) as in_grid:
+            f(grid)
+        assert str(in_grid.value) == str(one_point.value)
+
+
+def test_index_grid_reports_the_point_a_one_point_call_rejects():
+    # a list grid keeps each point's type: 2.5 is the bad point, not 1, and
+    # True is not read as 1
+    for f in (lambda k: riesz.partial_sum(SN_600, k),
+              lambda k: specfun.semiclassical_scale(2, k, 1.0)):
+        with pytest.raises(ValueError, match=r"got 2\.5$"):
+            f([1, 2.5, 3])
+        with pytest.raises(ValueError, match=r"got True$"):
+            f(True)
+        with pytest.raises(ValueError, match=r"got True$"):
+            f([1, True, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -881,6 +977,24 @@ def test_verify_main_from_metadata_cylinder_is_flagged():
                           meta=meta)
     rep2 = bounds.verify(s2, "main", np.array([2.0, 10.0]))
     assert rep2.status == "holds-with-flags"
+
+
+def test_verify_kroger_from_metadata_cylinder_is_flagged(rect_sn_600):
+    # with John not confirmed and no domain, the general form takes its wall
+    # integral on the metadata cylinder, which only dominates the true
+    # domain under the strip condition: the report cannot say "holds"
+    s = spectra.Spectrum(problem="SN", values=rect_sn_600.values, source="exact",
+                         meta={**rect_sn_600.meta, "john": False})
+    ks = np.arange(1, 400)
+    rep = bounds.verify(s, "kroger", ks)
+    assert rep.params["form"] == "general"
+    assert rep.hypothesis_flags == {"john": False,
+                                    "comparison_cylinder_from_metadata": True}
+    assert rep.status == "holds-with-flags"
+    # an explicit domain carries its own wall integral: no metadata cylinder
+    rep = bounds.verify(s, "kroger", ks, domain=RECT)
+    assert rep.hypothesis_flags == {"john": False}
+    assert rep.status == "holds"
 
 
 # ---------------------------------------------------------------------------

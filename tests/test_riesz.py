@@ -187,11 +187,11 @@ def test_partial_and_mean_sum(rect_sn):
         riesz.partial_sum(rect_sn, 10 ** 6)
     # the grid sums every prefix on its own: bit for bit np.sum of the prefix
     ks = np.arange(1, len(rect_sn) + 1)
-    sums = riesz.partial_sum_grid(rect_sn, ks)
+    sums = riesz.partial_sum(rect_sn, ks)
     assert sums.tolist() == [float(np.sum(rect_sn.values[:k])) for k in ks]
     for bad in ([0, 3], [len(rect_sn) + 1], [2.0]):
         with pytest.raises(ValueError):
-            riesz.partial_sum_grid(rect_sn, bad)
+            riesz.partial_sum(rect_sn, bad)
 
 
 def test_staircase_sum_formula():
@@ -232,7 +232,7 @@ def test_heat_trace_grid_sums_every_exponential(gaps, ts):
     # terms that underflow to 0.0 are not evaluated; the sums must still be
     # bit for bit the plain sum of e^{-eta t} over the whole spectrum
     s = spectra.Spectrum(problem="SD", values=np.cumsum(gaps), source="synthetic")
-    values, tails = riesz.heat_trace_grid(s, ts, tol=math.inf)
+    values, tails = riesz.heat_trace(s, ts, tol=math.inf)
     assert values.tolist() == [float(np.sum(np.exp(-s.values * t))) for t in ts]
     assert [riesz.heat_trace(s, t, tol=math.inf) for t in ts] == list(zip(values, tails))
 

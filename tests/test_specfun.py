@@ -74,6 +74,22 @@ def test_semiclassical_scale_3d_value():
     assert val == pytest.approx(4 * math.sqrt(2), rel=1e-13)
 
 
+def test_semiclassical_scale_grid_matches_the_per_point_formula():
+    # a grid takes (k / area)^(1/m) by numpy's power over the array: at n = 2
+    # (m = 1) that is the per-point float formula bit for bit; at n >= 3
+    # numpy's power may round the last place differently from libm's pow
+    ks = np.arange(1, 5001)
+    for n in (2, 3, 4):
+        m = n - 1
+        ref = [2.0 * math.pi * specfun.unit_ball_volume(m) ** (-1.0 / m)
+               * (k / 1.7) ** (1.0 / m) for k in ks.tolist()]
+        got = specfun.semiclassical_scale(n, ks, 1.7)
+        if n == 2:
+            assert got.tolist() == ref
+        else:
+            assert got == pytest.approx(ref, rel=2 * np.finfo(float).eps, abs=0)
+
+
 def test_semiclassical_scale_rejects_bad_input():
     with pytest.raises(ValueError):
         specfun.semiclassical_scale(2, 0, 1.0)

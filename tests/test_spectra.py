@@ -101,6 +101,23 @@ def test_cylinder_sd_formula_spot_check():
         math.sqrt(lam1) / math.tanh(math.sqrt(lam1) * 0.5), rel=1e-13)
 
 
+@pytest.mark.parametrize("problem", ["SN", "SD"])
+def test_cylinder_spectrum_carries_the_domain_metadata(problem):
+    bc = "neumann" if problem == "SN" else "dirichlet"
+    first = 0 if problem == "SN" else 1
+    listed = tuple((np.arange(first, first + 50) * math.pi / 2.0) ** 2)
+    domains = [CylinderDomain(2, IntervalBase(2.0), 0.7),
+               CylinderDomain(3, RectangleBase(1.0, 2.0), 0.5),
+               CylinderDomain(2, geometry.ExplicitBase(listed, bc, 2.0), 0.7),
+               CylinderDomain(3, geometry.ExplicitBase(listed, bc, 1.5), 0.4)]
+    for dom in domains:
+        s = spectra.cylinder_spectrum(dom, problem, 40)
+        assert s.meta == geometry.domain_metadata(dom)
+    # an eigenvalue list may describe a disconnected surface: no corner claim
+    assert "alpha" not in spectra.cylinder_spectrum(domains[2], problem, 40).meta
+    assert spectra.cylinder_spectrum(domains[0], problem, 40).meta["alpha"] == math.pi / 2
+
+
 def test_spectrum_ceiling_is_last_value():
     s = spectra.rectangle_sn(1.0, 1.0, 25)
     assert s.ceiling == pytest.approx(s.values[-1])

@@ -826,6 +826,9 @@ def _eval_heat_trace(c: _Call) -> np.ndarray:
     # an upper evaluation only if the gaps do not shrink past the last decile
     c.observed = values + tails
     c.extra["tail_bounds"] = tails
+    c.extra["tail_kind"] = ("heuristic: assumes the spacings past the last "
+                            "decile do not shrink below the smallest gap "
+                            "observed there")
     return sd_heat_trace_upper(area, n, c.axis)
 
 

@@ -14,7 +14,21 @@ solver handles: S u = nu M_F u.
 SN keeps wall nodes as free unknowns (natural boundary condition); SD
 eliminates them (including the surface corner nodes) before condensation.
 
-The Schur complement comes from one sparse LU of the bordered matrix: the
+The Schur complement comes one of two ways, chosen from the mesh itself.
+
+Meshes that :func:`triangulate` builds by 4-splitting (triangles and convex
+centroid fans) carry a record of their base triangles.  P1 stiffness is
+invariant under similarity, and a midpoint 4-split turns a triangle into
+four half-size copies of itself, so the Schur complement onto the rim of a
+base triangle after l splits is four copies of the one after l - 1, with
+the three midlines eliminated by one dense Cholesky.  The copies of the
+last level are then summed and condensed onto the surface in turn, each
+eliminating what no later copy shares (nested dissection with exact reuse;
+A. George, SIAM J. Numer. Anal. 10, 1973).  No global stiffness matrix is
+assembled.
+
+Every other mesh (the structured rectangle grid, loaded, hand-built or
+copied meshes) goes through one sparse LU of the bordered matrix: the
 interior unknowns first, in a nested-dissection order computed from the
 node coordinates, and the retained surface unknowns last.  Factored in that
 order without pivoting, the trailing blocks of the factors satisfy
@@ -34,9 +48,11 @@ count, `i j k` lines, boundary count, `i j tag` lines, all 0-based).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -69,6 +85,10 @@ class Mesh:
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: list
+    # set by `triangulate` on 4-split meshes only, so that hand-built,
+    # loaded and `dataclasses.replace`d meshes never carry it
+    refinement: Optional[_Refinement] = field(default=None, init=False,
+                                              compare=False, repr=False)
 
     @property
     def mesh_size(self) -> float:
@@ -93,6 +113,24 @@ def _boundary_arrays(boundary_edges):
                   dtype=np.int64).reshape(-1, 2)
     tags = np.array([tag for _i, _j, tag in boundary_edges], dtype=object)
     return ij, tags
+
+
+@dataclass(frozen=True)
+class _Refinement:
+    """How :func:`triangulate` built a mesh: `levels` 4-splits of the base
+    triangles, with the mesh ids of each base triangle's rim.
+
+    Rim order runs a -> b -> c around a base triangle (a, b, c) from its
+    vertex a, 2**levels nodes per side, each side's end left to the next.
+    The record describes the (read-only) node and triangle arrays it names.
+    """
+
+    base_nodes: np.ndarray   # (v, 2)
+    base_tris: np.ndarray    # (t0, 3) counterclockwise
+    levels: int
+    rims: np.ndarray         # (t0, 3 * 2**levels) mesh node ids
+    nodes: np.ndarray        # the refined mesh's arrays
+    triangles: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,8 +159,8 @@ def _edge_table(triangles) -> _EdgeTable:
                       inverse.reshape(-1, 3), first, count)
 
 
-def _tri_areas(nodes, triangles):
-    p = nodes[triangles]
+def _tri_areas(p):
+    """Signed areas of the triangles with corners p (t, 3, 2)."""
     return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
@@ -137,7 +175,7 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("triangles must be a (t, 3) index array")
     if tris.size and (tris.min() < 0 or tris.max() >= m):
         raise MeshError("triangle refers to a nonexistent node")
-    areas = _tri_areas(nodes, tris)
+    areas = _tri_areas(nodes[tris])
     if np.any(areas <= 0):
         bad = int(np.argmax(areas <= 0))
         raise MeshError(f"triangle {bad} is degenerate or clockwise "
@@ -186,11 +224,13 @@ def _classify_boundary(d: PolygonalDomain, nodes, hull_edges):
             for (i, j), k in zip(hull_edges.tolist(), on.tolist())]
 
 
-def _refine(nodes, triangles, levels):
+def _refine(nodes, triangles, levels, rims):
     """Uniform 4-split refinement (midpoint subdivision), `levels` times.
 
     Midpoints are numbered after the existing nodes, in the order their
     edges first occur when scanning the triangles' sides ab, bc, ca.
+    `rims` holds closed node chains, one per row, along mesh edges; each
+    level puts every edge's midpoint between its two ends.
     """
     nodes = np.array(nodes, dtype=float)
     tris = np.array(triangles, dtype=np.int64)
@@ -200,12 +240,18 @@ def _refine(nodes, triangles, levels):
         number = np.empty(by_first.size, dtype=np.int64)
         number[by_first] = nodes.shape[0] + np.arange(by_first.size)
         ends = edges.pairs[by_first]
+        base = nodes.shape[0]
         nodes = np.vstack([nodes, (nodes[ends[:, 0]] + nodes[ends[:, 1]]) / 2])
         a, b, c = tris.T
         ab, bc, ca = number[edges.side].T
         tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
                         axis=1).reshape(-1, 3)
-    return nodes, tris
+        nxt = np.roll(rims, -1, axis=1)
+        keys = edges.pairs[:, 0] * base + edges.pairs[:, 1]
+        mid = number[np.searchsorted(
+            keys, np.minimum(rims, nxt) * base + np.maximum(rims, nxt))]
+        rims = np.stack([rims, mid], axis=2).reshape(rims.shape[0], -1)
+    return nodes, tris, rims
 
 
 def _hull_edges(triangles):
@@ -223,6 +269,10 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
     itself, and other convex polygons start from a centroid fan.  Boundary
     segments come out no longer than target_h.  Non-convex polygons are
     rejected; supply a mesh file via :func:`load_mesh` for those.
+
+    A 4-split mesh records its refinement for :func:`dtn_matrices`, and its
+    node and triangle arrays are read-only so that the record stays true;
+    build a new Mesh from copies to edit one.
     """
     if not target_h > 0:
         raise ValueError(f"target_h must be positive, got {target_h}")
@@ -245,6 +295,7 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
         n11 = n01 + 1
         triangles = np.stack([n00, n10, n11, n00, n11, n01],
                              axis=1).reshape(-1, 3)
+        refinement = None
     else:
         m = d.n_vertices
         v, nxt = d.vertices, np.roll(d.vertices, -1, axis=0)
@@ -264,13 +315,19 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
         levels = 0
         while edge_max / 2 ** levels > target_h:
             levels += 1
-        nodes, triangles = _refine(nodes0, tris0, levels)
+        nodes, triangles, rims = _refine(nodes0, tris0, levels, tris0)
         while Mesh(nodes, triangles, []).mesh_size > 1.5 * target_h:
-            nodes, triangles = _refine(nodes, triangles, 1)
+            nodes, triangles, rims = _refine(nodes, triangles, 1, rims)
+            levels += 1
+        refinement = _Refinement(nodes0, tris0, levels, rims, nodes, triangles)
 
     boundary = _classify_boundary(d, nodes, _hull_edges(triangles))
     mesh = Mesh(nodes, triangles, boundary)
     validate_mesh(mesh)
+    if refinement is not None:
+        nodes.setflags(write=False)
+        triangles.setflags(write=False)
+        mesh.refinement = refinement
     return mesh
 
 
@@ -303,7 +360,7 @@ def load_mesh(path) -> Mesh:
         raise MeshError("node lines must contain two coordinates")
     if tris.size and (tris.min() < 0 or tris.max() >= n_nodes):
         raise MeshError("triangle refers to a nonexistent node")
-    areas = _tri_areas(nodes, tris)
+    areas = _tri_areas(nodes[tris])
     flipped = areas < 0
     if np.any(flipped):
         warnings.warn(f"{int(flipped.sum())} clockwise triangle(s) reoriented",
@@ -331,47 +388,76 @@ def save_mesh(mesh: Mesh, path) -> None:
 # assembly and condensation
 # ---------------------------------------------------------------------------
 
-def assemble(mesh: Mesh):
-    """(K, M_F): P1 stiffness over all nodes, consistent boundary mass over
-    the free-surface nodes (row order = ``mesh.free_nodes()``)."""
-    nodes, tris = mesh.nodes, mesh.triangles
-    p = nodes[tris]                         # (t, 3, 2)
-    areas = _tri_areas(nodes, tris)
+def _element_stiffness(p) -> np.ndarray:
+    """(t, 3, 3) P1 stiffness of the triangles with corners p (t, 3, 2)."""
+    areas = _tri_areas(p)
     if np.any(areas <= 0):
         raise MeshError("degenerate triangle encountered during assembly")
     # gradients of the barycentric hats: b_i = y_j - y_k, c_i = x_k - x_j
     b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
     c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
-    kloc = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
+    return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
         / (4.0 * areas)[:, None, None]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    K = sp.coo_matrix((kloc.ravel(), (rows, cols)),
-                      shape=(nodes.shape[0],) * 2).tocsr()
 
+
+def _boundary_mass(mesh: Mesh) -> np.ndarray:
+    """Consistent boundary mass over the free-surface nodes, row order =
+    ``mesh.free_nodes()``."""
     ij, tags = _boundary_arrays(mesh.boundary_edges)
     ends = ij[tags == geometry.FREE]
     free = np.unique(ends)                  # == mesh.free_nodes()
     li, lj = np.searchsorted(free, ends).T
-    ell = np.hypot(*(nodes[ends[:, 1]] - nodes[ends[:, 0]]).T)
+    ell = np.hypot(*(mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]]).T)
     mf = np.zeros((free.size, free.size))
     # per edge [[l/3, l/6], [l/6, l/3]], accumulated edge by edge
     np.add.at(mf, (np.stack([li, lj, li, lj], axis=1).ravel(),
                    np.stack([li, lj, lj, li], axis=1).ravel()),
               np.stack([ell / 3.0, ell / 3.0, ell / 6.0, ell / 6.0],
                        axis=1).ravel())
-    return K, mf
+    return mf
+
+
+def assemble(mesh: Mesh):
+    """(K, M_F): P1 stiffness over all nodes, consistent boundary mass over
+    the free-surface nodes (row order = ``mesh.free_nodes()``)."""
+    tris = mesh.triangles
+    kloc = _element_stiffness(mesh.nodes[tris])
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    K = sp.coo_matrix((kloc.ravel(), (rows, cols)),
+                      shape=(mesh.nodes.shape[0],) * 2).tocsr()
+    return K, _boundary_mass(mesh)
 
 
 @dataclass
 class DtnMatrixPair:
-    """Schur complement S and boundary mass M_F on the retained surface nodes."""
+    """Schur complement S and boundary mass M_F on the retained surface nodes.
+
+    ``asymmetry`` is max|S - S^T| / max|S| before the final symmetrization.
+    ``factor_nnz`` counts the stored entries of the factors the condensation
+    took: nnz(L) + nnz(U) of the bordered sparse LU, or, on 4-split meshes,
+    n (n + 1) / 2 for every dense Cholesky factor of order n, summed over the
+    refinement levels and the surface condensation.
+    """
 
     S: np.ndarray
     M_F: np.ndarray
     surface_nodes: np.ndarray   # global node ids, row order of S and M_F
     asymmetry: float            # relative asymmetry of S before symmetrizing
-    factor_nnz: int             # stored nonzeros of the bordered L and U
+    factor_nnz: int             # stored entries of the condensation's factors
+
+
+def _retained_surface(mesh: Mesh, problem: str):
+    """(free, surface, removed): the free-surface nodes, those `problem`
+    keeps as unknowns, and the wall nodes it drops (SD) or none (SN)."""
+    if problem not in ("SN", "SD"):
+        raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
+    free = mesh.free_nodes()
+    removed = mesh.wall_nodes() if problem == "SD" else free[:0]
+    surface = np.setdiff1d(free, removed)
+    if surface.size < 2:
+        raise MeshError("too few free-surface unknowns; refine the mesh")
+    return free, surface, removed
 
 
 def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
@@ -379,37 +465,46 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
 
     SN treats wall nodes as ordinary unknowns and keeps every free-surface
     node; SD removes wall nodes (Dirichlet), including the corner nodes the
-    two boundary parts share.  A mesh component that touches no retained
-    surface node is a MeshError.
+    two boundary parts share.
+
+    Meshes that :func:`triangulate` built by 4-splitting (triangles and
+    convex centroid fans) are condensed level by level from the base
+    triangles' element stiffness (:func:`_self_similar_schur`), with no
+    global stiffness matrix; a refined base triangulation is connected by
+    construction.  Every other mesh (the rectangle grid, loaded, hand-built
+    or copied meshes, and a recorded one whose rim no longer matches) goes
+    through one sparse LU of the bordered stiffness matrix
+    (:func:`_bordered_schur`); there a mesh component that touches no
+    retained surface node is a MeshError.  Either way S comes out in the
+    row order of ``surface_nodes``, the sorted retained node ids.
     """
-    if problem not in ("SN", "SD"):
-        raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
-    K, mf = assemble(mesh)
-    free = mesh.free_nodes()
-    eliminated = mesh.wall_nodes() if problem == "SD" else free[:0]
-    keep_mask = ~np.isin(free, eliminated)
-    surface = free[keep_mask]
-    if surface.size < 2:
-        raise MeshError("too few free-surface unknowns; refine the mesh")
-    # imported here so that `import steklov` stays as cheap as before
-    from scipy.sparse.csgraph import connected_components
+    free, surface, removed = _retained_surface(mesh, problem)
+    rec = _matched_refinement(mesh, surface, removed)
+    if rec is not None:
+        S, factor_nnz = _self_similar_schur(rec, mesh.nodes.shape[0],
+                                            surface, removed)
+        mf = _boundary_mass(mesh)
+    else:
+        K, mf = assemble(mesh)
+        # imported here so that `import steklov` stays as cheap as before
+        from scipy.sparse.csgraph import connected_components
 
-    n_parts, part = connected_components(K, directed=False)
-    if np.unique(part[surface]).size < n_parts:
-        raise MeshError("disconnected mesh: a component touches no retained "
-                        "free-surface node, so its interior energy cannot be "
-                        "condensed onto the surface")
-    inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]),
-                         np.union1d(surface, eliminated))
-
-    S, factor_nnz = _bordered_schur(K, inner, surface, mesh.nodes)
+        n_parts, part = connected_components(K, directed=False)
+        if np.unique(part[surface]).size < n_parts:
+            raise MeshError("disconnected mesh: a component touches no "
+                            "retained free-surface node, so its interior "
+                            "energy cannot be condensed onto the surface")
+        inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]),
+                             np.union1d(surface, removed))
+        S, factor_nnz = _bordered_schur(K, inner, surface, mesh.nodes)
     scale = float(np.abs(S).max()) or 1.0
     asym = float(np.abs(S - S.T).max()) / scale
     if asym > 1e-10:
         warnings.warn(f"Schur complement asymmetry {asym:.2e} above 1e-10",
                       stacklevel=2)
     S = 0.5 * (S + S.T)
-    m_sub = mf[np.ix_(keep_mask, keep_mask)]
+    keep = np.isin(free, surface)
+    m_sub = mf[np.ix_(keep, keep)]
     return DtnMatrixPair(S=S, M_F=m_sub, surface_nodes=surface, asymmetry=asym,
                          factor_nnz=factor_nnz)
 
@@ -481,6 +576,149 @@ def _nested_dissection(xy, graph) -> np.ndarray:
     return np.lexsort((sep, code | ((1 << sep) - 1)))
 
 
+# -- self-similar condensation of 4-split meshes ----------------------------
+
+def _matched_refinement(mesh: Mesh, surface, removed) -> Optional[_Refinement]:
+    """The mesh's recorded 4-split refinement, or None for the sparse path.
+
+    The record counts only while the mesh holds the very arrays it was made
+    for, every rim node it names sits at its place on the base triangle's
+    sides, and the retained and removed surface nodes all lie on the rims.
+    """
+    rec = mesh.refinement
+    if rec is None or mesh.nodes is not rec.nodes \
+            or mesh.triangles is not rec.triangles:
+        return None
+    n, t0 = 2 ** rec.levels, rec.base_tris.shape[0]
+    corners = rec.base_nodes[rec.base_tris]                 # (t0, 3, 2)
+    step = (np.roll(corners, -1, axis=1) - corners) / n
+    along = np.arange(n)[None, None, :, None] * step[:, :, None, :]
+    want = (corners[:, :, None, :] + along).reshape(t0, 3 * n, 2)
+    span = float(np.ptp(rec.base_nodes, axis=0).max())
+    if not np.allclose(mesh.nodes[rec.rims], want, rtol=0.0, atol=1e-12 * span):
+        return None
+    if not np.isin(np.union1d(surface, removed), rec.rims).all():
+        return None
+    return rec
+
+
+@functools.lru_cache(maxsize=None)
+def _split_maps(m: int) -> np.ndarray:
+    """Where the four half-size copies of a triangle refined 2m per side sit.
+
+    Row k lists, for each rim node of copy k (3m of them, in rim order),
+    its index in the parent: 0 ... 6m-1 on the parent's rim, then the inner
+    nodes of the midlines ab-bc, bc-ca and ca-ab (m-1 each).  Copy 0 is the
+    middle one, the parent turned by 180 degrees, so its a, b, c sit at
+    bc, ca, ab; copies 1, 2, 3 are the corner ones (a, ab, ca),
+    (ab, b, bc) and (ca, bc, c).
+    """
+    n = 2 * m
+    r = np.arange(m)
+    zero = np.zeros(m, dtype=np.int64)
+    # a copy's rim in its own lattice coordinates (weights of its a, b, c)
+    rim = np.concatenate([np.stack([m - r, r, zero]), np.stack([zero, m - r, r]),
+                          np.stack([r, zero, m - r])], axis=1)
+    a, b, c = (n, 0, 0), (0, n, 0), (0, 0, n)
+    ab, bc, ca = (m, m, 0), (0, m, m), (m, 0, m)
+    maps = []
+    for corners in ((bc, ca, ab), (a, ab, ca), (ab, b, bc), (ca, bc, c)):
+        i, j, k = np.array(corners).T @ rim // m    # parent lattice coordinates
+        inner = np.where(j == m, 3 * n + k - 1,
+                         np.where(k == m, 3 * n + m - 2 + i, 3 * n + 2 * m - 3 + j))
+        maps.append(np.where(k == 0, j, np.where(i == 0, n + k,
+                                                 np.where(j == 0, 2 * n + i, inner))))
+    return np.array(maps)
+
+
+def _eliminate(A, keep):
+    """(Schur complement of A onto the mask `keep`, stored entries of the
+    Cholesky factor of the eliminated block)."""
+    out = ~keep
+    n = int(out.sum())
+    if n == 0:
+        return A, 0
+    chol = scipy.linalg.cholesky(A[np.ix_(out, out)], lower=True,
+                                 overwrite_a=True, check_finite=False)
+    w = scipy.linalg.solve_triangular(chol, A[np.ix_(out, keep)], lower=True,
+                                      overwrite_b=True, check_finite=False)
+    S = A[np.ix_(keep, keep)]
+    S -= w.T @ w                            # a symmetric rank-n update
+    return S, n * (n + 1) // 2
+
+
+def _condense(pieces, keep, drop=()):
+    """(ids, S, factor entries): the Schur complement onto the ids in `keep`
+    of the sum of the dense `pieces` (ids, matrix), with the ids in `drop`
+    held at zero; ``ids`` come out sorted.
+
+    The pieces are added in turn.  Each first eliminates, on its own, the
+    ids that neither the sum so far nor a later piece holds; after the
+    addition, the sum eliminates the ids no later piece holds.
+    """
+    ids, total, entries = np.zeros(0, dtype=np.int64), np.zeros((0, 0)), 0
+    for k, (own, A) in enumerate(pieces):
+        live = ~np.isin(own, drop)
+        needed = np.concatenate([keep] + [i for i, _A in pieces[k + 1:]])
+        stay = live & (np.isin(own, needed) | np.isin(own, ids))
+        if not live.all():
+            A = A[np.ix_(live, live)]
+        A, e = _eliminate(A, stay[live])
+        own = own[stay]
+        merged = np.union1d(ids, own)
+        new = np.zeros((merged.size, merged.size))
+        at = np.searchsorted(merged, ids)
+        new[np.ix_(at, at)] = total         # the first part writes zeros over
+        at = np.searchsorted(merged, own)
+        new[np.ix_(at, at)] += A
+        stay = np.isin(merged, needed)
+        total, e2 = _eliminate(new, stay)
+        ids, entries = merged[stay], entries + e + e2
+    return ids, total, entries
+
+
+def _rim_schur(B0, levels):
+    """(B, factor entries): the Schur complement onto the rim of a triangle
+    with element stiffness B0, 4-split `levels` times.  P1 stiffness is
+    invariant under similarity, so each level is four copies of the last,
+    with the midlines eliminated."""
+    B, entries = B0, 0
+    for level in range(levels):
+        m = 2 ** level
+        _ids, B, e = _condense([(idx, B) for idx in _split_maps(m)],
+                               np.arange(6 * m))
+        entries += e
+    return B, entries
+
+
+def _self_similar_schur(rec: _Refinement, n_nodes: int, surface, removed):
+    """(S, factor entries) on `surface` (sorted ids) for a recorded 4-split
+    mesh with `removed` held at zero.
+
+    Each base triangle is four copies of its level-(L-1) rim matrix around
+    three midlines, whose inner nodes get ids past the mesh's.  One
+    :func:`_condense` over all the copies, base triangle by base triangle,
+    then eliminates walls, midlines, spokes and the centroid.
+    """
+    levels, t0 = rec.levels, rec.base_tris.shape[0]
+    B0 = _element_stiffness(rec.base_nodes[rec.base_tris])
+    if levels == 0:
+        pieces, entries = list(zip(rec.rims, B0)), 0
+    else:
+        m = 2 ** (levels - 1)
+        pieces, entries = [], 0
+        for t in range(t0):
+            B, e = _rim_schur(B0[t], levels - 1)
+            midlines = n_nodes + 3 * (m - 1) * t + np.arange(3 * (m - 1))
+            local = np.concatenate([rec.rims[t], midlines])
+            pieces += [(local[idx], B) for idx in _split_maps(m)]
+            entries += e
+    ids, S, e = _condense(pieces, surface, removed)
+    if not np.array_equal(ids, surface):
+        raise RuntimeError("the 4-split condensation lost a surface node")
+    return S, entries + e
+
+
 def dtn_spectrum(d: PolygonalDomain, problem: str, count: int,
                  target_h: float) -> Spectrum:
     """First `count` Dirichlet-to-Neumann eigenvalues of the meshed domain.
@@ -495,11 +733,11 @@ def dtn_spectrum(d: PolygonalDomain, problem: str, count: int,
 
 def _spectrum_from_mesh(mesh: Mesh, d: PolygonalDomain, problem: str,
                         count: int) -> Spectrum:
-    pair = dtn_matrices(mesh, problem)
-    n_surf = pair.surface_nodes.size
+    n_surf = _retained_surface(mesh, problem)[1].size
     if not 1 <= count <= n_surf - 1:
         raise ValueError(f"count = {count} exceeds the {n_surf} surface "
                          "unknowns minus one; refine the mesh")
+    pair = dtn_matrices(mesh, problem)
     vals = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)[:count]
     if problem == "SN":
         # the discrete constant mode lands at solver roundoff, possibly below 0
@@ -515,7 +753,9 @@ def dtn_with_error(d: PolygonalDomain, problem: str, count: int,
     """(Spectrum, errors): FEM spectrum plus per-eigenvalue error certificates.
 
     Solves at target_h and target_h/2 and returns the fine spectrum with the
-    plain difference |nu_k(h) - nu_k(h/2)| as the error certificate.
+    plain difference |nu_k(h) - nu_k(h/2)| as the error certificate.  On
+    triangles and convex fans both solves take the self-similar condensation
+    of :func:`dtn_matrices`, on axis rectangles the bordered sparse LU.
 
     The triangle and convex-fan meshers refine by 4-splitting, so the fine
     mesh nests the coarse one (every coarse node is a fine node) and, the P1

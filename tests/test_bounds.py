@@ -927,6 +927,9 @@ def test_verify_heat_trace(rect_sd_2000):
     assert rep.status == "holds"
     assert rep.axis_name == "t"
     assert np.all(rep.extra["tail_bounds"] < 1e-10)
+    # the tail bound rests on an unproved gap assumption, and says so
+    kind = rep.to_dict()["extra"]["tail_kind"]
+    assert kind.startswith("heuristic") and "last decile" in kind
 
 
 def test_verify_triangle_uses_domain_geometry():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -281,6 +282,17 @@ def dense_schur(mesh, pair, problem):
         K[np.ix_(inner, inner)], K[np.ix_(inner, surf)])
 
 
+def loaded_copy(mesh, path):
+    fem.save_mesh(mesh, path)
+    return fem.load_mesh(path)
+
+
+def forbid(monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"fem.{name} was called")
+    monkeypatch.setattr(fem, name, fail)
+
+
 def grid_mesh(xs, ys, path):
     """Tensor grid over xs x ys (ys from 0 down), free on top, through
     save_mesh / load_mesh."""
@@ -294,9 +306,8 @@ def grid_mesh(xs, ys, path):
     rim += [(node[j, nx], node[j + 1, nx], "wall") for j in range(ny)]
     rim += [(node[ny, i + 1], node[ny, i], "wall") for i in range(nx)]
     rim += [(node[j + 1, 0], node[j, 0], "wall") for j in range(ny)]
-    fem.save_mesh(Mesh(np.column_stack([gx.ravel(), gy.ravel()]), tris,
-                       [(int(i), int(j), t) for i, j, t in rim]), path)
-    return fem.load_mesh(path)
+    return loaded_copy(Mesh(np.column_stack([gx.ravel(), gy.ravel()]), tris,
+                            [(int(i), int(j), t) for i, j, t in rim]), path)
 
 
 def test_schur_complement_matches_dense_oracle(tmp_path):
@@ -372,10 +383,97 @@ def minimum_degree_fill(mesh, pair, problem):
 
 @pytest.mark.parametrize("name, problem", [("triangle", "SN"),
                                            ("rectangle", "SD")])
-def test_factor_fill_at_most_minimum_degree(name, problem):
-    mesh = fem.triangulate(MESHER_DOMAINS[name], 0.01)
+def test_factor_fill_at_most_minimum_degree(name, problem, tmp_path):
+    # the loaded copy takes the bordered sparse LU, whose order is under test
+    mesh = loaded_copy(fem.triangulate(MESHER_DOMAINS[name], 0.01),
+                       tmp_path / "mesh.txt")
     pair = fem.dtn_matrices(mesh, problem)
     assert 0 < pair.factor_nnz <= minimum_degree_fill(mesh, pair, problem)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.1, 0.04])
+@pytest.mark.parametrize("problem", ["SN", "SD"])
+@pytest.mark.parametrize("name", ["triangle", "fan"])
+def test_self_similar_condensation_matches_sparse_lu(name, problem, h,
+                                                     tmp_path, monkeypatch):
+    mesh = fem.triangulate(MESHER_DOMAINS[name], h)
+    sparse = fem.dtn_matrices(loaded_copy(mesh, tmp_path / "m.txt"), problem)
+    forbid(monkeypatch, "_bordered_schur")
+    pair = fem.dtn_matrices(mesh, problem)
+    assert np.array_equal(pair.surface_nodes, sparse.surface_nodes)
+    assert np.array_equal(pair.M_F, sparse.M_F)
+    scale = np.abs(sparse.S).max()
+    assert np.abs(pair.S - sparse.S).max() <= 1e-12 * scale
+    assert pair.asymmetry < 1e-10 and pair.factor_nnz > 0
+    got = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)[1:]
+    want = scipy.linalg.eigh(sparse.S, sparse.M_F, eigvals_only=True)[1:]
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=st.floats(-2.0, 3.0), y=st.floats(0.02, 2.0),
+       levels=st.integers(0, 5))
+def test_rim_recursion_matches_dense_schur(x, y, levels):
+    # obtuse for x outside [0, 1], thin for small y
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [x, y]])
+    tri = np.array([[0, 1, 2]])
+    nodes, tris, rims = fem._refine(base, tri, levels, tri)
+    K = fem.assemble(Mesh(nodes, tris, []))[0].toarray()
+    rim = rims[0]
+    inner = np.setdiff1d(np.arange(nodes.shape[0]), rim)
+    want = K[np.ix_(rim, rim)] - K[np.ix_(rim, inner)] @ np.linalg.solve(
+        K[np.ix_(inner, inner)], K[np.ix_(inner, rim)])
+    got, _entries = fem._rim_schur(fem._element_stiffness(base[tri])[0],
+                                   levels)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_unrefined_fan_condenses_its_element_matrices(monkeypatch):
+    d = geometry.PolygonalDomain([(0, 0), (0.3, -0.6), (0.7, -0.6), (1, 0)],
+                                 free_edges=[3])
+    mesh = fem.triangulate(d, 1.05)
+    assert mesh.refinement.levels == 0
+    forbid(monkeypatch, "_bordered_schur")
+    pair = fem.dtn_matrices(mesh, "SN")
+    assert pair.S == pytest.approx(dense_schur(mesh, pair, "SN"), abs=1e-12)
+
+
+def test_only_recorded_refinements_skip_the_sparse_lu(tmp_path, monkeypatch):
+    tri = fem.triangulate(MESHER_DOMAINS["triangle"], 0.1)
+    rect = fem.triangulate(MESHER_DOMAINS["rectangle"], 0.1)
+    assert rect.refinement is None and tri.refinement is not None
+    rebound = fem.triangulate(MESHER_DOMAINS["fan"], 0.1)
+    rebound.nodes = rebound.nodes.copy()
+    others = [rect, loaded_copy(tri, tmp_path / "tri.txt"),
+              dataclasses.replace(tri), rebound]
+    with monkeypatch.context() as patch:
+        forbid(patch, "_self_similar_schur")
+        for mesh in others:
+            fem.dtn_matrices(mesh, "SN")
+    # a recorded mesh's arrays are read-only, so its record cannot go stale
+    with pytest.raises(ValueError, match="read-only"):
+        tri.nodes[0, 0] = 1.0
+    forbid(monkeypatch, "_bordered_schur")
+    fem.dtn_matrices(tri, "SD")
+
+
+def test_unmatched_rim_falls_back_to_sparse_lu(monkeypatch):
+    mesh = fem.triangulate(MESHER_DOMAINS["fan"], 0.2)
+    spoke = mesh.refinement.rims[0, -2]         # inner node of a spoke
+    mesh.nodes.setflags(write=True)
+    mesh.nodes[spoke] += 0.01
+    forbid(monkeypatch, "_self_similar_schur")
+    pair = fem.dtn_matrices(mesh, "SN")
+    assert pair.S == pytest.approx(dense_schur(mesh, pair, "SN"), abs=1e-10)
+
+
+def test_count_is_checked_before_condensing(monkeypatch):
+    tri = MESHER_DOMAINS["triangle"]
+    forbid(monkeypatch, "dtn_matrices")
+    with pytest.raises(ValueError, match="count = 600 exceeds the 129 surface"):
+        fem.dtn_spectrum(tri, "SN", 600, 0.02)
+    with pytest.raises(ValueError, match="count = 127 exceeds the 127 surface"):
+        fem.dtn_spectrum(tri, "SD", 127, 0.02)
 
 
 @st.composite

@@ -34,6 +34,7 @@ from .spectra import Spectrum
 
 _HALF_PI = math.pi / 2
 _ANGLE_TOL = 1e-12
+_FIT_GRID_POINTS = 200      # log-spaced fit points when fitting a Spectrum
 
 
 def _angle_flags(alpha: float, beta: float) -> dict:
@@ -179,18 +180,18 @@ def _prediction_from_meta(problem: str, meta: dict):
 
 
 def fit_second_term(source, gamma: float, window, *, length: Optional[float] = None,
-                    grid_points: int = 200, errors=None) -> FitResult:
+                    errors=None) -> FitResult:
     """Fit the z^gamma coefficient of a Riesz mean over a window [z1, z2].
 
     The regression model is
 
         (R_gamma(z) - C_{2,gamma} L z^{gamma+1}) / z^gamma  ~  a + b/z,
 
-    evaluated on a log-spaced grid (or on the curve's own grid points inside
-    the window); the 1/z nuisance absorbs the bounded staircase oscillation
-    so the constant converges cleanly.  Windows spanning at least a decade
-    are recommended.  Returns the constant a with its standard error and,
-    when the corner angles are available, the predicted value
+    evaluated on 200 log-spaced points (or on the curve's own grid points
+    inside the window); the 1/z nuisance absorbs the bounded staircase
+    oscillation so the constant converges cleanly.  Windows spanning at least
+    a decade are recommended.  Returns the constant a with its standard error
+    and, when the corner angles are available, the predicted value
     +/- (pi/8)(1/alpha + 1/beta).
 
     ``source`` is a Spectrum or a gamma-matching RieszCurve.  For spectra
@@ -218,7 +219,7 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
     elif isinstance(source, Spectrum):
         meta = dict(source.meta)
         problem = source.problem
-        zs = np.geomspace(z1, z2, grid_points)
+        zs = np.geomspace(z1, z2, _FIT_GRID_POINTS)
         rvals = riesz.riesz_mean_grid(source, g, zs)
         spectrum = source
     else:

@@ -614,22 +614,14 @@ def two_corner_params(d: PolygonalDomain) -> dict:
     to which both corner wall edges run straight while no other wall point
     is shallower; bc_length measures the wall left over below that depth.
     """
-    corners = geometry.corner_angles(d)
+    corners = geometry._surface_corners(d)
     if len(corners) != 2:
         raise HypothesisError(
             f"the two-corner bound needs exactly 2 surface corners, found "
             f"{len(corners)}")
-    m = d.n_vertices
-    corner_edge = {}
-    for (pt, _angle) in corners:
-        for i in range(m):
-            if np.hypot(*(d.vertices[i] - np.asarray(pt))) <= max(d._tol, 1e-9):
-                inc = (i - 1) % m
-                corner_edge[pt] = inc if d.edge_tag(inc) == geometry.WALL else i
-                break
     edges = list(d.edges())
     wall_ids = [i for i, _, _, tag in edges if tag == geometry.WALL]
-    special = set(corner_edge.values())
+    special = {wall for _i, _angle, wall in corners}
     far = {i: max(-float(edges[i][1][1]), -float(edges[i][2][1])) for i in special}
     other_min = min((min(-float(a[1]), -float(b[1]))
                      for i, a, b, _ in edges

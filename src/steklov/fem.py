@@ -165,9 +165,9 @@ def _tri_areas(p):
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
-def validate_mesh(mesh: Mesh) -> None:
-    """Check index ranges, orientation, conformity, and boundary tiling."""
-    nodes, tris = mesh.nodes, mesh.triangles
+def _checked_hull(nodes, tris) -> np.ndarray:
+    """(b, 2) edges of exactly one triangle, as (lo, hi), in first-use order,
+    after checking index ranges, orientation and conformity."""
     m = nodes.shape[0]
     if nodes.ndim != 2 or nodes.shape[1] != 2:
         raise MeshError("nodes must be an (m, 2) array")
@@ -184,8 +184,13 @@ def validate_mesh(mesh: Mesh) -> None:
     if np.any(edges.count > 2):
         raise MeshError("non-conforming mesh: an edge is shared by more than "
                         "two triangles")
-    hull = set(map(tuple, edges.pairs[edges.count == 1].tolist()))
-    tagged = set()
+    once = np.flatnonzero(edges.count == 1)
+    return edges.pairs[once[np.argsort(edges.first[once])]]
+
+
+def _check_tiling(mesh: Mesh, hull) -> None:
+    """Each hull edge tagged exactly once, free or wall, and nothing else."""
+    m, hull, tagged = mesh.nodes.shape[0], set(map(tuple, hull.tolist())), set()
     for i, j, tag in mesh.boundary_edges:
         if tag not in (geometry.FREE, geometry.WALL):
             raise MeshError(f"boundary edge ({i}, {j}) has unknown tag {tag!r}")
@@ -203,20 +208,25 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError(f"untagged boundary edges, e.g. {missing}")
 
 
+def validate_mesh(mesh: Mesh) -> None:
+    """Check index ranges, orientation, conformity, and boundary tiling."""
+    _check_tiling(mesh, _checked_hull(mesh.nodes, mesh.triangles))
+
+
 # ---------------------------------------------------------------------------
 # meshing
 # ---------------------------------------------------------------------------
 
 def _classify_boundary(d: PolygonalDomain, nodes, hull_edges):
-    """Tag each hull edge by the first domain edge its midpoint lies on."""
+    """Tag each hull edge by the first domain edge its midpoint lies on, to
+    the domain's own tolerance (relative to its diameter)."""
     mid = 0.5 * (nodes[hull_edges[:, 0]] + nodes[hull_edges[:, 1]])
-    tol = max(d._tol, 1e-9)
     on = np.full(len(hull_edges), -1)          # domain edge index, -1: none yet
     for k, a, b, _tag in d.edges():
         ab = b - a
         t = np.clip((mid - a) @ ab / float(ab @ ab), 0.0, 1.0)
         gap = np.hypot(*(mid - (a + t[:, None] * ab)).T)
-        on[(gap <= tol * (1 + np.hypot(*ab))) & (on < 0)] = k
+        on[(gap <= d._tol) & (on < 0)] = k
     if np.any(on < 0):
         i, j = hull_edges[np.argmax(on < 0)]
         raise MeshError(f"boundary edge ({i}, {j}) lies on no domain edge")
@@ -254,13 +264,6 @@ def _refine(nodes, triangles, levels, rims):
     return nodes, tris, rims
 
 
-def _hull_edges(triangles):
-    """(b, 2) edges of exactly one triangle, as (lo, hi), in first-use order."""
-    edges = _edge_table(triangles)
-    once = np.flatnonzero(edges.count == 1)
-    return edges.pairs[once[np.argsort(edges.first[once])]]
-
-
 def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
     """Mesh a convex polygon with mesh size <= 1.5 * target_h.
 
@@ -269,6 +272,11 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
     itself, and other convex polygons start from a centroid fan.  Boundary
     segments come out no longer than target_h.  Non-convex polygons are
     rejected; supply a mesh file via :func:`load_mesh` for those.
+
+    A 4-split mesh takes the fewest splits L with max(longest polygon edge,
+    base mesh size / 1.5) / 2**L <= target_h, each split halving every edge,
+    so triangulate(d, target_h / 2), if it splits at all, is this mesh split
+    once more.
 
     A 4-split mesh records its refinement for :func:`dtn_matrices`, and its
     node and triangle arrays are read-only so that the record stays true;
@@ -298,9 +306,8 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
         refinement = None
     else:
         m = d.n_vertices
-        v, nxt = d.vertices, np.roll(d.vertices, -1, axis=0)
-        crosses = (nxt - v)[:, 0] * (np.roll(nxt, -1, axis=0) - nxt)[:, 1] \
-            - (nxt - v)[:, 1] * (np.roll(nxt, -1, axis=0) - nxt)[:, 0]
+        e = np.roll(d.vertices, -1, axis=0) - d.vertices      # edge vectors
+        crosses = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
         if np.any(crosses < -d._tol):
             raise DomainError(
                 "the built-in mesher handles convex polygons only; create a "
@@ -308,22 +315,19 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
         if m == 3:
             nodes0, tris0 = d.vertices.copy(), np.array([[0, 1, 2]])
         else:
-            centroid = d.vertices.mean(axis=0)
-            nodes0 = np.vstack([d.vertices, centroid])
+            nodes0 = np.vstack([d.vertices, d.vertices.mean(axis=0)])
             tris0 = np.array([[i, (i + 1) % m, m] for i in range(m)])
-        edge_max = max(float(np.hypot(*(b - a))) for _i, a, b, _t in d.edges())
+        longest = max(float(np.hypot(*e.T).max()),
+                      Mesh(nodes0, tris0, []).mesh_size / 1.5)
         levels = 0
-        while edge_max / 2 ** levels > target_h:
+        while longest / 2 ** levels > target_h:
             levels += 1
         nodes, triangles, rims = _refine(nodes0, tris0, levels, tris0)
-        while Mesh(nodes, triangles, []).mesh_size > 1.5 * target_h:
-            nodes, triangles, rims = _refine(nodes, triangles, 1, rims)
-            levels += 1
         refinement = _Refinement(nodes0, tris0, levels, rims, nodes, triangles)
 
-    boundary = _classify_boundary(d, nodes, _hull_edges(triangles))
-    mesh = Mesh(nodes, triangles, boundary)
-    validate_mesh(mesh)
+    hull = _checked_hull(nodes, triangles)
+    mesh = Mesh(nodes, triangles, _classify_boundary(d, nodes, hull))
+    _check_tiling(mesh, hull)
     if refinement is not None:
         nodes.setflags(write=False)
         triangles.setflags(write=False)
@@ -728,11 +732,6 @@ def dtn_spectrum(d: PolygonalDomain, problem: str, count: int,
     domain metadata and source = "fem:h=<actual mesh size>".
     """
     mesh = triangulate(d, target_h)
-    return _spectrum_from_mesh(mesh, d, problem, count)
-
-
-def _spectrum_from_mesh(mesh: Mesh, d: PolygonalDomain, problem: str,
-                        count: int) -> Spectrum:
     n_surf = _retained_surface(mesh, problem)[1].size
     if not 1 <= count <= n_surf - 1:
         raise ValueError(f"count = {count} exceeds the {n_surf} surface "
@@ -757,19 +756,19 @@ def dtn_with_error(d: PolygonalDomain, problem: str, count: int,
     triangles and convex fans both solves take the self-similar condensation
     of :func:`dtn_matrices`, on axis rectangles the bordered sparse LU.
 
-    The triangle and convex-fan meshers refine by 4-splitting, so the fine
-    mesh nests the coarse one (every coarse node is a fine node) and, the P1
-    spaces being nested, nu_k(h) >= nu_k(h/2) >= nu_k.  The axis-rectangle
-    grid is not nested: its column and row counts are ceil(side / h), so
-    pi x 1 at h = 0.02 / 0.01 has 158 / 315 columns (8,109 and 31,916
-    nodes).  Either way the certificate is a heuristic, not a proof: it rests
-    on the asymptotic error model, under which a method of order p >= 1 has
-    a true fine-mesh error of at most the difference, and about a third of it
-    at the expected p = 2.  That third is only the asymptotic value.  On
-    rectangles at target_h = 0.05 (pi x 1, 1 x 1, 2 x 0.5, 1 x 2, every mode
-    up to the coarse mesh's surface unknowns minus one) the true error stayed
-    below the certificate but reached 0.53x it under SD and 0.57x under SN,
-    both at the last modes.
+    The triangle and convex-fan meshers fix their split count on the base
+    triangulation, so the fine mesh is the coarse one split once more (see
+    :func:`triangulate`); the P1 spaces nest, and nu_k(h) >= nu_k(h/2) >= nu_k.
+    The axis-rectangle grid is not nested: its column and row counts are
+    ceil(side / h), so pi x 1 at h = 0.02 / 0.01 has 158 / 315 columns
+    (8,109 and 31,916 nodes).  Either way the certificate is a heuristic, not
+    a proof: it rests on the asymptotic error model, under which a method of
+    order p >= 1 has a true fine-mesh error of at most the difference, and
+    about a third of it at the expected p = 2.  That third is only the
+    asymptotic value.  On rectangles at target_h = 0.05 (pi x 1, 1 x 1,
+    2 x 0.5, 1 x 2, every mode up to the coarse mesh's surface unknowns
+    minus one) the true error stayed below the certificate but reached 0.53x
+    it under SD and 0.57x under SN, both at the last modes.
     """
     coarse = dtn_spectrum(d, problem, count, target_h)
     fine = dtn_spectrum(d, problem, count, target_h / 2.0)

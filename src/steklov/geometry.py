@@ -334,13 +334,9 @@ def depth(d: Domain) -> float:
     return d.depth
 
 
-def corner_angles(d: PolygonalDomain):
-    """Interior angles where the free surface meets the walls.
-
-    Returns a list of ((x, y), angle) pairs sorted by x-coordinate.  Angles
-    of 0 (cusp) or >= pi (reflex corner on the surface) are rejected since
-    none of the corner-sensitive bounds apply there.
-    """
+def _surface_corners(d: PolygonalDomain):
+    """(vertex index, interior angle, wall edge index) of every Free/Wall
+    corner, sorted by x-coordinate; cusps and reflex corners raise."""
     m = d.n_vertices
     out = []
     for i in range(m):
@@ -356,9 +352,20 @@ def corner_angles(d: PolygonalDomain):
         if angle >= math.pi - 1e-12:
             raise DomainError(
                 f"reflex corner at the surface (angle {angle:.6f} >= pi) at vertex {i}")
-        out.append(((float(d.vertices[i, 0]), float(d.vertices[i, 1])), angle))
-    out.sort(key=lambda pair: pair[0][0])
+        out.append((i, angle, inc if d.edge_tag(inc) == WALL else i))
+    out.sort(key=lambda corner: d.vertices[corner[0], 0])
     return out
+
+
+def corner_angles(d: PolygonalDomain):
+    """Interior angles where the free surface meets the walls.
+
+    Returns a list of ((x, y), angle) pairs sorted by x-coordinate.  Angles
+    of 0 (cusp) or >= pi (reflex corner on the surface) are rejected since
+    none of the corner-sensitive bounds apply there.
+    """
+    return [((float(d.vertices[i, 0]), float(d.vertices[i, 1])), angle)
+            for i, angle, _wall in _surface_corners(d)]
 
 
 def wall_sign_split(d: PolygonalDomain):
@@ -455,18 +462,12 @@ def local_john_condition(d: PolygonalDomain, corner) -> bool:
     """
     pt = np.asarray(corner, dtype=float)
     m = d.n_vertices
-    for i in range(m):
-        if np.hypot(*(d.vertices[i] - pt)) > max(d._tol, 1e-9):
+    for i, _angle, wall in _surface_corners(d):
+        if np.hypot(*(d.vertices[i] - pt)) > d._tol:
             continue
-        inc = (i - 1) % m
-        if d.edge_tag(inc) == d.edge_tag(i):
-            continue
-        if d.edge_tag(inc) == FREE:
-            d_free = d.vertices[inc] - d.vertices[i]
-            d_wall = d.vertices[(i + 1) % m] - d.vertices[i]
-        else:
-            d_free = d.vertices[(i + 1) % m] - d.vertices[i]
-            d_wall = d.vertices[inc] - d.vertices[i]
+        ahead = d.vertices[(i + 1) % m] - d.vertices[i]
+        behind = d.vertices[i - 1] - d.vertices[i]
+        d_wall, d_free = (ahead, behind) if wall == i else (behind, ahead)
         if abs(d_wall[0]) <= d._tol:
             return True       # vertical wall
         return bool(d_wall[0] * d_free[0] > 0)

@@ -728,6 +728,29 @@ def test_two_corner_params_triangle_has_no_residual_wall():
     assert p["delta"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e6])
+def test_corner_lookups_are_dilation_invariant(scale):
+    # a corner is found by its vertex index, never by an absolute distance
+    # to its coordinates, so the corners of a tiny domain stay apart
+    overhang = [(0.0, 0.0), (-0.3, -0.5), (0.8, -0.5), (1.0, 0.0)]
+    cases = [(geometry.isoceles_triangle_domain(1.0, math.pi / 3),
+              geometry.isoceles_triangle_domain(scale, math.pi / 3)),
+             (PolygonalDomain(overhang, free_edges=[3]),
+              PolygonalDomain(scale * np.array(overhang), free_edges=[3]))]
+    for unit, d in cases:
+        p, q = bounds.two_corner_params(unit), bounds.two_corner_params(d)
+        assert (q["alpha"], q["beta"]) \
+            == pytest.approx((p["alpha"], p["beta"]), rel=1e-12)
+        assert q["delta"] == pytest.approx(scale * p["delta"], rel=1e-12)
+        assert q["bc_length"] == pytest.approx(scale * p["bc_length"],
+                                               rel=1e-12, abs=1e-12 * scale)
+        john = [geometry.local_john_condition(d, pt)
+                for pt, _angle in geometry.corner_angles(d)]
+        assert john == [geometry.local_john_condition(unit, pt)
+                        for pt, _angle in geometry.corner_angles(unit)]
+    assert john == [False, True]           # the overhang's left corner
+
+
 # ---------------------------------------------------------------------------
 # sum inequalities and brackets
 # ---------------------------------------------------------------------------

@@ -128,6 +128,15 @@ def reference_triangulate(d, target_h):
                 reference_classify(d, nodes, reference_hull_edges(triangles)))
 
 
+def regular_polygon(k, radius=1.0):
+    """Regular k-gon with its top edge on the surface; from k = 10 on, the
+    centroid fan's spokes are over 1.5x the polygon's edges."""
+    theta = math.pi / 2 + math.pi / k + 2 * math.pi * np.arange(k) / k
+    verts = radius * np.column_stack([np.cos(theta),
+                                      np.sin(theta) - math.cos(math.pi / k)])
+    return geometry.PolygonalDomain(verts, free_edges=[k - 1])
+
+
 MESHER_DOMAINS = {
     "rectangle": geometry.rectangle_domain(math.pi, 1.0),
     "triangle": geometry.isoceles_triangle_domain(2.0, math.pi / 4),
@@ -146,14 +155,42 @@ def test_mesher_matches_dict_reference(name, h):
     assert mesh.boundary_edges == ref.boundary_edges
 
 
-@pytest.mark.parametrize("name", ["triangle", "fan"])
+def assert_split_once(d, h):
+    """triangulate(d, h / 2) is triangulate(d, h) 4-split once, bit for bit
+    (or the same mesh when neither splits)."""
+    coarse, fine = fem.triangulate(d, h), fem.triangulate(d, h / 2)
+    if fine.refinement.levels == 0:
+        want = coarse.nodes, coarse.triangles, coarse.refinement.rims
+    else:
+        assert fine.refinement.levels == coarse.refinement.levels + 1
+        want = fem._refine(coarse.nodes, coarse.triangles, 1,
+                           coarse.refinement.rims)
+    for got, ref in zip((fine.nodes, fine.triangles, fine.refinement.rims),
+                        want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    # so every coarse node is a fine node, and nu(h) >= nu(h/2)
+    assert set(map(tuple, coarse.nodes.tolist())) \
+        <= set(map(tuple, fine.nodes.tolist()))
+
+
+@pytest.mark.parametrize("name", ["triangle", "fan", "spoked"])
 def test_refining_meshers_nest(name):
-    # 4-split refinement keeps every coarse node, so nu(h) >= nu(h/2)
-    d = MESHER_DOMAINS[name]
+    d = regular_polygon(12) if name == "spoked" else MESHER_DOMAINS[name]
     for h in (0.3, 0.1, 0.04):
-        coarse, fine = fem.triangulate(d, h), fem.triangulate(d, h / 2)
-        assert set(map(tuple, coarse.nodes.tolist())) \
-            <= set(map(tuple, fine.nodes.tolist()))
+        assert_split_once(d, h)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e6])
+def test_boundary_tags_are_dilation_invariant(scale):
+    # the tagging tolerance follows the domain's size: an absolute one tagged
+    # every edge of a tiny triangle wall, and free edges next to the corners
+    # of a large one
+    unit = geometry.isoceles_triangle_domain(1.0, math.pi / 3)
+    d = geometry.isoceles_triangle_domain(scale, math.pi / 3)
+    for h in (0.1, 0.002):
+        assert fem.triangulate(d, scale * h).boundary_edges \
+            == fem.triangulate(unit, h).boundary_edges
 
 
 def test_structured_rectangle_mesh_shape():
@@ -499,6 +536,47 @@ def test_schur_complement_matches_dense_oracle_random_convex(d, problem):
     pair = fem.dtn_matrices(mesh, problem)
     assert pair.S == pytest.approx(dense_schur(mesh, pair, problem), abs=1e-10)
     assert pair.asymmetry < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.one_of(convex_polygons(),
+                   st.builds(regular_polygon, st.integers(5, 16),
+                             st.floats(0.5, 2.0))),
+       fraction=st.floats(0.04, 0.99))
+def test_refining_meshers_nest_random_convex(d, fraction):
+    span = d.vertices.max(axis=0) - d.vertices.min(axis=0)
+    assert_split_once(d, fraction * float(np.hypot(*span)))
+
+
+def test_spoked_fan_splits_past_its_polygon_edges():
+    # the spokes, not the polygon edges, set the level count here
+    d = regular_polygon(12)
+    edge = max(float(np.hypot(*(b - a))) for _i, a, b, _t in d.edges())
+    mesh = fem.triangulate(d, 0.07)
+    base = Mesh(mesh.refinement.base_nodes, mesh.refinement.base_tris, [])
+    assert base.mesh_size > 1.5 * edge
+    assert edge / 2 ** (mesh.refinement.levels - 1) <= 0.07
+    assert mesh.mesh_size <= 1.5 * 0.07
+    ref = reference_triangulate(d, 0.07)
+    assert mesh.nodes.tobytes() == ref.nodes.tobytes()
+    assert mesh.triangles.tobytes() == ref.triangles.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MESHER_DOMAINS))
+def test_triangulate_builds_one_edge_table_per_mesh(name, monkeypatch):
+    calls = []
+    real = fem._edge_table
+
+    def spy(triangles):
+        calls.append(len(triangles))
+        return real(triangles)
+
+    monkeypatch.setattr(fem, "_edge_table", spy)
+    mesh = fem.triangulate(MESHER_DOMAINS[name], 0.05)
+    # one per 4-split level, then one that the hull and the checks share
+    levels = mesh.refinement.levels if mesh.refinement is not None else 0
+    assert len(calls) == levels + 1
+    assert calls[-1] == mesh.triangles.shape[0]
 
 
 def test_disconnected_mesh_is_diagnosed(tmp_path):

@@ -194,10 +194,10 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
     and, when the corner angles are available, the predicted value
     +/- (pi/8)(1/alpha + 1/beta).
 
-    ``source`` is a Spectrum or a gamma-matching RieszCurve.  For spectra
-    with certified per-eigenvalue ``errors`` the window is shrunk until the
-    propagated error at its top stays below a tenth of the fitted
-    coefficient, and the actually-used window is reported.
+    ``source`` is a Spectrum or a gamma-matching RieszCurve.  With certified
+    per-eigenvalue ``errors`` the window is shrunk until the propagated error
+    at its top stays below a tenth of the fitted coefficient, and the
+    actually-used window is reported; a curve must then carry its spectrum.
     """
     g = float(gamma)
     if g < 1:
@@ -216,6 +216,9 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
         zs = source.grid[mask]
         rvals = source.values[mask]
         spectrum = source.spectrum
+        if errors is not None and spectrum is None:
+            raise ValueError("an error budget needs the curve's spectrum, and "
+                             "this curve carries none (a loaded curve, say)")
     elif isinstance(source, Spectrum):
         meta = dict(source.meta)
         problem = source.problem
@@ -254,7 +257,7 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
 
     a, se = solve(zs, rvals)
 
-    if errors is not None and spectrum is not None:
+    if errors is not None:
         errors = np.asarray(errors, dtype=float).ravel()
         if errors.size != len(spectrum):
             raise ValueError("errors must align with the spectrum")

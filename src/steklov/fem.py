@@ -17,18 +17,19 @@ eliminates them (including the surface corner nodes) before condensation.
 The Schur complement comes one of two ways, chosen from the mesh itself.
 
 Meshes that :func:`triangulate` builds by 4-splitting (triangles and convex
-centroid fans) carry a record of their base triangles.  P1 stiffness is
-invariant under similarity, and a midpoint 4-split turns a triangle into
-four half-size copies of itself, so the Schur complement onto the rim of a
-base triangle after l splits is four copies of the one after l - 1, with
-the three midlines eliminated by one dense Cholesky.  The copies of the
-last level are then summed and condensed onto the surface in turn, each
-eliminating what no later copy shares (nested dissection with exact reuse;
-A. George, SIAM J. Numer. Anal. 10, 1973).  No global stiffness matrix is
-assembled.
+centroid fans) carry their split count L, and take this path while 4-split
+refinement of their base triangles, L times, reproduces them exactly.  P1
+stiffness is invariant under similarity, and a midpoint 4-split turns a
+triangle into four half-size copies of itself, so the Schur complement onto
+the rim of a base triangle after l splits is four copies of the one after
+l - 1, with the three midlines eliminated by one dense Cholesky.  The copies
+of the last level are then summed and condensed onto the surface in turn,
+each eliminating what no later copy shares (nested dissection with exact
+reuse; A. George, SIAM J. Numer. Anal. 10, 1973).  No global stiffness
+matrix is assembled.
 
-Every other mesh (the structured rectangle grid, loaded, hand-built or
-copied meshes) goes through one sparse LU of the bordered matrix: the
+Every other mesh (the structured rectangle grid, loaded, hand-built, copied
+or edited meshes) goes through one sparse LU of the bordered matrix: the
 interior unknowns first, in a nested-dissection order computed from the
 node coordinates, and the retained surface unknowns last.  Factored in that
 order without pivoting, the trailing blocks of the factors satisfy
@@ -85,10 +86,10 @@ class Mesh:
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: list
-    # set by `triangulate` on 4-split meshes only, so that hand-built,
-    # loaded and `dataclasses.replace`d meshes never carry it
-    refinement: Optional[_Refinement] = field(default=None, init=False,
-                                              compare=False, repr=False)
+    # 4-splits of the base triangles; `triangulate` sets it on triangle and
+    # fan meshes only, so hand-built, loaded and `replace`d meshes lack it
+    splits: Optional[int] = field(default=None, init=False, compare=False,
+                                  repr=False)
 
     @property
     def mesh_size(self) -> float:
@@ -113,24 +114,6 @@ def _boundary_arrays(boundary_edges):
                   dtype=np.int64).reshape(-1, 2)
     tags = np.array([tag for _i, _j, tag in boundary_edges], dtype=object)
     return ij, tags
-
-
-@dataclass(frozen=True)
-class _Refinement:
-    """How :func:`triangulate` built a mesh: `levels` 4-splits of the base
-    triangles, with the mesh ids of each base triangle's rim.
-
-    Rim order runs a -> b -> c around a base triangle (a, b, c) from its
-    vertex a, 2**levels nodes per side, each side's end left to the next.
-    The record describes the (read-only) node and triangle arrays it names.
-    """
-
-    base_nodes: np.ndarray   # (v, 2)
-    base_tris: np.ndarray    # (t0, 3) counterclockwise
-    levels: int
-    rims: np.ndarray         # (t0, 3 * 2**levels) mesh node ids
-    nodes: np.ndarray        # the refined mesh's arrays
-    triangles: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -234,13 +217,13 @@ def _classify_boundary(d: PolygonalDomain, nodes, hull_edges):
             for (i, j), k in zip(hull_edges.tolist(), on.tolist())]
 
 
-def _refine(nodes, triangles, levels, rims):
+def _refine(nodes, triangles, levels):
     """Uniform 4-split refinement (midpoint subdivision), `levels` times.
 
     Midpoints are numbered after the existing nodes, in the order their
     edges first occur when scanning the triangles' sides ab, bc, ca.
-    `rims` holds closed node chains, one per row, along mesh edges; each
-    level puts every edge's midpoint between its two ends.
+    Triangle t (a, b, c) becomes triangles 4t ... 4t + 3: (a, ab, ca),
+    (ab, b, bc), (ca, bc, c) and (ab, bc, ca).
     """
     nodes = np.array(nodes, dtype=float)
     tris = np.array(triangles, dtype=np.int64)
@@ -250,18 +233,32 @@ def _refine(nodes, triangles, levels, rims):
         number = np.empty(by_first.size, dtype=np.int64)
         number[by_first] = nodes.shape[0] + np.arange(by_first.size)
         ends = edges.pairs[by_first]
-        base = nodes.shape[0]
         nodes = np.vstack([nodes, (nodes[ends[:, 0]] + nodes[ends[:, 1]]) / 2])
         a, b, c = tris.T
         ab, bc, ca = number[edges.side].T
         tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
                         axis=1).reshape(-1, 3)
-        nxt = np.roll(rims, -1, axis=1)
-        keys = edges.pairs[:, 0] * base + edges.pairs[:, 1]
-        mid = number[np.searchsorted(
-            keys, np.minimum(rims, nxt) * base + np.maximum(rims, nxt))]
-        rims = np.stack([rims, mid], axis=2).reshape(rims.shape[0], -1)
-    return nodes, tris, rims
+    return nodes, tris
+
+
+def _rims(triangles, levels) -> np.ndarray:
+    """(t0, 3 * 2**levels) node ids: the rim of each base triangle of a mesh
+    that :func:`_refine` split `levels` times, read off its triangles.
+
+    Rim order runs a -> b -> c around a base triangle (a, b, c) from its
+    vertex a, 2**levels nodes per side, each side's end left to the next.
+    Side k of a triangle is side k of its children k and k + 1 (mod 3), so
+    node j of side k is vertex k of the descendant that the bits of j pick,
+    most significant first, one child per level; the corners (j = 0) are
+    the base triangles.
+    """
+    n = 2 ** levels
+    bits = (np.arange(n)[:, None] >> np.arange(levels - 1, -1, -1)) & 1
+    child = (np.arange(3)[:, None, None] + bits) % 3          # (3, n, levels)
+    offset = child @ 4 ** np.arange(levels - 1, -1, -1)     # within the base
+    first = n * n * np.arange(len(triangles) // (n * n))
+    return triangles[first[:, None, None] + offset,
+                     np.arange(3)[:, None]].reshape(-1, 3 * n)
 
 
 def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
@@ -278,9 +275,9 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
     so triangulate(d, target_h / 2), if it splits at all, is this mesh split
     once more.
 
-    A 4-split mesh records its refinement for :func:`dtn_matrices`, and its
-    node and triangle arrays are read-only so that the record stays true;
-    build a new Mesh from copies to edit one.
+    A 4-split mesh records its split count for :func:`dtn_matrices`, which
+    condenses it self-similarly while it is still exactly that refinement of
+    its base.
     """
     if not target_h > 0:
         raise ValueError(f"target_h must be positive, got {target_h}")
@@ -303,7 +300,7 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
         n11 = n01 + 1
         triangles = np.stack([n00, n10, n11, n00, n11, n01],
                              axis=1).reshape(-1, 3)
-        refinement = None
+        splits = None
     else:
         m = d.n_vertices
         e = np.roll(d.vertices, -1, axis=0) - d.vertices      # edge vectors
@@ -319,19 +316,15 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
             tris0 = np.array([[i, (i + 1) % m, m] for i in range(m)])
         longest = max(float(np.hypot(*e.T).max()),
                       Mesh(nodes0, tris0, []).mesh_size / 1.5)
-        levels = 0
-        while longest / 2 ** levels > target_h:
-            levels += 1
-        nodes, triangles, rims = _refine(nodes0, tris0, levels, tris0)
-        refinement = _Refinement(nodes0, tris0, levels, rims, nodes, triangles)
+        splits = 0
+        while longest / 2 ** splits > target_h:
+            splits += 1
+        nodes, triangles = _refine(nodes0, tris0, splits)
 
     hull = _checked_hull(nodes, triangles)
     mesh = Mesh(nodes, triangles, _classify_boundary(d, nodes, hull))
     _check_tiling(mesh, hull)
-    if refinement is not None:
-        nodes.setflags(write=False)
-        triangles.setflags(write=False)
-        mesh.refinement = refinement
+    mesh.splits = splits
     return mesh
 
 
@@ -472,21 +465,26 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
     two boundary parts share.
 
     Meshes that :func:`triangulate` built by 4-splitting (triangles and
-    convex centroid fans) are condensed level by level from the base
+    convex centroid fans), while still exactly that refinement
+    (:func:`_split_rims`) with every retained or removed surface node on a
+    base triangle's rim, are condensed level by level from the base
     triangles' element stiffness (:func:`_self_similar_schur`), with no
     global stiffness matrix; a refined base triangulation is connected by
-    construction.  Every other mesh (the rectangle grid, loaded, hand-built
-    or copied meshes, and a recorded one whose rim no longer matches) goes
-    through one sparse LU of the bordered stiffness matrix
-    (:func:`_bordered_schur`); there a mesh component that touches no
-    retained surface node is a MeshError.  Either way S comes out in the
-    row order of ``surface_nodes``, the sorted retained node ids.
+    construction.  Every other mesh (the rectangle grid, loaded, hand-built,
+    copied or edited meshes) goes through one sparse LU of the bordered
+    stiffness matrix (:func:`_bordered_schur`); there a mesh component that
+    touches no retained surface node is a MeshError.  Either way S comes out
+    in the row order of ``surface_nodes``, the sorted retained node ids.
     """
+    return _condensed(mesh, problem, _split_rims(mesh))
+
+
+def _condensed(mesh: Mesh, problem: str, rims) -> DtnMatrixPair:
+    """:func:`dtn_matrices`, given the base triangles' rims of a mesh that is
+    exactly ``mesh.splits`` 4-splits of its base, or None."""
     free, surface, removed = _retained_surface(mesh, problem)
-    rec = _matched_refinement(mesh, surface, removed)
-    if rec is not None:
-        S, factor_nnz = _self_similar_schur(rec, mesh.nodes.shape[0],
-                                            surface, removed)
+    if rims is not None and np.isin(np.union1d(surface, removed), rims).all():
+        S, factor_nnz = _self_similar_schur(mesh, rims, surface, removed)
         mf = _boundary_mass(mesh)
     else:
         K, mf = assemble(mesh)
@@ -505,7 +503,7 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
     asym = float(np.abs(S - S.T).max()) / scale
     if asym > 1e-10:
         warnings.warn(f"Schur complement asymmetry {asym:.2e} above 1e-10",
-                      stacklevel=2)
+                      stacklevel=3)
     S = 0.5 * (S + S.T)
     keep = np.isin(free, surface)
     m_sub = mf[np.ix_(keep, keep)]
@@ -582,28 +580,23 @@ def _nested_dissection(xy, graph) -> np.ndarray:
 
 # -- self-similar condensation of 4-split meshes ----------------------------
 
-def _matched_refinement(mesh: Mesh, surface, removed) -> Optional[_Refinement]:
-    """The mesh's recorded 4-split refinement, or None for the sparse path.
+def _split_rims(mesh: Mesh) -> Optional[np.ndarray]:
+    """The rims of the mesh's base triangles (:func:`_rims`) if the mesh is
+    exactly ``mesh.splits`` 4-splits of its base, else None.
 
-    The record counts only while the mesh holds the very arrays it was made
-    for, every rim node it names sits at its place on the base triangle's
-    sides, and the retained and removed surface nodes all lie on the rims.
+    The base triangles are the rims' corners and their nodes the first rows
+    of the node array, as :func:`triangulate` numbers them; the mesh counts
+    only if :func:`_refine` of that base reproduces its node and triangle
+    arrays exactly, so an edit anywhere sends it to the sparse LU.
     """
-    rec = mesh.refinement
-    if rec is None or mesh.nodes is not rec.nodes \
-            or mesh.triangles is not rec.triangles:
+    levels, t = mesh.splits, mesh.triangles.shape[0]
+    if levels is None or t == 0 or t % 4 ** levels:
         return None
-    n, t0 = 2 ** rec.levels, rec.base_tris.shape[0]
-    corners = rec.base_nodes[rec.base_tris]                 # (t0, 3, 2)
-    step = (np.roll(corners, -1, axis=1) - corners) / n
-    along = np.arange(n)[None, None, :, None] * step[:, :, None, :]
-    want = (corners[:, :, None, :] + along).reshape(t0, 3 * n, 2)
-    span = float(np.ptp(rec.base_nodes, axis=0).max())
-    if not np.allclose(mesh.nodes[rec.rims], want, rtol=0.0, atol=1e-12 * span):
-        return None
-    if not np.isin(np.union1d(surface, removed), rec.rims).all():
-        return None
-    return rec
+    rims = _rims(mesh.triangles, levels)
+    base = rims[:, ::2 ** levels]
+    nodes, tris = _refine(mesh.nodes[:base.max() + 1], base, levels)
+    same = np.array_equal(nodes, mesh.nodes) and np.array_equal(tris, mesh.triangles)
+    return rims if same else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -695,26 +688,27 @@ def _rim_schur(B0, levels):
     return B, entries
 
 
-def _self_similar_schur(rec: _Refinement, n_nodes: int, surface, removed):
-    """(S, factor entries) on `surface` (sorted ids) for a recorded 4-split
-    mesh with `removed` held at zero.
+def _self_similar_schur(mesh: Mesh, rims, surface, removed):
+    """(S, factor entries) on `surface` (sorted ids) for a mesh that is
+    exactly ``mesh.splits`` 4-splits of the base triangles with rims `rims`
+    (:func:`_split_rims`), with `removed` held at zero.
 
     Each base triangle is four copies of its level-(L-1) rim matrix around
     three midlines, whose inner nodes get ids past the mesh's.  One
     :func:`_condense` over all the copies, base triangle by base triangle,
     then eliminates walls, midlines, spokes and the centroid.
     """
-    levels, t0 = rec.levels, rec.base_tris.shape[0]
-    B0 = _element_stiffness(rec.base_nodes[rec.base_tris])
+    levels, n_nodes = mesh.splits, mesh.nodes.shape[0]
+    B0 = _element_stiffness(mesh.nodes[rims[:, ::2 ** levels]])
     if levels == 0:
-        pieces, entries = list(zip(rec.rims, B0)), 0
+        pieces, entries = list(zip(rims, B0)), 0
     else:
         m = 2 ** (levels - 1)
         pieces, entries = [], 0
-        for t in range(t0):
+        for t, rim in enumerate(rims):
             B, e = _rim_schur(B0[t], levels - 1)
             midlines = n_nodes + 3 * (m - 1) * t + np.arange(3 * (m - 1))
-            local = np.concatenate([rec.rims[t], midlines])
+            local = np.concatenate([rim, midlines])
             pieces += [(local[idx], B) for idx in _split_maps(m)]
             entries += e
     ids, S, e = _condense(pieces, surface, removed)
@@ -736,7 +730,9 @@ def dtn_spectrum(d: PolygonalDomain, problem: str, count: int,
     if not 1 <= count <= n_surf - 1:
         raise ValueError(f"count = {count} exceeds the {n_surf} surface "
                          "unknowns minus one; refine the mesh")
-    pair = dtn_matrices(mesh, problem)
+    # a mesh fresh from triangulate is its own refinement: no need to check
+    rims = None if mesh.splits is None else _rims(mesh.triangles, mesh.splits)
+    pair = _condensed(mesh, problem, rims)
     vals = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)[:count]
     if problem == "SN":
         # the discrete constant mode lands at solver roundoff, possibly below 0

@@ -262,9 +262,10 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     e^{-eta_last t} / (1 - e^{-gap t}) with gap = the smallest spacing in the
     last decile of the spectrum, found once per grid.  The bound rests on the
     assumption that spacings do not shrink below that observed gap further
-    out; nothing here proves it.  Raises when the spectrum is too short to
-    push the tail bound under ``tol``, or when the last decile contains a
-    repeated eigenvalue (no gap to extrapolate).
+    out; nothing here proves it.  Raises when the spectrum holds fewer than
+    two eigenvalues, or too few to push the tail bound under ``tol``, or
+    when the last decile contains a repeated eigenvalue (no gap to
+    extrapolate).
     """
     if s.problem != "SD":
         raise ValueError("heat_trace expects an SD spectrum (positive eigenvalues)")
@@ -273,9 +274,11 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     if bad.any():
         raise ValueError(f"time must be positive, got {float(ts[bad][0])}")
     vals = s.values
-    m = max(2, len(s) // 10)
-    gaps = np.diff(vals[-m:])
-    if gaps.size == 0 or float(gaps.min()) <= 0:
+    if len(s) < 2:
+        raise ValueError("cannot certify the tail: the tail bound needs at "
+                         f"least two eigenvalues, the spectrum has {len(s)}")
+    gaps = np.diff(vals[-max(2, len(s) // 10):])
+    if float(gaps.min()) <= 0:
         raise ValueError(
             "cannot certify the tail: repeated eigenvalues in the last decile")
     gap = float(gaps.min())

@@ -177,6 +177,19 @@ def test_fit_error_budget_trims_window():
     assert fit.coefficient == pytest.approx(0.5, rel=0.05)
 
 
+def test_fit_error_budget_needs_the_curve_spectrum(tmp_path):
+    # a loaded curve has no spectrum to propagate the errors through
+    s = spectra.rectangle_sn(math.pi, 1.0, 600)
+    path = tmp_path / "curve.csv"
+    riesz.save_curve(riesz.riesz_curve(s, 1.0, np.geomspace(10.0, 550.0, 300)),
+                     path)
+    bare = riesz.load_curve(path)
+    assert asymptotics.fit_second_term(bare, 1.0, (50.0, 500.0)).window[1] > 490
+    with pytest.raises(ValueError, match="needs the curve's spectrum"):
+        asymptotics.fit_second_term(bare, 1.0, (50.0, 500.0),
+                                    errors=np.ones(600))
+
+
 def test_fit_error_budget_can_exhaust_window():
     s = spectra.rectangle_sn(math.pi, 1.0, 3000)
     errs = np.full(3000, 10.0)

@@ -916,6 +916,25 @@ def test_verify_k_axis_validation(rect_sn_600):
         bounds.verify(rect_sn_600, "kroger", np.array([900.0]))
 
 
+def test_verify_sd_sum_reaches_the_last_eigenvalue():
+    # sd-sum averages nu_1 .. nu_k and never reads nu_{k+1}
+    s = spectra.rectangle_sd(math.pi, 1.0, 50)
+    rep = bounds.verify(s, "sd-sum", [50])
+    assert rep.observed_values.tolist() == [riesz.mean_sum(s, 50)]
+    with pytest.raises(ValueError, match="k = 51 exceeds the 50 stored"):
+        bounds.verify(s, "sd-sum", [51])
+
+
+def test_verify_grid_errors_are_the_bounds_own(rect_sn_600, rect_sd_2000):
+    with pytest.raises(ValueError, match=r"z must be a finite real >= 0, got -1\.0"):
+        bounds.verify(rect_sd_2000, "sd-upper", [2.0, -1.0])
+    with pytest.raises(ValueError, match=r"time must be positive, got 0\.0"):
+        bounds.verify(rect_sd_2000, "heat-trace", [0.0])
+    for bound_id in ("kroger", "bracket"):
+        with pytest.raises(ValueError, match="need eigenvalue 601, spectrum has"):
+            bounds.verify(rect_sn_600, bound_id, [600])
+
+
 def test_verify_bracket_reports_both_sides(rect_sn_600):
     rep = bounds.verify(rect_sn_600, "bracket", np.arange(1, 40))
     assert rep.status == "holds"

@@ -52,8 +52,11 @@ def test_boundary_mass_total_is_surface_length():
 # -- dict-based reference mesher: the oracle for the vectorized one ----------
 
 def reference_refine(nodes, triangles, levels):
+    """(nodes, triangles, rims): `levels` midpoint 4-splits, with each input
+    triangle's rim chain a -> b -> c carried along by midpoint lookup."""
     nodes = [tuple(p) for p in nodes]
     tris = [tuple(t) for t in triangles]
+    rims = [list(t) for t in tris]
     for _ in range(levels):
         midpoint: dict = {}
 
@@ -70,7 +73,9 @@ def reference_refine(nodes, triangles, levels):
             ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
             out.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
         tris = out
-    return np.array(nodes), np.array(tris, dtype=int)
+        rims = [[v for a, b in zip(rim, rim[1:] + rim[:1])
+                 for v in (a, midpoint[(min(a, b), max(a, b))])] for rim in rims]
+    return np.array(nodes), np.array(tris, dtype=int), np.array(rims, dtype=int)
 
 
 def reference_hull_edges(triangles):
@@ -96,6 +101,16 @@ def reference_classify(d, nodes, hull_edges):
     return out
 
 
+def fan_base(d):
+    """The base triangulation `triangulate` splits: the polygon itself, or
+    its centroid fan."""
+    m = d.n_vertices
+    if m == 3:
+        return d.vertices.copy(), np.array([[0, 1, 2]])
+    return (np.vstack([d.vertices, d.vertices.mean(axis=0)]),
+            np.array([[i, (i + 1) % m, m] for i in range(m)]))
+
+
 def reference_triangulate(d, target_h):
     if geometry.axis_rectangle_sides(d) is not None:
         (x0, y0), (x1, y1) = d.vertices.min(axis=0), d.vertices.max(axis=0)
@@ -111,19 +126,14 @@ def reference_triangulate(d, target_h):
                 tris.extend([(n00, n10, n01 + 1), (n00, n01 + 1, n01)])
         triangles = np.array(tris, dtype=int)
     else:
-        m = d.n_vertices
-        if m == 3:
-            nodes0, tris0 = d.vertices.copy(), np.array([[0, 1, 2]])
-        else:
-            nodes0 = np.vstack([d.vertices, d.vertices.mean(axis=0)])
-            tris0 = np.array([[i, (i + 1) % m, m] for i in range(m)])
+        nodes0, tris0 = fan_base(d)
         edge_max = max(float(np.hypot(*(b - a))) for _i, a, b, _t in d.edges())
         levels = 0
         while edge_max / 2 ** levels > target_h:
             levels += 1
-        nodes, triangles = reference_refine(nodes0, tris0, levels)
+        nodes, triangles, _rims = reference_refine(nodes0, tris0, levels)
         while Mesh(nodes, triangles, []).mesh_size > 1.5 * target_h:
-            nodes, triangles = reference_refine(nodes, triangles, 1)
+            nodes, triangles, _rims = reference_refine(nodes, triangles, 1)
     return Mesh(nodes, triangles,
                 reference_classify(d, nodes, reference_hull_edges(triangles)))
 
@@ -159,14 +169,12 @@ def assert_split_once(d, h):
     """triangulate(d, h / 2) is triangulate(d, h) 4-split once, bit for bit
     (or the same mesh when neither splits)."""
     coarse, fine = fem.triangulate(d, h), fem.triangulate(d, h / 2)
-    if fine.refinement.levels == 0:
-        want = coarse.nodes, coarse.triangles, coarse.refinement.rims
+    if fine.splits == 0:
+        want = coarse.nodes, coarse.triangles
     else:
-        assert fine.refinement.levels == coarse.refinement.levels + 1
-        want = fem._refine(coarse.nodes, coarse.triangles, 1,
-                           coarse.refinement.rims)
-    for got, ref in zip((fine.nodes, fine.triangles, fine.refinement.rims),
-                        want):
+        assert fine.splits == coarse.splits + 1
+        want = fem._refine(coarse.nodes, coarse.triangles, 1)
+    for got, ref in zip((fine.nodes, fine.triangles), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
     # so every coarse node is a fine node, and nu(h) >= nu(h/2)
@@ -454,9 +462,9 @@ def test_rim_recursion_matches_dense_schur(x, y, levels):
     # obtuse for x outside [0, 1], thin for small y
     base = np.array([[0.0, 0.0], [1.0, 0.0], [x, y]])
     tri = np.array([[0, 1, 2]])
-    nodes, tris, rims = fem._refine(base, tri, levels, tri)
+    nodes, tris = fem._refine(base, tri, levels)
     K = fem.assemble(Mesh(nodes, tris, []))[0].toarray()
-    rim = rims[0]
+    rim = fem._rims(tris, levels)[0]
     inner = np.setdiff1d(np.arange(nodes.shape[0]), rim)
     want = K[np.ix_(rim, rim)] - K[np.ix_(rim, inner)] @ np.linalg.solve(
         K[np.ix_(inner, inner)], K[np.ix_(inner, rim)])
@@ -469,7 +477,7 @@ def test_unrefined_fan_condenses_its_element_matrices(monkeypatch):
     d = geometry.PolygonalDomain([(0, 0), (0.3, -0.6), (0.7, -0.6), (1, 0)],
                                  free_edges=[3])
     mesh = fem.triangulate(d, 1.05)
-    assert mesh.refinement.levels == 0
+    assert mesh.splits == 0
     forbid(monkeypatch, "_bordered_schur")
     pair = fem.dtn_matrices(mesh, "SN")
     assert pair.S == pytest.approx(dense_schur(mesh, pair, "SN"), abs=1e-12)
@@ -478,30 +486,56 @@ def test_unrefined_fan_condenses_its_element_matrices(monkeypatch):
 def test_only_recorded_refinements_skip_the_sparse_lu(tmp_path, monkeypatch):
     tri = fem.triangulate(MESHER_DOMAINS["triangle"], 0.1)
     rect = fem.triangulate(MESHER_DOMAINS["rectangle"], 0.1)
-    assert rect.refinement is None and tri.refinement is not None
-    rebound = fem.triangulate(MESHER_DOMAINS["fan"], 0.1)
-    rebound.nodes = rebound.nodes.copy()
+    assert rect.splits is None and tri.splits is not None
     others = [rect, loaded_copy(tri, tmp_path / "tri.txt"),
-              dataclasses.replace(tri), rebound]
+              dataclasses.replace(tri)]
     with monkeypatch.context() as patch:
         forbid(patch, "_self_similar_schur")
         for mesh in others:
             fem.dtn_matrices(mesh, "SN")
-    # a recorded mesh's arrays are read-only, so its record cannot go stale
-    with pytest.raises(ValueError, match="read-only"):
-        tri.nodes[0, 0] = 1.0
+    # the check is on values, so a rebound but equal node array still counts
+    rebound = fem.triangulate(MESHER_DOMAINS["fan"], 0.1)
+    rebound.nodes = rebound.nodes.copy()
     forbid(monkeypatch, "_bordered_schur")
-    fem.dtn_matrices(tri, "SD")
+    for mesh in (tri, rebound):
+        fem.dtn_matrices(mesh, "SD")
 
 
 def test_unmatched_rim_falls_back_to_sparse_lu(monkeypatch):
     mesh = fem.triangulate(MESHER_DOMAINS["fan"], 0.2)
-    spoke = mesh.refinement.rims[0, -2]         # inner node of a spoke
-    mesh.nodes.setflags(write=True)
+    spoke = fem._rims(mesh.triangles, mesh.splits)[0, -2]   # inside a spoke
     mesh.nodes[spoke] += 0.01
     forbid(monkeypatch, "_self_similar_schur")
     pair = fem.dtn_matrices(mesh, "SN")
     assert pair.S == pytest.approx(dense_schur(mesh, pair, "SN"), abs=1e-10)
+
+
+def test_interior_edit_falls_back_to_sparse_lu(monkeypatch):
+    # a node on no rim: only the whole-mesh check sees that it moved
+    mesh = fem.triangulate(MESHER_DOMAINS["fan"], 0.2)
+    unedited = fem.dtn_matrices(mesh, "SN").S
+    rims = fem._rims(mesh.triangles, mesh.splits)
+    inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]), rims)
+    mesh.nodes[inner[inner.size // 2]] += 0.01
+    forbid(monkeypatch, "_self_similar_schur")
+    pair = fem.dtn_matrices(mesh, "SN")
+    assert pair.S == pytest.approx(dense_schur(mesh, pair, "SN"), abs=1e-10)
+    # and the edit moves S well past that tolerance
+    assert np.abs(pair.S - unedited).max() > 1e-8
+
+
+@pytest.mark.parametrize("problem", ["SN", "SD"])
+@pytest.mark.parametrize("name", sorted(MESHER_DOMAINS))
+def test_dtn_spectrum_is_its_public_steps(name, problem):
+    # the spectrum skips the exact-refinement check on its own mesh; the
+    # public triangulate -> dtn_matrices -> eigh chain gives it bit for bit
+    d, h, count = MESHER_DOMAINS[name], 0.05, 12
+    pair = fem.dtn_matrices(fem.triangulate(d, h), problem)
+    want = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)[:count]
+    if problem == "SN":
+        want = np.maximum(want, 0.0)
+    got = fem.dtn_spectrum(d, problem, count, h).values
+    assert got.tobytes() == want.tobytes()
 
 
 def test_count_is_checked_before_condensing(monkeypatch):
@@ -548,14 +582,36 @@ def test_refining_meshers_nest_random_convex(d, fraction):
     assert_split_once(d, fraction * float(np.hypot(*span)))
 
 
+def assert_rims_match_reference(d, levels):
+    nodes0, tris0 = fan_base(d)
+    _nodes, tris, want = reference_refine(nodes0, tris0, levels)
+    got = fem._rims(tris, levels)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got[:, ::2 ** levels], tris0)
+
+
+@pytest.mark.parametrize("levels", range(6))
+@pytest.mark.parametrize("name", ["triangle", "fan", "spoked"])
+def test_rims_match_dict_reference(name, levels):
+    d = regular_polygon(12) if name == "spoked" else MESHER_DOMAINS[name]
+    assert_rims_match_reference(d, levels)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=convex_polygons(), levels=st.integers(0, 5))
+def test_rims_match_dict_reference_random_convex(d, levels):
+    assert_rims_match_reference(d, levels)
+
+
 def test_spoked_fan_splits_past_its_polygon_edges():
     # the spokes, not the polygon edges, set the level count here
     d = regular_polygon(12)
     edge = max(float(np.hypot(*(b - a))) for _i, a, b, _t in d.edges())
     mesh = fem.triangulate(d, 0.07)
-    base = Mesh(mesh.refinement.base_nodes, mesh.refinement.base_tris, [])
-    assert base.mesh_size > 1.5 * edge
-    assert edge / 2 ** (mesh.refinement.levels - 1) <= 0.07
+    base = fem._rims(mesh.triangles, mesh.splits)[:, ::2 ** mesh.splits]
+    assert Mesh(mesh.nodes, base, []).mesh_size > 1.5 * edge
+    assert edge / 2 ** (mesh.splits - 1) <= 0.07
     assert mesh.mesh_size <= 1.5 * 0.07
     ref = reference_triangulate(d, 0.07)
     assert mesh.nodes.tobytes() == ref.nodes.tobytes()
@@ -574,8 +630,7 @@ def test_triangulate_builds_one_edge_table_per_mesh(name, monkeypatch):
     monkeypatch.setattr(fem, "_edge_table", spy)
     mesh = fem.triangulate(MESHER_DOMAINS[name], 0.05)
     # one per 4-split level, then one that the hull and the checks share
-    levels = mesh.refinement.levels if mesh.refinement is not None else 0
-    assert len(calls) == levels + 1
+    assert len(calls) == (mesh.splits or 0) + 1
     assert calls[-1] == mesh.triangles.shape[0]
 
 

@@ -243,6 +243,13 @@ def test_heat_trace_needs_enough_modes():
         riesz.heat_trace(sd, 0.01)   # tail cannot be certified
 
 
+def test_heat_trace_needs_two_eigenvalues():
+    one = spectra.rectangle_sd(math.pi, 1.0, 1)
+    with pytest.raises(ValueError, match="needs at least two eigenvalues, "
+                                         "the spectrum has 1"):
+        riesz.heat_trace(one, 1.0)
+
+
 def test_heat_trace_rejects_sn():
     sn = spectra.rectangle_sn(math.pi, 1.0, 50)
     with pytest.raises(ValueError):

@@ -115,13 +115,12 @@ def two_term_eigenvalue(problem: str, length: float, alpha: float,
     """
     if problem not in ("SN", "SD"):
         raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    (k,) = specfun.indices(k, "k must be a positive integer")
     if not length > 0:
         raise ValueError("surface length must be positive")
     _check_angles(alpha, beta)
     sign = -1.0 if problem == "SN" else 1.0
-    return math.pi / length * (k - 0.5) \
+    return math.pi / length * (int(k) - 0.5) \
         + sign * math.pi ** 2 / (8.0 * length) * (1.0 / alpha + 1.0 / beta)
 
 
@@ -194,10 +193,13 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
     and, when the corner angles are available, the predicted value
     +/- (pi/8)(1/alpha + 1/beta).
 
-    ``source`` is a Spectrum or a gamma-matching RieszCurve.  With certified
-    per-eigenvalue ``errors`` the window is shrunk until the propagated error
-    at its top stays below a tenth of the fitted coefficient, and the
-    actually-used window is reported; a curve must then carry its spectrum.
+    ``source`` is a Spectrum or a gamma-matching RieszCurve.  Certified
+    per-eigenvalue ``errors`` move R_gamma(z) by at most
+    gamma z^{gamma-1} sum_{nu_j < z} e_j (:func:`riesz.error_allowance`, as
+    in :func:`bounds.verify`), the regressed quantity by that over z^gamma.
+    The window is shrunk until this budget at its top stays below a tenth of
+    the fitted coefficient, and the actually-used window is reported; a
+    curve must then carry its spectrum.
     """
     g = float(gamma)
     if g < 1:
@@ -258,13 +260,9 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
     a, se = solve(zs, rvals)
 
     if errors is not None:
-        errors = np.asarray(errors, dtype=float).ravel()
-        if errors.size != len(spectrum):
-            raise ValueError("errors must align with the spectrum")
-        cum = np.concatenate(([0.0], np.cumsum(errors)))
-        # propagated error of (R_gamma - lead)/z^gamma at each grid z
         for _ in range(8):
-            prop = cum[np.searchsorted(spectrum.values, zs, side="left")] / zs
+            # propagated error of (R_gamma - lead)/z^gamma at each grid z
+            prop = riesz.error_allowance(spectrum, g, zs, errors) / zs ** g
             cap = 0.1 * max(abs(a), 1e-30)
             if prop[-1] <= cap:
                 break
@@ -295,9 +293,9 @@ def fit_eigenvalue_shift(s: Spectrum, k_min: int, k_max: int, *,
     up to exponentially small terms.  1-based indexing over the full
     spectrum, zero mode included.
     """
-    if not (isinstance(k_min, (int, np.integer))
-            and isinstance(k_max, (int, np.integer)) and 1 <= k_min < k_max):
-        raise ValueError(f"need integers 1 <= k_min < k_max, got {k_min}, {k_max}")
+    k_min, k_max = specfun.indices([k_min, k_max], "need integers k_min, k_max >= 1")
+    if not k_min < k_max:
+        raise ValueError(f"need k_min < k_max, got {k_min}, {k_max}")
     if k_max > len(s):
         raise ValueError(f"k_max = {k_max} exceeds spectrum length {len(s)}")
     if length is None:

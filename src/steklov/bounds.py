@@ -148,6 +148,15 @@ def _flat_wall(n: int, weight: float, h: float, zs: np.ndarray,
     return _lift([(_kappa(n) * weight, n - 1, 2.0 * h)], g, zs)
 
 
+def comparison_cylinder(n: int, area: float, h) -> CylinderDomain:
+    """The vertical cylinder F x (-h, 0) over a free surface of measure
+    ``area``: the comparison domain when only n, |F| and the depth are
+    known.  Its wall term is the flat bottom's, :func:`_flat_wall`."""
+    if h is None:
+        raise HypothesisError("depth unknown; cannot build the comparison cylinder")
+    return CylinderDomain(n, geometry.ExplicitBase((0.0,), "neumann", area), float(h))
+
+
 def _cone_coef(dom: ConeDomain) -> float:
     """sign(cos alpha) / (4 tan^2 alpha): the cone's wall-term prefactor."""
     alpha = dom.half_angle
@@ -252,24 +261,9 @@ def sum_bound_wall_term(domain, R):
 
     Nonpositive whenever no wall overhangs (B+ empty), e.g. on any domain
     contained in the vertical cylinder over its free surface.
-
-    ``domain`` may also be a metadata dict with keys n, areaF, depth, in
-    which case the comparison domain is the vertical cylinder F x (-h, 0).
     """
-    Rs = _check_zs(R)
-    if isinstance(domain, dict):
-        n, area, h = domain.get("n"), domain.get("areaF"), domain.get("depth")
-        if n is None or area is None or h is None:
-            raise HypothesisError(
-                "metadata lacks n/areaF/depth; cannot build the comparison "
-                "cylinder for the wall integral")
-        n, area, h = int(n), float(area), float(h)
-        a_val = _flat_wall(n, area, h, Rs)
-    else:
-        n = geometry.ambient_dim(domain)
-        area = geometry.free_area(domain)
-        a_val = _wall(domain, 1.0, Rs)
-    return floats_if_scalar(R, -(2.0 * math.pi) ** (n - 1) / area * a_val)
+    area, n = geometry.free_area(domain), geometry.ambient_dim(domain)
+    return -(2.0 * math.pi) ** (n - 1) / area * wall_term(domain, R)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +469,9 @@ def kroger_master(s: Spectrum, k, R, *, n=None, area=None, domain=None):
     w = specfun.semiclassical_scale(n, ks, area)
     nu_next = s.values[ks]
     lhs = nu_next * Rs ** (n - 1) - (n - 1) / n * Rs ** n
-    c_val = sum_bound_wall_term(domain if domain is not None else
-                                {"n": n, "areaF": area, "depth": s.meta.get("depth")},
-                                Rs)
+    if domain is None:
+        domain = comparison_cylinder(n, area, s.meta.get("depth"))
+    c_val = sum_bound_wall_term(domain, Rs)
     rhs = w ** (n - 1) * (nu_next - riesz.mean_sum(s, ks)) + c_val
     return floats_if_scalar(R if np.ndim(k) == 0 else k, (lhs, rhs))
 
@@ -510,9 +504,9 @@ def kroger_sum_bound(s: Spectrum, k, *, n=None, area=None,
     if john is True:
         bound, form = core, "john"
     else:
-        c_val = sum_bound_wall_term(domain if domain is not None else
-                                    {"n": n, "areaF": area, "depth": s.meta.get("depth")},
-                                    nu_next)
+        if domain is None:
+            domain = comparison_cylinder(n, area, s.meta.get("depth"))
+        c_val = sum_bound_wall_term(domain, nu_next)
         bound, form = core + w ** (1 - n) * c_val, "general"
     observed = riesz.mean_sum(s, ks)
     return floats_if_scalar(k, KrogerBound(bound, observed, bound - observed, form))
@@ -739,15 +733,12 @@ class _Call:
 
 
 def _comparison_domain(c: _Call):
-    """The given domain; without one, the vertical cylinder F x (-h, 0) from
-    the metadata (in the plane, the rectangle over F)."""
+    """The given domain; without one, :func:`comparison_cylinder` (flagged)."""
     if c.domain is not None:
         return c.domain
     n, area, h = c.param("n"), c.param("areaF"), c.param("depth")
     c.flags["comparison_cylinder_from_metadata"] = True
-    if n == 2:
-        return geometry.rectangle_domain(area, h)
-    return CylinderDomain(n, geometry.ExplicitBase((0.0,), "neumann", area), h)
+    return comparison_cylinder(n, area, h)
 
 
 def _eval_triangle(c: _Call) -> np.ndarray:
@@ -777,12 +768,11 @@ def _eval_via_neumann(c: _Call) -> np.ndarray:
 
 
 def _eval_kroger(c: _Call) -> np.ndarray:
-    n, area = c.param("n"), c.param("areaF")
+    john = c.meta.get("john")
+    # the general form takes the wall integral on the comparison domain
+    domain = None if john is True else _comparison_domain(c)
     bound, c.observed, _, c.used["form"] = kroger_sum_bound(
-        c.s, c.axis, n=n, area=area, john=c.meta.get("john"), domain=c.domain)
-    if c.used["form"] == "general" and c.domain is None:
-        # the wall integral was taken on the metadata cylinder
-        c.flags["comparison_cylinder_from_metadata"] = True
+        c.s, c.axis, n=c.param("n"), area=c.param("areaF"), john=john, domain=domain)
     return bound
 
 
@@ -890,18 +880,17 @@ def _axis_points(spec: BoundSpec, grid: np.ndarray) -> np.ndarray:
 def _error_allowance(spec: BoundSpec, c: _Call, errors: np.ndarray):
     """The per-eigenvalue ``errors`` propagated to the observed side at every
     grid point."""
+    if spec.axis == "z":
+        return riesz.error_allowance(c.s, c.g, c.axis, errors)
+    errors = riesz.certified_errors(c.s, errors)
     if spec.axis == "t":
         # mean value theorem: |e^{-nu t} - e^{-nu_h t}| <= t err e^{-min(nu, nu_h) t}
         # for |nu - nu_h| <= err, and min(nu, nu_h) >= max(nu_h - err, 0)
         low = np.maximum(c.s.values - errors, 0.0)
         return np.array([t * np.dot(errors, np.exp(-low * t)) for t in c.axis.tolist()])
-    cum_err = np.concatenate(([0.0], np.cumsum(errors)))
-    if spec.axis == "z":
-        counts = np.searchsorted(c.s.values, c.axis, side="left")
-        return c.g * np.where(c.axis > 0, c.axis, 1.0) ** (c.g - 1.0) * cum_err[counts]
     if spec.side == "bracket":
         return errors[c.axis]
-    return cum_err[c.axis] / c.axis
+    return np.cumsum(errors)[c.axis - 1] / c.axis
 
 
 def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
@@ -916,11 +905,15 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
 
     Margins are signed so that >= 0 means the bound holds; points whose
     margin drops below the tolerance are listed as violations.  Exact
-    spectra default to tolerance 1e-9 (1 + |bound|); passing per-eigenvalue
-    ``errors`` (certified, same length as the spectrum) adds the propagated
-    discretization allowance: gamma z^{gamma-1} * sum of errors below z on
-    the z axis, the mean error (or the error of nu_{k+1}) on the k axis, and
+    spectra default to tolerance 1e-9 (1 + |bound|); a given tolerance must
+    be a finite real >= 0.  Certified per-eigenvalue ``errors``
+    (:func:`riesz.certified_errors`) add the propagated allowance:
+    gamma z^{gamma-1} * sum of errors below z on the z axis (the rule of
+    :func:`riesz.error_allowance`, shared with the fit's error budget), the
+    mean error (or the error of nu_{k+1}) on the k axis, and
     sum_j t err_j e^{-max(nu_j - err_j, 0) t} on the heat-trace t axis.
+    Without a domain, main, split and the general kroger form take their
+    wall term on :func:`comparison_cylinder`.
 
     The report's hypothesis flags record which geometric hypotheses could be
     confirmed from the metadata; unconfirmed-but-needed flags downgrade the
@@ -939,10 +932,8 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
     g = float(gamma)
     if spec.r1_only:
         g = 1.0
-    if errors is not None:
-        errors = np.asarray(errors, dtype=float).ravel()
-        if errors.size != len(s):
-            raise ValueError("errors must align with the spectrum (same length)")
+    if tolerance is not None and not 0 <= float(tolerance) < math.inf:
+        raise ValueError(f"tolerance must be a finite real >= 0, got {tolerance}")
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("empty verification grid")

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov import asymptotics, riesz, spectra
+from steklov import asymptotics, bounds, riesz, spectra
 from steklov.spectra import Spectrum
 
 
@@ -190,11 +190,50 @@ def test_fit_error_budget_needs_the_curve_spectrum(tmp_path):
                                     errors=np.ones(600))
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
+def test_fit_budget_is_the_verify_allowance_over_z_gamma(gamma):
+    # certificates move R_gamma(z) by gamma z^{gamma-1} sum_{nu_j < z} e_j in
+    # both; the fit keeps the points where that over z^gamma stays under a
+    # tenth of its coefficient
+    s = spectra.rectangle_sn(math.pi, 1.0, 600)
+    errs = np.zeros(600)
+    errs[100:] = 0.3
+    zs = np.geomspace(10.0, 500.0, 200)
+    allowance = bounds.verify(s, "john2d", zs, gamma=gamma, tolerance=0.0,
+                              errors=errs).tolerance
+    assert riesz.error_allowance(s, gamma, zs, errs).tolist() == allowance.tolist()
+    budget = allowance / zs ** gamma
+    fit = asymptotics.fit_second_term(s, gamma, (10.0, 500.0), errors=errs)
+    kept = zs <= fit.window[1]
+    assert fit.n_points == kept.sum() and "trimmed" in fit.note
+    assert budget[kept].max() <= 0.1 * abs(fit.coefficient) < budget[~kept].min()
+
+
+def test_fit_budget_carries_the_gamma_factor():
+    # errors of 0.03 give a budget of 0.03 (1 + 1/z) at gamma = 1, under the
+    # cap of 0.05, but 0.06 (1 + 1/z) at gamma = 2, over it everywhere
+    s = spectra.rectangle_sn(math.pi, 1.0, 600)
+    errs = np.full(600, 0.03)
+    fit = asymptotics.fit_second_term(s, 1.0, (10.0, 500.0), errors=errs)
+    assert fit.window == (10.0, 500.0)
+    with pytest.raises(ValueError, match="too large everywhere in the window"):
+        asymptotics.fit_second_term(s, 2.0, (10.0, 500.0), errors=errs)
+
+
 def test_fit_error_budget_can_exhaust_window():
     s = spectra.rectangle_sn(math.pi, 1.0, 3000)
     errs = np.full(3000, 10.0)
     with pytest.raises(ValueError):
         asymptotics.fit_second_term(s, 1.0, (100.0, 2500.0), errors=errs)
+
+
+def test_k_readers_reject_bools():
+    with pytest.raises(ValueError, match="k must be a positive integer, got True"):
+        asymptotics.two_term_eigenvalue("SN", 1.0, math.pi / 2, math.pi / 2, True)
+    s = spectra.rectangle_sn(math.pi, 1.0, 100)
+    for k_min, k_max, bad in ((True, 50, True), (1, False, False)):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            asymptotics.fit_eigenvalue_shift(s, k_min, k_max)
 
 
 def test_fit_eigenvalue_shift_validates_range():

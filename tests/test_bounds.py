@@ -132,14 +132,27 @@ def test_sum_bound_identity_all_domain_kinds():
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-def test_sum_bound_wall_term_metadata_dict():
-    meta = {"n": 3, "areaF": 2.0, "depth": 0.75}
+def test_sum_bounds_take_the_metadata_cylinder():
+    # without a domain, the sum bounds take the wall integral on the vertical
+    # cylinder F x (-h, 0) built from the spectrum's n, areaF and depth
+    values = spectra.rectangle_sn(math.pi, 1.0, 100).values
+    s = spectra.Spectrum(problem="SN", values=values, source="synthetic",
+                         meta={"n": 3, "areaF": 2.0, "depth": 0.75})
     cyl = CylinderDomain(3, geometry.ExplicitBase((0.0,), "neumann", 2.0), 0.75)
-    for R in (0.5, 3.0):
-        assert bounds.sum_bound_wall_term(meta, R) == pytest.approx(
-            bounds.sum_bound_wall_term(cyl, R), rel=1e-13)
-    with pytest.raises(HypothesisError):
-        bounds.sum_bound_wall_term({"n": 3, "areaF": 2.0, "depth": None}, 1.0)
+    ks, Rs = np.arange(1, 60), np.linspace(0.5, 30.0, 59)
+    for got, want in zip(bounds.kroger_master(s, ks, Rs),
+                         bounds.kroger_master(s, ks, Rs, domain=cyl)):
+        assert got.tolist() == want.tolist()
+    general = bounds.kroger_sum_bound(s, ks)
+    assert general.form == "general"
+    on_cyl = bounds.kroger_sum_bound(s, ks, domain=cyl)
+    assert general.bound.tolist() == on_cyl.bound.tolist()
+    bare = spectra.Spectrum(problem="SN", values=values, source="synthetic",
+                            meta={"n": 3, "areaF": 2.0})
+    for call in (lambda: bounds.kroger_master(bare, 3, 1.0),
+                 lambda: bounds.kroger_sum_bound(bare, 3)):
+        with pytest.raises(HypothesisError, match="depth unknown"):
+            call()
 
 
 def test_sum_bound_wall_term_nonpositive_without_overhang():
@@ -397,8 +410,6 @@ def k_grids(s):
 
 def _metadata_domain(n, area, h):
     # the comparison domain verify builds from metadata for main and split
-    if n == 2:
-        return geometry.rectangle_domain(area, h)
     return CylinderDomain(n, geometry.ExplicitBase((0.0,), "neumann", area), h)
 
 
@@ -933,6 +944,65 @@ def test_verify_grid_errors_are_the_bounds_own(rect_sn_600, rect_sd_2000):
     for bound_id in ("kroger", "bracket"):
         with pytest.raises(ValueError, match="need eigenvalue 601, spectrum has"):
             bounds.verify(rect_sn_600, bound_id, [600])
+
+
+def test_verify_rejects_nan_tolerances_and_certificates(rect_sn_600):
+    # a surface of length 50 puts the john2d bound far above this spectrum
+    meta = {**rect_sn_600.meta, "areaF": 50.0}
+    s = spectra.Spectrum(problem="SN", values=rect_sn_600.values, source="exact",
+                         meta=meta)
+    grid = np.linspace(1.0, 100.0, 20)
+    assert bounds.verify(s, "john2d", grid).status == "violated"
+    for tol in (float("nan"), -1.0, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be a finite real >= 0"):
+            bounds.verify(s, "john2d", grid, tolerance=tol)
+    assert bounds.verify(s, "john2d", grid, tolerance=0.0).status == "violated"
+    # NaN, negative or infinite certificates are rejected on every axis
+    sd = spectra.rectangle_sd(math.pi, 1.0, 600)
+    for spectrum, bound_id, axis in ((rect_sn_600, "john2d", grid),
+                                     (rect_sn_600, "kroger", [1, 5]),
+                                     (rect_sn_600, "bracket", [3]),
+                                     (sd, "heat-trace", [1.0])):
+        for bad in (math.nan, -1e-3, math.inf):
+            errs = np.full(600, 1e-3)
+            errs[7] = bad
+            with pytest.raises(ValueError, match="certified errors must be finite"):
+                bounds.verify(spectrum, bound_id, axis, errors=errs)
+        with pytest.raises(ValueError, match="errors must align with the spectrum"):
+            bounds.verify(spectrum, bound_id, axis, errors=np.zeros(599))
+
+
+def test_verify_kroger_takes_depth_from_params(rect_sn_600):
+    # the general form's comparison cylinder reads depth like main and split
+    meta = {key: val for key, val in rect_sn_600.meta.items() if key != "depth"}
+    s = spectra.Spectrum(problem="SN", values=rect_sn_600.values, source="exact",
+                         meta={**meta, "john": False})
+    ks = np.arange(1, 40)
+    with pytest.raises(HypothesisError, match="'depth'"):
+        bounds.verify(s, "kroger", ks)
+    rep = bounds.verify(s, "kroger", ks, params={"depth": 1.0})
+    assert rep.params["depth"] == 1.0 and rep.params["form"] == "general"
+    assert rep.hypothesis_flags["comparison_cylinder_from_metadata"] is True
+    assert rep.status == "holds-with-flags"
+    cyl = bounds.comparison_cylinder(2, math.pi, 1.0)
+    want = bounds.kroger_sum_bound(s, ks, john=False, domain=cyl).bound
+    assert rep.bound_values.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("length, depth", [(math.pi, 1.0), (2.0, 0.5)])
+def test_verify_main_in_the_plane_compares_with_the_flat_cylinder(length, depth):
+    # without a domain, the planar comparison domain is the cylinder over the
+    # free-surface interval, bit for bit
+    s = spectra.rectangle_sn(length, depth, 3000)
+    cyl = CylinderDomain(2, IntervalBase(length), depth)
+    zs = np.geomspace(0.1, s.ceiling, 2000)
+    for gamma in (1.0, 1.5, 2.0, 2.5):
+        plain = bounds.verify(s, "main", zs, gamma=gamma)
+        assert plain.hypothesis_flags["comparison_cylinder_from_metadata"] is True
+        on_cyl = bounds.verify(s, "main", zs, gamma=gamma, domain=cyl)
+        assert plain.bound_values.tolist() == on_cyl.bound_values.tolist()
+        assert plain.bound_values.tolist() == \
+            bounds.sn_lower_main(cyl, gamma, zs).tolist()
 
 
 def test_verify_bracket_reports_both_sides(rect_sn_600):

@@ -192,6 +192,19 @@ def test_verify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_a_nan_tolerance(tmp_path, capsys):
+    spec = tmp_path / "sd.csv"
+    cli.main(["spectrum", "--preset", "rectangle:pi,1", "--problem", "sd",
+              "--count", "200", "--out", str(spec)])
+    argv = ["verify", "--spectrum", str(spec), "--bound", "sd-john2d",
+            "--grid", "log10(1,100)"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    for tol in ("nan", "-1"):
+        assert cli.main(argv + ["--tolerance", tol]) == 2
+        assert "tolerance must be a finite real >= 0" in capsys.readouterr().err
+
+
 def test_verify_with_domain_and_errors(tmp_path, capsys):
     spec = tmp_path / "sn.csv"
     cli.main(["spectrum", "--preset", "rectangle:pi,1", "--problem", "sn",

@@ -185,13 +185,29 @@ def test_partial_and_mean_sum(rect_sn):
         riesz.partial_sum(rect_sn, 0)
     with pytest.raises(ValueError):
         riesz.partial_sum(rect_sn, 10 ** 6)
-    # the grid sums every prefix on its own: bit for bit np.sum of the prefix
+    # the grid and the one-point calls index one running sum, bit for bit
     ks = np.arange(1, len(rect_sn) + 1)
     sums = riesz.partial_sum(rect_sn, ks)
-    assert sums.tolist() == [float(np.sum(rect_sn.values[:k])) for k in ks]
+    assert sums.tolist() == [riesz.partial_sum(rect_sn, k) for k in ks.tolist()]
+    assert sums.tolist() == np.cumsum(rect_sn.values).tolist()
+    assert riesz.mean_sum(rect_sn, ks).tolist() == (sums / ks).tolist()
     for bad in ([0, 3], [len(rect_sn) + 1], [2.0]):
         with pytest.raises(ValueError):
             riesz.partial_sum(rect_sn, bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=300))
+def test_partial_sums_are_within_the_recursive_summation_bound(values):
+    # summed in order, the k-th prefix of nonnegative terms is within
+    # (k-1) 2^-53 of the exact sum, relative (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 4.2)
+    s = spectra.Spectrum(problem="SN", values=np.concatenate(([0.0], np.sort(values))),
+                         source="synthetic")
+    sums = riesz.partial_sum(s, np.arange(1, len(s) + 1))
+    for k, got in enumerate(sums.tolist(), start=1):
+        exact = math.fsum(s.values[:k].tolist())
+        assert abs(got - exact) <= (k - 1) * 2.0 ** -53 * exact
 
 
 def test_staircase_sum_formula():
@@ -277,6 +293,13 @@ def test_legendre_rejects_nonconvex():
     c = RieszCurve(gamma=1.0, grid=grid, values=vals, validity_ceiling=10.0)
     with pytest.raises(ValueError):
         riesz.legendre_sum_bound(c, 2)
+
+
+def test_legendre_rejects_a_bool_k():
+    c1 = riesz.riesz_curve(spectra.rectangle_sd(math.pi, 1.0, 50), 1.0,
+                           np.linspace(0.0, 40.0, 200))
+    with pytest.raises(ValueError, match="k must be a positive integer, got True"):
+        riesz.legendre_sum_bound(c1, True)
 
 
 def test_curve_save_load_roundtrip(rect_sn, tmp_path):

@@ -14,19 +14,19 @@ solver handles: S u = nu M_F u.
 SN keeps wall nodes as free unknowns (natural boundary condition); SD
 eliminates them (including the surface corner nodes) before condensation.
 
-The Schur complement comes one of two ways, chosen from the mesh itself.
+The Schur complement comes one of two ways.
 
-Meshes that :func:`triangulate` builds by 4-splitting (triangles and convex
-centroid fans) carry their split count L, and take this path while 4-split
-refinement of their base triangles, L times, reproduces them exactly.  P1
-stiffness is invariant under similarity, and a midpoint 4-split turns a
-triangle into four half-size copies of itself, so the Schur complement onto
-the rim of a base triangle after l splits is four copies of the one after
-l - 1, with the three midlines eliminated by one dense Cholesky.  The copies
-of the last level are then summed and condensed onto the surface in turn,
-each eliminating what no later copy shares (nested dissection with exact
-reuse; A. George, SIAM J. Numer. Anal. 10, 1973).  No global stiffness
-matrix is assembled.
+Triangles and convex centroid fans are meshed by L midpoint 4-splits of a
+base triangulation.  P1 stiffness is invariant under similarity, and a
+4-split turns a triangle into four half-size copies of itself, so the Schur
+complement onto the rim of a base triangle after l splits is four copies of
+the one after l - 1, with the three midlines eliminated by one dense
+Cholesky.  The copies of the last level are then summed and condensed onto
+the surface in turn, each eliminating what no later copy shares (nested
+dissection with exact reuse; A. George, SIAM J. Numer. Anal. 10, 1973).
+:func:`dtn_spectrum` and :func:`dtn_with_error` number only the nodes on
+the base edges for this and never build the mesh; :func:`dtn_matrices`
+takes the path on a mesh that re-refining its base reproduces exactly.
 
 Every other mesh (the structured rectangle grid, loaded, hand-built, copied
 or edited meshes) goes through one sparse LU of the bordered matrix: the
@@ -60,7 +60,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from . import geometry
+from . import geometry, specfun
 from .geometry import DomainError, PolygonalDomain
 from .spectra import Spectrum
 
@@ -241,24 +241,100 @@ def _refine(nodes, triangles, levels):
     return nodes, tris
 
 
+def _descendants(levels) -> np.ndarray:
+    """(3, 2**levels): which of a triangle's 4**levels descendants after
+    `levels` 4-splits (:func:`_refine`) has its side k from node j to j + 1
+    of the triangle's side k.  That is side k of children k and k + 1 (mod
+    3), so the bits of j, most significant first, pick one child per level."""
+    n = 2 ** levels
+    bits = (np.arange(n)[:, None] >> np.arange(levels - 1, -1, -1)) & 1
+    child = (np.arange(3)[:, None, None] + bits) % 3          # (3, n, levels)
+    return child @ 4 ** np.arange(levels - 1, -1, -1)
+
+
 def _rims(triangles, levels) -> np.ndarray:
     """(t0, 3 * 2**levels) node ids: the rim of each base triangle of a mesh
     that :func:`_refine` split `levels` times, read off its triangles.
 
     Rim order runs a -> b -> c around a base triangle (a, b, c) from its
-    vertex a, 2**levels nodes per side, each side's end left to the next.
-    Side k of a triangle is side k of its children k and k + 1 (mod 3), so
-    node j of side k is vertex k of the descendant that the bits of j pick,
-    most significant first, one child per level; the corners (j = 0) are
-    the base triangles.
+    vertex a, 2**levels nodes per side, each side's end left to the next;
+    node j of side k is vertex k of descendant j (:func:`_descendants`), and
+    the corners (j = 0) are the base triangles.
     """
     n = 2 ** levels
-    bits = (np.arange(n)[:, None] >> np.arange(levels - 1, -1, -1)) & 1
-    child = (np.arange(3)[:, None, None] + bits) % 3          # (3, n, levels)
-    offset = child @ 4 ** np.arange(levels - 1, -1, -1)     # within the base
     first = n * n * np.arange(len(triangles) // (n * n))
-    return triangles[first[:, None, None] + offset,
+    return triangles[first[:, None, None] + _descendants(levels),
                      np.arange(3)[:, None]].reshape(-1, 3 * n)
+
+
+def _skeleton(nodes0, tris0, levels):
+    """(nodes, rims, chains) of a base triangulation split `levels` times,
+    without the mesh: the nodes on the base edges, each base triangle's rim
+    as :func:`_rims` reads it off :func:`_refine`'s mesh, and, by its (lo,
+    hi) ends, each base edge's 2**levels + 1 node ids from lo.
+
+    Base vertices keep their ids; each base edge's inner points follow, once
+    even for a fan spoke that two base triangles share.  _refine numbers the
+    points of split s after all older ones, by the first slot 3 T + k of a
+    level-(s-1) triangle side that each halves; ranking by that slot, after
+    the t0 (4**(s-1) - 1) of earlier splits, keeps the mesh's relative order,
+    all that :func:`_condense` reads."""
+    edges, n, t0, m0 = _edge_table(tris0), 2 ** levels, len(tris0), len(nodes0)
+    j = np.arange(n)
+    # node j of side k of a base triangle is node q of its edge
+    q = np.where((tris0 == edges.pairs[edges.side, 0])[:, :, None], j, n - j)
+    at = (np.broadcast_to(edges.side[:, :, None], q.shape), q)
+    slot = np.zeros((t0, 3, n), dtype=np.int64)
+    pts = np.zeros((len(edges.pairs), n + 1, 2))
+    pts[:, [0, n]] = nodes0[edges.pairs]
+    for s in range(1, levels + 1):          # midpoints, level by level
+        step = 2 ** (levels - s)
+        new = np.arange(step, n, 2 * step)      # they halve segments 0, 1, ...
+        tri = np.arange(t0)[:, None, None] * 4 ** (s - 1) + _descendants(s - 1)
+        slot[:, :, new] = t0 * (4 ** (s - 1) - 1) + 3 * tri + np.arange(3)[:, None]
+        pts[:, new] = (pts[:, new - step] + pts[:, new + step]) / 2
+    first = np.full(pts.shape[:2], np.iinfo(np.int64).max)
+    np.minimum.at(first, at, slot)
+    ids = m0 + np.argsort(np.argsort(first[:, 1:n], axis=None))
+    ids = ids.reshape(len(first), n - 1)
+    chains = np.column_stack([edges.pairs[:, 0], ids, edges.pairs[:, 1]])
+    nodes = np.empty((m0 + ids.size, 2))
+    nodes[:m0], nodes[ids] = nodes0, pts[:, 1:n]
+    return nodes, chains[at].reshape(t0, 3 * n), {
+        (c[0], c[-1]): c for c in chains.tolist()}
+
+
+def _base_triangulation(d: PolygonalDomain, target_h: float):
+    """(nodes, triangles, L) that the 4-split meshers split: the polygon
+    itself if it is a triangle, else its centroid fan, and the fewest splits
+    L with max(longest polygon edge, base mesh size / 1.5) / 2**L <= target_h;
+    None for an axis rectangle.  Checks target_h and convexity."""
+    if not target_h > 0:
+        raise ValueError(f"target_h must be positive, got {target_h}")
+    span = d.vertices.max(axis=0) - d.vertices.min(axis=0)
+    if target_h >= float(np.hypot(*span)):
+        raise ValueError(f"target_h = {target_h} is no smaller than the "
+                         "domain diameter; nothing to resolve")
+    if geometry.axis_rectangle_sides(d) is not None:
+        return None
+    m = d.n_vertices
+    e = np.roll(d.vertices, -1, axis=0) - d.vertices      # edge vectors
+    crosses = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+    if np.any(crosses < -d._tol):
+        raise DomainError(
+            "the built-in mesher handles convex polygons only; create a "
+            "mesh with an external tool and use load_mesh")
+    if m == 3:
+        nodes0, tris0 = d.vertices.copy(), np.array([[0, 1, 2]])
+    else:
+        nodes0 = np.vstack([d.vertices, d.vertices.mean(axis=0)])
+        tris0 = np.array([[i, (i + 1) % m, m] for i in range(m)])
+    longest = max(float(np.hypot(*e.T).max()),
+                  Mesh(nodes0, tris0, []).mesh_size / 1.5)
+    splits = 0
+    while longest / 2 ** splits > target_h:
+        splits += 1
+    return nodes0, tris0, splits
 
 
 def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
@@ -270,23 +346,13 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
     segments come out no longer than target_h.  Non-convex polygons are
     rejected; supply a mesh file via :func:`load_mesh` for those.
 
-    A 4-split mesh takes the fewest splits L with max(longest polygon edge,
-    base mesh size / 1.5) / 2**L <= target_h, each split halving every edge,
-    so triangulate(d, target_h / 2), if it splits at all, is this mesh split
-    once more.
-
-    A 4-split mesh records its split count for :func:`dtn_matrices`, which
-    condenses it self-similarly while it is still exactly that refinement of
-    its base.
+    A 4-split mesh takes the split count of :func:`_base_triangulation`, so
+    triangulate(d, target_h / 2), if it splits at all, is it split once more.
+    It records that count for :func:`dtn_matrices`, which condenses it
+    self-similarly while it is still exactly that refinement of its base.
     """
-    if not target_h > 0:
-        raise ValueError(f"target_h must be positive, got {target_h}")
-    span = d.vertices.max(axis=0) - d.vertices.min(axis=0)
-    if target_h >= float(np.hypot(*span)):
-        raise ValueError(f"target_h = {target_h} is no smaller than the "
-                         "domain diameter; nothing to resolve")
-
-    if geometry.axis_rectangle_sides(d) is not None:
+    base = _base_triangulation(d, target_h)
+    if base is None:
         x0, y0 = d.vertices.min(axis=0)
         x1, y1 = d.vertices.max(axis=0)
         lx, ly = x1 - x0, y1 - y0
@@ -302,23 +368,7 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
                              axis=1).reshape(-1, 3)
         splits = None
     else:
-        m = d.n_vertices
-        e = np.roll(d.vertices, -1, axis=0) - d.vertices      # edge vectors
-        crosses = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        if np.any(crosses < -d._tol):
-            raise DomainError(
-                "the built-in mesher handles convex polygons only; create a "
-                "mesh with an external tool and use load_mesh")
-        if m == 3:
-            nodes0, tris0 = d.vertices.copy(), np.array([[0, 1, 2]])
-        else:
-            nodes0 = np.vstack([d.vertices, d.vertices.mean(axis=0)])
-            tris0 = np.array([[i, (i + 1) % m, m] for i in range(m)])
-        longest = max(float(np.hypot(*e.T).max()),
-                      Mesh(nodes0, tris0, []).mesh_size / 1.5)
-        splits = 0
-        while longest / 2 ** splits > target_h:
-            splits += 1
+        nodes0, tris0, splits = base
         nodes, triangles = _refine(nodes0, tris0, splits)
 
     hull = _checked_hull(nodes, triangles)
@@ -464,28 +514,31 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
     node; SD removes wall nodes (Dirichlet), including the corner nodes the
     two boundary parts share.
 
-    Meshes that :func:`triangulate` built by 4-splitting (triangles and
-    convex centroid fans), while still exactly that refinement
-    (:func:`_split_rims`) with every retained or removed surface node on a
-    base triangle's rim, are condensed level by level from the base
-    triangles' element stiffness (:func:`_self_similar_schur`), with no
-    global stiffness matrix; a refined base triangulation is connected by
-    construction.  Every other mesh (the rectangle grid, loaded, hand-built,
-    copied or edited meshes) goes through one sparse LU of the bordered
-    stiffness matrix (:func:`_bordered_schur`); there a mesh component that
-    touches no retained surface node is a MeshError.  Either way S comes out
-    in the row order of ``surface_nodes``, the sorted retained node ids.
+    Meshes that :func:`triangulate` built by 4-splitting, while still
+    exactly that refinement (:func:`_split_rims`) with every retained or
+    removed surface node on a base triangle's rim, are condensed level by
+    level (:func:`_self_similar_schur`), with no global stiffness matrix; a
+    refined base triangulation is connected.  Every other mesh (the
+    rectangle grid, loaded, hand-built, copied or edited meshes) goes
+    through one sparse LU of the bordered stiffness matrix
+    (:func:`_bordered_schur`); there a mesh component that touches no
+    retained surface node is a MeshError.  Either way S comes out in the
+    row order of ``surface_nodes``, the sorted retained node ids.
     """
     return _condensed(mesh, problem, _split_rims(mesh))
 
 
-def _condensed(mesh: Mesh, problem: str, rims) -> DtnMatrixPair:
+def _condensed(mesh: Mesh, problem: str, rims, below=None) -> DtnMatrixPair:
     """:func:`dtn_matrices`, given the base triangles' rims of a mesh that is
-    exactly ``mesh.splits`` 4-splits of its base, or None."""
+    exactly ``mesh.splits`` 4-splits of its base, or None, and optionally
+    (their rim matrices after max(splits - 1, 0) splits, factor entries)."""
     free, surface, removed = _retained_surface(mesh, problem)
     if rims is not None and np.isin(np.union1d(surface, removed), rims).all():
-        S, factor_nnz = _self_similar_schur(mesh, rims, surface, removed)
-        mf = _boundary_mass(mesh)
+        below = below or _rim_schur(_element_stiffness(mesh.nodes[
+            rims[:, ::2 ** mesh.splits]]), 0, max(mesh.splits - 1, 0))
+        S, e = _self_similar_schur(rims, below[0], mesh.nodes.shape[0],
+                                   surface, removed)
+        factor_nnz, mf = below[1] + e, _boundary_mass(mesh)
     else:
         K, mf = assemble(mesh)
         # imported here so that `import steklov` stays as cheap as before
@@ -674,47 +727,91 @@ def _condense(pieces, keep, drop=()):
     return ids, total, entries
 
 
-def _rim_schur(B0, levels):
-    """(B, factor entries): the Schur complement onto the rim of a triangle
-    with element stiffness B0, 4-split `levels` times.  P1 stiffness is
-    invariant under similarity, so each level is four copies of the last,
-    with the midlines eliminated."""
-    B, entries = B0, 0
-    for level in range(levels):
+def _rim_schur(B, first, last):
+    """(B, factor entries): each base triangle's Schur complement onto its
+    rim after `last` 4-splits, from B, the ones after `first` (the element
+    stiffness at first = 0).  P1 stiffness is invariant under similarity, so
+    each level is four copies of the last, with the midlines eliminated."""
+    entries = 0
+    for level in range(first, last):
         m = 2 ** level
-        _ids, B, e = _condense([(idx, B) for idx in _split_maps(m)],
-                               np.arange(6 * m))
-        entries += e
+        steps = [_condense([(idx, Bt) for idx in _split_maps(m)], np.arange(6 * m))
+                 for Bt in B]
+        B = [Bt for _ids, Bt, _e in steps]
+        entries += sum(e for _ids, _Bt, e in steps)
     return B, entries
 
 
-def _self_similar_schur(mesh: Mesh, rims, surface, removed):
-    """(S, factor entries) on `surface` (sorted ids) for a mesh that is
-    exactly ``mesh.splits`` 4-splits of the base triangles with rims `rims`
-    (:func:`_split_rims`), with `removed` held at zero.
-
-    Each base triangle is four copies of its level-(L-1) rim matrix around
-    three midlines, whose inner nodes get ids past the mesh's.  One
-    :func:`_condense` over all the copies, base triangle by base triangle,
-    then eliminates walls, midlines, spokes and the centroid.
+def _self_similar_schur(rims, below, n_ids, surface, removed):
+    """(S, factor entries) on `surface` (sorted ids), `removed` held at
+    zero, for base triangles with rims `rims` (:func:`_rims`) 4-split L
+    times, from their rim matrices `below` after max(L - 1, 0) splits.  Each
+    is four copies of that around three midlines, whose inner nodes get ids
+    from `n_ids` on; one :func:`_condense` over all the copies, base triangle
+    by base triangle, eliminates walls, midlines, spokes and the centroid.
     """
-    levels, n_nodes = mesh.splits, mesh.nodes.shape[0]
-    B0 = _element_stiffness(mesh.nodes[rims[:, ::2 ** levels]])
-    if levels == 0:
-        pieces, entries = list(zip(rims, B0)), 0
+    m = rims.shape[1] // 6
+    if m == 0:
+        pieces = list(zip(rims, below))
     else:
-        m = 2 ** (levels - 1)
-        pieces, entries = [], 0
-        for t, rim in enumerate(rims):
-            B, e = _rim_schur(B0[t], levels - 1)
-            midlines = n_nodes + 3 * (m - 1) * t + np.arange(3 * (m - 1))
+        pieces = []
+        for t, (rim, B) in enumerate(zip(rims, below)):
+            midlines = n_ids + 3 * (m - 1) * t + np.arange(3 * (m - 1))
             local = np.concatenate([rim, midlines])
             pieces += [(local[idx], B) for idx in _split_maps(m)]
-            entries += e
     ids, S, e = _condense(pieces, surface, removed)
     if not np.array_equal(ids, surface):
         raise RuntimeError("the 4-split condensation lost a surface node")
-    return S, entries + e
+    return S, e
+
+
+def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:
+    """The FEM Spectrum at each of `target_hs` in turn.  Triangles and
+    convex fans condense from one :func:`_skeleton` at the finest split
+    count, a coarser solve on every other rim node, and one rim recursion
+    goes on from solve to solve; axis rectangles are meshed and take the
+    sparse LU."""
+    if problem not in ("SN", "SD"):
+        raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
+    (count,) = specfun.indices(count, "count must be a positive integer")
+    bases = [_base_triangulation(d, h) for h in target_hs]
+    if bases[-1] is not None:
+        nodes0, tris0, top = bases[-1]
+        hull = _checked_hull(nodes0, tris0)
+        tagged = _classify_boundary(d, nodes0, hull)
+        _check_tiling(Mesh(nodes0, tris0, tagged), hull)
+        nodes, rims, chains = _skeleton(nodes0, tris0, top)
+        base_size = Mesh(nodes0, tris0, []).mesh_size
+        done, below = 0, (_element_stiffness(nodes0[tris0]), 0)
+    out = []
+    for h, base in zip(target_hs, bases):
+        if base is None:
+            mesh = triangulate(d, h)
+        else:                   # the skeleton's boundary, as a Mesh
+            step = 2 ** (top - base[2])
+            mesh = Mesh(nodes, np.zeros((0, 3), dtype=np.int64), [
+                (i, j, tag) for lo, hi, tag in tagged
+                for i, j in zip(chains[lo, hi][:-1:step], chains[lo, hi][step::step])])
+        n_surf = _retained_surface(mesh, problem)[1].size
+        if count > n_surf - 1:
+            raise ValueError(f"count = {count} exceeds the {n_surf} surface "
+                             "unknowns minus one; refine the mesh")
+        if base is None:
+            pair, label = _condensed(mesh, problem, None), mesh.mesh_size
+        else:
+            B, e = _rim_schur(below[0], done, max(base[2] - 1, 0))
+            done, below = max(base[2] - 1, 0), (B, below[1] + e)
+            pair = _condensed(mesh, problem, rims[:, ::step], below)
+            label = base_size / 2 ** base[2]      # exact for L 4-splits
+        vals = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)[:count]
+        if problem == "SN":
+            # the discrete constant mode lands at roundoff, possibly below 0
+            vals = np.maximum(vals, 0.0)
+        out.append(Spectrum(problem=problem, values=vals,
+                            source=f"fem:h={label:.6g}",
+                            meta=geometry.domain_metadata(d),
+                            zero_tol=1e-8 if problem == "SN" else 1e-10))
+    return out
 
 
 def dtn_spectrum(d: PolygonalDomain, problem: str, count: int,
@@ -723,24 +820,12 @@ def dtn_spectrum(d: PolygonalDomain, problem: str, count: int,
 
     Solves the condensed pencil S u = nu M_F u with the symmetric
     Cholesky-reduction eigensolver.  The returned Spectrum carries the
-    domain metadata and source = "fem:h=<actual mesh size>".
+    domain metadata and source = "fem:h=<mesh size>", on triangles and
+    convex fans the exact base mesh size / 2**L, as the mesh (never built,
+    :func:`_spectra`) is L 4-splits of it.  The values equal, bit for bit,
+    ``eigh`` of ``dtn_matrices(triangulate(d, target_h))``.
     """
-    mesh = triangulate(d, target_h)
-    n_surf = _retained_surface(mesh, problem)[1].size
-    if not 1 <= count <= n_surf - 1:
-        raise ValueError(f"count = {count} exceeds the {n_surf} surface "
-                         "unknowns minus one; refine the mesh")
-    # a mesh fresh from triangulate is its own refinement: no need to check
-    rims = None if mesh.splits is None else _rims(mesh.triangles, mesh.splits)
-    pair = _condensed(mesh, problem, rims)
-    vals = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)[:count]
-    if problem == "SN":
-        # the discrete constant mode lands at solver roundoff, possibly below 0
-        vals = np.maximum(vals, 0.0)
-    return Spectrum(problem=problem, values=vals,
-                    source=f"fem:h={mesh.mesh_size:.6g}",
-                    meta=geometry.domain_metadata(d),
-                    zero_tol=1e-8 if problem == "SN" else 1e-10)
+    return _spectra(d, problem, count, (target_h,))[0]
 
 
 def dtn_with_error(d: PolygonalDomain, problem: str, count: int,
@@ -748,25 +833,21 @@ def dtn_with_error(d: PolygonalDomain, problem: str, count: int,
     """(Spectrum, errors): FEM spectrum plus per-eigenvalue error certificates.
 
     Solves at target_h and target_h/2 and returns the fine spectrum with the
-    plain difference |nu_k(h) - nu_k(h/2)| as the error certificate.  On
-    triangles and convex fans both solves take the self-similar condensation
-    of :func:`dtn_matrices`, on axis rectangles the bordered sparse LU.
+    plain difference |nu_k(h) - nu_k(h/2)| as the error certificate, each
+    spectrum with its label as :func:`dtn_spectrum` gives it; triangles and
+    fans share one skeleton and rim recursion between them (:func:`_spectra`).
 
-    The triangle and convex-fan meshers fix their split count on the base
-    triangulation, so the fine mesh is the coarse one split once more (see
-    :func:`triangulate`); the P1 spaces nest, and nu_k(h) >= nu_k(h/2) >= nu_k.
-    The axis-rectangle grid is not nested: its column and row counts are
-    ceil(side / h), so pi x 1 at h = 0.02 / 0.01 has 158 / 315 columns
-    (8,109 and 31,916 nodes).  Either way the certificate is a heuristic, not
-    a proof: it rests on the asymptotic error model, under which a method of
-    order p >= 1 has a true fine-mesh error of at most the difference, and
-    about a third of it at the expected p = 2.  That third is only the
-    asymptotic value.  On rectangles at target_h = 0.05 (pi x 1, 1 x 1,
-    2 x 0.5, 1 x 2, every mode up to the coarse mesh's surface unknowns
-    minus one) the true error stayed below the certificate but reached 0.53x
-    it under SD and 0.57x under SN, both at the last modes.
+    The fine triangle or fan mesh is the coarse one split once more (see
+    :func:`triangulate`), so the P1 spaces nest and nu_k(h) >= nu_k(h/2) >=
+    nu_k.  The rectangle grid does not nest: ceil(side / h) columns and
+    rows, so pi x 1 at h = 0.02 / 0.01 has 158 / 315 columns.  Either way the
+    certificate is a heuristic, not a proof: under the asymptotic error
+    model a method of order p >= 1 has a true fine-mesh error of at most the
+    difference, and about a third of it at the expected p = 2.  On
+    rectangles at target_h = 0.05 (pi x 1, 1 x 1, 2 x 0.5, 1 x 2, every mode
+    up to the coarse mesh's surface unknowns minus one) the true error stayed
+    below the certificate but reached 0.53x it under SD and 0.57x under SN,
+    both at the last modes.
     """
-    coarse = dtn_spectrum(d, problem, count, target_h)
-    fine = dtn_spectrum(d, problem, count, target_h / 2.0)
-    errors = np.abs(coarse.values - fine.values)
-    return fine, errors
+    coarse, fine = _spectra(d, problem, count, (target_h, target_h / 2.0))
+    return fine, np.abs(coarse.values - fine.values)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import specfun
 from .geometry import (CylinderDomain, DomainError, ExplicitBase, IntervalBase,
                        RectangleBase, domain_metadata)
 
@@ -163,8 +164,7 @@ def cylinder_spectrum(dom: CylinderDomain, problem: str, count: int) -> Spectrum
     (Neumann for SN, Dirichlet for SD), with the domain's metadata."""
     if problem not in ("SN", "SD"):
         raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    (count,) = specfun.indices(count, "count must be a positive integer")
     bc = "neumann" if problem == "SN" else "dirichlet"
     if isinstance(dom.base, IntervalBase):
         base = interval_laplacian(dom.base.length, bc, count)

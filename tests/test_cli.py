@@ -119,6 +119,14 @@ def test_spectrum_command_fem(tmp_path):
     assert len(s) == 5
 
 
+@pytest.mark.parametrize("fem_h", [[], ["--fem-h", "0.1"]])
+def test_spectrum_count_zero_says_the_same_on_both_paths(fem_h, capsys):
+    preset = "isoceles-triangle:2,pi/4" if fem_h else "rectangle:pi,1"
+    assert cli.main(["spectrum", "--preset", preset, "--problem", "sn",
+                     "--count", "0", *fem_h]) == 2
+    assert "count must be a positive integer, got 0" in capsys.readouterr().err
+
+
 def test_spectrum_needs_fem_for_irregular_polygon(capsys):
     rc = cli.main(["spectrum", "--preset", "isoceles-triangle:2,pi/4",
                    "--problem", "sn", "--count", "5"])

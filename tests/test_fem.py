@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -468,8 +470,8 @@ def test_rim_recursion_matches_dense_schur(x, y, levels):
     inner = np.setdiff1d(np.arange(nodes.shape[0]), rim)
     want = K[np.ix_(rim, rim)] - K[np.ix_(rim, inner)] @ np.linalg.solve(
         K[np.ix_(inner, inner)], K[np.ix_(inner, rim)])
-    got, _entries = fem._rim_schur(fem._element_stiffness(base[tri])[0],
-                                   levels)
+    (got,), _entries = fem._rim_schur(fem._element_stiffness(base[tri]), 0,
+                                      levels)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -524,27 +526,120 @@ def test_interior_edit_falls_back_to_sparse_lu(monkeypatch):
     assert np.abs(pair.S - unedited).max() > 1e-8
 
 
-@pytest.mark.parametrize("problem", ["SN", "SD"])
-@pytest.mark.parametrize("name", sorted(MESHER_DOMAINS))
-def test_dtn_spectrum_is_its_public_steps(name, problem):
-    # the spectrum skips the exact-refinement check on its own mesh; the
-    # public triangulate -> dtn_matrices -> eigh chain gives it bit for bit
-    d, h, count = MESHER_DOMAINS[name], 0.05, 12
+SPECTRUM_DOMAINS = {**MESHER_DOMAINS, "spoked": regular_polygon(12),
+                    "fan-wide": geometry.trapezoid_domain(math.pi, 2 * math.pi / 3,
+                                                          1.0)}
+
+
+def public_steps(d, problem, h):
+    """eigh of dtn_matrices(triangulate(d, h)), all of it: the spectrum's
+    public steps."""
     pair = fem.dtn_matrices(fem.triangulate(d, h), problem)
-    want = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)[:count]
-    if problem == "SN":
-        want = np.maximum(want, 0.0)
-    got = fem.dtn_spectrum(d, problem, count, h).values
-    assert got.tobytes() == want.tobytes()
+    vals = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)
+    return np.maximum(vals, 0.0) if problem == "SN" else vals
+
+
+@pytest.mark.parametrize("problem", ["SN", "SD"])
+@pytest.mark.parametrize("name", sorted(SPECTRUM_DOMAINS))
+def test_dtn_spectrum_is_its_public_steps(name, problem):
+    # triangles and fans condense from the skeleton and never build the mesh;
+    # the public triangulate -> dtn_matrices -> eigh chain gives the same
+    # values bit for bit, and dtn_with_error is that chain at h and h / 2
+    d = SPECTRUM_DOMAINS[name]
+    for h in (0.3, 0.1, 0.05, 0.02):
+        if name in ("spoked", "fan-wide") and h == 0.02:
+            continue                # L = 8 on 12 or 4 base triangles: slow
+        want = public_steps(d, problem, h)
+        count = min(12, want.size - 1)
+        want = want[:count]
+        got = fem.dtn_spectrum(d, problem, count, h).values
+        assert got.tobytes() == want.tobytes()
+        fine, errors = fem.dtn_with_error(d, problem, count, h)
+        assert fine.values.tobytes() == \
+            public_steps(d, problem, h / 2)[:count].tobytes()
+        assert errors.tobytes() == np.abs(want - fine.values).tobytes()
+
+
+@pytest.mark.parametrize("name", ["triangle", "fan", "spoked"])
+def test_four_split_spectra_never_build_the_mesh(name, monkeypatch):
+    d = SPECTRUM_DOMAINS[name]
+    want = fem.dtn_with_error(d, "SD", 6, 0.1)
+    forbid(monkeypatch, "triangulate")
+    forbid(monkeypatch, "_refine")
+    for problem in ("SN", "SD"):
+        fem.dtn_spectrum(d, problem, 6, 0.1)
+    fine, errors = fem.dtn_with_error(d, "SD", 6, 0.1)
+    assert fine.values.tobytes() == want[0].values.tobytes()
+    assert errors.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("name, h", [("triangle", 0.01), ("fan", 0.02),
+                                     ("triangle", 0.5)])
+def test_dtn_with_error_condenses_each_rim_level_once(name, h, monkeypatch):
+    levels, real = [], fem._rim_schur
+
+    def spy(B, first, last):
+        levels.extend(range(first, last))
+        return real(B, first, last)
+
+    monkeypatch.setattr(fem, "_rim_schur", spy)
+    d = MESHER_DOMAINS[name]
+    fem.dtn_with_error(d, "SN", 4, h)
+    top = fem._base_triangulation(d, h / 2)[2]
+    # one step per level, up to the fine solve's level-(L-1) rim matrices
+    assert sorted(levels) == list(range(max(top - 1, 0)))
+
+
+def test_dtn_with_error_memory_peak():
+    # building the fine mesh (131,841 nodes) took the peak to 81 MB
+    tri = MESHER_DOMAINS["triangle"]
+    tracemalloc.start()
+    try:
+        fem.dtn_with_error(tri, "SN", 80, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def test_four_split_label_is_the_exact_mesh_size():
+    # the base mesh size over 2**L; the mesh's own longest side reads
+    # about 1e-14 high, which moved this label's sixth digit
+    d = geometry.trapezoid_domain(1.7, math.pi / 2.5, 0.4)
+    s = fem.dtn_spectrum(d, "SN", 4, 0.025)
+    assert s.source == "fem:h=0.0132812"
+    nodes0, tris0, levels = fem._base_triangulation(d, 0.025)
+    size = Mesh(nodes0, tris0, []).mesh_size / 2 ** levels
+    assert fem.triangulate(d, 0.025).mesh_size == pytest.approx(size, rel=1e-13)
+    rect = geometry.rectangle_domain(math.pi, 1.0)
+    assert fem.dtn_spectrum(rect, "SN", 4, 0.1).source == \
+        f"fem:h={fem.triangulate(rect, 0.1).mesh_size:.6g}"
 
 
 def test_count_is_checked_before_condensing(monkeypatch):
-    tri = MESHER_DOMAINS["triangle"]
-    forbid(monkeypatch, "dtn_matrices")
-    with pytest.raises(ValueError, match="count = 600 exceeds the 129 surface"):
-        fem.dtn_spectrum(tri, "SN", 600, 0.02)
-    with pytest.raises(ValueError, match="count = 127 exceeds the 127 surface"):
-        fem.dtn_spectrum(tri, "SD", 127, 0.02)
+    sizes = {name: fem.triangulate(MESHER_DOMAINS[name], 0.02).free_nodes().size
+             for name in ("triangle", "rectangle")}
+    forbid(monkeypatch, "_rim_schur")
+    forbid(monkeypatch, "_condensed")
+    for name, n_sn in sizes.items():
+        d = MESHER_DOMAINS[name]
+        with pytest.raises(ValueError, match=f"count = 600 exceeds the {n_sn} "):
+            fem.dtn_spectrum(d, "SN", 600, 0.02)
+        with pytest.raises(ValueError, match=f"count = {n_sn - 2} exceeds the "
+                                             f"{n_sn - 2} surface"):
+            fem.dtn_spectrum(d, "SD", n_sn - 2, 0.02)
+        with pytest.raises(ValueError, match=f"count = 600 exceeds the {n_sn} "):
+            fem.dtn_with_error(d, "SN", 600, 0.02)
+
+
+@pytest.mark.parametrize("count", [2.5, True, 0, -3, np.float64(3.0)])
+@pytest.mark.parametrize("solve", [fem.dtn_spectrum, fem.dtn_with_error])
+def test_count_must_be_a_positive_integer(solve, count, monkeypatch):
+    # read before any meshing or condensing
+    forbid(monkeypatch, "_base_triangulation")
+    with pytest.raises(ValueError, match=re.escape(
+            f"count must be a positive integer, got {count!r}")):
+        solve(MESHER_DOMAINS["triangle"], "SN", count, 0.1)
 
 
 @st.composite
@@ -602,6 +697,58 @@ def test_rims_match_dict_reference(name, levels):
 @given(d=convex_polygons(), levels=st.integers(0, 5))
 def test_rims_match_dict_reference_random_convex(d, levels):
     assert_rims_match_reference(d, levels)
+
+
+def test_unsplit_bases_are_their_public_steps():
+    # coarse L = 0 with fine L = 1, and L = 0 for both; SN only, as SD keeps
+    # no surface unknown on an unsplit free edge
+    problem = "SN"
+    quad = geometry.PolygonalDomain([(0, 0), (0.3, -0.6), (0.7, -0.6), (1, 0)],
+                                    free_edges=[3])
+    for d, h in ((quad, 1.05), (regular_polygon(12), 1.5)):
+        levels = [fem._base_triangulation(d, t)[2] for t in (h, h / 2)]
+        assert levels[0] == 0 and levels[1] == (d is quad)
+        want = public_steps(d, problem, h)
+        fine, errors = fem.dtn_with_error(d, problem, 1, h)
+        assert fine.values.tobytes() == public_steps(d, problem, h / 2)[:1].tobytes()
+        assert errors.tobytes() == np.abs(want[:1] - fine.values).tobytes()
+
+
+def assert_skeleton_matches_mesh(d, levels):
+    # the skeleton numbers the rims in the mesh's rank order, at the mesh's
+    # coordinates bit for bit, so _condense sees the same problem
+    nodes0, tris0 = fan_base(d)
+    nodes, tris = fem._refine(nodes0, tris0, levels)
+    want = fem._rims(tris, levels)
+    skel_nodes, rims, chains = fem._skeleton(nodes0, tris0, levels)
+    assert rims.shape == want.shape
+    assert np.array_equal(rims[:, ::2 ** levels], tris0)
+    mesh_ids, mesh_rank = np.unique(want, return_inverse=True)
+    skel_ids, skel_rank = np.unique(rims, return_inverse=True)
+    assert np.array_equal(skel_rank, mesh_rank)
+    assert np.array_equal(skel_ids, np.arange(skel_nodes.shape[0]))
+    assert skel_nodes[skel_ids].tobytes() == nodes[mesh_ids].tobytes()
+    # each base edge's chain runs along it, in steps of 2**-levels, from its
+    # lower end
+    assert np.array_equal(np.unique(list(chains.values())), skel_ids)
+    step = np.linspace(0.0, 1.0, 2 ** levels + 1)[:, None]
+    for (lo, hi), chain in chains.items():
+        assert lo < hi and chain[0] == lo and chain[-1] == hi
+        want_xy = nodes0[lo] + step * (nodes0[hi] - nodes0[lo])
+        assert skel_nodes[chain] == pytest.approx(want_xy, rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("levels", range(7))
+@pytest.mark.parametrize("name", ["triangle", "fan", "spoked"])
+def test_skeleton_matches_mesh_rims(name, levels):
+    d = regular_polygon(12) if name == "spoked" else MESHER_DOMAINS[name]
+    assert_skeleton_matches_mesh(d, levels)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=convex_polygons(), levels=st.integers(0, 6))
+def test_skeleton_matches_mesh_rims_random_convex(d, levels):
+    assert_skeleton_matches_mesh(d, levels)
 
 
 def test_spoked_fan_splits_past_its_polygon_edges():

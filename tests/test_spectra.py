@@ -168,6 +168,12 @@ def test_counts_are_validated():
         spectra.rectangle_sn(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         spectra.rectangle_sd(-1.0, 1.0, 5)
+    # a bool is no count, a numpy integer is
+    box = CylinderDomain(2, IntervalBase(1.0), 1.0)
+    with pytest.raises(ValueError, match="count must be a positive integer, got True"):
+        spectra.cylinder_spectrum(box, "SN", True)
+    assert spectra.cylinder_spectrum(box, "SN", np.int64(3)).values.tobytes() \
+        == spectra.cylinder_spectrum(box, "SN", 3).values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
 
     ``source`` is a Spectrum or a gamma-matching RieszCurve.  Certified
     per-eigenvalue ``errors`` move R_gamma(z) by at most
-    gamma z^{gamma-1} sum_{nu_j < z} e_j (:func:`riesz.error_allowance`, as
+    gamma z^{gamma-1} sum_{nu_j - e_j < z} e_j (:func:`riesz.error_allowance`, as
     in :func:`bounds.verify`), the regressed quantity by that over z^gamma.
     The window is shrunk until this budget at its top stays below a tenth of
     the fitted coefficient, and the actually-used window is reported; a

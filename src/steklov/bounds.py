@@ -498,18 +498,25 @@ def kroger_sum_bound(s: Spectrum, k, *, n=None, area=None,
     n, area = _resolve_nk(s, n, area)
     if john is None:
         john = s.meta.get("john")
-    w = specfun.semiclassical_scale(n, ks, area)
-    nu_next = s.values[ks]
-    core = (n - 1) / n * (w - (nu_next - w) ** 2 / w)
     if john is True:
-        bound, form = core, "john"
+        domain, form = None, "john"
     else:
         if domain is None:
             domain = comparison_cylinder(n, area, s.meta.get("depth"))
-        c_val = sum_bound_wall_term(domain, nu_next)
-        bound, form = core + w ** (1 - n) * c_val, "general"
+        form = "general"
+    bound = _kroger(n, area, ks, s.values[ks], domain)
     observed = riesz.mean_sum(s, ks)
     return floats_if_scalar(k, KrogerBound(bound, observed, bound - observed, form))
+
+
+def _kroger(n: int, area: float, ks, nu_next, domain) -> np.ndarray:
+    """:func:`kroger_sum_bound` at nu_{k+1} = nu_next: the john form without
+    a domain, else the general form with the wall integral on it."""
+    w = specfun.semiclassical_scale(n, ks, area)
+    core = (n - 1) / n * (w - (nu_next - w) ** 2 / w)
+    if domain is None:
+        return core
+    return core + w ** (1 - n) * sum_bound_wall_term(domain, nu_next)
 
 
 def eigenvalue_bracket(s: Spectrum, k, *, n=None, area=None):
@@ -524,8 +531,7 @@ def eigenvalue_bracket(s: Spectrum, k, *, n=None, area=None):
     """
     ks = _check_k(s, k, "the bracket concerns")
     n, area = _resolve_nk(s, n, area)
-    w = specfun.semiclassical_scale(n, ks, area)
-    s_k = n / (n - 1) * riesz.mean_sum(s, ks) / w
+    low, high, s_k = _bracket(n, area, ks, riesz.mean_sum(s, ks))
     over = np.flatnonzero(s_k > 1.0)
     if over.size:
         i = over[0]
@@ -533,8 +539,16 @@ def eigenvalue_bracket(s: Spectrum, k, *, n=None, area=None):
             f"S_{ks[i]} = {s_k[i]:.6f} > 1: the eigenvalue bracket is undefined; on "
             "a domain below its free surface this would contradict the "
             "averaged sum bound -- check the spectrum and the metadata")
-    root = np.sqrt(1.0 - s_k)
-    return floats_if_scalar(k, (w * (1.0 - root), w * (1.0 + root)))
+    return floats_if_scalar(k, (low, high))
+
+
+def _bracket(n: int, area: float, ks, mean):
+    """(lower, upper, S_k) of :func:`eigenvalue_bracket` at the running mean
+    `mean`; both ends are W where S_k > 1."""
+    w = specfun.semiclassical_scale(n, ks, area)
+    s_k = n / (n - 1) * mean / w
+    root = np.sqrt(np.maximum(1.0 - s_k, 0.0))
+    return w * (1.0 - root), w * (1.0 + root), s_k
 
 
 # ---------------------------------------------------------------------------
@@ -776,11 +790,33 @@ def _eval_kroger(c: _Call) -> np.ndarray:
     return bound
 
 
+def _kroger_shift(c: _Call, bound: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """How far the kroger bound can fall with nu_{k+1} anywhere within its
+    certificate: the worse end of nu_{k+1} -/+ e, which is the minimum over
+    that interval for the john form, concave in nu_{k+1}."""
+    domain = None if c.used["form"] == "john" else _comparison_domain(c)
+    nu, e = c.s.values[c.axis], errors[c.axis]
+    ends = [_kroger(c.used["n"], c.used["areaF"], c.axis, x, domain)
+            for x in (np.maximum(nu - e, 0.0), nu + e)]
+    return np.maximum(bound - np.minimum(*ends), 0.0)
+
+
 def _eval_bracket(c: _Call) -> np.ndarray:
     n, area = c.param("n"), c.param("areaF")
     low, c.extra["upper"] = eigenvalue_bracket(c.s, c.axis, n=n, area=area)
     c.observed = c.s.values[c.axis]     # nu_{k+1} (0-based index k)
     return low
+
+
+def _bracket_shift(c: _Call, bound: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """How far the bracket's ends can move inwards with the mean of the
+    first k eigenvalues within its certificate: its lower end rises and its
+    upper end falls as the mean grows, so both are taken at the mean plus
+    the mean certificate.  Where that passes S_k = 1 nothing is certified."""
+    mean = riesz.mean_sum(c.s, c.axis) + np.cumsum(errors)[c.axis - 1] / c.axis
+    low, high, s_k = _bracket(c.used["n"], c.used["areaF"], c.axis, mean)
+    shift = np.maximum(low - bound, c.extra["upper"] - high)
+    return np.where(s_k > 1.0, np.inf, shift)
 
 
 def _eval_sd_lower2d(c: _Call) -> np.ndarray:
@@ -824,6 +860,9 @@ class BoundSpec:
     evaluate: Callable[[_Call], np.ndarray]   # the bound over the grid
     r1_only: bool = False            # an R_1 statement: gamma is fixed to 1
     flags: tuple = ()                # hypothesis flags needed for "holds"
+    # how far certified errors can move the bound itself, when it reads the
+    # spectrum: (call, bound values, errors) -> a nonnegative array
+    shift: Optional[Callable[[_Call, np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 _JOHN = ("john",)
@@ -845,8 +884,9 @@ BOUNDS = {
                         r1_only=True, flags=_JOHN),
     "via-neumann": BoundSpec("SN", "z", "lower", _eval_via_neumann, r1_only=True,
                              flags=_JOHN),
-    "kroger": BoundSpec("SN", "k", "upper", _eval_kroger),
-    "bracket": BoundSpec("SN", "k", "bracket", _eval_bracket, flags=_JOHN),
+    "kroger": BoundSpec("SN", "k", "upper", _eval_kroger, shift=_kroger_shift),
+    "bracket": BoundSpec("SN", "k", "bracket", _eval_bracket, flags=_JOHN,
+                         shift=_bracket_shift),
     "sd-upper": BoundSpec("SD", "z", "upper",
                           lambda c: sd_upper_ndim(n=c.param("n"), area=c.param("areaF"),
                                                   gamma=c.g, z=c.axis),
@@ -877,9 +917,10 @@ def _axis_points(spec: BoundSpec, grid: np.ndarray) -> np.ndarray:
     return ks
 
 
-def _error_allowance(spec: BoundSpec, c: _Call, errors: np.ndarray):
-    """The per-eigenvalue ``errors`` propagated to the observed side at every
-    grid point."""
+def _error_allowance(spec: BoundSpec, c: _Call, errors: np.ndarray,
+                     bound: np.ndarray):
+    """The per-eigenvalue ``errors`` propagated to the margin at every grid
+    point: to the observed side and, through ``spec.shift``, to the bound."""
     if spec.axis == "z":
         return riesz.error_allowance(c.s, c.g, c.axis, errors)
     errors = riesz.certified_errors(c.s, errors)
@@ -888,9 +929,9 @@ def _error_allowance(spec: BoundSpec, c: _Call, errors: np.ndarray):
         # for |nu - nu_h| <= err, and min(nu, nu_h) >= max(nu_h - err, 0)
         low = np.maximum(c.s.values - errors, 0.0)
         return np.array([t * np.dot(errors, np.exp(-low * t)) for t in c.axis.tolist()])
-    if spec.side == "bracket":
-        return errors[c.axis]
-    return np.cumsum(errors)[c.axis - 1] / c.axis
+    observed = errors[c.axis] if spec.side == "bracket" else \
+        np.cumsum(errors)[c.axis - 1] / c.axis
+    return observed if spec.shift is None else observed + spec.shift(c, bound, errors)
 
 
 def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
@@ -908,10 +949,13 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
     spectra default to tolerance 1e-9 (1 + |bound|); a given tolerance must
     be a finite real >= 0.  Certified per-eigenvalue ``errors``
     (:func:`riesz.certified_errors`) add the propagated allowance:
-    gamma z^{gamma-1} * sum of errors below z on the z axis (the rule of
-    :func:`riesz.error_allowance`, shared with the fit's error budget), the
-    mean error (or the error of nu_{k+1}) on the k axis, and
-    sum_j t err_j e^{-max(nu_j - err_j, 0) t} on the heat-trace t axis.
+    gamma z^{gamma-1} * sum of e_j over nu_j - e_j < z on the z axis (the
+    rule of :func:`riesz.error_allowance`, shared with the fit's error
+    budget); on the k axis the mean error (or the error of nu_{k+1}) plus
+    how far the bound itself can move: kroger at the worse end of
+    nu_{k+1} -/+ e, the bracket at the mean plus the mean error (infinite
+    where that passes S_k = 1); and sum_j t err_j e^{-max(nu_j - err_j, 0) t}
+    on the heat-trace t axis.
     Without a domain, main, split and the general kroger form take their
     wall term on :func:`comparison_cylinder`.
 
@@ -958,7 +1002,7 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
     else:
         tol = 1e-9 * (1.0 + np.abs(observed if spec.side == "bracket" else bound_vals))
     if errors is not None:
-        tol = tol + _error_allowance(spec, c, errors)
+        tol = tol + _error_allowance(spec, c, errors, bound_vals)
 
     violations = [{"axis": float(axis[i]), "margin": float(margins[i])}
                   for i in np.flatnonzero(margins < -tol)]

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    steklov spectrum --preset rectangle:pi,1 --problem sn --count 100
+    steklov spectrum --preset rectangle:pi,1 --problem sn --count 1200 --out s.csv
     steklov riesz    --spectrum s.csv --gamma 1 --grid 0:50:0.5
     steklov verify   --spectrum s.csv --bound john2d --grid log200(0.1,1000)
     steklov asym     --spectrum s.csv --gamma 1 --window 100,1000

@@ -25,8 +25,9 @@ Cholesky.  The copies of the last level are then summed and condensed onto
 the surface in turn, each eliminating what no later copy shares (nested
 dissection with exact reuse; A. George, SIAM J. Numer. Anal. 10, 1973).
 :func:`dtn_spectrum` and :func:`dtn_with_error` number only the nodes on
-the base edges for this and never build the mesh; :func:`dtn_matrices`
-takes the path on a mesh that re-refining its base reproduces exactly.
+the base edges for this (the skeleton) and never build the mesh;
+:func:`dtn_matrices` condenses a :func:`triangulate` mesh through the
+skeleton of the base it records, while re-refining that base reproduces it.
 
 Every other mesh (the structured rectangle grid, loaded, hand-built, copied
 or edited meshes) goes through one sparse LU of the bordered matrix: the
@@ -86,10 +87,10 @@ class Mesh:
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: list
-    # 4-splits of the base triangles; `triangulate` sets it on triangle and
-    # fan meshes only, so hand-built, loaded and `replace`d meshes lack it
-    splits: Optional[int] = field(default=None, init=False, compare=False,
-                                  repr=False)
+    # (domain, target_h) of a `triangulate` triangle or fan mesh, for
+    # `dtn_matrices`; hand-built, loaded and `replace`d meshes lack it
+    source: Optional[tuple] = field(default=None, init=False, compare=False,
+                                    repr=False)
 
     @property
     def mesh_size(self) -> float:
@@ -252,26 +253,13 @@ def _descendants(levels) -> np.ndarray:
     return child @ 4 ** np.arange(levels - 1, -1, -1)
 
 
-def _rims(triangles, levels) -> np.ndarray:
-    """(t0, 3 * 2**levels) node ids: the rim of each base triangle of a mesh
-    that :func:`_refine` split `levels` times, read off its triangles.
-
-    Rim order runs a -> b -> c around a base triangle (a, b, c) from its
-    vertex a, 2**levels nodes per side, each side's end left to the next;
-    node j of side k is vertex k of descendant j (:func:`_descendants`), and
-    the corners (j = 0) are the base triangles.
-    """
-    n = 2 ** levels
-    first = n * n * np.arange(len(triangles) // (n * n))
-    return triangles[first[:, None, None] + _descendants(levels),
-                     np.arange(3)[:, None]].reshape(-1, 3 * n)
-
-
 def _skeleton(nodes0, tris0, levels):
     """(nodes, rims, chains) of a base triangulation split `levels` times,
-    without the mesh: the nodes on the base edges, each base triangle's rim
-    as :func:`_rims` reads it off :func:`_refine`'s mesh, and, by its (lo,
-    hi) ends, each base edge's 2**levels + 1 node ids from lo.
+    without the mesh: the nodes on the base edges; each base triangle's rim,
+    a -> b -> c from its vertex a, 2**levels nodes per side, each side's end
+    left to the next (node j of side k is vertex k of descendant j of
+    :func:`_descendants` in :func:`_refine`'s mesh); and, by its (lo, hi)
+    ends, each base edge's 2**levels + 1 node ids from lo.
 
     Base vertices keep their ids; each base edge's inner points follow, once
     even for a fan spoke that two base triangles share.  _refine numbers the
@@ -348,34 +336,43 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
 
     A 4-split mesh takes the split count of :func:`_base_triangulation`, so
     triangulate(d, target_h / 2), if it splits at all, is it split once more.
-    It records that count for :func:`dtn_matrices`, which condenses it
-    self-similarly while it is still exactly that refinement of its base.
+    It records (d, target_h) for :func:`dtn_matrices`, which condenses it
+    from that base's skeleton while it is still exactly that refinement.
     """
     base = _base_triangulation(d, target_h)
-    if base is None:
-        x0, y0 = d.vertices.min(axis=0)
-        x1, y1 = d.vertices.max(axis=0)
-        lx, ly = x1 - x0, y1 - y0
-        nx = max(1, math.ceil(lx / target_h))
-        ny = max(1, math.ceil(ly / target_h))
-        xs = np.linspace(x0, x1, nx + 1)
-        ys = np.linspace(y0, y1, ny + 1)
-        nodes = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
-        n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
-        n10, n01 = n00 + 1, n00 + nx + 1
-        n11 = n01 + 1
-        triangles = np.stack([n00, n10, n11, n00, n11, n01],
-                             axis=1).reshape(-1, 3)
-        splits = None
-    else:
-        nodes0, tris0, splits = base
-        nodes, triangles = _refine(nodes0, tris0, splits)
+    if base is not None:
+        mesh = _tagged_mesh(d, *_refine(*base))
+        mesh.source = (d, target_h)
+        return mesh
+    x0, y0 = d.vertices.min(axis=0)
+    x1, y1 = d.vertices.max(axis=0)
+    nx = max(1, math.ceil((x1 - x0) / target_h))
+    ny = max(1, math.ceil((y1 - y0) / target_h))
+    xs = np.linspace(x0, x1, nx + 1)
+    ys = np.linspace(y0, y1, ny + 1)
+    nodes = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
+    n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    n10, n01 = n00 + 1, n00 + nx + 1
+    n11 = n01 + 1
+    return _tagged_mesh(d, nodes, np.stack([n00, n10, n11, n00, n11, n01],
+                                           axis=1).reshape(-1, 3))
 
+
+def _tagged_mesh(d: PolygonalDomain, nodes, triangles) -> Mesh:
+    """The mesh with its hull edges tagged by the domain, after every check
+    of :func:`validate_mesh`."""
     hull = _checked_hull(nodes, triangles)
     mesh = Mesh(nodes, triangles, _classify_boundary(d, nodes, hull))
     _check_tiling(mesh, hull)
-    mesh.splits = splits
     return mesh
+
+
+def _chain_mesh(nodes, chains, base: Mesh, step: int) -> Mesh:
+    """A :func:`_skeleton`'s boundary as a Mesh without triangles: each
+    tagged edge (lo, hi) of the base as every `step`-th node of its chain."""
+    return Mesh(nodes, np.zeros((0, 3), dtype=np.int64), [
+        (i, j, tag) for lo, hi, tag in base.boundary_edges
+        for i, j in zip(chains[lo, hi][:-1:step], chains[lo, hi][step::step])])
 
 
 def load_mesh(path) -> Mesh:
@@ -494,15 +491,16 @@ class DtnMatrixPair:
     factor_nnz: int             # stored entries of the condensation's factors
 
 
-def _retained_surface(mesh: Mesh, problem: str):
+def _retained_surface(mesh: Mesh, problem: str, least: int = 2):
     """(free, surface, removed): the free-surface nodes, those `problem`
-    keeps as unknowns, and the wall nodes it drops (SD) or none (SN)."""
+    keeps as unknowns, and the wall nodes it drops (SD) or none (SN); a
+    MeshError if it keeps fewer than `least`."""
     if problem not in ("SN", "SD"):
         raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
     free = mesh.free_nodes()
     removed = mesh.wall_nodes() if problem == "SD" else free[:0]
     surface = np.setdiff1d(free, removed)
-    if surface.size < 2:
+    if surface.size < least:
         raise MeshError("too few free-surface unknowns; refine the mesh")
     return free, surface, removed
 
@@ -514,31 +512,20 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
     node; SD removes wall nodes (Dirichlet), including the corner nodes the
     two boundary parts share.
 
-    Meshes that :func:`triangulate` built by 4-splitting, while still
-    exactly that refinement (:func:`_split_rims`) with every retained or
-    removed surface node on a base triangle's rim, are condensed level by
-    level (:func:`_self_similar_schur`), with no global stiffness matrix; a
-    refined base triangulation is connected.  Every other mesh (the
-    rectangle grid, loaded, hand-built, copied or edited meshes) goes
-    through one sparse LU of the bordered stiffness matrix
-    (:func:`_bordered_schur`); there a mesh component that touches no
-    retained surface node is a MeshError.  Either way S comes out in the
-    row order of ``surface_nodes``, the sorted retained node ids.
+    A triangle or fan mesh from :func:`triangulate` is condensed from its
+    base's skeleton, as :func:`dtn_spectrum` condenses it, while it is still
+    that refinement with the skeleton's surface nodes
+    (:func:`_source_schur`).  Every other mesh (the rectangle grid, loaded,
+    hand-built, copied or edited meshes) goes through one sparse LU of the
+    bordered stiffness matrix (:func:`_bordered_schur`); there a mesh
+    component that touches no retained surface node is a MeshError.  Either
+    way S comes out in the row order of ``surface_nodes``, the sorted
+    retained node ids, and M_F is the mesh's own boundary mass.
     """
-    return _condensed(mesh, problem, _split_rims(mesh))
-
-
-def _condensed(mesh: Mesh, problem: str, rims, below=None) -> DtnMatrixPair:
-    """:func:`dtn_matrices`, given the base triangles' rims of a mesh that is
-    exactly ``mesh.splits`` 4-splits of its base, or None, and optionally
-    (their rim matrices after max(splits - 1, 0) splits, factor entries)."""
     free, surface, removed = _retained_surface(mesh, problem)
-    if rims is not None and np.isin(np.union1d(surface, removed), rims).all():
-        below = below or _rim_schur(_element_stiffness(mesh.nodes[
-            rims[:, ::2 ** mesh.splits]]), 0, max(mesh.splits - 1, 0))
-        S, e = _self_similar_schur(rims, below[0], mesh.nodes.shape[0],
-                                   surface, removed)
-        factor_nnz, mf = below[1] + e, _boundary_mass(mesh)
+    found = _source_schur(mesh, problem, surface, removed)
+    if found is not None:
+        (S, factor_nnz), mf = found, _boundary_mass(mesh)
     else:
         K, mf = assemble(mesh)
         # imported here so that `import steklov` stays as cheap as before
@@ -552,16 +539,48 @@ def _condensed(mesh: Mesh, problem: str, rims, below=None) -> DtnMatrixPair:
         inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]),
                              np.union1d(surface, removed))
         S, factor_nnz = _bordered_schur(K, inner, surface, mesh.nodes)
+    return _pair(S, mf, free, surface, factor_nnz)
+
+
+def _pair(S, mf, free, surface, factor_nnz) -> DtnMatrixPair:
+    """S, symmetrized, with the rows of M_F (row order `free`) on `surface`."""
     scale = float(np.abs(S).max()) or 1.0
     asym = float(np.abs(S - S.T).max()) / scale
     if asym > 1e-10:
         warnings.warn(f"Schur complement asymmetry {asym:.2e} above 1e-10",
                       stacklevel=3)
-    S = 0.5 * (S + S.T)
     keep = np.isin(free, surface)
-    m_sub = mf[np.ix_(keep, keep)]
-    return DtnMatrixPair(S=S, M_F=m_sub, surface_nodes=surface, asymmetry=asym,
+    return DtnMatrixPair(S=0.5 * (S + S.T), M_F=mf[np.ix_(keep, keep)],
+                         surface_nodes=surface, asymmetry=asym,
                          factor_nnz=factor_nnz)
+
+
+def _source_schur(mesh: Mesh, problem: str, surface, removed):
+    """(S, factor entries) on `surface`, `removed` held at zero, from the
+    skeleton of the base that ``mesh.source`` records, or None.
+
+    The mesh qualifies while :func:`_refine` of that base reproduces its
+    node and triangle arrays exactly and its retained and removed nodes are
+    the skeleton's, the same points in the same order.  The skeleton numbers
+    its nodes in the mesh's order, so its S is then the mesh's, row for row.
+    """
+    if mesh.source is None:
+        return None
+    d, target_h = mesh.source
+    nodes0, tris0, levels = _base_triangulation(d, target_h)
+    nodes, tris = _refine(nodes0, tris0, levels)
+    if not (np.array_equal(nodes, mesh.nodes)
+            and np.array_equal(tris, mesh.triangles)):
+        return None
+    nodes, rims, chains = _skeleton(nodes0, tris0, levels)
+    skeleton = _chain_mesh(nodes, chains, _tagged_mesh(d, nodes0, tris0), 1)
+    _free, own_surface, own_removed = _retained_surface(skeleton, problem, 0)
+    if not (np.array_equal(mesh.nodes[surface], nodes[own_surface])
+            and np.array_equal(mesh.nodes[removed], nodes[own_removed])):
+        return None
+    B, e = _rim_schur(_element_stiffness(nodes0[tris0]), 0, max(levels - 1, 0))
+    S, e2 = _self_similar_schur(rims, B, nodes.shape[0], own_surface, own_removed)
+    return S, e + e2
 
 
 def _bordered_schur(K, inner, surface, nodes):
@@ -632,25 +651,6 @@ def _nested_dissection(xy, graph) -> np.ndarray:
 
 
 # -- self-similar condensation of 4-split meshes ----------------------------
-
-def _split_rims(mesh: Mesh) -> Optional[np.ndarray]:
-    """The rims of the mesh's base triangles (:func:`_rims`) if the mesh is
-    exactly ``mesh.splits`` 4-splits of its base, else None.
-
-    The base triangles are the rims' corners and their nodes the first rows
-    of the node array, as :func:`triangulate` numbers them; the mesh counts
-    only if :func:`_refine` of that base reproduces its node and triangle
-    arrays exactly, so an edit anywhere sends it to the sparse LU.
-    """
-    levels, t = mesh.splits, mesh.triangles.shape[0]
-    if levels is None or t == 0 or t % 4 ** levels:
-        return None
-    rims = _rims(mesh.triangles, levels)
-    base = rims[:, ::2 ** levels]
-    nodes, tris = _refine(mesh.nodes[:base.max() + 1], base, levels)
-    same = np.array_equal(nodes, mesh.nodes) and np.array_equal(tris, mesh.triangles)
-    return rims if same else None
-
 
 @functools.lru_cache(maxsize=None)
 def _split_maps(m: int) -> np.ndarray:
@@ -744,7 +744,7 @@ def _rim_schur(B, first, last):
 
 def _self_similar_schur(rims, below, n_ids, surface, removed):
     """(S, factor entries) on `surface` (sorted ids), `removed` held at
-    zero, for base triangles with rims `rims` (:func:`_rims`) 4-split L
+    zero, for base triangles with rims `rims` (:func:`_skeleton`) 4-split L
     times, from their rim matrices `below` after max(L - 1, 0) splits.  Each
     is four copies of that around three midlines, whose inner nodes get ids
     from `n_ids` on; one :func:`_condense` over all the copies, base triangle
@@ -777,32 +777,29 @@ def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:
     bases = [_base_triangulation(d, h) for h in target_hs]
     if bases[-1] is not None:
         nodes0, tris0, top = bases[-1]
-        hull = _checked_hull(nodes0, tris0)
-        tagged = _classify_boundary(d, nodes0, hull)
-        _check_tiling(Mesh(nodes0, tris0, tagged), hull)
+        tagged = _tagged_mesh(d, nodes0, tris0)
         nodes, rims, chains = _skeleton(nodes0, tris0, top)
-        base_size = Mesh(nodes0, tris0, []).mesh_size
         done, below = 0, (_element_stiffness(nodes0[tris0]), 0)
     out = []
     for h, base in zip(target_hs, bases):
         if base is None:
             mesh = triangulate(d, h)
-        else:                   # the skeleton's boundary, as a Mesh
+        else:
             step = 2 ** (top - base[2])
-            mesh = Mesh(nodes, np.zeros((0, 3), dtype=np.int64), [
-                (i, j, tag) for lo, hi, tag in tagged
-                for i, j in zip(chains[lo, hi][:-1:step], chains[lo, hi][step::step])])
-        n_surf = _retained_surface(mesh, problem)[1].size
-        if count > n_surf - 1:
-            raise ValueError(f"count = {count} exceeds the {n_surf} surface "
-                             "unknowns minus one; refine the mesh")
+            mesh = _chain_mesh(nodes, chains, tagged, step)
+        free, surface, removed = _retained_surface(mesh, problem)
+        if count > surface.size - 1:
+            raise ValueError(f"count = {count} exceeds the {surface.size} "
+                             "surface unknowns minus one; refine the mesh")
         if base is None:
-            pair, label = _condensed(mesh, problem, None), mesh.mesh_size
+            pair, label = dtn_matrices(mesh, problem), mesh.mesh_size
         else:
             B, e = _rim_schur(below[0], done, max(base[2] - 1, 0))
             done, below = max(base[2] - 1, 0), (B, below[1] + e)
-            pair = _condensed(mesh, problem, rims[:, ::step], below)
-            label = base_size / 2 ** base[2]      # exact for L 4-splits
+            S, e = _self_similar_schur(rims[:, ::step], B, nodes.shape[0],
+                                       surface, removed)
+            pair = _pair(S, _boundary_mass(mesh), free, surface, below[1] + e)
+            label = tagged.mesh_size / 2 ** base[2]      # exact for L 4-splits
         vals = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)[:count]
         if problem == "SN":
             # the discrete constant mode lands at roundoff, possibly below 0
@@ -844,10 +841,11 @@ def dtn_with_error(d: PolygonalDomain, problem: str, count: int,
     certificate is a heuristic, not a proof: under the asymptotic error
     model a method of order p >= 1 has a true fine-mesh error of at most the
     difference, and about a third of it at the expected p = 2.  On
-    rectangles at target_h = 0.05 (pi x 1, 1 x 1, 2 x 0.5, 1 x 2, every mode
-    up to the coarse mesh's surface unknowns minus one) the true error stayed
-    below the certificate but reached 0.53x it under SD and 0.57x under SN,
-    both at the last modes.
+    rectangles (pi x 1, 1 x 1, 2 x 0.5, 1 x 2, 2 pi x 0.5, 2 pi x 1; target_h
+    0.08 to 0.01; every mode up to the coarse surface unknowns minus one;
+    the grids' exact P1 spectra) the true error reached 0.637x the
+    certificate under SN and 0.619x under SD, at the last modes, and
+    nu_k(h) >= nu_k(h/2) held for every mode.
     """
     coarse, fine = _spectra(d, problem, count, (target_h, target_h / 2.0))
     return fine, np.abs(coarse.values - fine.values)

@@ -137,11 +137,15 @@ def certified_errors(s: Spectrum, errors) -> np.ndarray:
 
 def error_allowance(s: Spectrum, gamma: float, zs, errors) -> np.ndarray:
     """How far the certificates ``errors`` can move R_gamma at every z of
-    ``zs``: gamma z^{gamma-1} sum_{nu_j < z} e_j, since (z - nu)_+^gamma
-    moves by at most gamma z^{gamma-1} |dnu| for 0 <= nu < z."""
+    ``zs``: gamma z^{gamma-1} sum_{nu_j - e_j < z} e_j, since (z - nu)_+^gamma
+    moves by at most gamma z^{gamma-1} |dnu| for 0 <= nu < z, and a computed
+    nu_j in [z, z + e_j) may stand for a true eigenvalue below z."""
     zs = np.asarray(zs, dtype=float)
-    counts = np.searchsorted(s.values, zs, side="left")
-    below = np.concatenate(([0.0], np.cumsum(certified_errors(s, errors))))[counts]
+    errors = certified_errors(s, errors)
+    low = s.values - errors
+    order = np.argsort(low, kind="stable")
+    counts = np.searchsorted(low[order], zs, side="left")
+    below = np.concatenate(([0.0], np.cumsum(errors[order])))[counts]
     return gamma * np.where(zs > 0, zs, 1.0) ** (gamma - 1.0) * below
 
 

@@ -192,9 +192,9 @@ def test_fit_error_budget_needs_the_curve_spectrum(tmp_path):
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
 def test_fit_budget_is_the_verify_allowance_over_z_gamma(gamma):
-    # certificates move R_gamma(z) by gamma z^{gamma-1} sum_{nu_j < z} e_j in
-    # both; the fit keeps the points where that over z^gamma stays under a
-    # tenth of its coefficient
+    # certificates move R_gamma(z) by gamma z^{gamma-1} sum_{nu_j - e_j < z}
+    # e_j in both; the fit keeps the points where that over z^gamma stays
+    # under a tenth of its coefficient
     s = spectra.rectangle_sn(math.pi, 1.0, 600)
     errs = np.zeros(600)
     errs[100:] = 0.3

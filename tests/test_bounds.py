@@ -1016,9 +1016,42 @@ def test_verify_propagates_errors_into_tolerance(rect_sn_600):
     errs = np.full(len(rect_sn_600), 1e-3)
     grid = np.array([5.0, 20.0])
     rep = bounds.verify(rect_sn_600, "john2d", grid, errors=errs)
-    counts = np.searchsorted(rect_sn_600.values, grid)
+    # nu_j - e_j < z: the computed nu_20 = 20.0 may be a true one below z = 20
+    counts = np.searchsorted(rect_sn_600.values - 1e-3, grid)
+    assert counts.tolist() == [6, 21]
     assert rep.tolerance == pytest.approx(1e-9 * (1 + np.abs(rep.bound_values))
                                           + 1e-3 * counts)
+
+
+@pytest.mark.parametrize("form", ["john", "general"])
+@pytest.mark.parametrize("bound_id", ["kroger", "bracket"])
+def test_k_axis_allowance_covers_the_moving_bound(bound_id, form, rect_sn_600):
+    # the bracket's ends move with the mean of the first k eigenvalues and
+    # kroger's bound with nu_{k+1}: a spectrum moved by its certificates
+    # (0.01, none on the zero mode) loses at most the allowance, where the
+    # observed side's error alone (0.01) fell short by up to 0.22
+    meta = {**rect_sn_600.meta, "john": form == "john"}
+    s = spectra.Spectrum(problem="SN", values=rect_sn_600.values, meta=meta)
+    errs = np.full(len(s), 0.01)
+    errs[0] = 0.0
+    ks = np.arange(1, 500)
+    rep = bounds.verify(s, bound_id, ks, errors=errs)
+    assert rep.params["form" if bound_id == "kroger" else "n"] == \
+        (form if bound_id == "kroger" else 2)
+    for sign in (-1, 1):
+        moved = spectra.Spectrum(problem="SN", values=s.values + sign * errs,
+                                 meta=meta)
+        margins = bounds.verify(moved, bound_id, ks).margins
+        assert np.all(margins >= rep.margins - rep.tolerance)
+    if bound_id == "bracket":
+        # both ends move by 0.069 at k = 50 and 0.140 at k = 200
+        assert np.all(rep.tolerance[[49, 199]] - 0.01 > [0.069, 0.140])
+
+
+def test_bracket_allowance_past_s_one_certifies_nothing(rect_sn_600):
+    errs = np.full(len(rect_sn_600), 50.0)
+    rep = bounds.verify(rect_sn_600, "bracket", np.arange(1, 40), errors=errs)
+    assert np.all(np.isinf(rep.tolerance)) and rep.status == "holds"
 
 
 def test_verify_heat_trace_propagates_errors():

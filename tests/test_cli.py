@@ -5,9 +5,12 @@ from __future__ import annotations
 import gc
 import json
 import math
+import shlex
 import subprocess
 import sys
 import warnings
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,3 +319,33 @@ def test_cli_runs_are_byte_identical(tmp_path):
     second = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert first == second
     assert first  # nonempty
+
+
+def documented_commands(text, start):
+    """The `steklov ...` lines that follow the first `start` line of `text`
+    (blank lines between them allowed), as argument lists without the
+    program name."""
+    lines = iter(text.splitlines())
+    next(line for line in lines if line.strip() == start)
+    commands = []
+    for line in lines:
+        if line.strip().startswith("steklov "):
+            commands.append(shlex.split(line)[1:])
+        elif line.strip():
+            break
+    return commands
+
+
+@pytest.mark.parametrize("where", ["README", "cli docstring"])
+def test_documented_examples_exit_zero(where, tmp_path, monkeypatch, capsys):
+    # each block writes s.csv first and reads it after, in a fresh directory
+    if where == "README":
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = documented_commands(readme[readme.index("## Command line"):],
+                                       "```")
+    else:
+        commands = documented_commands(cli.__doc__, "Subcommands::")
+    assert len(commands) >= 4 and commands[0][0] == "spectrum"
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)

@@ -171,10 +171,11 @@ def assert_split_once(d, h):
     """triangulate(d, h / 2) is triangulate(d, h) 4-split once, bit for bit
     (or the same mesh when neither splits)."""
     coarse, fine = fem.triangulate(d, h), fem.triangulate(d, h / 2)
-    if fine.splits == 0:
+    levels = [fem._base_triangulation(d, t)[2] for t in (h, h / 2)]
+    if levels[1] == 0:
         want = coarse.nodes, coarse.triangles
     else:
-        assert fine.splits == coarse.splits + 1
+        assert levels[1] == levels[0] + 1
         want = fem._refine(coarse.nodes, coarse.triangles, 1)
     for got, ref in zip((fine.nodes, fine.triangles), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -464,9 +465,8 @@ def test_rim_recursion_matches_dense_schur(x, y, levels):
     # obtuse for x outside [0, 1], thin for small y
     base = np.array([[0.0, 0.0], [1.0, 0.0], [x, y]])
     tri = np.array([[0, 1, 2]])
-    nodes, tris = fem._refine(base, tri, levels)
+    nodes, tris, (rim,) = reference_refine(base, tri, levels)
     K = fem.assemble(Mesh(nodes, tris, []))[0].toarray()
-    rim = fem._rims(tris, levels)[0]
     inner = np.setdiff1d(np.arange(nodes.shape[0]), rim)
     want = K[np.ix_(rim, rim)] - K[np.ix_(rim, inner)] @ np.linalg.solve(
         K[np.ix_(inner, inner)], K[np.ix_(inner, rim)])
@@ -479,7 +479,7 @@ def test_unrefined_fan_condenses_its_element_matrices(monkeypatch):
     d = geometry.PolygonalDomain([(0, 0), (0.3, -0.6), (0.7, -0.6), (1, 0)],
                                  free_edges=[3])
     mesh = fem.triangulate(d, 1.05)
-    assert mesh.splits == 0
+    assert fem._base_triangulation(d, 1.05)[2] == 0
     forbid(monkeypatch, "_bordered_schur")
     pair = fem.dtn_matrices(mesh, "SN")
     assert pair.S == pytest.approx(dense_schur(mesh, pair, "SN"), abs=1e-12)
@@ -488,7 +488,7 @@ def test_unrefined_fan_condenses_its_element_matrices(monkeypatch):
 def test_only_recorded_refinements_skip_the_sparse_lu(tmp_path, monkeypatch):
     tri = fem.triangulate(MESHER_DOMAINS["triangle"], 0.1)
     rect = fem.triangulate(MESHER_DOMAINS["rectangle"], 0.1)
-    assert rect.splits is None and tri.splits is not None
+    assert rect.source is None and tri.source is not None
     others = [rect, loaded_copy(tri, tmp_path / "tri.txt"),
               dataclasses.replace(tri)]
     with monkeypatch.context() as patch:
@@ -503,9 +503,16 @@ def test_only_recorded_refinements_skip_the_sparse_lu(tmp_path, monkeypatch):
         fem.dtn_matrices(mesh, "SD")
 
 
+def reference_rims(d, h):
+    """The rims of the base triangles of triangulate(d, h), from the dict
+    reference mesher."""
+    levels = fem._base_triangulation(d, h)[2]
+    return reference_refine(*fan_base(d), levels)[2]
+
+
 def test_unmatched_rim_falls_back_to_sparse_lu(monkeypatch):
     mesh = fem.triangulate(MESHER_DOMAINS["fan"], 0.2)
-    spoke = fem._rims(mesh.triangles, mesh.splits)[0, -2]   # inside a spoke
+    spoke = reference_rims(MESHER_DOMAINS["fan"], 0.2)[0, -2]   # inside a spoke
     mesh.nodes[spoke] += 0.01
     forbid(monkeypatch, "_self_similar_schur")
     pair = fem.dtn_matrices(mesh, "SN")
@@ -516,7 +523,7 @@ def test_interior_edit_falls_back_to_sparse_lu(monkeypatch):
     # a node on no rim: only the whole-mesh check sees that it moved
     mesh = fem.triangulate(MESHER_DOMAINS["fan"], 0.2)
     unedited = fem.dtn_matrices(mesh, "SN").S
-    rims = fem._rims(mesh.triangles, mesh.splits)
+    rims = reference_rims(MESHER_DOMAINS["fan"], 0.2)
     inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]), rims)
     mesh.nodes[inner[inner.size // 2]] += 0.01
     forbid(monkeypatch, "_self_similar_schur")
@@ -524,6 +531,31 @@ def test_interior_edit_falls_back_to_sparse_lu(monkeypatch):
     assert pair.S == pytest.approx(dense_schur(mesh, pair, "SN"), abs=1e-10)
     # and the edit moves S well past that tolerance
     assert np.abs(pair.S - unedited).max() > 1e-8
+
+
+def test_retagged_free_edge(monkeypatch):
+    # a middle free edge tagged as wall: SN keeps the same surface nodes, so S
+    # still comes from the skeleton while M_F loses the edge; SD drops the
+    # edge's two nodes, which the skeleton keeps, so it takes the sparse LU
+    mesh = fem.triangulate(MESHER_DOMAINS["fan"], 0.1)
+    free = [k for k, (_i, _j, tag) in enumerate(mesh.boundary_edges)
+            if tag == "free"]
+    edited = Mesh(mesh.nodes, mesh.triangles, list(mesh.boundary_edges))
+    edited.source = mesh.source
+    i, j, _tag = edited.boundary_edges[free[len(free) // 2]]
+    edited.boundary_edges[free[len(free) // 2]] = (i, j, "wall")
+    want = fem.dtn_matrices(mesh, "SN")
+    with monkeypatch.context() as patch:
+        forbid(patch, "_bordered_schur")
+        pair = fem.dtn_matrices(edited, "SN")
+    assert pair.S.tobytes() == want.S.tobytes()
+    assert np.array_equal(pair.surface_nodes, want.surface_nodes)
+    assert np.array_equal(pair.M_F, fem.assemble(edited)[1])
+    assert not np.array_equal(pair.M_F, want.M_F)
+    forbid(monkeypatch, "_self_similar_schur")
+    pair = fem.dtn_matrices(edited, "SD")
+    assert not np.isin([i, j], pair.surface_nodes).any()
+    assert pair.S == pytest.approx(dense_schur(edited, pair, "SD"), abs=1e-10)
 
 
 SPECTRUM_DOMAINS = {**MESHER_DOMAINS, "spoked": regular_polygon(12),
@@ -619,8 +651,8 @@ def test_four_split_label_is_the_exact_mesh_size():
 def test_count_is_checked_before_condensing(monkeypatch):
     sizes = {name: fem.triangulate(MESHER_DOMAINS[name], 0.02).free_nodes().size
              for name in ("triangle", "rectangle")}
-    forbid(monkeypatch, "_rim_schur")
-    forbid(monkeypatch, "_condensed")
+    for name in ("_rim_schur", "_self_similar_schur", "_bordered_schur"):
+        forbid(monkeypatch, name)
     for name, n_sn in sizes.items():
         d = MESHER_DOMAINS[name]
         with pytest.raises(ValueError, match=f"count = 600 exceeds the {n_sn} "):
@@ -677,28 +709,6 @@ def test_refining_meshers_nest_random_convex(d, fraction):
     assert_split_once(d, fraction * float(np.hypot(*span)))
 
 
-def assert_rims_match_reference(d, levels):
-    nodes0, tris0 = fan_base(d)
-    _nodes, tris, want = reference_refine(nodes0, tris0, levels)
-    got = fem._rims(tris, levels)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    assert np.array_equal(got[:, ::2 ** levels], tris0)
-
-
-@pytest.mark.parametrize("levels", range(6))
-@pytest.mark.parametrize("name", ["triangle", "fan", "spoked"])
-def test_rims_match_dict_reference(name, levels):
-    d = regular_polygon(12) if name == "spoked" else MESHER_DOMAINS[name]
-    assert_rims_match_reference(d, levels)
-
-
-@settings(max_examples=20, deadline=None)
-@given(d=convex_polygons(), levels=st.integers(0, 5))
-def test_rims_match_dict_reference_random_convex(d, levels):
-    assert_rims_match_reference(d, levels)
-
-
 def test_unsplit_bases_are_their_public_steps():
     # coarse L = 0 with fine L = 1, and L = 0 for both; SN only, as SD keeps
     # no surface unknown on an unsplit free edge
@@ -718,8 +728,7 @@ def assert_skeleton_matches_mesh(d, levels):
     # the skeleton numbers the rims in the mesh's rank order, at the mesh's
     # coordinates bit for bit, so _condense sees the same problem
     nodes0, tris0 = fan_base(d)
-    nodes, tris = fem._refine(nodes0, tris0, levels)
-    want = fem._rims(tris, levels)
+    nodes, _tris, want = reference_refine(nodes0, tris0, levels)
     skel_nodes, rims, chains = fem._skeleton(nodes0, tris0, levels)
     assert rims.shape == want.shape
     assert np.array_equal(rims[:, ::2 ** levels], tris0)
@@ -756,9 +765,10 @@ def test_spoked_fan_splits_past_its_polygon_edges():
     d = regular_polygon(12)
     edge = max(float(np.hypot(*(b - a))) for _i, a, b, _t in d.edges())
     mesh = fem.triangulate(d, 0.07)
-    base = fem._rims(mesh.triangles, mesh.splits)[:, ::2 ** mesh.splits]
-    assert Mesh(mesh.nodes, base, []).mesh_size > 1.5 * edge
-    assert edge / 2 ** (mesh.splits - 1) <= 0.07
+    nodes0, tris0, levels = fem._base_triangulation(d, 0.07)
+    assert np.array_equal(reference_rims(d, 0.07)[:, ::2 ** levels], tris0)
+    assert Mesh(nodes0, tris0, []).mesh_size > 1.5 * edge
+    assert edge / 2 ** (levels - 1) <= 0.07
     assert mesh.mesh_size <= 1.5 * 0.07
     ref = reference_triangulate(d, 0.07)
     assert mesh.nodes.tobytes() == ref.nodes.tobytes()
@@ -775,9 +785,11 @@ def test_triangulate_builds_one_edge_table_per_mesh(name, monkeypatch):
         return real(triangles)
 
     monkeypatch.setattr(fem, "_edge_table", spy)
-    mesh = fem.triangulate(MESHER_DOMAINS[name], 0.05)
+    d = MESHER_DOMAINS[name]
+    mesh = fem.triangulate(d, 0.05)
+    base = fem._base_triangulation(d, 0.05)
     # one per 4-split level, then one that the hull and the checks share
-    assert len(calls) == (mesh.splits or 0) + 1
+    assert len(calls) == (0 if base is None else base[2]) + 1
     assert calls[-1] == mesh.triangles.shape[0]
 
 
@@ -818,6 +830,48 @@ def test_dtn_spectrum_rectangle_oracle():
     assert np.all(sd.values[:-1] > sn.values[1:])  # clamping raises everything
     assert sn.source.startswith("fem:h=")
     assert sn.meta["areaF"] == pytest.approx(math.pi)
+
+
+def rectangle_p1_spectrum(length, depth, target_h, problem):
+    """Every P1 eigenvalue of triangulate's grid on (0, length) x (-depth, 0),
+    sorted, one Fourier mode at a time.
+
+    On the diagonal-split grid the diagonal couplings cancel, so the
+    stiffness is A_x (x) D_y + D_x (x) A_y, with A = (1/h) tridiag(-1, 2, -1)
+    (end diagonals 1/h) and the lumped D = h diag(1/2, 1, ..., 1, 1/2); the
+    surface mass is D_x - (h_x^2 / 6) A_x.  All three share the cosine (SN,
+    k = 0..n_x) or sine (SD, k = 1..n_x - 1) modes, with
+    mu_k = (2 / h_x^2)(1 - cos(k pi / n_x)).  The Schur complement s_k of
+    A_y + mu_k D_y onto the surface node is a backward recurrence over the
+    rows (SD drops the bottom node), and nu_k = s_k / (1 - h_x^2 mu_k / 6).
+    """
+    nx, ny = math.ceil(length / target_h), math.ceil(depth / target_h)
+    hx, hy = length / nx, depth / ny
+    ks = np.arange(nx + 1) if problem == "SN" else np.arange(1, nx)
+    mu = 2.0 / hx ** 2 * (1.0 - np.cos(ks * math.pi / nx))
+    # row j = 0 is the surface, j = ny the bottom; the ends carry half weights
+    ends = np.full(ny + 1, 1.0)
+    ends[[0, -1]] = 0.5
+    diag = 2.0 * ends / hy + mu[:, None] * hy * ends
+    last = ny if problem == "SN" else ny - 1
+    s = diag[:, last]
+    for j in range(last - 1, -1, -1):
+        s = diag[:, j] - 1.0 / (hy * hy * s)
+    return np.sort(s / (1.0 - hx ** 2 * mu / 6.0))
+
+
+@pytest.mark.parametrize("problem", ["SN", "SD"])
+@pytest.mark.parametrize("length, depth, h", [(2 * math.pi, 0.5, 0.01),
+                                              (math.pi, 1.0, 0.0075)])
+def test_sparse_lu_matches_the_rectangle_p1_spectrum(length, depth, h, problem):
+    # 32,130 and 56,700 nodes, far past the dense oracle's reach
+    d = geometry.rectangle_domain(length, depth)
+    want = rectangle_p1_spectrum(length, depth, h, problem)
+    got = fem.dtn_spectrum(d, problem, want.size - 1, h).values
+    if problem == "SN":                     # the constant mode
+        assert abs(got[0] - want[0]) <= 1e-10
+        got, want = got[1:], want[1:]
+    assert got == pytest.approx(want[:-1], rel=1e-10, abs=0.0)
 
 
 def test_dtn_spectrum_validates_count():

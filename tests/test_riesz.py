@@ -319,3 +319,22 @@ def test_curve_save_to_buffer(rect_sn):
     buf = io.StringIO()
     riesz.save_curve(c, buf)
     assert buf.getvalue().splitlines()[0].startswith("# gamma=1")
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
+def test_error_allowance_covers_eigenvalues_just_above_z(gamma):
+    # a computed nu_j in [z, z + e_j) may stand for a true eigenvalue below z:
+    # the spectrum lowered by its certificates gains 25.0 in R_1 just below
+    # nu_50, where summing e_j over nu_j < z alone allowed 24.5
+    s = spectra.rectangle_sn(math.pi, 1.0, 600)
+    errors = np.full(600, 0.5)
+    errors[0] = 0.0
+    low = spectra.Spectrum(problem="SN", values=s.values - errors, meta=s.meta)
+    zs = np.linspace(0.01, low.ceiling, 4000)
+    r = riesz.riesz_mean_grid(s, gamma, zs)
+    gain = riesz.riesz_mean_grid(low, gamma, zs) - r
+    allowance = riesz.error_allowance(s, gamma, zs, errors)
+    assert np.all(gain <= allowance + 1e-12 * (1.0 + r))
+    z = s.values[50] - 1e-9
+    if gamma == 1.0:
+        assert riesz.error_allowance(s, 1.0, [z], errors)[0] == pytest.approx(25.0)

@@ -724,6 +724,33 @@ def test_unsplit_bases_are_their_public_steps():
         assert errors.tobytes() == np.abs(want[:1] - fine.values).tobytes()
 
 
+def assert_rims_match_reference(d, levels):
+    # node j of side k of a base triangle's rim is vertex k of its descendant
+    # j (_descendants) in the 4-split mesh, as _skeleton's numbering assumes
+    nodes0, tris0 = fan_base(d)
+    _nodes, tris, want = reference_refine(nodes0, tris0, levels)
+    n = 2 ** levels
+    first = n * n * np.arange(len(tris0))
+    got = tris[first[:, None, None] + fem._descendants(levels),
+               np.arange(3)[:, None]].reshape(-1, 3 * n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got[:, ::n], tris0)
+
+
+@pytest.mark.parametrize("levels", range(6))
+@pytest.mark.parametrize("name", ["triangle", "fan", "spoked"])
+def test_rims_match_dict_reference(name, levels):
+    d = regular_polygon(12) if name == "spoked" else MESHER_DOMAINS[name]
+    assert_rims_match_reference(d, levels)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=convex_polygons(), levels=st.integers(0, 5))
+def test_rims_match_dict_reference_random_convex(d, levels):
+    assert_rims_match_reference(d, levels)
+
+
 def assert_skeleton_matches_mesh(d, levels):
     # the skeleton numbers the rims in the mesh's rank order, at the mesh's
     # coordinates bit for bit, so _condense sees the same problem

@@ -1,8 +1,9 @@
 """P1 finite elements for the surface Dirichlet-to-Neumann spectrum.
 
-The solver meshes the tank, assembles stiffness and surface-mass matrices,
-eliminates the interior by a Schur complement, and solves the generalized
-eigenvalue problem on the free surface.  Conforming elements approach the
+The solver condenses the P1 stiffness of the tank onto the free surface (a
+Schur complement; on the rectangle one Fourier mode at a time, with no mesh
+built) and solves the generalized eigenvalue problem there against the
+surface mass.  Conforming elements approach the
 true eigenvalues FROM ABOVE, and the error decays at second order in the
 mesh size -- both visible on the rectangle, where the answer is known.
 """

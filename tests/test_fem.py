@@ -488,18 +488,23 @@ def test_unrefined_fan_condenses_its_element_matrices(monkeypatch):
 def test_only_recorded_refinements_skip_the_sparse_lu(tmp_path, monkeypatch):
     tri = fem.triangulate(MESHER_DOMAINS["triangle"], 0.1)
     rect = fem.triangulate(MESHER_DOMAINS["rectangle"], 0.1)
-    assert rect.source is None and tri.source is not None
-    others = [rect, loaded_copy(tri, tmp_path / "tri.txt"),
+    assert rect.source is not None and tri.source is not None
+    # an interior node moved: only the whole-grid check sees it
+    moved = fem.triangulate(MESHER_DOMAINS["rectangle"], 0.1)
+    moved.nodes[moved.nodes.shape[0] // 2] += 0.01
+    others = [loaded_copy(rect, tmp_path / "rect.txt"), dataclasses.replace(rect),
+              moved, loaded_copy(tri, tmp_path / "tri.txt"),
               dataclasses.replace(tri)]
     with monkeypatch.context() as patch:
         forbid(patch, "_self_similar_schur")
+        forbid(patch, "_grid_schur")
         for mesh in others:
             fem.dtn_matrices(mesh, "SN")
     # the check is on values, so a rebound but equal node array still counts
     rebound = fem.triangulate(MESHER_DOMAINS["fan"], 0.1)
     rebound.nodes = rebound.nodes.copy()
     forbid(monkeypatch, "_bordered_schur")
-    for mesh in (tri, rebound):
+    for mesh in (tri, rebound, rect):
         fem.dtn_matrices(mesh, "SD")
 
 
@@ -651,7 +656,8 @@ def test_four_split_label_is_the_exact_mesh_size():
 def test_count_is_checked_before_condensing(monkeypatch):
     sizes = {name: fem.triangulate(MESHER_DOMAINS[name], 0.02).free_nodes().size
              for name in ("triangle", "rectangle")}
-    for name in ("_rim_schur", "_self_similar_schur", "_bordered_schur"):
+    for name in ("_rim_schur", "_self_similar_schur", "_bordered_schur",
+                 "_grid_schur"):
         forbid(monkeypatch, name)
     for name, n_sn in sizes.items():
         d = MESHER_DOMAINS[name]
@@ -890,15 +896,142 @@ def rectangle_p1_spectrum(length, depth, target_h, problem):
 @pytest.mark.parametrize("problem", ["SN", "SD"])
 @pytest.mark.parametrize("length, depth, h", [(2 * math.pi, 0.5, 0.01),
                                               (math.pi, 1.0, 0.0075)])
-def test_sparse_lu_matches_the_rectangle_p1_spectrum(length, depth, h, problem):
-    # 32,130 and 56,700 nodes, far past the dense oracle's reach
+def test_sparse_lu_matches_the_rectangle_p1_spectrum(length, depth, h, problem,
+                                                     tmp_path, monkeypatch):
+    # 32,130 and 56,700 nodes, far past the dense oracle's reach; the loaded
+    # copy records no source, so it takes the sparse LU
     d = geometry.rectangle_domain(length, depth)
+    mesh = loaded_copy(fem.triangulate(d, h), tmp_path / "rect.txt")
+    assert mesh.nodes.shape[0] in (32130, 56700)
     want = rectangle_p1_spectrum(length, depth, h, problem)
-    got = fem.dtn_spectrum(d, problem, want.size - 1, h).values
+    forbid(monkeypatch, "_grid_schur")
+    pair = fem.dtn_matrices(mesh, problem)
+    got = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)
     if problem == "SN":                     # the constant mode
         assert abs(got[0] - want[0]) <= 1e-10
         got, want = got[1:], want[1:]
-    assert got == pytest.approx(want[:-1], rel=1e-10, abs=0.0)
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@st.composite
+def axis_rectangles(draw):
+    """(domain, target_h): an axis rectangle at an x-offset, with 3 to 40
+    grid columns and up to 120 rows."""
+    length = draw(st.floats(0.2, 4.0))
+    depth = length * draw(st.floats(0.1, 3.0))
+    x0 = draw(st.floats(-5.0, 5.0))
+    d = geometry.PolygonalDomain([(x0, 0.0), (x0, -depth), (x0 + length, -depth),
+                                  (x0 + length, 0.0)], free_edges=[3])
+    return d, length / draw(st.floats(3.0, 40.0))
+
+
+def grid_spectrum(d, h, problem):
+    """rectangle_p1_spectrum of d's grid, at d's own vertex spans."""
+    length, depth = d.vertices.max(axis=0) - d.vertices.min(axis=0)
+    return rectangle_p1_spectrum(length, depth, h, problem)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rect=axis_rectangles(), problem=st.sampled_from(["SN", "SD"]))
+def test_grid_route_matches_sparse_lu_random_rectangles(rect, problem,
+                                                        tmp_path_factory):
+    d, h = rect
+    mesh = fem.triangulate(d, h)
+    # the mesh-free label of dtn_spectrum
+    assert fem._grid_size(*fem._grid(d, h)[1:]) == mesh.mesh_size
+    path = tmp_path_factory.mktemp("grid") / "rect.txt"
+    with pytest.MonkeyPatch.context() as patch:
+        forbid(patch, "_grid_schur")
+        sparse = fem.dtn_matrices(loaded_copy(mesh, path), problem)
+    with pytest.MonkeyPatch.context() as patch:
+        forbid(patch, "_bordered_schur")
+        pair = fem.dtn_matrices(mesh, problem)
+    assert np.array_equal(pair.surface_nodes, sparse.surface_nodes)
+    assert np.array_equal(pair.M_F, sparse.M_F)
+    assert np.abs(pair.S - sparse.S).max() <= 1e-12 * np.abs(sparse.S).max()
+    assert pair.asymmetry == 0.0
+    # per mode, a tridiagonal factor over the grid rows (SD: all but the bottom)
+    nx, _hx, ny, _hy = fem._grid(d, h)[0]
+    modes, rows = (nx + 1, ny + 1) if problem == "SN" else (nx - 1, ny)
+    assert pair.factor_nnz == modes * (2 * rows - 1)
+    got = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)
+    want = grid_spectrum(d, h, problem)
+    if problem == "SN":                     # the constant mode
+        assert abs(got[0]) <= 1e-10
+        got, want = got[1:], want[1:]
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(a=st.floats(0.1, 3.0), ratio=st.floats(0.2, 1.9))
+def test_tiny_grids_match_dense_schur(n, a, ratio):
+    # n columns of width a and one row of depth ratio * a
+    d = geometry.rectangle_domain(n * a, ratio * a)
+    h = max(a, ratio * a) * (1.0 + 1e-9)
+    dims = fem._grid(d, h)[0]
+    assert (dims[0], dims[2]) == (n, 1)
+    mesh = fem.triangulate(d, h)
+    K = fem.assemble(mesh)[0].toarray()
+    with pytest.MonkeyPatch.context() as patch:
+        forbid(patch, "_bordered_schur")
+        pair = fem.dtn_matrices(mesh, "SN")
+    assert pair.S == pytest.approx(dense_schur(mesh, pair, "SN"),
+                                   abs=1e-12 * np.abs(K).max())
+    # SD keeps n - 1 < 2 surface unknowns, which dtn_matrices refuses, and
+    # with one row there is nothing left to eliminate
+    surf = np.setdiff1d(mesh.free_nodes(), mesh.wall_nodes())
+    S, _entries = fem._grid_schur(*dims, "SD")
+    assert S.shape == (n - 1, n - 1)
+    assert S == pytest.approx(K[np.ix_(surf, surf)], abs=1e-12 * np.abs(K).max())
+
+
+def test_retagged_grid_edge(monkeypatch):
+    # as test_retagged_free_edge, on the grid: SN keeps its Fourier route and
+    # the edited M_F, SD loses two surface nodes and takes the sparse LU
+    mesh = fem.triangulate(geometry.rectangle_domain(1.0, 1.0), 0.2)
+    free = [k for k, (_i, _j, tag) in enumerate(mesh.boundary_edges)
+            if tag == "free"]
+    edited = Mesh(mesh.nodes, mesh.triangles, list(mesh.boundary_edges))
+    edited.source = mesh.source
+    i, j, _tag = edited.boundary_edges[free[len(free) // 2]]
+    edited.boundary_edges[free[len(free) // 2]] = (i, j, "wall")
+    with monkeypatch.context() as patch:
+        forbid(patch, "_bordered_schur")
+        pair = fem.dtn_matrices(edited, "SN")
+    assert pair.S.tobytes() == fem.dtn_matrices(mesh, "SN").S.tobytes()
+    assert np.array_equal(pair.M_F, fem.assemble(edited)[1])
+    forbid(monkeypatch, "_grid_schur")
+    pair = fem.dtn_matrices(edited, "SD")
+    assert not np.isin([i, j], pair.surface_nodes).any()
+    assert pair.S == pytest.approx(dense_schur(edited, pair, "SD"), abs=1e-10)
+
+
+def test_rectangle_spectra_never_build_the_mesh(monkeypatch):
+    d = MESHER_DOMAINS["rectangle"]
+    want = {problem: fem.dtn_with_error(d, problem, 6, 0.05)
+            for problem in ("SN", "SD")}
+    for name in ("triangulate", "_bordered_schur", "_grid_triangles",
+                 "assemble"):
+        forbid(monkeypatch, name)
+    for problem in ("SN", "SD"):
+        fem.dtn_spectrum(d, problem, 6, 0.05)
+        fine, errors = fem.dtn_with_error(d, problem, 6, 0.05)
+        assert fine.values.tobytes() == want[problem][0].values.tobytes()
+        assert errors.tobytes() == want[problem][1].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(rect=axis_rectangles(), problem=st.sampled_from(["SN", "SD"]))
+def test_rectangle_spectra_fall_when_h_halves(rect, problem):
+    # the grids at h and h / 2 need not nest (ceil(side / h) cells), yet no
+    # mode has risen in a sweep of 20,345 rectangles; see dtn_with_error
+    d, h = rect
+    count = grid_spectrum(d, h, problem).size - 1
+    coarse = fem.dtn_spectrum(d, problem, count, h).values
+    fine = fem.dtn_spectrum(d, problem, count, h / 2).values
+    lo = 1 if problem == "SN" else 0        # past the constant mode
+    assert np.all(coarse[lo:] > fine[lo:])
 
 
 def test_dtn_spectrum_validates_count():

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import riesz, specfun
 from .riesz import RieszCurve
-from .spectra import Spectrum
+from .spectra import Spectrum, check_problem
 
 _HALF_PI = math.pi / 2
 _ANGLE_TOL = 1e-12
@@ -79,20 +79,16 @@ class AsymptoticPrediction:
 def predict(problem: str, length: float, alpha: float, beta: float,
             gamma: float) -> AsymptoticPrediction:
     """Build the two-term coefficient record for the given problem/angles."""
-    if problem not in ("SN", "SD"):
-        raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
-    if not length > 0:
-        raise ValueError("surface length must be positive")
-    g = float(gamma)
-    if g <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    check_problem(problem)
+    length = specfun.real(length, "length", 0, strict=True)
+    g = specfun.real(gamma, "gamma", 0, strict=True)
     _check_angles(alpha, beta)
     sign = 1.0 if problem == "SN" else -1.0
     second = sign * math.pi / 8.0 * (1.0 / alpha + 1.0 / beta)
     return AsymptoticPrediction(
-        problem=problem, length=float(length), alpha=float(alpha),
+        problem=problem, length=length, alpha=float(alpha),
         beta=float(beta), gamma=g,
-        leading_coefficient=specfun.weyl_constant(2, g) * float(length),
+        leading_coefficient=specfun.weyl_constant(2, g) * length,
         second_coefficient=second,
         hypothesis_flags=_angle_flags(alpha, beta))
 
@@ -113,11 +109,9 @@ def two_term_eigenvalue(problem: str, length: float, alpha: float,
     SN and (pi/L) k for SD, matching the exact tanh/coth eigenvalues up to
     exponentially small terms.
     """
-    if problem not in ("SN", "SD"):
-        raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
+    check_problem(problem)
     (k,) = specfun.indices(k, "k must be a positive integer")
-    if not length > 0:
-        raise ValueError("surface length must be positive")
+    length = specfun.real(length, "length", 0, strict=True)
     _check_angles(alpha, beta)
     sign = -1.0 if problem == "SN" else 1.0
     return math.pi / length * (int(k) - 0.5) \
@@ -178,6 +172,17 @@ def _prediction_from_meta(problem: str, meta: dict):
     return sign * math.pi / 8.0 * (1.0 / alpha + 1.0 / beta), flags, ""
 
 
+def _surface_length(length, meta: dict) -> float:
+    """``length``, else the free-surface length in ``meta`` (areaF), as a
+    finite real > 0."""
+    if length is None:
+        length = meta.get("areaF")
+    if length is None:
+        raise ValueError("free-surface length unknown; pass length= or attach "
+                         "areaF metadata")
+    return specfun.real(length, "length", 0, strict=True)
+
+
 def fit_second_term(source, gamma: float, window, *, length: Optional[float] = None,
                     errors=None) -> FitResult:
     """Fit the z^gamma coefficient of a Riesz mean over a window [z1, z2].
@@ -201,12 +206,9 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
     the fitted coefficient, and the actually-used window is reported; a
     curve must then carry its spectrum.
     """
-    g = float(gamma)
-    if g < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    z1, z2 = float(window[0]), float(window[1])
-    if not (0 < z1 < z2):
-        raise ValueError(f"need 0 < z1 < z2, got window {window!r}")
+    g = specfun.real(gamma, "gamma", 1)
+    z1 = specfun.real(window[0], "z1", 0, strict=True)
+    z2 = specfun.real(window[1], "z2", z1, strict=True)
 
     if isinstance(source, RieszCurve):
         if abs(source.gamma - g) > 1e-12:
@@ -230,12 +232,7 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
     else:
         raise TypeError("source must be a Spectrum or a RieszCurve")
 
-    if length is None:
-        length = meta.get("areaF")
-    if length is None:
-        raise ValueError("free-surface length unknown; pass length= or attach "
-                         "areaF metadata")
-    length = float(length)
+    length = _surface_length(length, meta)
 
     prediction, flags, note = _prediction_from_meta(problem, meta)
 
@@ -298,12 +295,7 @@ def fit_eigenvalue_shift(s: Spectrum, k_min: int, k_max: int, *,
         raise ValueError(f"need k_min < k_max, got {k_min}, {k_max}")
     if k_max > len(s):
         raise ValueError(f"k_max = {k_max} exceeds spectrum length {len(s)}")
-    if length is None:
-        length = s.meta.get("areaF")
-    if length is None:
-        raise ValueError("free-surface length unknown; pass length= or attach "
-                         "areaF metadata")
-    length = float(length)
+    length = _surface_length(length, s.meta)
     ks = np.arange(k_min, k_max + 1)
     shifts = s.values[k_min - 1:k_max] * length - math.pi * ks + _HALF_PI
     est = float(np.mean(shifts))

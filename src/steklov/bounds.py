@@ -64,16 +64,6 @@ def _kappa(n: int) -> float:
     return (n - 1) * specfun.unit_ball_volume(n - 1) / (2 * math.pi) ** (n - 1)
 
 
-def _check_zs(z) -> np.ndarray:
-    """z, a number or a grid, as a 1-d float array whose points are finite
-    reals >= 0."""
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    bad = ~(np.isfinite(zs) & (zs >= 0))
-    if bad.any():
-        raise ValueError(f"z must be a finite real >= 0, got {float(zs[bad][0])}")
-    return zs
-
-
 # ---------------------------------------------------------------------------
 # wall terms: one Riesz lift for every gamma >= 1
 # ---------------------------------------------------------------------------
@@ -171,8 +161,6 @@ def _wall(domain, g: float, zs: np.ndarray) -> np.ndarray:
     its flat bottom, and the cone of revolution integrates
     sign(cos alpha)/(4 tan^2 alpha) (1 - e^{-2hr} - 2hr e^{-2hr}).
     """
-    if not g >= 1.0:
-        raise ValueError(f"wall terms are defined for gamma >= 1, got {g}")
     if isinstance(domain, PolygonalDomain):
         total = np.zeros_like(zs)
         for weight, y0, y1 in _wall_edges(domain):
@@ -234,7 +222,7 @@ def wall_term(domain, z, *, quadrature: bool = False):
     dimensionally inconsistent with the integrand and is not included.
     """
     if quadrature:
-        zs = _check_zs(z)
+        zs = specfun.points(z, "z", 0)
         return floats_if_scalar(
             z, np.array([_wall_quadrature(domain, x) for x in zs.tolist()]))
     return wall_term_gamma(domain, 1.0, z)
@@ -250,7 +238,8 @@ def wall_term_gamma(domain, gamma: float, z):
     in closed form by the lift :func:`_lift`, to about 1e-12 relative to the
     size of its terms at every z > 0.
     """
-    return floats_if_scalar(z, _wall(domain, float(gamma), _check_zs(z)))
+    g = specfun.real(gamma, "gamma", 1)
+    return floats_if_scalar(z, _wall(domain, g, specfun.points(z, "z", 0)))
 
 
 def sum_bound_wall_term(domain, R):
@@ -277,7 +266,7 @@ def sn_lower_main(domain, gamma: float, z):
     defect of the averaged variational principle with the exponential test
     family underlying the proof.
     """
-    g, zs = float(gamma), _check_zs(z)
+    g, zs = specfun.real(gamma, "gamma", 1), specfun.points(z, "z", 0)
     n = geometry.ambient_dim(domain)
     weyl = specfun.weyl_constant(n, g) * geometry.free_area(domain)
     return floats_if_scalar(z, weyl * zs ** (n + g - 1) + _wall(domain, g, zs))
@@ -294,7 +283,7 @@ def sn_lower_split(domain, z):
     domain depth), I_+ integrates <n,e_n> over overhanging walls, and delta
     is the overhang clearance.  Requires delta > 0 whenever I_+ > 0.
     """
-    zs = _check_zs(z)
+    zs = specfun.points(z, "z", 0)
     if isinstance(domain, PolygonalDomain):
         n = 2
         area = geometry.free_length(domain)
@@ -359,18 +348,12 @@ def sn_lower_2d_angles(alpha: float, beta: float, delta: float,
     so the corner and residual-wall pieces are lifted in closed form once
     each and the two sign readings differ only in how they combine.
     """
-    if not 0 < alpha < math.pi or not 0 < beta < math.pi:
-        raise ValueError("corner angles must lie in (0, pi)")
-    if not delta > 0:
-        raise ValueError(f"corner wall depth must be positive, got {delta}")
-    if bc_length < 0:
-        raise ValueError("residual wall length cannot be negative")
-    g = float(gamma)
-    if g < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    zs = _check_zs(z)
-    weyl = specfun.weyl_constant(2, g) * area
     slope = (_cot(alpha) + _cot(beta)) / (2.0 * math.pi)
+    delta = specfun.real(delta, "delta", 0, strict=True)
+    bc_length = specfun.real(bc_length, "bc_length", 0)
+    area = specfun.real(area, "area", 0, strict=True)
+    g, zs = specfun.real(gamma, "gamma", 1), specfun.points(z, "z", 0)
+    weyl = specfun.weyl_constant(2, g) * area
     corner = _lift([(slope, 0, 2.0 * delta)], g, zs)
     residual = _lift([(bc_length / math.pi, 1, 2.0 * delta)], g, zs)
     c = -corner - residual
@@ -381,12 +364,8 @@ def sn_lower_2d_angles(alpha: float, beta: float, delta: float,
 def sn_lower_john_2d(length: float, gamma: float, z):
     """Planar sloshing bound for domains under their free surface:
     R_gamma(z) >= (l / (pi (gamma+1))) z^{gamma+1} + z^gamma / 2."""
-    if not length > 0:
-        raise ValueError("surface length must be positive")
-    g = float(gamma)
-    if g < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    zs = _check_zs(z)
+    length = specfun.real(length, "length", 0, strict=True)
+    g, zs = specfun.real(gamma, "gamma", 1), specfun.points(z, "z", 0)
     return floats_if_scalar(
         z, length / (math.pi * (g + 1.0)) * zs ** (g + 1.0) + 0.5 * zs ** g)
 
@@ -394,9 +373,9 @@ def sn_lower_john_2d(length: float, gamma: float, z):
 def sn_lower_john_ndim(area: float, h: float, n: int, z):
     """n-dimensional strip bound:
     C_{n,1}|F| z^n + kappa_n |F| (Gamma(n)-Gamma(n,2hz)) / (2h)^n."""
-    if not (area > 0 and h > 0):
-        raise ValueError("area and depth must be positive")
-    zs = _check_zs(z)
+    area = specfun.real(area, "area", 0, strict=True)
+    h = specfun.real(h, "h", 0, strict=True)
+    zs = specfun.points(z, "z", 0)
     return floats_if_scalar(
         z, specfun.weyl_constant(n, 1.0) * area * zs ** n + _flat_wall(n, area, h, zs))
 
@@ -412,9 +391,9 @@ def sn_lower_via_neumann(area: float, width: float, n: int, z):
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError("this route needs ambient dimension n >= 3")
-    if not (area > 0 and width > 0):
-        raise ValueError("area and width must be positive")
-    zs = _check_zs(z)
+    area = specfun.real(area, "area", 0, strict=True)
+    width = specfun.real(width, "width", 0, strict=True)
+    zs = specfun.points(z, "z", 0)
     lead = n / (n + 1.0) * specfun.weyl_constant(n, 1.0) * area * zs ** n
     mid = 0.125 * specfun.berezin_constant(n - 1) * (area / width) * zs ** (n - 1)
     last = (2.0 * math.pi) ** (2 - n) * specfun.unit_ball_volume(n) \
@@ -460,11 +439,7 @@ def kroger_master(s: Spectrum, k, R, *, n=None, area=None, domain=None):
     integral uses the vertical cylinder built from the spectrum's metadata.
     """
     ks = _check_k(s, k, "the sum inequalities concern")
-    Rs = np.atleast_1d(np.asarray(R, dtype=float))
-    bad = ~(Rs > 0)
-    if bad.any():
-        raise ValueError(f"R must be positive, got {float(Rs[bad][0])}")
-    ks, Rs = np.broadcast_arrays(ks, Rs)
+    ks, Rs = np.broadcast_arrays(ks, specfun.points(R, "R", 0, strict=True))
     n, area = _resolve_nk(s, n, area)
     w = specfun.semiclassical_scale(n, ks, area)
     nu_next = s.values[ks]
@@ -557,12 +532,8 @@ def _bracket(n: int, area: float, ks, mean):
 
 def sd_upper_ndim(area: float, n: int, gamma: float, z):
     """Clamped-wall Riesz mean upper bound C_{n,gamma} |F| z^{n+gamma-1}."""
-    if not area > 0:
-        raise ValueError("area must be positive")
-    g = float(gamma)
-    if g < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    zs = _check_zs(z)
+    area = specfun.real(area, "area", 0, strict=True)
+    g, zs = specfun.real(gamma, "gamma", 1), specfun.points(z, "z", 0)
     return floats_if_scalar(z, specfun.weyl_constant(n, g) * area * zs ** (n + g - 1.0))
 
 
@@ -576,9 +547,8 @@ def sd_sum_lower(n: int, area: float, k):
 def sd_upper_2d_john(length: float, z):
     """Planar clamped-wall upper bound (l/2pi) z^2 - z/2 + pi/(2l) for
     domains below their free surface."""
-    if not length > 0:
-        raise ValueError("surface length must be positive")
-    zs = _check_zs(z)
+    length = specfun.real(length, "length", 0, strict=True)
+    zs = specfun.points(z, "z", 0)
     return floats_if_scalar(
         z, length / (2 * math.pi) * zs * zs - 0.5 * zs + math.pi / (2 * length))
 
@@ -587,12 +557,8 @@ def sd_lower_2d(length: float, z):
     """Planar clamped-wall lower bound (l/2pi) z^2 - (1/2 + l/pi) z + 1/2,
     valid for z >= 1 on domains containing the unit-depth rectangle over
     their free surface."""
-    if not length > 0:
-        raise ValueError("surface length must be positive")
-    zs = _check_zs(z)
-    low = zs < 1.0
-    if low.any():
-        raise ValueError(f"this bound is stated for z >= 1, got z = {float(zs[low][0])}")
+    length = specfun.real(length, "length", 0, strict=True)
+    zs = specfun.points(z, "z", 1)
     return floats_if_scalar(
         z, length / (2 * math.pi) * zs * zs - (0.5 + length / math.pi) * zs + 0.5)
 
@@ -600,12 +566,8 @@ def sd_lower_2d(length: float, z):
 def sd_heat_trace_upper(area: float, n: int, t):
     """Heat-trace upper bound Gamma(n) / ((4 pi)^{(n-1)/2} Gamma((n+1)/2))
     * |F| / t^{n-1}; for n = 2 this is |F| / (pi t)."""
-    if not area > 0:
-        raise ValueError("area must be positive")
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    bad = ~(ts > 0)
-    if bad.any():
-        raise ValueError(f"time must be positive, got {float(ts[bad][0])}")
+    area = specfun.real(area, "area", 0, strict=True)
+    ts = specfun.points(t, "time", 0, strict=True)
     coef = math.factorial(n - 1) / ((4 * math.pi) ** ((n - 1) / 2)
                                     * math.gamma((n + 1) / 2))
     return floats_if_scalar(t, coef * area / ts ** (n - 1))
@@ -976,8 +938,8 @@ def verify(s: Spectrum, bound_id: str, grid, *, gamma: float = 1.0,
     g = float(gamma)
     if spec.r1_only:
         g = 1.0
-    if tolerance is not None and not 0 <= float(tolerance) < math.inf:
-        raise ValueError(f"tolerance must be a finite real >= 0, got {tolerance}")
+    if tolerance is not None:
+        tolerance = specfun.real(tolerance, "tolerance", 0)
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("empty verification grid")

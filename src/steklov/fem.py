@@ -54,7 +54,9 @@ Meshes go through one numpy edge table (the unique sorted vertex pairs of
 the triangle sides), which drives refinement, boundary extraction and
 validation.  The built-in mesher covers convex polygons; anything else comes
 in through ``load_mesh`` (plain text: node count, `x y` lines, triangle
-count, `i j k` lines, boundary count, `i j tag` lines, all 0-based).
+count, `i j k` lines, boundary count, `i j tag` lines, all 0-based; blank
+lines and lines starting with `#` are skipped).  The node and triangle
+lines are written and parsed a block at a time.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from scipy.sparse.linalg import splu
 
 from . import geometry, specfun
 from .geometry import DomainError, PolygonalDomain
-from .spectra import Spectrum
+from .spectra import Spectrum, check_problem
 
 __all__ = ["Mesh", "MeshError", "DtnMatrixPair", "triangulate", "load_mesh",
            "save_mesh", "assemble", "dtn_matrices", "dtn_spectrum",
@@ -306,8 +308,7 @@ def _base_triangulation(d: PolygonalDomain, target_h: float):
     itself if it is a triangle, else its centroid fan, and the fewest splits
     L with max(longest polygon edge, base mesh size / 1.5) / 2**L <= target_h;
     None for an axis rectangle.  Checks target_h and convexity."""
-    if not target_h > 0:
-        raise ValueError(f"target_h must be positive, got {target_h}")
+    target_h = specfun.real(target_h, "target_h", 0, strict=True)
     span = d.vertices.max(axis=0) - d.vertices.min(axis=0)
     if target_h >= float(np.hypot(*span)):
         raise ValueError(f"target_h = {target_h} is no smaller than the "
@@ -419,34 +420,37 @@ def _chain_mesh(nodes, chains, base: Mesh, step: int) -> Mesh:
         for i, j in zip(chains[lo, hi][:-1:step], chains[lo, hi][step::step])])
 
 
+def _block(lines, pos: int, dtype, width: int):
+    """(rows, next position): the count on ``lines[pos]`` and that many rows
+    of ``width`` numbers after it, parsed by numpy in one call."""
+    n = int(lines[pos])
+    block = lines[pos + 1:pos + 1 + n]
+    if len(block) < n:
+        raise ValueError(f"{n} rows announced, {len(block)} present")
+    if not block:                   # np.loadtxt warns on no data
+        return np.empty((0, width), dtype=dtype), pos + 1
+    return np.loadtxt(block, dtype=dtype, comments=None, ndmin=2), pos + 1 + n
+
+
 def load_mesh(path) -> Mesh:
     """Read the plain-text mesh format (see module docstring); validates.
 
     Clockwise triangles are flipped with a warning rather than rejected.
     """
     with open(path) as fh:
-        tokens = [ln.strip() for ln in fh
-                  if ln.strip() and not ln.lstrip().startswith("#")]
+        lines = [ln for ln in map(str.strip, fh) if ln and ln[0] != "#"]
     try:
-        pos = 0
-        n_nodes = int(tokens[pos]); pos += 1
-        nodes = np.array([[float(x) for x in tokens[pos + i].split()]
-                          for i in range(n_nodes)])
-        pos += n_nodes
-        n_tri = int(tokens[pos]); pos += 1
-        tris = np.array([[int(x) for x in tokens[pos + i].split()]
-                         for i in range(n_tri)], dtype=int)
-        pos += n_tri
-        n_bnd = int(tokens[pos]); pos += 1
+        nodes, pos = _block(lines, 0, float, 2)
+        tris, pos = _block(lines, pos, np.int64, 3)
         boundary = []
-        for i in range(n_bnd):
-            parts = tokens[pos + i].split()
+        for line in range(pos + 1, pos + 1 + int(lines[pos])):
+            parts = lines[line].split()
             boundary.append((int(parts[0]), int(parts[1]), parts[2].lower()))
     except (IndexError, ValueError) as exc:
         raise MeshError(f"malformed mesh file {path}: {exc}") from exc
-    if nodes.ndim != 2 or nodes.shape[1] != 2:
+    if nodes.shape[1] != 2:
         raise MeshError("node lines must contain two coordinates")
-    if tris.size and (tris.min() < 0 or tris.max() >= n_nodes):
+    if tris.size and (tris.min() < 0 or tris.max() >= nodes.shape[0]):
         raise MeshError("triangle refers to a nonexistent node")
     areas = _tri_areas(nodes[tris])
     flipped = areas < 0
@@ -460,13 +464,14 @@ def load_mesh(path) -> Mesh:
 
 
 def save_mesh(mesh: Mesh, path) -> None:
+    """Write the plain-text mesh format (see module docstring), coordinates
+    with 17 significant digits, each block formatted in one call."""
+    nodes, tris = mesh.nodes, mesh.triangles
     with open(path, "w") as fh:
-        fh.write(f"{mesh.nodes.shape[0]}\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        fh.write(f"{mesh.triangles.shape[0]}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a} {b} {c}\n")
+        fh.write(f"{nodes.shape[0]}\n")
+        fh.write("%.17g %.17g\n" * nodes.shape[0] % tuple(nodes.ravel().tolist()))
+        fh.write(f"{tris.shape[0]}\n")
+        fh.write("%d %d %d\n" * tris.shape[0] % tuple(tris.ravel().tolist()))
         fh.write(f"{len(mesh.boundary_edges)}\n")
         for i, j, tag in mesh.boundary_edges:
             fh.write(f"{i} {j} {tag}\n")
@@ -541,8 +546,7 @@ def _retained_surface(mesh: Mesh, problem: str, least: int = 2):
     """(free, surface, removed): the free-surface nodes, those `problem`
     keeps as unknowns, and the wall nodes it drops (SD) or none (SN); a
     MeshError if it keeps fewer than `least`."""
-    if problem not in ("SN", "SD"):
-        raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
+    check_problem(problem)
     free = mesh.free_nodes()
     removed = mesh.wall_nodes() if problem == "SD" else free[:0]
     surface = np.setdiff1d(free, removed)
@@ -556,7 +560,9 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
 
     SN treats wall nodes as ordinary unknowns and keeps every free-surface
     node; SD removes wall nodes (Dirichlet), including the corner nodes the
-    two boundary parts share.
+    two boundary parts share.  The mesh is validated first
+    (:func:`validate_mesh`), so a hand-built mesh with a stray, missing or
+    misspelt tag is a MeshError before any tag is read.
 
     A mesh from :func:`triangulate` is condensed as :func:`dtn_spectrum`
     condenses it, a triangle or fan from its base's skeleton and a rectangle
@@ -569,6 +575,7 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
     order of ``surface_nodes``, the sorted retained node ids, and M_F is the
     mesh's own boundary mass.
     """
+    validate_mesh(mesh)
     free, surface, removed = _retained_surface(mesh, problem)
     found = _source_schur(mesh, problem, surface, removed)
     if found is not None:
@@ -878,8 +885,7 @@ def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:
     goes on from solve to solve; axis rectangles take the grid's Fourier
     modes (:func:`_grid_schur`) and its boundary (:func:`_grid_rim`).
     Neither builds the mesh."""
-    if problem not in ("SN", "SD"):
-        raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
+    check_problem(problem)
     (count,) = specfun.indices(count, "count must be a positive integer")
     bases = [_base_triangulation(d, h) for h in target_hs]
     if bases[-1] is not None:

@@ -56,29 +56,19 @@ class RieszCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).ravel()
-        vals = np.asarray(self.values, dtype=float).ravel()
+        grid = specfun.points(self.grid, "grid point").ravel()
+        vals = specfun.points(self.values, "curve value").ravel()
         if grid.size != vals.size or grid.size < 2:
             raise ValueError("grid and values must have equal length >= 2")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vals))):
-            raise ValueError("curve contains non-finite entries")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
         if np.any(np.diff(vals) < -1e-12 * max(1.0, float(np.abs(vals).max()))):
             raise ValueError("Riesz means are nondecreasing; values are not")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        self.gamma = specfun.real(self.gamma, "gamma", 0)
         grid.setflags(write=False)
         vals.setflags(write=False)
         self.grid = grid
         self.values = vals
-
-
-def _check_gamma(gamma: float) -> float:
-    g = float(gamma)
-    if not (g >= 0 and math.isfinite(g)):
-        raise ValueError(f"Riesz exponent must be a finite real >= 0, got {gamma}")
-    return g
 
 
 def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
@@ -89,10 +79,8 @@ def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
     eigenvalues below max(zs).  Summation order is ascending in the
     eigenvalues, so results are deterministic.
     """
-    g = _check_gamma(gamma)
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    if not np.all(np.isfinite(zs)):
-        raise ValueError("evaluation points must be finite")
+    g = specfun.real(gamma, "gamma", 0)
+    zs = specfun.points(zs, "z")
     over = zs > s.ceiling
     if np.any(over):
         bad = float(zs[over][0])
@@ -129,10 +117,7 @@ def certified_errors(s: Spectrum, errors) -> np.ndarray:
     errors = np.asarray(errors, dtype=float).ravel()
     if errors.size != len(s):
         raise ValueError("errors must align with the spectrum (same length)")
-    bad = errors[~((errors >= 0) & (errors < math.inf))]
-    if bad.size:
-        raise ValueError(f"certified errors must be finite reals >= 0, got {bad[0]}")
-    return errors
+    return specfun.points(errors, "certified error", 0)
 
 
 def error_allowance(s: Spectrum, gamma: float, zs, errors) -> np.ndarray:
@@ -176,10 +161,8 @@ def riesz_iterate(curve: RieszCurve, rho: float, z: float,
     form and raises if a two-level refinement estimate exceeds ``tol``
     (which applies to grid-only curves only).
     """
-    rho = float(rho)
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    z = float(z)
+    rho = specfun.real(rho, "rho", 0, strict=True)
+    z = specfun.real(z, "z")
     if z > curve.validity_ceiling:
         raise ValidityCeilingError(z, curve.validity_ceiling)
     if z <= 0:
@@ -259,9 +242,7 @@ def mean_sum(s: Spectrum, k):
 
 def staircase_sum(R: float) -> float:
     """sum_{k>=0} (R - k)_+ by direct summation (R >= 0)."""
-    R = float(R)
-    if R < 0:
-        raise ValueError(f"R must be >= 0, got {R}")
+    R = specfun.real(R, "R", 0)
     if R == 0.0:
         return 0.0
     k = np.arange(math.floor(R) + 1, dtype=float)
@@ -271,9 +252,7 @@ def staircase_sum(R: float) -> float:
 def staircase_bounds(R: float):
     """Two-sided enclosure (R^2+R)/2 <= staircase_sum(R) <= (R^2+R+1)/2;
     the lower bound is attained exactly at integers."""
-    R = float(R)
-    if R < 0:
-        raise ValueError(f"R must be >= 0, got {R}")
+    R = specfun.real(R, "R", 0)
     return 0.5 * (R * R + R), 0.5 * (R * R + R + 1.0)
 
 
@@ -294,10 +273,7 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     """
     if s.problem != "SD":
         raise ValueError("heat_trace expects an SD spectrum (positive eigenvalues)")
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    bad = ~(ts > 0)
-    if bad.any():
-        raise ValueError(f"time must be positive, got {float(ts[bad][0])}")
+    ts = specfun.points(t, "time", 0, strict=True)
     vals = s.values
     if len(s) < 2:
         raise ValueError("cannot certify the tail: the tail bound needs at "

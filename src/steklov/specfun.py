@@ -4,8 +4,12 @@ All quantities are evaluated in closed form: integer gamma values go through
 exact factorials, real arguments through math.gamma (a Lanczos-class
 implementation, accurate to ~1e-15 relative).
 
-The module also holds the two conventions every evaluator along an axis
-shares: :func:`indices` reads a number or a grid of indices k, and
+The module also holds the conventions every evaluator shares.  Three
+checkers read its arguments, each accepting only what the bounds are stated
+for and naming the parameter in its ValueError: :func:`indices` reads a
+number or a grid of indices k, :func:`real` a scalar parameter (a depth, a
+length, a Riesz exponent) and :func:`points` a real axis (z, t, R, the
+evaluation points), both as finite values above a lower end.  Then
 :func:`floats_if_scalar` hands back Python floats for a single number.
 """
 
@@ -47,11 +51,44 @@ def indices(k, message: str) -> np.ndarray:
     return ks.astype(int)
 
 
+def _need(name: str, low, strict: bool, got: float) -> ValueError:
+    """The error of :func:`real` and :func:`points` for the value ``got``."""
+    bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low}"
+    return ValueError(f"{name} must be a finite real{bound}, got {got}")
+
+
+def real(x, name: str, low=-math.inf, strict: bool = False) -> float:
+    """x as a float, if it is finite and >= low (> low when ``strict``);
+    otherwise ValueError(f"{name} must be a finite real >= {low}, got {x}"),
+    with > when ``strict`` and no bound at all for low = -inf."""
+    value = float(x)
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        raise _need(name, low, strict, value)
+    return value
+
+
+def points(x, name: str, low=-math.inf, strict: bool = False) -> np.ndarray:
+    """x, a number or a grid, as np.atleast_1d of a float array whose points
+    are all finite and >= low (> low when ``strict``); the first point that
+    is not raises the ValueError of :func:`real`, as a one-point call would."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    ok = np.isfinite(xs) & (xs > low if strict else xs >= low)
+    if not ok.all():
+        raise _need(name, low, strict, float(xs[~ok][0]))
+    return xs
+
+
+def _dimension(n) -> None:
+    """A ValueError unless n is an integer ambient dimension >= 2 (a bool
+    is not)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+
+
 def _gamma(x: float) -> float:
     """Gamma function; exact factorial path for integer arguments."""
-    if x <= 0:
-        raise ValueError(f"gamma argument must be positive, got {x}")
-    if float(x).is_integer():
+    x = real(x, "gamma argument", 0, strict=True)
+    if x.is_integer():
         return float(math.factorial(int(x) - 1))
     return math.gamma(x)
 
@@ -81,10 +118,8 @@ def weyl_constant(n: int, gamma: float) -> float:
 
     For n = 2 this collapses to 1 / (pi (gamma + 1)).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    if gamma < 0:
-        raise ValueError(f"Riesz exponent must be >= 0, got {gamma}")
+    _dimension(n)
+    gamma = real(gamma, "gamma", 0)
     return ((4.0 * math.pi) ** (-(n - 1) / 2.0)
             * _gamma(gamma + 1.0) * _gamma(float(n))
             / (_gamma((n + 1) / 2.0) * _gamma(n + gamma)))
@@ -95,8 +130,7 @@ def berezin_constant(n: int) -> float:
 
     Satisfies L^cl_{1,n-1} = (2n/(n+1)) * weyl_constant(n, 1).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    _dimension(n)
     return 1.0 / ((4.0 * math.pi) ** ((n - 1) / 2.0) * _gamma((n + 3) / 2.0))
 
 
@@ -109,11 +143,9 @@ def semiclassical_scale(n: int, k, area: float):
     where omega_{n-1} is the unit-ball volume in R^{n-1} and area = |F| is the
     (n-1)-dimensional measure of the free surface.  For n = 2: W = pi k / |F|.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    _dimension(n)
     ks = indices(k, "index must be an integer >= 1")
-    if not area > 0:
-        raise ValueError(f"free-surface measure must be positive, got {area}")
+    area = real(area, "area", 0, strict=True)
     m = n - 1
     return floats_if_scalar(
         k, 2.0 * math.pi * unit_ball_volume(m) ** (-1.0 / m) * (ks / area) ** (1.0 / m))

@@ -35,6 +35,13 @@ class SpectrumError(ValueError):
     """Raised for malformed spectra (unsorted, negative, wrong ground mode)."""
 
 
+def check_problem(problem) -> None:
+    """A SpectrumError unless ``problem`` names one of the two problems,
+    "SN" or "SD"."""
+    if problem not in ("SN", "SD"):
+        raise SpectrumError(f"problem must be 'SN' or 'SD', got {problem!r}")
+
+
 @dataclass(eq=False)
 class Spectrum:
     """A sorted batch of surface eigenvalues of one problem on one domain.
@@ -54,8 +61,7 @@ class Spectrum:
     zero_tol: float = TOL_ZERO
 
     def __post_init__(self):
-        if self.problem not in ("SN", "SD"):
-            raise SpectrumError(f"problem must be 'SN' or 'SD', got {self.problem!r}")
+        check_problem(self.problem)
         vals = np.asarray(self.values, dtype=float).ravel()
         if vals.size == 0:
             raise SpectrumError("empty spectrum")
@@ -120,8 +126,7 @@ def rectangle_sd(length: float, h: float, count: int) -> Spectrum:
 def interval_laplacian(length: float, bc: str, count: int) -> np.ndarray:
     """Eigenvalues (k pi / length)^2 of the interval; Neumann k >= 0,
     Dirichlet k >= 1."""
-    if not length > 0:
-        raise ValueError("length must be positive")
+    length = specfun.real(length, "length", 0, strict=True)
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"bc must be 'neumann' or 'dirichlet', got {bc!r}")
     start = 0 if bc == "neumann" else 1
@@ -136,8 +141,8 @@ def rectangle_laplacian(a: float, b: float, bc: str, count: int) -> np.ndarray:
     Generated by a lazy heap walk over the (p, q) lattice, so the list is
     complete (no truncated-grid misses).
     """
-    if not (a > 0 and b > 0):
-        raise ValueError("rectangle sides must be positive")
+    a = specfun.real(a, "a", 0, strict=True)
+    b = specfun.real(b, "b", 0, strict=True)
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"bc must be 'neumann' or 'dirichlet', got {bc!r}")
     lo = 0 if bc == "neumann" else 1
@@ -162,8 +167,7 @@ def cylinder_spectrum(dom: CylinderDomain, problem: str, count: int) -> Spectrum
     """Exact surface spectrum of a CylinderDomain (interval, rectangle, or
     explicit base): the first ``count`` surface values of its base spectrum
     (Neumann for SN, Dirichlet for SD), with the domain's metadata."""
-    if problem not in ("SN", "SD"):
-        raise ValueError(f"problem must be 'SN' or 'SD', got {problem!r}")
+    check_problem(problem)
     (count,) = specfun.indices(count, "count must be a positive integer")
     bc = "neumann" if problem == "SN" else "dirichlet"
     if isinstance(dom.base, IntervalBase):

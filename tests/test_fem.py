@@ -293,12 +293,26 @@ def test_mesh_validation_catches_defects():
 
 def test_mesh_save_load_roundtrip(tmp_path):
     mesh = fem.triangulate(geometry.rectangle_domain(1.0, 1.0), 0.4)
+    mesh.nodes[0, 0] = -0.0                 # written "-0", read back bit for bit
     path = tmp_path / "mesh.txt"
     fem.save_mesh(mesh, path)
+    # the format line by line, as the blocks must write it
+    lines = [f"{len(mesh.nodes)}", *(f"{x:.17g} {y:.17g}" for x, y in mesh.nodes),
+             f"{len(mesh.triangles)}", *(f"{a} {b} {c}" for a, b, c in mesh.triangles),
+             f"{len(mesh.boundary_edges)}",
+             *(f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges)]
+    assert path.read_text() == "\n".join(lines) + "\n"
     back = fem.load_mesh(path)
-    assert back.nodes == pytest.approx(mesh.nodes)
+    assert back.nodes.tobytes() == mesh.nodes.tobytes()
     assert np.array_equal(back.triangles, mesh.triangles)
     assert back.boundary_edges == mesh.boundary_edges
+    # comment and blank lines may sit anywhere, inside the blocks too
+    lines.insert(3, "  # a comment")
+    lines.insert(len(mesh.nodes) + 4, "")
+    path.write_text("\n".join(["# header", *lines]) + "\n")
+    back = fem.load_mesh(path)
+    assert back.nodes.tobytes() == mesh.nodes.tobytes()
+    assert np.array_equal(back.triangles, mesh.triangles)
 
 
 def test_load_mesh_flips_clockwise_triangles(tmp_path):
@@ -314,8 +328,18 @@ def test_load_mesh_flips_clockwise_triangles(tmp_path):
 
 def test_load_mesh_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("2\n0 0\n1 0\n")
-    with pytest.raises(MeshError, match="malformed"):
+    tail = "1\n0 1 2\n3\n0 1 free\n1 2 wall\n2 0 wall\n"
+    for text in ("2\n0 0\n1 0\n",                  # no triangle block
+                 "3\n0 0\n1 0 5\n0 1\n" + tail,      # a node line of three numbers
+                 "3\n0 0\n1 0\nx 1\n" + tail,        # a coordinate that is no number
+                 "3\n0 0\n1 0\n0 1\n1\n0 1.5 2\n3\n",  # a fractional node index
+                 "4\n0 0\n1 0\n0 1\n" + tail,        # fewer nodes than announced
+                 "3\n0 0\n1 0\n0 1\n1\n0 1 2\n4\n0 1 free\n"):   # and edges
+        path.write_text(text)
+        with pytest.raises(MeshError, match="malformed"):
+            fem.load_mesh(path)
+    path.write_text("3\n0 0 7\n1 0 7\n0 1 7\n" + tail)
+    with pytest.raises(MeshError, match="two coordinates"):
         fem.load_mesh(path)
 
 
@@ -1005,6 +1029,24 @@ def test_retagged_grid_edge(monkeypatch):
     pair = fem.dtn_matrices(edited, "SD")
     assert not np.isin([i, j], pair.surface_nodes).any()
     assert pair.S == pytest.approx(dense_schur(edited, pair, "SD"), abs=1e-10)
+
+
+def test_dtn_matrices_validates_hand_built_meshes():
+    # the sparse LU used to read these tags unchecked: a free interior edge
+    # added two surface unknowns, SD without wall tags solved another
+    # problem, and a misspelt tag read as too few surface unknowns
+    mesh = fem.triangulate(geometry.rectangle_domain(1.0, 0.5), 0.25)
+    edges = mesh.boundary_edges
+    assert (2, 8) in set(map(tuple, np.sort(mesh.triangles[:, [0, 2]], axis=1).tolist()))
+    cases = {"not on the mesh boundary": edges + [(2, 8, "free")],
+             "untagged boundary edges": [e for e in edges if e[2] == "free"],
+             "unknown tag 'Free'": [(i, j, "Free" if tag == "free" else tag)
+                                    for i, j, tag in edges]}
+    for message, boundary in cases.items():
+        hand_built = Mesh(mesh.nodes.copy(), mesh.triangles.copy(), boundary)
+        for problem in ("SN", "SD"):
+            with pytest.raises(MeshError, match=re.escape(message)):
+                fem.dtn_matrices(hand_built, problem)
 
 
 def test_rectangle_spectra_never_build_the_mesh(monkeypatch):

@@ -49,12 +49,26 @@ def _angle_flags(alpha: float, beta: float) -> dict:
     }
 
 
-def _check_angles(alpha: float, beta: float) -> None:
+def _acute(alpha: float, beta: float) -> bool:
+    """Whether both corner angles are <= pi/2; each must be a finite real in
+    (0, pi), else ValueError naming it."""
     for name, a in (("alpha", alpha), ("beta", beta)):
-        if not 0 < a <= _HALF_PI + _ANGLE_TOL:
-            raise ValueError(
-                f"{name} = {a} lies outside (0, pi/2]; the two-term "
-                "asymptotics are not established for obtuse corners")
+        if not 0 < specfun.real(a, name) < math.pi:
+            raise ValueError(f"{name} must lie in (0, pi), got {a}")
+    return alpha <= _HALF_PI + _ANGLE_TOL and beta <= _HALF_PI + _ANGLE_TOL
+
+
+def _check_angles(alpha: float, beta: float) -> None:
+    if not _acute(alpha, beta):
+        raise ValueError(f"alpha = {alpha}, beta = {beta}: the two-term asymptotics "
+                         "are not established for obtuse corners")
+
+
+def _second_coefficient(problem: str, alpha: float, beta: float) -> float:
+    """The z^gamma coefficient +/- (pi/8)(1/alpha + 1/beta): plus for
+    sloshing, minus for clamped walls."""
+    sign = 1.0 if problem == "SN" else -1.0
+    return sign * math.pi / 8.0 * (1.0 / alpha + 1.0 / beta)
 
 
 @dataclass(frozen=True)
@@ -83,13 +97,11 @@ def predict(problem: str, length: float, alpha: float, beta: float,
     length = specfun.real(length, "length", 0, strict=True)
     g = specfun.real(gamma, "gamma", 0, strict=True)
     _check_angles(alpha, beta)
-    sign = 1.0 if problem == "SN" else -1.0
-    second = sign * math.pi / 8.0 * (1.0 / alpha + 1.0 / beta)
     return AsymptoticPrediction(
         problem=problem, length=length, alpha=float(alpha),
         beta=float(beta), gamma=g,
         leading_coefficient=specfun.weyl_constant(2, g) * length,
-        second_coefficient=second,
+        second_coefficient=_second_coefficient(problem, alpha, beta),
         hypothesis_flags=_angle_flags(alpha, beta))
 
 
@@ -160,16 +172,15 @@ def _prediction_from_meta(problem: str, meta: dict):
     alpha, beta = meta.get("alpha"), meta.get("beta")
     if alpha is None or beta is None:
         return None, {"angles_known": False}, "corner angles unknown; no prediction"
-    if alpha > _HALF_PI + _ANGLE_TOL or beta > _HALF_PI + _ANGLE_TOL:
+    if not _acute(alpha, beta):
         return None, {"angles_known": True, "angles_leq_half_pi": False}, \
             "no expansion available (obtuse corner angle)"
-    sign = 1.0 if problem == "SN" else -1.0
     flags = _angle_flags(alpha, beta)
     flags["angles_known"] = True
     if flags["local_john_required"] and meta.get("john") is True:
         # containment under the surface implies the corner-local condition
         flags["local_john_confirmed"] = True
-    return sign * math.pi / 8.0 * (1.0 / alpha + 1.0 / beta), flags, ""
+    return _second_coefficient(problem, alpha, beta), flags, ""
 
 
 def _surface_length(length, meta: dict) -> float:

@@ -122,13 +122,9 @@ def _wall_edges(d: PolygonalDomain):
     component n2 != 0 and endpoint heights y0, y1: the edge's weight in the
     planar wall term."""
     for i, a, b, tag in d.edges():
-        if tag == geometry.FREE:
-            continue
-        n2 = float(d.edge_normal(i)[1])
-        if n2 == 0.0:
-            continue
-        length = float(np.hypot(*(b - a)))
-        yield -n2 * length / math.pi, float(a[1]), float(b[1])
+        n2 = float(d.edge_normals[i, 1])
+        if tag == geometry.WALL and n2 != 0.0:
+            yield -n2 * float(d.edge_lengths[i]) / math.pi, float(a[1]), float(b[1])
 
 
 def _flat_wall(n: int, weight: float, h: float, zs: np.ndarray,
@@ -289,12 +285,10 @@ def sn_lower_split(domain, z):
         area = geometry.free_length(domain)
         h = geometry.depth(domain)
         upward, downward = geometry.wall_sign_split(domain)
-
-        def flux(i):   # |<n, e_2>| times the length of edge i
-            a, b = domain.vertices[i], domain.vertices[(i + 1) % domain.n_vertices]
-            return abs(float(domain.edge_normal(i)[1])) * float(np.hypot(*(b - a)))
-        i_minus = sum(map(flux, downward))
-        i_plus = sum(map(flux, upward))
+        # |<n, e_2>| times the length, per edge
+        flux = np.abs(domain.edge_normals[:, 1]) * domain.edge_lengths
+        i_minus = float(sum(flux[i] for i in downward))
+        i_plus = float(sum(flux[i] for i in upward))
         delta = geometry.overhang_depth(domain)
     elif isinstance(domain, CylinderDomain):
         n, area, h = domain.n, domain.base_area, domain.depth
@@ -405,14 +399,19 @@ def sn_lower_via_neumann(area: float, width: float, n: int, z):
 # eigenvalue-sum inequalities and brackets (SN)
 # ---------------------------------------------------------------------------
 
-def _resolve_nk(s: Spectrum, n, area):
-    n = int(n if n is not None else s.meta.get("n", 0))
-    area = float(area) if area is not None else s.meta.get("areaF")
-    if n < 2 or area is None:
+def _lookup(name: str, sources, default=None):
+    """``name`` from the first dict of ``sources`` holding it (not None), else
+    ``default``, required when that is None; n must be an integer >= 2, the
+    rest is read as float."""
+    value = next((src[name] for src in sources if src.get(name) is not None), default)
+    if value is None:
         raise HypothesisError(
-            "need ambient dimension n and free-surface measure areaF "
-            "(spectrum metadata or explicit arguments)")
-    return n, float(area)
+            f"bound needs parameter {name!r}: not in explicit params nor in "
+            "the spectrum metadata")
+    if name != "n":
+        return float(value)
+    specfun._dimension(value)
+    return value
 
 
 def _check_k(s: Spectrum, k, subject: str) -> np.ndarray:
@@ -440,7 +439,7 @@ def kroger_master(s: Spectrum, k, R, *, n=None, area=None, domain=None):
     """
     ks = _check_k(s, k, "the sum inequalities concern")
     ks, Rs = np.broadcast_arrays(ks, specfun.points(R, "R", 0, strict=True))
-    n, area = _resolve_nk(s, n, area)
+    n, area = _lookup("n", ({"n": n}, s.meta)), _lookup("areaF", ({"areaF": area}, s.meta))
     w = specfun.semiclassical_scale(n, ks, area)
     nu_next = s.values[ks]
     lhs = nu_next * Rs ** (n - 1) - (n - 1) / n * Rs ** n
@@ -470,7 +469,7 @@ def kroger_sum_bound(s: Spectrum, k, *, n=None, area=None,
     takes c on the vertical cylinder built from the spectrum's metadata.
     """
     ks = _check_k(s, k, "the sum inequalities concern")
-    n, area = _resolve_nk(s, n, area)
+    n, area = _lookup("n", ({"n": n}, s.meta)), _lookup("areaF", ({"areaF": area}, s.meta))
     if john is None:
         john = s.meta.get("john")
     if john is True:
@@ -505,7 +504,7 @@ def eigenvalue_bracket(s: Spectrum, k, *, n=None, area=None):
     so it raises with a loud diagnostic instead of returning NaN.
     """
     ks = _check_k(s, k, "the bracket concerns")
-    n, area = _resolve_nk(s, n, area)
+    n, area = _lookup("n", ({"n": n}, s.meta)), _lookup("areaF", ({"areaF": area}, s.meta))
     low, high, s_k = _bracket(n, area, ks, riesz.mean_sum(s, ks))
     over = np.flatnonzero(s_k > 1.0)
     if over.size:
@@ -589,21 +588,16 @@ def two_corner_params(d: PolygonalDomain) -> dict:
         raise HypothesisError(
             f"the two-corner bound needs exactly 2 surface corners, found "
             f"{len(corners)}")
-    edges = list(d.edges())
-    wall_ids = [i for i, _, _, tag in edges if tag == geometry.WALL]
+    m, depths = d.n_vertices, -d.vertices[:, 1]
+    ends = [(float(depths[i]), float(depths[(i + 1) % m])) for i in range(m)]
+    walls = [i for i in range(m) if i not in d.free_edges]
     special = {wall for _i, _angle, wall in corners}
-    far = {i: max(-float(edges[i][1][1]), -float(edges[i][2][1])) for i in special}
-    other_min = min((min(-float(a[1]), -float(b[1]))
-                     for i, a, b, _ in edges
-                     if i in wall_ids and i not in special),
-                    default=math.inf)
-    delta = min(min(far.values()), other_min)
+    far = {i: max(ends[i]) for i in special}
+    delta = min([*far.values()] + [min(ends[i]) for i in walls if i not in special])
     if not delta > 0:
         raise HypothesisError("corner walls have no depth; bound undefined")
-    total_wall = sum(float(np.hypot(*(b - a)))
-                     for i, a, b, _ in edges if i in wall_ids)
-    above = sum(float(np.hypot(*(edges[i][2] - edges[i][1]))) * (delta / far[i])
-                for i in special)
+    total_wall = sum(float(d.edge_lengths[i]) for i in walls)
+    above = sum(float(d.edge_lengths[i]) * (delta / far[i]) for i in special)
     bc_length = max(0.0, total_wall - above)
     return {"alpha": corners[0][1], "beta": corners[1][1],
             "delta": float(delta), "bc_length": float(bc_length)}
@@ -693,17 +687,10 @@ class _Call:
     observed: Optional[np.ndarray] = None
 
     def param(self, name: str, meta: Optional[dict] = None, default=None):
-        """``name`` from the explicit params, else from ``meta`` (by default
-        the merged metadata), else ``default``; required when ``default`` is
-        None.  n is cast to int, the rest to float; the value goes to
+        """:func:`_lookup` of ``name`` in the explicit params, then in
+        ``meta`` (by default the merged metadata); the value goes to
         ``used``."""
-        sources = (self.params, self.meta if meta is None else meta)
-        value = next((src[name] for src in sources if src.get(name) is not None), default)
-        if value is None:
-            raise HypothesisError(
-                f"bound needs parameter {name!r}: not in explicit params nor in "
-                "the spectrum metadata")
-        value = int(value) if name == "n" else float(value)
+        value = _lookup(name, (self.params, self.meta if meta is None else meta), default)
         self.used[name] = value
         return value
 
@@ -784,6 +771,8 @@ def _bracket_shift(c: _Call, bound: np.ndarray, errors: np.ndarray) -> np.ndarra
 def _eval_sd_lower2d(c: _Call) -> np.ndarray:
     bound = sd_lower_2d(c.param("areaF"), c.axis)
     dep, al, be = (c.meta.get(key) for key in ("depth", "alpha", "beta"))
+    if dep is not None:
+        dep = specfun.real(dep, "depth", 0, strict=True)
     vertical = all(a is not None and abs(a - math.pi / 2) < 1e-9 for a in (al, be))
     if dep is not None and dep < 1.0:
         c.flags["contains_unit_depth_rectangle"] = False

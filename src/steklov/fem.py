@@ -217,8 +217,7 @@ def _classify_boundary(d: PolygonalDomain, nodes, hull_edges):
     the domain's own tolerance (relative to its diameter)."""
     mid = 0.5 * (nodes[hull_edges[:, 0]] + nodes[hull_edges[:, 1]])
     on = np.full(len(hull_edges), -1)          # domain edge index, -1: none yet
-    for k, a, b, _tag in d.edges():
-        ab = b - a
+    for k, (a, ab) in enumerate(zip(d.vertices, d.edge_vectors)):
         t = np.clip((mid - a) @ ab / float(ab @ ab), 0.0, 1.0)
         gap = np.hypot(*(mid - (a + t[:, None] * ab)).T)
         on[(gap <= d._tol) & (on < 0)] = k
@@ -315,8 +314,7 @@ def _base_triangulation(d: PolygonalDomain, target_h: float):
                          "domain diameter; nothing to resolve")
     if geometry.axis_rectangle_sides(d) is not None:
         return None
-    m = d.n_vertices
-    e = np.roll(d.vertices, -1, axis=0) - d.vertices      # edge vectors
+    m, e = d.n_vertices, d.edge_vectors
     crosses = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
     if np.any(crosses < -d._tol):
         raise DomainError(
@@ -327,7 +325,7 @@ def _base_triangulation(d: PolygonalDomain, target_h: float):
     else:
         nodes0 = np.vstack([d.vertices, d.vertices.mean(axis=0)])
         tris0 = np.array([[i, (i + 1) % m, m] for i in range(m)])
-    longest = max(float(np.hypot(*e.T).max()),
+    longest = max(float(d.edge_lengths.max()),
                   Mesh(nodes0, tris0, []).mesh_size / 1.5)
     splits = 0
     while longest / 2 ** splits > target_h:

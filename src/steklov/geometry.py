@@ -24,9 +24,19 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import specfun
+
 
 class DomainError(ValueError):
     """Raised when a domain description is geometrically invalid."""
+
+
+def _positive(x, name: str) -> None:
+    """DomainError, in :func:`specfun.real`'s words, unless x is finite and > 0."""
+    try:
+        specfun.real(x, name, 0, strict=True)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
 
 
 FREE = "free"
@@ -52,10 +62,9 @@ def _on_segment(p, a, b, tol: float) -> bool:
     return bool(np.hypot(*(p - closest)) <= tol)
 
 
-def _segments_touch(p, q, r, s, tol: float) -> bool:
-    """Do closed segments [p,q] and [r,s] intersect or touch (within tol)?"""
-    lpq = float(np.hypot(*(q - p)))
-    lrs = float(np.hypot(*(s - r)))
+def _segments_touch(p, q, r, s, lpq: float, lrs: float, tol: float) -> bool:
+    """Do closed segments [p,q] and [r,s], of lengths lpq and lrs, intersect
+    or touch (within tol)?"""
     t1 = tol * lpq   # cross(q-p, x-p) = lpq * signed distance of x from line pq
     t2 = tol * lrs
     d1 = _cross(q - p, r - p)
@@ -78,10 +87,17 @@ class PolygonalDomain:
     the edges forming the free surface; they must lie on the axis x2 = 0 and
     are snapped to it exactly.  All remaining edges are walls and need at
     least one endpoint strictly below the axis.
+
+    The edge table, built once from the snapped vertices, holds every edge's
+    vector (vertex i+1 minus vertex i), length and outward unit normal
+    (rightward of the edge direction); every edge measurement reads it.
     """
 
     vertices: np.ndarray
     free_edges: frozenset = field(default_factory=frozenset)
+    edge_vectors: np.ndarray = field(init=False, repr=False)    # (m, 2)
+    edge_lengths: np.ndarray = field(init=False, repr=False)    # (m,)
+    edge_normals: np.ndarray = field(init=False, repr=False)    # (m, 2)
 
     def __init__(self, vertices, free_edges):
         verts = np.asarray(vertices, dtype=float)
@@ -103,7 +119,8 @@ class PolygonalDomain:
         tol = 1e-9 * diam
 
         nxt = np.roll(verts, -1, axis=0)
-        lengths = np.hypot(*(nxt - verts).T)
+        e = nxt - verts
+        lengths = np.hypot(*e.T)
         if np.any(lengths <= tol):
             raise DomainError("zero-length edge (repeated vertex)")
 
@@ -117,15 +134,14 @@ class PolygonalDomain:
             for j in range(i + 1, m):
                 if j == i + 1 or (i == 0 and j == m - 1):
                     continue
-                if _segments_touch(verts[i], nxt[i], verts[j], nxt[j], tol):
+                if _segments_touch(verts[i], nxt[i], verts[j], nxt[j],
+                                   lengths[i], lengths[j], tol):
                     raise DomainError(
                         f"polygon is not simple: edges {i} and {j} touch")
         # no spikes: consecutive edges must not fold back onto each other
         for i in range(m):
-            a = verts[i] - verts[i - 1]
-            b = nxt[i] - verts[i]
-            sin_turn = _cross(a, b) / (np.hypot(*a) * np.hypot(*b))
-            if abs(sin_turn) <= 1e-12 and float(a @ b) < 0:
+            sin_turn = _cross(e[i - 1], e[i]) / (lengths[i - 1] * lengths[i])
+            if abs(sin_turn) <= 1e-12 and float(e[i - 1] @ e[i]) < 0:
                 raise DomainError(f"degenerate spike at vertex {i}")
 
         # free edges must sit on the axis; snap them to x2 = 0 exactly
@@ -141,17 +157,18 @@ class PolygonalDomain:
             raise DomainError("polygon has a vertex above the free surface")
         snapped[:, 1] = np.minimum(snapped[:, 1], 0.0)
         for i in range(m):
-            if i in free:
-                continue
-            y0 = snapped[i, 1]
-            y1 = snapped[(i + 1) % m, 1]
-            if min(y0, y1) >= -tol:
+            if i not in free and min(snapped[i, 1], snapped[(i + 1) % m, 1]) >= -tol:
                 raise DomainError(
                     f"Wall edge {i} lies on the free surface; tag it Free "
                     "or move it below the axis")
 
-        snapped.setflags(write=False)
-        object.__setattr__(self, "vertices", snapped)
+        e = np.roll(snapped, -1, axis=0) - snapped
+        lengths = np.hypot(*e.T)
+        normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
+        for name, arr in (("vertices", snapped), ("edge_vectors", e),
+                          ("edge_lengths", lengths), ("edge_normals", normals)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "free_edges", free)
         object.__setattr__(self, "_tol", tol)
 
@@ -172,11 +189,7 @@ class PolygonalDomain:
 
     def edge_normal(self, i: int) -> np.ndarray:
         """Outward unit normal of edge i (rightward of the edge direction)."""
-        a = self.vertices[i]
-        b = self.vertices[(i + 1) % self.n_vertices]
-        d = b - a
-        d = d / np.hypot(*d)
-        return np.array([d[1], -d[0]])
+        return self.edge_normals[i]
 
 
 @dataclass(frozen=True)
@@ -185,8 +198,7 @@ class IntervalBase:
     length: float
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise DomainError(f"interval length must be positive, got {self.length}")
+        _positive(self.length, "interval length")
 
     @property
     def area(self) -> float:
@@ -200,8 +212,8 @@ class RectangleBase:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise DomainError(f"rectangle sides must be positive, got {self.a}, {self.b}")
+        _positive(self.a, "rectangle side a")
+        _positive(self.b, "rectangle side b")
 
     @property
     def area(self) -> float:
@@ -235,8 +247,7 @@ class ExplicitBase:
             raise DomainError("a Dirichlet base spectrum must be strictly positive")
         if any(v < -1e-10 for v in vals):
             raise DomainError("base eigenvalues must be nonnegative")
-        if not self.area > 0:
-            raise DomainError(f"base area must be positive, got {self.area}")
+        _positive(self.area, "base area")
         object.__setattr__(self, "eigenvalues", vals)
 
 
@@ -254,8 +265,7 @@ class CylinderDomain:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise DomainError(f"ambient dimension must be an integer >= 2, got {self.n!r}")
-        if not self.depth > 0:
-            raise DomainError(f"depth must be positive, got {self.depth}")
+        _positive(self.depth, "depth")
         if isinstance(self.base, IntervalBase) and self.n != 2:
             raise DomainError("an interval base means a planar cylinder (n = 2)")
         if isinstance(self.base, RectangleBase) and self.n != 3:
@@ -284,8 +294,7 @@ class ConeDomain:
             raise DomainError(
                 "half angle must lie in (0, pi) and differ from pi/2, "
                 f"got {a}")
-        if not self.depth > 0:
-            raise DomainError(f"depth must be positive, got {self.depth}")
+        _positive(self.depth, "depth")
 
     @property
     def n(self) -> int:
@@ -303,11 +312,7 @@ Domain = Union[PolygonalDomain, CylinderDomain, ConeDomain]
 
 def free_length(d: PolygonalDomain) -> float:
     """Total length of the free surface (sum of Free edge lengths)."""
-    total = 0.0
-    for i, a, b, tag in d.edges():
-        if tag == FREE:
-            total += float(np.hypot(*(b - a)))
-    return total
+    return float(sum(d.edge_lengths[i] for i in sorted(d.free_edges)))
 
 
 def free_area(d: Domain) -> float:
@@ -343,8 +348,7 @@ def _surface_corners(d: PolygonalDomain):
         inc = (i - 1) % m   # edge arriving at vertex i
         if d.edge_tag(inc) == d.edge_tag(i):
             continue
-        d_in = d.vertices[i] - d.vertices[inc]
-        d_out = d.vertices[(i + 1) % m] - d.vertices[i]
+        d_in, d_out = d.edge_vectors[inc], d.edge_vectors[i]
         turn = math.atan2(_cross(d_in, d_out), float(d_in @ d_out))
         angle = math.pi - turn
         if angle <= d._tol:
@@ -376,11 +380,9 @@ def wall_sign_split(d: PolygonalDomain):
     downward.
     """
     upward, downward = [], []
-    for i, a, b, tag in d.edges():
-        if tag == FREE:
-            continue
-        n2 = float(d.edge_normal(i)[1])
-        (upward if n2 > _SIGN_TOL else downward).append(i)
+    for i in range(d.n_vertices):
+        if i not in d.free_edges:
+            (upward if d.edge_normals[i, 1] > _SIGN_TOL else downward).append(i)
     return upward, downward
 
 
@@ -394,11 +396,8 @@ def overhang_depth(d: PolygonalDomain) -> Optional[float]:
     upward, _ = wall_sign_split(d)
     if not upward:
         return None
-    m = d.n_vertices
-    delta = math.inf
-    for i in upward:
-        for k in (i, (i + 1) % m):
-            delta = min(delta, -float(d.vertices[k, 1]))
+    ys = d.vertices[:, 1]
+    delta = -float(max(max(ys[i], ys[(i + 1) % d.n_vertices]) for i in upward))
     if delta <= d._tol:
         raise DomainError(
             "an overhanging wall touches the free surface; the overhang "
@@ -408,11 +407,8 @@ def overhang_depth(d: PolygonalDomain) -> Optional[float]:
 
 def _free_span(d: PolygonalDomain):
     """Merge the free edges into one interval [lo, hi]; None if disconnected."""
-    intervals = []
-    for i, a, b, tag in d.edges():
-        if tag == FREE:
-            intervals.append((min(a[0], b[0]), max(a[0], b[0])))
-    intervals.sort()
+    intervals = sorted((min(a[0], b[0]), max(a[0], b[0]))
+                       for _i, a, b, tag in d.edges() if tag == FREE)
     lo, hi = intervals[0]
     for a0, b0 in intervals[1:]:
         if a0 > hi + d._tol:
@@ -423,12 +419,8 @@ def _free_span(d: PolygonalDomain):
 
 def axis_rectangle_sides(d: PolygonalDomain):
     """(length, depth) if d is an axis-aligned rectangle, else None."""
-    if d.n_vertices != 4:
+    if d.n_vertices != 4 or np.any(np.all(np.abs(d.edge_vectors) > d._tol, axis=1)):
         return None
-    for i in range(4):
-        e = d.vertices[(i + 1) % 4] - d.vertices[i]
-        if abs(e[0]) > d._tol and abs(e[1]) > d._tol:
-            return None
     span = d.vertices.max(axis=0) - d.vertices.min(axis=0)
     return float(span[0]), float(span[1])
 
@@ -461,16 +453,13 @@ def local_john_condition(d: PolygonalDomain, corner) -> bool:
     free surface (vertical walls included), i.e. the corner angle is <= pi/2.
     """
     pt = np.asarray(corner, dtype=float)
-    m = d.n_vertices
+    e = d.edge_vectors
     for i, _angle, wall in _surface_corners(d):
         if np.hypot(*(d.vertices[i] - pt)) > d._tol:
             continue
-        ahead = d.vertices[(i + 1) % m] - d.vertices[i]
-        behind = d.vertices[i - 1] - d.vertices[i]
-        d_wall, d_free = (ahead, behind) if wall == i else (behind, ahead)
-        if abs(d_wall[0]) <= d._tol:
-            return True       # vertical wall
-        return bool(d_wall[0] * d_free[0] > 0)
+        # a vertical wall, or edges i-1 and i with x components of opposite
+        # sign: the wall and the free edge then leave vertex i on one side
+        return bool(abs(e[wall, 0]) <= d._tol or e[i - 1, 0] * e[i, 0] < 0)
     raise DomainError(f"point {corner!r} is not a Free/Wall corner of the domain")
 
 

@@ -163,6 +163,7 @@ def riesz_iterate(curve: RieszCurve, rho: float, z: float,
     """
     rho = specfun.real(rho, "rho", 0, strict=True)
     z = specfun.real(z, "z")
+    tol = _tolerance(tol)
     if z > curve.validity_ceiling:
         raise ValidityCeilingError(z, curve.validity_ceiling)
     if z <= 0:
@@ -188,6 +189,14 @@ def riesz_iterate(curve: RieszCurve, rho: float, z: float,
             f"curve grid too coarse for the requested tolerance: estimated "
             f"relative error {err / max(1.0, abs(full)):.3e} > {tol:.3e}")
     return front * full
+
+
+def _tolerance(tol) -> float:
+    """tol as a float >= 0; inf, no limit, is allowed, nan is not."""
+    tol = float(tol)
+    if not tol >= 0:
+        raise ValueError(f"tol must be a real >= 0 (inf for no limit), got {tol}")
+    return tol
 
 
 def _pwl_weighted_integral(grid: np.ndarray, fvals: np.ndarray, rho: float,
@@ -274,6 +283,7 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     if s.problem != "SD":
         raise ValueError("heat_trace expects an SD spectrum (positive eigenvalues)")
     ts = specfun.points(t, "time", 0, strict=True)
+    tol = _tolerance(tol)
     vals = s.values
     if len(s) < 2:
         raise ValueError("cannot certify the tail: the tail bound needs at "

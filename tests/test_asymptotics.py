@@ -73,6 +73,32 @@ def test_predict_validates_angles():
         asymptotics.predict("XX", 1.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0, 0.0, math.pi, 4.0])
+def test_angles_outside_zero_pi_are_refused(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        asymptotics.predict("SN", 1.0, alpha, math.pi / 4, 1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        asymptotics.two_term_eigenvalue("SD", 1.0, alpha, math.pi / 4, 3)
+    s = Spectrum(problem="SN", values=np.arange(0, 2000, dtype=float),
+                 source="synthetic",
+                 meta={"areaF": math.pi, "n": 2, "alpha": alpha, "beta": 1.0})
+    with pytest.raises(ValueError, match="alpha"):
+        asymptotics.fit_second_term(s, 1.0, (100.0, 1500.0))
+
+
+@pytest.mark.parametrize("problem", ["SN", "SD"])
+def test_metadata_prediction_equals_predict(problem):
+    alpha, beta = math.pi / 3, 0.4
+    first = 0 if problem == "SN" else 1
+    s = Spectrum(problem=problem, values=np.arange(first, first + 2000, dtype=float),
+                 source="synthetic",
+                 meta={"areaF": math.pi, "n": 2, "alpha": alpha, "beta": beta})
+    fit = asymptotics.fit_second_term(s, 1.0, (100.0, 1500.0))
+    pred = asymptotics.predict(problem, math.pi, alpha, beta, 1.0)
+    assert fit.prediction == pred.second_coefficient
+    assert fit.hypothesis_flags["angles_leq_half_pi"] is True
+
+
 def test_predict_flags_right_angle_corners():
     p = asymptotics.predict("SN", 1.0, math.pi / 2, math.pi / 3, 1.0)
     assert p.hypothesis_flags["right_angle_corners"] == ["alpha"]

@@ -824,6 +824,26 @@ def test_sum_rules_need_metadata():
         bounds.kroger_sum_bound(bare, 3)
 
 
+def test_dimension_is_never_truncated():
+    s = spectra.rectangle_sn(math.pi, 1.0, 200)
+    assert bounds.kroger_sum_bound(s, 5, n=2, area=math.pi).bound == \
+        pytest.approx(2.49999998, rel=1e-8)
+    for call in (lambda: bounds.kroger_sum_bound(s, 5, n=2.7, area=math.pi),
+                 lambda: bounds.kroger_master(s, 5, 3.0, n=2.7, area=math.pi),
+                 lambda: bounds.eigenvalue_bracket(s, 5, n=2.5, area=math.pi),
+                 lambda: bounds.verify(s, "kroger", [5], params={"n": 2.5})):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            call()
+
+
+def test_sd_lower2d_checks_metadata_depth():
+    s = spectra.rectangle_sd(math.pi, 1.0, 400)
+    assert bounds.verify(s, "sd-lower2d", [1.0, 2.0]).status == "holds"
+    s.meta["depth"] = math.nan
+    with pytest.raises(ValueError, match="depth must be a finite real > 0"):
+        bounds.verify(s, "sd-lower2d", [1.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # SD bounds
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import geometry
 from steklov.geometry import (ConeDomain, CylinderDomain, DomainError,
@@ -162,3 +164,56 @@ def test_local_john_condition_at_corners():
 def test_overhang_depth_is_min_clearance():
     assert geometry.overhang_depth(pocket_polygon()) == pytest.approx(0.5)
     assert geometry.overhang_depth(unit_square()) is None
+
+
+@st.composite
+def radial_polygons(draw):
+    """Polygons star-shaped about the origin, on the free edge: the vertices
+    sit at increasing angles below the axis, at one radius (convex) or at
+    random radii (mostly non-convex, often with overhanging walls)."""
+    cuts = np.cumsum(draw(st.lists(st.floats(1.0, 3.0), min_size=3, max_size=12)))
+    thetas = math.pi * (1.0 + cuts[:-1] / cuts[-1])
+    k = len(thetas) + 2
+    radii = draw(st.one_of(
+        st.floats(0.3, 2.0).map(lambda r: [r] * k),
+        st.lists(st.floats(0.3, 2.0), min_size=k, max_size=k)))
+    verts = [(-radii[0], 0.0)] + [
+        (r * math.cos(t), r * math.sin(t)) for r, t in zip(radii[1:], thetas)
+    ] + [(radii[-1], 0.0)]
+    return PolygonalDomain(verts, free_edges=[len(verts) - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=radial_polygons())
+def test_edge_table_matches_per_edge_definitions(d):
+    total, upward, downward = 0.0, [], []
+    for i, a, b, tag in d.edges():
+        e = b - a
+        length = np.hypot(*e)
+        u = e / length
+        normal = np.array([u[1], -u[0]])
+        assert d.edge_vectors[i].tobytes() == e.tobytes()
+        assert d.edge_lengths[i].tobytes() == length.tobytes()
+        assert d.edge_normals[i].tobytes() == normal.tobytes()
+        if tag == geometry.FREE:
+            total += float(length)
+        else:
+            (upward if float(normal[1]) > 1e-12 else downward).append(i)
+    assert geometry.free_length(d).hex() == total.hex()
+    assert geometry.wall_sign_split(d) == (upward, downward)
+    for table in (d.edge_vectors, d.edge_lengths, d.edge_normals):
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntervalBase(math.inf),
+    lambda: RectangleBase(1.0, math.nan),
+    lambda: RectangleBase(math.inf, 1.0),
+    lambda: ExplicitBase((0.0,), "neumann", math.inf),
+    lambda: CylinderDomain(2, IntervalBase(1.0), math.inf),
+    lambda: ConeDomain(0.5, math.inf),
+    lambda: ConeDomain(0.5, math.nan),
+])
+def test_domain_sizes_must_be_finite(build):
+    with pytest.raises(DomainError, match="must be a finite real > 0"):
+        build()

@@ -253,6 +253,23 @@ def test_heat_trace_grid_sums_every_exponential(gaps, ts):
     assert [riesz.heat_trace(s, t, tol=math.inf) for t in ts] == list(zip(values, tails))
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-10])
+def test_tolerances_must_be_nonnegative(tol):
+    sd = spectra.rectangle_sd(math.pi, 1.0, 20)
+    with pytest.raises(ValueError, match="tol must be a real >= 0"):
+        riesz.heat_trace(sd, 0.01, tol=tol)
+    # a coarse grid-only curve: the default tolerance refuses it
+    c1 = riesz.riesz_curve(spectra.rectangle_sn(math.pi, 1.0, 200), 1.0,
+                           np.linspace(0.0, 50.0, 6))
+    bare = RieszCurve(gamma=1.0, grid=c1.grid, values=c1.values,
+                      validity_ceiling=c1.validity_ceiling)
+    with pytest.raises(ValueError, match="too coarse"):
+        riesz.riesz_iterate(bare, 1.0, 40.0)
+    with pytest.raises(ValueError, match="tol must be a real >= 0"):
+        riesz.riesz_iterate(bare, 1.0, 40.0, tol=tol)
+    assert riesz.riesz_iterate(bare, 1.0, 40.0, tol=math.inf) > 0
+
+
 def test_heat_trace_needs_enough_modes():
     sd = spectra.rectangle_sd(math.pi, 1.0, 10)
     with pytest.raises(ValueError):

@@ -7,15 +7,6 @@ Riesz-mean and eigenvalue-sum bounds, and checks two-term asymptotics.
 """
 
 import importlib as _importlib
-import os as _os
-
-# Cap BLAS/OpenMP threading before numpy is imported anywhere in the package.
-# STEKLOV_THREADS=N makes every run use exactly N threads (reproducibility).
-_threads = _os.environ.get("STEKLOV_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
 
 from . import specfun, geometry, spectra, riesz, bounds, asymptotics
 from .geometry import PolygonalDomain, CylinderDomain, ConeDomain, DomainError

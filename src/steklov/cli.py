@@ -7,12 +7,15 @@ Subcommands::
     steklov verify   --spectrum s.csv --bound john2d --grid log200(0.1,1000)
     steklov asym     --spectrum s.csv --gamma 1 --window 100,1000
 
-Domains come from built-in presets (``rectangle:L,H``,
-``isoceles-triangle:L,ANGLE``, ``trapezoid:L,ANGLE,H``, ``cylinder:2,L,H`` /
-``cylinder:3,A,B,H``, ``cone:ANGLE,H``; numbers accept "pi" literals like
-``pi/4`` or ``2pi``) or from a JSON file holding either
-``{"vertices": [[x,y],...], "free_edges": [...]}`` or
-``{"cylinder": {"n":, "base":, "h":}}``.
+Domains come from presets (``rectangle:L,H``, ``isoceles-triangle:L,ANGLE``,
+``trapezoid:L,ANGLE,H``, ``cylinder:2,L,H``, ``cylinder:3,A,B,H``,
+``cone:ANGLE,H``) or from a JSON file holding ``{"vertices": [[x,y],...],
+"free_edges": [i,...]}``, ``{"cone": {"alpha": a, "h": h}}`` or a cylinder
+``{"cylinder": {"n": 2, "base": L, "h": h}}``, with ``"n": 3, "base": [a, b]``,
+or with any integer n >= 2 over ``"base": {"eigenvalues": [...], "bc":
+"neumann" or "dirichlet", "area": A}``.  A number is a float, optionally
+times ``pi``, optionally over a divisor: ``1e-3``, ``2pi``, ``3pi/2``.
+``--fem-h`` applies to polygons only.
 
 Exit codes: 0 success / bound holds, 1 bound violated, 2 input error,
 3 grid beyond the spectrum's validity ceiling, 4 geometric hypotheses not
@@ -30,7 +33,7 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, bounds, geometry, riesz, spectra
+from . import asymptotics, bounds, geometry, riesz, specfun, spectra
 from .bounds import HypothesisError
 from .geometry import (ConeDomain, CylinderDomain, IntervalBase, PolygonalDomain,
                        RectangleBase)
@@ -38,18 +41,16 @@ from .riesz import ValidityCeilingError
 
 
 def _num(token: str) -> float:
-    """Parse a float with optional pi: '1', 'pi', 'pi/4', '2pi', '3pi/2'."""
-    t = token.strip().lower()
-    m = re.fullmatch(r"(-?(?:\d+\.?\d*|\.\d+)(?:e-?\d+)?)?\s*(pi)?"
-                     r"\s*(?:/\s*((?:\d+\.?\d*|\.\d+)))?", t)
-    if not m or (m.group(1) is None and m.group(2) is None):
-        raise ValueError(f"cannot parse number {token!r}")
-    val = float(m.group(1)) if m.group(1) is not None else 1.0
-    if m.group(2):
-        val *= math.pi
-    if m.group(3):
-        val /= float(m.group(3))
-    return val
+    """A float, optionally times pi, optionally over a divisor: '1', '1e+3',
+    'pi', 'pi/4', '2pi', '3pi/2'; evaluated as (coefficient * pi) / divisor."""
+    head, slash, divisor = token.lower().partition("/")
+    coef, pi = head.strip().removesuffix("pi"), head.strip().endswith("pi")
+    try:
+        value = ((float(coef) if coef.strip() or not pi else 1.0)
+                 * (math.pi if pi else 1.0) / (float(divisor) if slash else 1.0))
+        return specfun.real(value, "number")
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse number {token!r}") from None
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -68,10 +69,7 @@ def parse_grid(spec: str) -> np.ndarray:
     start, stop, step = (_num(p) for p in parts)
     if not (step > 0 and stop > start):
         raise ValueError(f"grid spec needs stop > start and step > 0, got {spec!r}")
-    grid = np.arange(start, stop + 0.5 * step, step)
-    if grid.size < 1:
-        raise ValueError(f"empty grid from {spec!r}")
-    return grid
+    return np.arange(start, stop + 0.5 * step, step)
 
 
 _PRESET_USAGE = ("presets: rectangle:L,H | isoceles-triangle:L,ANGLE | "
@@ -79,85 +77,76 @@ _PRESET_USAGE = ("presets: rectangle:L,H | isoceles-triangle:L,ANGLE | "
                  "cone:ANGLE,H")
 
 
+def _cylinder(n, base, h) -> CylinderDomain:
+    """The cylinder of a preset or of domain JSON: n = 2 over [L], 3 over
+    [a, b], or any integer >= 2 over an explicit-base dict; no other n."""
+    if isinstance(base, dict) and specfun.real(n, "cylinder n", 2).is_integer():
+        base = geometry.ExplicitBase(tuple(base["eigenvalues"]), base["bc"],
+                                     float(base["area"]))
+    elif (n, len(base)) in ((2, 1), (3, 2)):
+        base = (IntervalBase if n == 2 else RectangleBase)(*map(float, base))
+    else:
+        raise ValueError("a cylinder's n is 2 over a length, 3 over two sides or an "
+                         f"integer over an explicit base; got {n!r} over {base!r}")
+    return CylinderDomain(int(n), base, float(h))
+
+
+_PRESETS = {    # name -> (accepted parameter counts, constructor)
+    "rectangle": ((2,), geometry.rectangle_domain),
+    "isoceles-triangle": ((2,), geometry.isoceles_triangle_domain),
+    "triangle": ((2,), geometry.isoceles_triangle_domain),
+    "trapezoid": ((3,), geometry.trapezoid_domain),
+    "cylinder": ((3, 4), lambda n, *rest: _cylinder(n, rest[:-1], rest[-1])),
+    "cone": ((2,), ConeDomain),
+}
+
+
 def parse_preset(spec: str):
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
-    try:
-        args = [_num(x) for x in rest.split(",")] if rest.strip() else []
-    except ValueError as exc:
-        raise ValueError(f"bad preset parameter in {spec!r}: {exc}") from exc
-
-    def need(k):
-        if len(args) != k:
-            raise ValueError(f"preset {name!r} takes {k} parameters; {_PRESET_USAGE}")
-
-    if name == "rectangle":
-        need(2)
-        return geometry.rectangle_domain(args[0], args[1])
-    if name in ("isoceles-triangle", "triangle"):
-        need(2)
-        return geometry.isoceles_triangle_domain(args[0], args[1])
-    if name == "trapezoid":
-        need(3)
-        return geometry.trapezoid_domain(args[0], args[1], args[2])
-    if name == "cylinder":
-        if len(args) == 3:
-            return CylinderDomain(2, IntervalBase(args[1]), args[2]) \
-                if int(args[0]) == 2 else _bad_cyl(args)
-        if len(args) == 4 and int(args[0]) == 3:
-            return CylinderDomain(3, RectangleBase(args[1], args[2]), args[3])
-        return _bad_cyl(args)
-    if name == "cone":
-        need(2)
-        return ConeDomain(args[0], args[1])
-    raise ValueError(f"unknown preset {name!r}; {_PRESET_USAGE}")
-
-
-def _bad_cyl(args):
-    raise ValueError("cylinder preset is cylinder:2,L,H or cylinder:3,A,B,H; "
-                     f"got parameters {args}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; {_PRESET_USAGE}")
+    counts, make = _PRESETS[name]
+    args = [_num(x) for x in rest.split(",")] if rest.strip() else []
+    if len(args) not in counts:
+        raise ValueError(f"preset {name!r} takes {' or '.join(map(str, counts))} "
+                         f"parameters; {_PRESET_USAGE}")
+    return make(*args)
 
 
 def load_domain(path):
-    """Domain JSON: polygon {'vertices','free_edges'} or {'cylinder': {...}}
-    or {'cone': {'alpha','h'}}."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    if "vertices" in obj:
-        return PolygonalDomain(obj["vertices"], obj.get("free_edges", []))
-    if "cylinder" in obj:
-        c = obj["cylinder"]
-        base = c["base"]
-        if isinstance(base, (int, float)):
-            base = IntervalBase(float(base))
-        elif isinstance(base, (list, tuple)) and len(base) == 2:
-            base = RectangleBase(float(base[0]), float(base[1]))
-        elif isinstance(base, dict):
-            base = geometry.ExplicitBase(tuple(base["eigenvalues"]),
-                                         base["bc"], float(base["area"]))
-        else:
-            raise ValueError(f"unsupported cylinder base spec {base!r}")
-        return CylinderDomain(int(c["n"]), base, float(c["h"]))
-    if "cone" in obj:
-        return ConeDomain(float(obj["cone"]["alpha"]), float(obj["cone"]["h"]))
+    """A domain from a JSON file in one of the forms of the module docstring;
+    any other content is a ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if "vertices" in obj:
+            return PolygonalDomain(obj["vertices"], obj.get("free_edges", []))
+        if "cylinder" in obj:
+            c = obj["cylinder"]
+            base = c["base"] if isinstance(c["base"], (list, dict)) else [c["base"]]
+            return _cylinder(c["n"], base, c["h"])
+        if "cone" in obj:
+            return ConeDomain(float(obj["cone"]["alpha"]), float(obj["cone"]["h"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad domain JSON ({type(exc).__name__}: {exc})")
     raise ValueError(f"{path}: no 'vertices', 'cylinder', or 'cone' key")
 
 
 def _resolve_domain(args):
-    if getattr(args, "preset", None):
+    if args.preset is not None:
         return parse_preset(args.preset)
-    if getattr(args, "domain", None):
-        return load_domain(args.domain)
-    return None
+    return None if args.domain is None else load_domain(args.domain)
 
 
 def _compute_spectrum(args):
     dom = _resolve_domain(args)
-    if dom is None:
-        raise ValueError("need --preset or --domain")
     problem = args.problem.upper()
     count = args.count
     if isinstance(dom, CylinderDomain):
+        if args.fem_h is not None:
+            raise ValueError("--fem-h applies to polygons only; a cylinder's "
+                             "spectrum is exact")
         return spectra.cylinder_spectrum(dom, problem, count)
     if isinstance(dom, ConeDomain):
         raise ValueError("no spectrum solver for the cone; it supports wall "
@@ -180,7 +169,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _source_spectrum(args):
-    if args.spectrum:
+    if args.spectrum is not None:
         return spectra.load_spectrum(args.spectrum)
     return _compute_spectrum(args)
 
@@ -224,11 +213,12 @@ def _add_domain_opts(p, required=False):
     g = p.add_mutually_exclusive_group(required=required)
     g.add_argument("--preset", help=_PRESET_USAGE)
     g.add_argument("--domain", help="domain JSON file")
+    return g
 
 
 def _add_source_opts(p):
-    p.add_argument("--spectrum", help="spectrum CSV (from the spectrum command)")
-    _add_domain_opts(p)
+    _add_domain_opts(p, required=True).add_argument(
+        "--spectrum", help="spectrum CSV (from the spectrum command)")
     p.add_argument("--problem", choices=["sn", "sd", "SN", "SD"], default="sn")
     p.add_argument("--count", type=int, default=100,
                    help="eigenvalues to compute when building from a domain")

@@ -106,11 +106,14 @@ class PolygonalDomain:
         if not np.all(np.isfinite(verts)):
             raise DomainError("vertices contain non-finite coordinates")
         m = verts.shape[0]
+        for i in free_edges:    # a bool or a float (3.0 too) is not an index
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) \
+                    or not 0 <= i < m:
+                raise DomainError(f"free edge index must be an integer in "
+                                  f"0..{m - 1}, got {i!r}")
         free = frozenset(int(i) for i in free_edges)
         if not free:
             raise DomainError("at least one Free edge is required")
-        if any(i < 0 or i >= m for i in free):
-            raise DomainError(f"free edge index out of range 0..{m - 1}")
 
         span = verts.max(axis=0) - verts.min(axis=0)
         diam = float(np.hypot(*span))

@@ -217,7 +217,10 @@ def _parse_meta_value(key: str, text: str):
     if key == "john":
         raise SpectrumError(f"meta key {key} must be true/false, got {text!r}")
     if key == "n":
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            raise SpectrumError(f"meta key n must be an integer, got {text!r}")
     try:
         return float(text)
     except ValueError:
@@ -260,7 +263,10 @@ def read_table(path, columns: str, types):
                     raise SpectrumError(f"{path}:{lineno}: malformed meta line {line!r}")
                 key, _, text = body.partition("=")
                 key = key.strip()
-                meta[key] = _parse_meta_value(key, text.strip())
+                try:
+                    meta[key] = _parse_meta_value(key, text.strip())
+                except SpectrumError as exc:
+                    raise SpectrumError(f"{path}:{lineno}: {exc}") from None
                 continue
             if not header_seen:
                 if line != columns:

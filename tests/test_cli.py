@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import cli, geometry, specfun, spectra
 from steklov.geometry import ConeDomain, CylinderDomain, PolygonalDomain
@@ -34,6 +36,27 @@ def test_num_parses_pi_literals():
         cli._num("pie")
     with pytest.raises(ValueError):
         cli._num("")
+
+
+def test_num_refuses_what_is_not_a_finite_number():
+    assert cli._num("1e+3") == 1000.0
+    assert cli._num("2 pi / 4") == (2 * math.pi) / 4
+    for token in ("pi/0", "1/0", "1e999", "1e308pi", "inf", "nan", "pipi",
+                  "2pi3", "pi/", "/2", "-pi", "1/2/3"):
+        with pytest.raises(ValueError, match="cannot parse number"):
+            cli._num(token)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_num_reads_back_every_float_repr(x):
+    assert cli._num(repr(x)) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_num_pi_fractions_are_coefficient_times_pi_over_divisor(k, m):
+    assert cli._num(f"{k}pi/{m}").hex() == ((k * math.pi) / m).hex()
 
 
 def test_parse_grid_linear():
@@ -135,6 +158,27 @@ def test_spectrum_needs_fem_for_irregular_polygon(capsys):
                    "--problem", "sn", "--count", "5"])
     assert rc == 2
     assert "--fem-h" in capsys.readouterr().err
+
+
+def test_spectrum_fem_h_is_refused_for_cylinders(capsys):
+    assert cli.main(["spectrum", "--preset", "cylinder:2,pi,1", "--problem", "sn",
+                     "--count", "3", "--fem-h", "0.1"]) == 2
+    assert "--fem-h applies to polygons only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["riesz", "--gamma", "1", "--grid", "0:2:1"],
+                                     ["asym", "--window", "1,2"]])
+def test_spectrum_preset_and_domain_are_exclusive_sources(command, tmp_path,
+                                                          capsys):
+    spec, dom = tmp_path / "s.csv", tmp_path / "d.json"
+    spectra.save_spectrum(spectra.rectangle_sn(math.pi, 1.0, 100), spec)
+    dom.write_text(json.dumps({"cylinder": {"n": 2, "base": 3.0, "h": 1.0}}))
+    for sources in (["--spectrum", str(spec), "--preset", "rectangle:pi,1"],
+                    ["--spectrum", str(spec), "--domain", str(dom)], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + sources)
+        assert exc.value.code == 2
+        assert "--spectrum" in capsys.readouterr().err
 
 
 def test_spectrum_cone_is_an_input_error(capsys):
@@ -307,6 +351,58 @@ def test_asym_rejects_bad_window(tmp_path, capsys):
 def test_missing_file_is_input_error(capsys):
     assert cli.main(["verify", "--spectrum", "/nonexistent.csv",
                      "--bound", "john2d", "--grid", "1:2:1"]) == 2
+
+
+COUNT3 = ["--problem", "sn", "--count", "3"]
+SQUARE = [[0, 0], [0, -1], [2, -1], [2, 0]]
+
+
+# (argv, content of {d.json}); {name} in argv is the file tmp_path / name
+@pytest.mark.parametrize("argv, domain", [
+    (["spectrum", "--preset", "rectangle:pi/0,1", *COUNT3], None),
+    (["verify", "--spectrum", "{s.csv}", "--bound", "john2d",
+      "--grid", "0:pi/0:1"], None),
+    (["asym", "--spectrum", "{s.csv}", "--window", "1,pi/0"], None),
+    (["spectrum", "--preset", "cylinder:2.7,1,1", *COUNT3], None),
+    (["spectrum", "--preset", "cylinder:2,pi,1", *COUNT3, "--fem-h", "0.1"], None),
+    (["spectrum", "--domain", "{d.json}", *COUNT3], 5),
+    (["spectrum", "--domain", "{d.json}", *COUNT3], {"cone": 5}),
+    (["spectrum", "--domain", "{d.json}", *COUNT3],
+     {"cylinder": {"n": 2.9, "base": 3.0, "h": 1.0}}),
+    (["spectrum", "--domain", "{d.json}", *COUNT3],
+     {"vertices": SQUARE, "free_edges": [3.7]}),
+    (["spectrum", "--domain", "{d.json}", *COUNT3],     # edge 1 is the surface
+     {"vertices": [[2, -1], [2, 0], [0, 0], [0, -1]], "free_edges": [True]}),
+    (["verify", "--spectrum", "{n.csv}", "--bound", "john2d", "--grid", "1:2:1"],
+     None),
+], ids=["preset pi/0", "grid pi/0", "window pi/0", "cylinder n 2.7",
+        "cylinder fem-h", "json number", "json cone number", "json cylinder n 2.9",
+        "json free edge 3.7", "json free edge true", "spectrum meta n 2.5"])
+def test_malformed_input_exits_2_with_one_error_line(argv, domain, tmp_path,
+                                                     capsys):
+    spectra.save_spectrum(spectra.rectangle_sn(math.pi, 1.0, 100), tmp_path / "s.csv")
+    (tmp_path / "n.csv").write_text("# problem=SN\n# n=2.5\nindex,value\n1,0\n")
+    (tmp_path / "d.json").write_text(json.dumps(domain))
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_readme_domain_json_forms_load(tmp_path):
+    # every line of the README's JSON block is a domain file load_domain
+    # reads, and the block shows each form
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Command line"):readme.index("## Demos")]
+    block = section[section.index("```json\n") + len("```json\n"):]
+    kinds = []
+    for i, line in enumerate(block[:block.index("```")].splitlines()):
+        path = tmp_path / f"d{i}.json"
+        path.write_text(line)
+        dom = cli.load_domain(path)
+        kinds.append(type(getattr(dom, "base", dom)).__name__)
+    assert sorted(kinds) == sorted(["PolygonalDomain", "IntervalBase",
+                                    "RectangleBase", "ExplicitBase", "ConeDomain"])
 
 
 def test_cli_runs_are_byte_identical(tmp_path):

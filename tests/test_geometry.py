@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ def test_free_surface_must_be_on_axis():
 def test_polygon_requires_some_free_edge():
     with pytest.raises(DomainError):
         PolygonalDomain([(0, 0), (1, 0), (1, -1), (0, -1)], free_edges=[])
+
+
+@pytest.mark.parametrize("index", [3.7, 3.0, True, "3", -1, 4])
+def test_free_edge_indices_are_integers_in_range(index):
+    with pytest.raises(DomainError, match=re.escape(f"got {index!r}")):
+        PolygonalDomain([(0, 0), (0, -1), (2, -1), (2, 0)], free_edges=[index])
+    d = PolygonalDomain([(0, 0), (0, -1), (2, -1), (2, 0)], free_edges=np.array([3]))
+    assert d.free_edges == {3}
 
 
 def test_domain_below_surface_check():

@@ -241,6 +241,15 @@ def test_curve_codec_rejects_what_the_spectrum_codec_rejects(tmp_path):
         riesz.load_curve(path)
 
 
+def test_meta_value_errors_name_the_file_and_line(tmp_path):
+    path = tmp_path / "s.csv"
+    for meta, message in (("# n=2.5\n", "meta key n must be an integer, got '2.5'"),
+                          ("# john=maybe\n", "meta key john must be true/false")):
+        path.write_text("# problem=SN\n" + meta + "index,value\n1,0\n2,1\n")
+        with pytest.raises(SpectrumError, match=re.escape(f"{path}:2: {message}")):
+            spectra.load_spectrum(path)
+
+
 def test_save_spectrum_writes_text_metadata(tmp_path):
     path = tmp_path / "s.csv"
     spectra.save_spectrum(Spectrum("SD", [1.0, 2.0], meta={"label": "abc"}), path)

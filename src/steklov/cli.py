@@ -14,8 +14,11 @@ Domains come from presets (``rectangle:L,H``, ``isoceles-triangle:L,ANGLE``,
 ``{"cylinder": {"n": 2, "base": L, "h": h}}``, with ``"n": 3, "base": [a, b]``,
 or with any integer n >= 2 over ``"base": {"eigenvalues": [...], "bc":
 "neumann" or "dirichlet", "area": A}``.  A number is a float, optionally
-times ``pi``, optionally over a divisor: ``1e-3``, ``2pi``, ``3pi/2``.
-``--fem-h`` applies to polygons only.
+times ``pi``, optionally over a divisor: ``1e-3``, ``2pi``, ``3pi/2``; a
+JSON true or false is no number.  ``--fem-h`` applies to polygons only.
+``riesz`` and ``asym`` build from a domain (by default 100 SN eigenvalues)
+or read ``--spectrum``, beside which ``--problem``, ``--count`` and
+``--fem-h`` are refused.
 
 Exit codes: 0 success / bound holds, 1 bound violated, 2 input error,
 3 grid beyond the spectrum's validity ceiling, 4 geometric hypotheses not
@@ -114,6 +117,17 @@ def parse_preset(spec: str):
     return make(*args)
 
 
+def _json_number(value, what: str):
+    """`value`, a number from domain JSON or lists or objects of them, with
+    any JSON true or false in it refused: float() would read it as 1 or 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be a number, got {json.dumps(value)}")
+    for item in value.values() if isinstance(value, dict) else \
+            value if isinstance(value, list) else ():
+        _json_number(item, what)
+    return value
+
+
 def load_domain(path):
     """A domain from a JSON file in one of the forms of the module docstring;
     any other content is a ValueError naming the file."""
@@ -121,13 +135,18 @@ def load_domain(path):
         with open(path) as fh:
             obj = json.load(fh)
         if "vertices" in obj:
-            return PolygonalDomain(obj["vertices"], obj.get("free_edges", []))
+            return PolygonalDomain(_json_number(obj["vertices"], "vertices"),
+                                   obj.get("free_edges", []))
         if "cylinder" in obj:
             c = obj["cylinder"]
             base = c["base"] if isinstance(c["base"], (list, dict)) else [c["base"]]
-            return _cylinder(c["n"], base, c["h"])
+            return _cylinder(_json_number(c["n"], "cylinder n"),
+                             _json_number(base, "cylinder base"),
+                             _json_number(c["h"], "cylinder h"))
         if "cone" in obj:
-            return ConeDomain(float(obj["cone"]["alpha"]), float(obj["cone"]["h"]))
+            cone = obj["cone"]
+            return ConeDomain(float(_json_number(cone["alpha"], "cone alpha")),
+                              float(_json_number(cone["h"], "cone h")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad domain JSON ({type(exc).__name__}: {exc})")
     raise ValueError(f"{path}: no 'vertices', 'cylinder', or 'cone' key")
@@ -169,9 +188,20 @@ def cmd_spectrum(args) -> int:
 
 
 def _source_spectrum(args):
-    if args.spectrum is not None:
-        return spectra.load_spectrum(args.spectrum)
-    return _compute_spectrum(args)
+    """The --spectrum file, or the spectrum built from the domain, by
+    default the first 100 SN eigenvalues; --problem, --count and --fem-h
+    set how it is built, so they are refused beside --spectrum."""
+    if args.spectrum is None:
+        args.problem = args.problem or "sn"
+        args.count = 100 if args.count is None else args.count
+        return _compute_spectrum(args)
+    given = [flag for flag, value in (("--problem", args.problem),
+                                      ("--count", args.count),
+                                      ("--fem-h", args.fem_h)) if value is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} set how a spectrum is built from "
+                         "--preset or --domain; --spectrum reads it from a file")
+    return spectra.load_spectrum(args.spectrum)
 
 
 def cmd_riesz(args) -> int:
@@ -219,10 +249,12 @@ def _add_domain_opts(p, required=False):
 def _add_source_opts(p):
     _add_domain_opts(p, required=True).add_argument(
         "--spectrum", help="spectrum CSV (from the spectrum command)")
-    p.add_argument("--problem", choices=["sn", "sd", "SN", "SD"], default="sn")
-    p.add_argument("--count", type=int, default=100,
-                   help="eigenvalues to compute when building from a domain")
-    p.add_argument("--fem-h", type=float, default=None,
+    p.add_argument("--problem", choices=["sn", "sd", "SN", "SD"],
+                   help="problem when building from a domain (default sn)")
+    p.add_argument("--count", type=int,
+                   help="eigenvalues to compute when building from a domain "
+                        "(default 100)")
+    p.add_argument("--fem-h", type=float,
                    help="target mesh size: force the finite-element solver")
 
 

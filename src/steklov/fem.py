@@ -24,6 +24,10 @@ the one after l - 1, with the three midlines eliminated by one dense
 Cholesky.  The copies of the last level are then summed and condensed onto
 the surface in turn, each eliminating what no later copy shares (nested
 dissection with exact reuse; A. George, SIAM J. Numer. Anal. 10, 1973).
+Which ids each copy brings, where they land and which go depend on the ids
+alone, so both condensations run from an elimination plan computed from
+them, cached per level for the rim recursion: the dense blocks are slices,
+and sums are built by row moves over runs of columns.
 :func:`dtn_spectrum` and :func:`dtn_with_error` number only the nodes on
 the base edges for this (the skeleton) and never build the mesh;
 :func:`dtn_matrices` condenses a :func:`triangulate` mesh through the
@@ -65,7 +69,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -792,65 +796,190 @@ def _split_maps(m: int) -> np.ndarray:
     return np.array(maps)
 
 
-def _eliminate(A, keep):
-    """(Schur complement of A onto the mask `keep`, stored entries of the
-    Cholesky factor of the eliminated block)."""
-    out = ~keep
-    n = int(out.sum())
-    if n == 0:
-        return A, 0
-    chol = scipy.linalg.cholesky(A[np.ix_(out, out)], lower=True,
-                                 overwrite_a=True, check_finite=False)
-    w = scipy.linalg.solve_triangular(chol, A[np.ix_(out, keep)], lower=True,
-                                      overwrite_b=True, check_finite=False)
-    S = A[np.ix_(keep, keep)]
-    S -= w.T @ w                            # a symmetric rank-n update
-    return S, n * (n + 1) // 2
+class _Moves(NamedTuple):
+    """Where the rows and columns of a dense block go: row i to rows[i],
+    and the columns by runs, (destination slice, source slice) pairs."""
+    rows: np.ndarray
+    cols: tuple
 
 
-def _condense(pieces, keep, drop=()):
-    """(ids, S, factor entries): the Schur complement onto the ids in `keep`
-    of the sum of the dense `pieces` (ids, matrix), with the ids in `drop`
-    held at zero; ``ids`` come out sorted.
+def _runs(dst, src) -> tuple:
+    """(destination slice, source slice) pairs that move column src[i] to
+    dst[i], for increasing `dst`: one per stretch of consecutive
+    destinations over evenly spaced sources."""
+    if dst.size == 0:
+        return ()
+    step = np.diff(src)
+    cut = np.diff(dst) != 1
+    cut[1:] |= step[1:] != step[:-1]
+    bounds = np.concatenate([[0], np.flatnonzero(cut) + 1, [dst.size]])
+    runs = []
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        by = int(step[a]) if b - a > 1 else 1
+        stop = int(src[a]) + by * (b - a)
+        runs.append((slice(int(dst[a]), int(dst[a]) + b - a),
+                     slice(int(src[a]), stop if stop >= 0 else None, by)))
+    return tuple(runs)
+
+
+def _scatter(at) -> _Moves:
+    """The moves that put row and column i of a block at `at`[i]."""
+    order = np.argsort(at)
+    return _Moves(at, _runs(at[order], order))
+
+
+class _Step(NamedTuple):
+    """One piece of a :func:`_plan`, as :func:`_condense` runs it."""
+    take: Optional[_Moves]      # gathers the piece's live rows, the own_out
+    own_out: int                # it eliminates alone first; None: it keeps
+                                # every row, in order
+    total: _Moves               # where the running total goes in the sum
+    piece: _Moves               # where the rest of the piece goes
+    fresh: tuple                # slices of the rows only the piece holds
+    size: int                   # order of the sum
+    out: int                    # its leading rows, eliminated after the sum
+
+
+class _Plan(NamedTuple):
+    steps: tuple                # one _Step per piece
+    ids: np.ndarray             # the ids left at the end, sorted
+    entries: int                # stored entries of all the Cholesky factors
+
+
+def _plan(pieces, keep, drop=()) -> _Plan:
+    """The elimination plan of :func:`_condense` for pieces with the id
+    arrays `pieces`, onto the ids in `keep`, with the ids in `drop` held at
+    zero; it reads the ids alone.
 
     The pieces are added in turn.  Each first eliminates, on its own, the
-    ids that neither the sum so far nor a later piece holds; after the
-    addition, the sum eliminates the ids no later piece holds.
+    live ids (those not dropped) that neither the sum so far nor a later
+    piece holds, in its own order; the sum with it is then laid out as
+    [ids no later piece holds, sorted | the rest, sorted], and the leading
+    block is eliminated.
     """
-    ids, total, entries = np.zeros(0, dtype=np.int64), np.zeros((0, 0)), 0
-    for k, (own, A) in enumerate(pieces):
+    ids, steps, entries = np.zeros(0, dtype=np.int64), [], 0
+    for k, own in enumerate(pieces):
         live = ~np.isin(own, drop)
-        needed = np.concatenate([keep] + [i for i, _A in pieces[k + 1:]])
+        needed = np.concatenate([keep, *pieces[k + 1:]])
         stay = live & (np.isin(own, needed) | np.isin(own, ids))
-        if not live.all():
-            A = A[np.ix_(live, live)]
-        A, e = _eliminate(A, stay[live])
+        gone = np.flatnonzero(live & ~stay)
+        take = None
+        if gone.size or not live.all():
+            rows = np.concatenate([gone, np.flatnonzero(stay)])
+            take = _Moves(rows, _runs(np.arange(rows.size), rows))
         own = own[stay]
         merged = np.union1d(ids, own)
-        new = np.zeros((merged.size, merged.size))
-        at = np.searchsorted(merged, ids)
-        new[np.ix_(at, at)] = total         # the first part writes zeros over
-        at = np.searchsorted(merged, own)
-        new[np.ix_(at, at)] += A
-        stay = np.isin(merged, needed)
-        total, e2 = _eliminate(new, stay)
-        ids, entries = merged[stay], entries + e + e2
-    return ids, total, entries
+        later = np.isin(merged, needed)
+        at = np.empty(merged.size, dtype=np.int64)
+        at[np.concatenate([np.flatnonzero(~later), np.flatnonzero(later)])] = \
+            np.arange(merged.size)
+        fresh = np.sort(at[~np.isin(merged, ids)])
+        out = merged.size - int(later.sum())
+        steps.append(_Step(take, gone.size,
+                           _scatter(at[np.searchsorted(merged, ids)]),
+                           _scatter(at[np.searchsorted(merged, own)]),
+                           tuple(d for d, _s in _runs(fresh, fresh)),
+                           merged.size, out))
+        entries += gone.size * (gone.size + 1) // 2 + out * (out + 1) // 2
+        ids = merged[later]
+    return _Plan(tuple(steps), ids, entries)
+
+
+def _eliminate(A, n):
+    """The Schur complement of A onto its trailing block, after eliminating
+    its leading n rows by a dense Cholesky: that block of A, updated in
+    place.  A is exactly symmetric, so its leading rows are read as its
+    leading columns: in a C-ordered A each is a contiguous run, which LAPACK
+    takes in by plain copies."""
+    if n == 0:
+        return A
+    lead = A[:, :n].T
+    chol = scipy.linalg.cholesky(lead[:, :n], lower=True, overwrite_a=True,
+                                 check_finite=False)
+    w = scipy.linalg.solve_triangular(chol, lead[:, n:], lower=True,
+                                      overwrite_b=True, check_finite=False)
+    S = A[n:, n:]
+    S -= w.T @ w                            # a symmetric rank-n update
+    return S
+
+
+def _gather(A, moves: _Moves) -> np.ndarray:
+    """A[np.ix_(moves.rows, moves.rows)], a run of columns at a time."""
+    rows, out = A[moves.rows], np.empty((moves.rows.size,) * 2)
+    for dst, src in moves.cols:
+        out[:, dst] = rows[:, src]
+    return out
+
+
+def _add(new, step: _Step, total, A) -> None:
+    """Lay the running total and the piece A into `new` as `step` plans.
+    The rows and columns only the piece holds are zeroed first, so the
+    piece adds onto zeros there and onto the total elsewhere."""
+    if step.take is not None:
+        A = _eliminate(_gather(A, step.take), step.own_out)
+    for dst in step.fresh:
+        new[dst] = 0.0
+        new[step.total.rows, dst] = 0.0
+    for dst, src in step.total.cols:
+        new[step.total.rows, dst] = total[:, src]
+    for dst, src in step.piece.cols:
+        new[step.piece.rows, dst] += A[:, src]
+
+
+def _condense(plan: _Plan, matrices) -> np.ndarray:
+    """The Schur complement onto ``plan.ids`` of the sum of the dense
+    symmetric `matrices`, one per piece of `plan` (:func:`_plan`).
+
+    The sums are built in two buffers that this call owns, in turn: each
+    zeroes the rows and columns only its piece holds, takes the running
+    total and adds the piece where the plan puts them, and is eliminated in
+    place, so its trailing block is the next total.  Every move is a row
+    gather or scatter over a run of columns.
+    """
+    buffers = [np.empty(max((s.size ** 2 for s in plan.steps[k::2]), default=0))
+               for k in (0, 1)]
+    total = np.zeros((0, 0))
+    for k, (step, A) in enumerate(zip(plan.steps, matrices)):
+        new = buffers[k % 2][:step.size ** 2].reshape(step.size, step.size)
+        _add(new, step, total, A)
+        total = _eliminate(new, step.out)
+    return total.copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _rim_plan(m: int) -> _Plan:
+    """The :func:`_plan` of one 4-split level: the four copies of
+    :func:`_split_maps` onto the parent's rim, 0 ... 6m - 1."""
+    return _plan(tuple(_split_maps(m)), np.arange(6 * m))
 
 
 def _rim_schur(B, first, last):
     """(B, factor entries): each base triangle's Schur complement onto its
     rim after `last` 4-splits, from B, the ones after `first` (the element
     stiffness at first = 0).  P1 stiffness is invariant under similarity, so
-    each level is four copies of the last, with the midlines eliminated."""
+    each level is four copies of the last, with the midlines eliminated, by
+    one cached :func:`_rim_plan` per level."""
     entries = 0
     for level in range(first, last):
-        m = 2 ** level
-        steps = [_condense([(idx, Bt) for idx in _split_maps(m)], np.arange(6 * m))
-                 for Bt in B]
-        B = [Bt for _ids, Bt, _e in steps]
-        entries += sum(e for _ids, _Bt, e in steps)
+        plan = _rim_plan(2 ** level)
+        B = [_condense(plan, [Bt] * 4) for Bt in B]
+        entries += len(B) * plan.entries
     return B, entries
+
+
+def _surface_pieces(rims, below, n_ids):
+    """(ids, matrices) of the pieces that :func:`_self_similar_schur`
+    condenses, base triangle by base triangle."""
+    m = rims.shape[1] // 6
+    if m == 0:
+        return list(rims), list(below)
+    ids, matrices = [], []
+    for t, (rim, B) in enumerate(zip(rims, below)):
+        midlines = n_ids + 3 * (m - 1) * t + np.arange(3 * (m - 1))
+        local = np.concatenate([rim, midlines])
+        ids += [local[idx] for idx in _split_maps(m)]
+        matrices += [B] * 4
+    return ids, matrices
 
 
 def _self_similar_schur(rims, below, n_ids, surface, removed):
@@ -858,22 +987,15 @@ def _self_similar_schur(rims, below, n_ids, surface, removed):
     zero, for base triangles with rims `rims` (:func:`_skeleton`) 4-split L
     times, from their rim matrices `below` after max(L - 1, 0) splits.  Each
     is four copies of that around three midlines, whose inner nodes get ids
-    from `n_ids` on; one :func:`_condense` over all the copies, base triangle
-    by base triangle, eliminates walls, midlines, spokes and the centroid.
+    from `n_ids` on; one :func:`_plan`, built for this call, eliminates
+    walls, midlines, spokes and the centroid as :func:`_condense` adds the
+    copies, base triangle by base triangle.
     """
-    m = rims.shape[1] // 6
-    if m == 0:
-        pieces = list(zip(rims, below))
-    else:
-        pieces = []
-        for t, (rim, B) in enumerate(zip(rims, below)):
-            midlines = n_ids + 3 * (m - 1) * t + np.arange(3 * (m - 1))
-            local = np.concatenate([rim, midlines])
-            pieces += [(local[idx], B) for idx in _split_maps(m)]
-    ids, S, e = _condense(pieces, surface, removed)
-    if not np.array_equal(ids, surface):
+    ids, matrices = _surface_pieces(rims, below, n_ids)
+    plan = _plan(ids, surface, removed)
+    if not np.array_equal(plan.ids, surface):
         raise RuntimeError("the 4-split condensation lost a surface node")
-    return S, e
+    return _condense(plan, matrices), plan.entries
 
 
 def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:

@@ -181,6 +181,33 @@ def test_spectrum_preset_and_domain_are_exclusive_sources(command, tmp_path,
         assert "--spectrum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["riesz", "--gamma", "1", "--grid", "0:2:1"],
+                                     ["asym", "--window", "1,2"]])
+@pytest.mark.parametrize("option", [["--problem", "sd"], ["--problem", "sn"],
+                                    ["--count", "5"], ["--fem-h", "0.1"]])
+def test_build_options_are_refused_beside_a_spectrum_file(command, option,
+                                                          tmp_path, capsys):
+    # they say how to build a spectrum from a domain; a file is already built
+    spec = tmp_path / "s.csv"
+    spectra.save_spectrum(spectra.rectangle_sn(math.pi, 1.0, 100), spec)
+    assert cli.main(command + ["--spectrum", str(spec), *option]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and option[0] in err
+
+
+@pytest.mark.parametrize("command", [["riesz", "--gamma", "1", "--grid", "0:20:5"],
+                                     ["asym", "--window", "5,30"]])
+def test_domain_builds_default_to_100_sn_eigenvalues(command, capsys):
+    source = ["--preset", "rectangle:pi,1"]
+    assert cli.main(command + source) == 0
+    implied = capsys.readouterr().out
+    assert cli.main(command + source + ["--problem", "sn", "--count", "100"]) == 0
+    assert capsys.readouterr().out == implied
+    assert cli.main(command + source + ["--problem", "sd", "--count", "50"]) == 0
+    assert capsys.readouterr().out != implied
+
+
 def test_spectrum_cone_is_an_input_error(capsys):
     assert cli.main(["spectrum", "--preset", "cone:pi/4,1", "--problem", "sn",
                      "--count", "3"]) == 2
@@ -387,6 +414,38 @@ def test_malformed_input_exits_2_with_one_error_line(argv, domain, tmp_path,
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+EXPLICIT = {"eigenvalues": [0, 1, 4], "bc": "neumann", "area": 2.0}
+
+
+@pytest.mark.parametrize("domain", [
+    {"cone": {"alpha": True, "h": 1}},
+    {"cone": {"alpha": 0.5, "h": True}},
+    {"cylinder": {"n": True, "base": 3.0, "h": 1}},
+    {"cylinder": {"n": 2, "base": True, "h": 1}},
+    {"cylinder": {"n": 3, "base": [1.0, False], "h": 1}},
+    {"cylinder": {"n": 2, "base": 3.0, "h": True}},
+    {"cylinder": {"n": 2, "base": {**EXPLICIT, "area": True}, "h": 1}},
+    {"cylinder": {"n": 2, "base": {**EXPLICIT, "eigenvalues": [0, True]},
+                  "h": 1}},
+    {"vertices": [[0, 0], [0, -1], [2, -1], [2, True]], "free_edges": [3]},
+], ids=["cone alpha", "cone h", "cylinder n", "cylinder base",
+        "cylinder base side", "cylinder h", "explicit area",
+        "explicit eigenvalues", "vertex"])
+def test_domain_json_booleans_are_no_numbers(domain, tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(domain))
+    with pytest.raises(ValueError, match="bad domain JSON .*must be a number, "
+                                         "got (true|false)"):
+        cli.load_domain(path)
+    spec = tmp_path / "s.csv"
+    spectra.save_spectrum(spectra.rectangle_sn(math.pi, 1.0, 100), spec)
+    assert cli.main(["verify", "--spectrum", str(spec), "--bound", "main",
+                     "--grid", "1:2:1", "--domain", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "bad domain JSON" in err
 
 
 def test_readme_domain_json_forms_load(tmp_path):

@@ -663,6 +663,132 @@ def test_dtn_with_error_memory_peak():
     assert peak < 50e6
 
 
+def reference_eliminate(A, keep):
+    """(Schur complement of A onto the mask `keep`, stored entries of the
+    Cholesky factor of the eliminated block)."""
+    out = ~keep
+    n = int(out.sum())
+    if n == 0:
+        return A, 0
+    chol = scipy.linalg.cholesky(A[np.ix_(out, out)], lower=True,
+                                 overwrite_a=True, check_finite=False)
+    w = scipy.linalg.solve_triangular(chol, A[np.ix_(out, keep)], lower=True,
+                                      overwrite_b=True, check_finite=False)
+    S = A[np.ix_(keep, keep)]
+    S -= w.T @ w                            # a symmetric rank-n update
+    return S, n * (n + 1) // 2
+
+
+def reference_condense(pieces, keep, drop=()):
+    """(ids, S, factor entries): the Schur complement onto the ids in `keep`
+    of the sum of the dense `pieces` (ids, matrix), with the ids in `drop`
+    held at zero; ``ids`` come out sorted.
+
+    The pieces are added in turn.  Each first eliminates, on its own, the
+    ids that neither the sum so far nor a later piece holds; after the
+    addition, the sum eliminates the ids no later piece holds.
+    """
+    ids, total, entries = np.zeros(0, dtype=np.int64), np.zeros((0, 0)), 0
+    for k, (own, A) in enumerate(pieces):
+        live = ~np.isin(own, drop)
+        needed = np.concatenate([keep] + [i for i, _A in pieces[k + 1:]])
+        stay = live & (np.isin(own, needed) | np.isin(own, ids))
+        if not live.all():
+            A = A[np.ix_(live, live)]
+        A, e = reference_eliminate(A, stay[live])
+        own = own[stay]
+        merged = np.union1d(ids, own)
+        new = np.zeros((merged.size, merged.size))
+        at = np.searchsorted(merged, ids)
+        new[np.ix_(at, at)] = total         # the first part writes zeros over
+        at = np.searchsorted(merged, own)
+        new[np.ix_(at, at)] += A
+        stay = np.isin(merged, needed)
+        total, e2 = reference_eliminate(new, stay)
+        ids, entries = merged[stay], entries + e + e2
+    return ids, total, entries
+
+
+@pytest.mark.parametrize("corners", [[(0, 0), (1, -1), (2, 0)],
+                                     [(0, 0), (1, 0), (2.7, 0.4)],
+                                     [(0, 0), (1, 0), (0.3, 0.05)]],
+                         ids=["right", "obtuse", "thin"])
+def test_rim_recursion_is_the_reference_condensation(corners):
+    # bit for bit, level by level, with the cached plan's factor entries
+    (B,) = fem._element_stiffness(np.array([corners], dtype=float))
+    for level in range(7):
+        m = 2 ** level
+        ids, want, entries = reference_condense(
+            [(idx, B) for idx in fem._split_maps(m)], np.arange(6 * m))
+        (B,), got_entries = fem._rim_schur([B], level, level + 1)
+        assert np.array_equal(fem._rim_plan(m).ids, ids)
+        assert B.tobytes() == want.tobytes() and got_entries == entries
+
+
+def assert_surface_condense_is_the_reference(d, problem, h):
+    """The final condensation of the 4-split solve of d at h, planned, is
+    the reference one bit for bit: ids, S and factor entries."""
+    nodes0, tris0, levels = fem._base_triangulation(d, h)
+    nodes, rims, chains = fem._skeleton(nodes0, tris0, levels)
+    mesh = fem._chain_mesh(nodes, chains, fem._tagged_mesh(d, nodes0, tris0), 1)
+    _free, surface, removed = fem._retained_surface(mesh, problem)
+    below, _e = fem._rim_schur(fem._element_stiffness(nodes0[tris0]), 0,
+                               max(levels - 1, 0))
+    ids, matrices = fem._surface_pieces(rims, below, nodes.shape[0])
+    want_ids, want, entries = reference_condense(list(zip(ids, matrices)),
+                                                 surface, removed)
+    plan = fem._plan(ids, surface, removed)
+    assert np.array_equal(plan.ids, want_ids) and plan.entries == entries
+    assert fem._condense(plan, matrices).tobytes() == want.tobytes()
+    S, got_entries = fem._self_similar_schur(rims, below, nodes.shape[0],
+                                             surface, removed)
+    assert S.tobytes() == want.tobytes() and got_entries == entries
+
+
+@pytest.mark.parametrize("problem", ["SN", "SD"])
+@pytest.mark.parametrize("name, h", [("triangle", 0.3), ("triangle", 0.05),
+                                     ("fan", 0.3), ("fan", 0.1),
+                                     ("fan-wide", 0.1), ("spoked", 0.3),
+                                     ("spoked", 0.1)])
+def test_surface_condense_is_the_reference_condensation(name, h, problem):
+    assert_surface_condense_is_the_reference(SPECTRUM_DOMAINS[name], problem, h)
+
+
+def test_condense_buffers_belong_to_one_call(monkeypatch):
+    # a whole solve of another domain inside the triangle's surface
+    # condensation leaves both results as they are alone
+    tri, fan = SPECTRUM_DOMAINS["triangle"], SPECTRUM_DOMAINS["fan-wide"]
+    alone = [fem.dtn_with_error(d, "SD", 8, 0.05) for d in (tri, fan)]
+    real, calls, nested = fem._add, [], []
+
+    def add(*args):
+        calls.append(None)
+        if len(calls) == trigger:
+            nested.append(fem.dtn_with_error(fan, "SD", 8, 0.05))
+        return real(*args)
+
+    monkeypatch.setattr(fem, "_add", add)
+    trigger = 0
+    fem.dtn_with_error(tri, "SD", 8, 0.05)
+    trigger, calls = len(calls) - 2, []         # the last condensation
+    outer = fem.dtn_with_error(tri, "SD", 8, 0.05)
+    assert nested
+    for (fine, errors), (want, want_errors) in zip((outer, nested[0]), alone):
+        assert fine.values.tobytes() == want.values.tobytes()
+        assert errors.tobytes() == want_errors.tobytes()
+
+
+def test_rim_plans_are_cached_once_per_level():
+    d = MESHER_DOMAINS["triangle"]
+    fem._rim_plan.cache_clear()
+    fem.dtn_with_error(d, "SN", 4, 0.01)
+    levels = max(fem._base_triangulation(d, 0.005)[2] - 1, 0)
+    assert 0 < fem._rim_plan.cache_info().currsize <= levels
+    fem.dtn_with_error(d, "SD", 4, 0.01)
+    info = fem._rim_plan.cache_info()
+    assert info.currsize <= levels and info.hits >= levels
+
+
 def test_four_split_label_is_the_exact_mesh_size():
     # the base mesh size over 2**L; the mesh's own longest side reads
     # about 1e-14 high, which moved this label's sixth digit
@@ -727,6 +853,15 @@ def test_schur_complement_matches_dense_oracle_random_convex(d, problem):
     pair = fem.dtn_matrices(mesh, problem)
     assert pair.S == pytest.approx(dense_schur(mesh, pair, problem), abs=1e-10)
     assert pair.asymmetry < 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=convex_polygons(), problem=st.sampled_from(["SN", "SD"]),
+       fraction=st.floats(0.03, 0.3))
+def test_surface_condense_is_the_reference_random_convex(d, problem, fraction):
+    span = d.vertices.max(axis=0) - d.vertices.min(axis=0)
+    assert_surface_condense_is_the_reference(d, problem,
+                                             fraction * float(np.hypot(*span)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,6 +28,20 @@ Which ids each copy brings, where they land and which go depend on the ids
 alone, so both condensations run from an elimination plan computed from
 them, cached per level for the rim recursion: the dense blocks are slices,
 and sums are built by row moves over runs of columns.
+
+Mirror symmetry halves both condensations (the even and odd sectors of
+A. Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  A base
+triangle with equal sides at a vertex keeps its rim matrix as the pair of
+its sectors: of its four copies, the middle one and the one at that apex
+map onto themselves and bring their sectors as they are, and the other two
+swap, so they bring one whole matrix, rebuilt from the sectors; each level
+is two condensations of half the order.  When the reflection about the
+middle of the domain's x-range maps its vertices, tags and skeleton onto
+themselves, the final condensation also runs once per sector, on the
+orbits of the mirror, with one base triangle of each mirrored pair, and S
+comes back from the two sectors by scalings with powers of two and one
+addition per entry.  Both checks read the input; anything else condenses
+whole.
 :func:`dtn_spectrum` and :func:`dtn_with_error` number only the nodes on
 the base edges for this (the skeleton) and never build the mesh;
 :func:`dtn_matrices` condenses a :func:`triangulate` mesh through the
@@ -67,6 +81,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -332,9 +347,40 @@ def _base_triangulation(d: PolygonalDomain, target_h: float):
     longest = max(float(d.edge_lengths.max()),
                   Mesh(nodes0, tris0, []).mesh_size / 1.5)
     splits = 0
-    while longest / 2 ** splits > target_h:
+    while math.ldexp(longest, -splits) > target_h:
         splits += 1
+    # the largest dense blocks are _condense's two buffers in the final
+    # condensation, whose sums hold at most every skeleton node (the base
+    # nodes and 2**L - 1 more on each base edge) and the midlines of one
+    # base triangle; the rim recursion's sums are smaller
+    edges = 3 if m == 3 else 2 * m
+    order = (len(nodes0) + edges * (2 ** splits - 1)
+             + 3 * max(2 ** (splits - 1) - 1, 0))
+    _check_dense(target_h, (splits, "4-splits", "two sum buffers"), order, 2)
     return nodes0, tris0, splits
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_dense(target_h: float, why: tuple, order: int, blocks: int) -> None:
+    """A ValueError, before anything is allocated, if `blocks` dense blocks
+    of order `order`, which a solve at target_h needs, do not fit in physical
+    memory.  `why` is (count, of what, which blocks) for the message."""
+    need, memory = blocks * 8 * order ** 2, _physical_memory()
+    if memory is not None and need > memory:
+        from decimal import Decimal         # exact for any int
+
+        count, unit, which = why
+        raise ValueError(f"target_h = {target_h} needs {Decimal(count):.4g} "
+                         f"{unit}, with {which} of order {Decimal(order):.4g}:"
+                         f" {Decimal(need):.3g} bytes, more than the {memory} "
+                         "bytes of physical memory; choose a larger target_h")
 
 
 def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
@@ -367,8 +413,13 @@ def _grid(d: PolygonalDomain, target_h: float):
     axis rectangle d, N x n_y cells of h_x x h_y on the lines xs and ys."""
     x0, y0 = d.vertices.min(axis=0)
     x1, y1 = d.vertices.max(axis=0)
-    nx = max(1, math.ceil((x1 - x0) / target_h))
-    ny = max(1, math.ceil((y1 - y0) / target_h))
+    cells = float(x1 - x0) / target_h, float(y1 - y0) / target_h
+    if not all(map(math.isfinite, cells)):
+        raise ValueError(f"target_h = {target_h} needs more grid cells than "
+                         "a float counts; choose a larger target_h")
+    nx, ny = (max(1, math.ceil(n)) for n in cells)
+    # _grid_schur's blocks of order N + 1: the index table, V, X and S
+    _check_dense(target_h, (nx, "grid columns", "four surface blocks"), nx + 1, 4)
     return ((nx, (x1 - x0) / nx, ny, (y1 - y0) / ny),
             np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
 
@@ -532,7 +583,9 @@ class DtnMatrixPair:
     ``factor_nnz`` counts the stored entries of the factors the condensation
     took: nnz(L) + nnz(U) of the bordered sparse LU; on 4-split meshes,
     n (n + 1) / 2 for every dense Cholesky factor of order n, summed over the
-    refinement levels and the surface condensation; on the rectangle grid,
+    refinement levels and the surface condensation, and over both sectors
+    where those run in the even and odd sectors of a mirror; on the
+    rectangle grid,
     the per-mode tridiagonal factors, modes x (2 rows - 1), with `rows` the
     grid rows each mode's recurrence runs over.
     """
@@ -646,8 +699,10 @@ def _source_schur(mesh: Mesh, problem: str, surface, removed):
         return None
     if base is None:
         return _grid_schur(*dims, problem)
-    B, e = _rim_schur(_element_stiffness(nodes0[tris0]), 0, max(levels - 1, 0))
-    S, e2 = _self_similar_schur(rims, B, nodes.shape[0], own_surface, own_removed)
+    mirror = _mirror(d, nodes0, tris0, nodes, chains)
+    B, e = _rim_schur(_rim_start(nodes0, tris0, mirror), 0, max(levels - 1, 0))
+    S, e2 = _self_similar_schur(rims, B, nodes.shape[0], own_surface, own_removed,
+                                mirror)
     return S, e + e2
 
 
@@ -767,6 +822,22 @@ def _grid_schur(N: int, h_x: float, n_y: int, h_y: float, problem: str):
 
 # -- self-similar condensation of 4-split meshes ----------------------------
 
+def _copy_lattice(m: int) -> list:
+    """For each of the four copies of :func:`_split_maps`, the parent's
+    lattice coordinates (i, j, k) of its rim nodes in rim order: the
+    weights of the parent's a, b, c, summing to 2m."""
+    n = 2 * m
+    r = np.arange(m)
+    zero = np.zeros(m, dtype=np.int64)
+    # a copy's rim in its own lattice coordinates (weights of its a, b, c)
+    rim = np.concatenate([np.stack([m - r, r, zero]), np.stack([zero, m - r, r]),
+                          np.stack([r, zero, m - r])], axis=1)
+    a, b, c = (n, 0, 0), (0, n, 0), (0, 0, n)
+    ab, bc, ca = (m, m, 0), (0, m, m), (m, 0, m)
+    return [np.array(corners).T @ rim // m
+            for corners in ((bc, ca, ab), (a, ab, ca), (ab, b, bc), (ca, bc, c))]
+
+
 @functools.lru_cache(maxsize=None)
 def _split_maps(m: int) -> np.ndarray:
     """Where the four half-size copies of a triangle refined 2m per side sit.
@@ -779,16 +850,8 @@ def _split_maps(m: int) -> np.ndarray:
     (ab, b, bc) and (ca, bc, c).
     """
     n = 2 * m
-    r = np.arange(m)
-    zero = np.zeros(m, dtype=np.int64)
-    # a copy's rim in its own lattice coordinates (weights of its a, b, c)
-    rim = np.concatenate([np.stack([m - r, r, zero]), np.stack([zero, m - r, r]),
-                          np.stack([r, zero, m - r])], axis=1)
-    a, b, c = (n, 0, 0), (0, n, 0), (0, 0, n)
-    ab, bc, ca = (m, m, 0), (0, m, m), (m, 0, m)
     maps = []
-    for corners in ((bc, ca, ab), (a, ab, ca), (ab, b, bc), (ca, bc, c)):
-        i, j, k = np.array(corners).T @ rim // m    # parent lattice coordinates
+    for i, j, k in _copy_lattice(m):
         inner = np.where(j == m, 3 * n + k - 1,
                          np.where(k == m, 3 * n + m - 2 + i, 3 * n + 2 * m - 3 + j))
         maps.append(np.where(k == 0, j, np.where(i == 0, n + k,
@@ -953,36 +1016,327 @@ def _rim_plan(m: int) -> _Plan:
     return _plan(tuple(_split_maps(m)), np.arange(6 * m))
 
 
+class _Sectors(NamedTuple):
+    """The rim matrix B of a triangle with equal sides at vertex `apex`, in
+    the even and odd sectors of the mirror that fixes the apex and swaps the
+    two other vertices.  With P the rim nodes on the side of vertex apex + 1,
+    tP their mirror images and F the nodes on the axis, in the order of
+    :func:`_sector_rows`,
+
+        even = [[B[P,P] + B[P,tP], B[P,F]], [B[F,P], B[F,F] / 2]],
+        odd = B[P,P] - B[P,tP]:
+
+    half of E^T B E and D^T B D, where E has the columns e_p + e_tp and e_f
+    and D the columns e_p - e_tp, so the energy of half the triangle."""
+    apex: int
+    even: np.ndarray
+    odd: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_rows(M: int, apex: int):
+    """(P, F): the rim positions (M per side) of the rows of a
+    :class:`_Sectors`.  P runs from vertex apex + 1 to the middle of its
+    side, then from the apex back towards that vertex; F is that middle
+    (for even M) and the apex.  The mirror maps position p to
+    (2 apex M - p) mod 3M."""
+    t1 = (apex + 1) % 3
+    q = np.concatenate([np.arange((M + 1) // 2), np.arange(2 * M + 1, 3 * M)])
+    middle = [t1 * M + M // 2] if M % 2 == 0 else []
+    return (t1 * M + q) % (3 * M), np.array(middle + [apex * M])
+
+
+def _unfolded_rows(M: int, apex: int) -> np.ndarray:
+    """The rim positions (M per side) of the rows of :func:`_unfold`,
+    [tP | F | P]."""
+    P, F = _sector_rows(M, apex)
+    return np.concatenate([(2 * apex * M - P) % (3 * M), F, P])
+
+
+def _whole(B, M: int):
+    """(rows, matrix): a rim matrix (M per side) as a full matrix, with the
+    rim position of each row."""
+    if not isinstance(B, _Sectors):
+        return np.arange(3 * M), B
+    return _unfolded_rows(M, B.apex), _unfold(B.even, B.odd)
+
+
+def _unfold(even, odd):
+    """The matrix whose sectors (:class:`_Sectors`) are `even` and `odd`,
+    with rows [tP | F | P]: scalings by powers of two and one addition per
+    entry, so it is exactly symmetric and exactly mirror symmetric."""
+    n, f = odd.shape[0], even.shape[0] - odd.shape[0]
+    B = np.empty((2 * n + f,) * 2)
+    near, far = B[:n, :n], B[:n, n + f:]
+    np.add(even[:n, :n], odd, out=near)
+    near *= 0.5
+    np.subtract(even[:n, :n], odd, out=far)
+    far *= 0.5
+    B[n + f:, n + f:] = near
+    B[n + f:, :n] = far
+    B[n:n + f, :n] = B[n:n + f, n + f:] = even[n:, :n]
+    B[:n, n:n + f] = B[n + f:, n:n + f] = even[:n, n:]
+    np.multiply(even[n:, n:], 2.0, out=B[n:n + f, n:n + f])
+    return B
+
+
+def _fold(K, apex: int) -> _Sectors:
+    """The :class:`_Sectors` of the element stiffness K of a triangle with
+    equal sides at `apex`.  Mirror images are summed first, so both sectors
+    are exactly symmetric."""
+    a, b = (apex + 1) % 3, (apex + 2) % 3
+    own, cross = K[a, a] + K[b, b], K[a, b] + K[b, a]
+    side = 0.5 * (K[a, apex] + K[b, apex])
+    return _Sectors(apex, np.array([[0.5 * (own + cross), side],
+                                    [side, 0.5 * K[apex, apex]]]),
+                    np.array([[0.5 * (own - cross)]]))
+
+
+def _isoceles_apex(corners):
+    """The first vertex of the triangle `corners` (3, 2) whose two sides are
+    equal to within a few ulps of the longest side, or None."""
+    sides = np.hypot(*(np.roll(corners, -1, axis=0) - corners).T)
+    tol = 8 * np.finfo(float).eps * sides.max()
+    for apex in range(3):
+        if abs(sides[apex] - sides[apex - 1]) <= tol:
+            return apex
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_mirror(m: int, apex: int):
+    """(partner, side) over the parent nodes of :func:`_split_maps`: the
+    image of each under the mirror that swaps the weights
+    (:func:`_copy_lattice`) of the two vertices other than `apex`, and its
+    side of the axis (1 towards vertex apex + 1, 0 on it, -1 towards vertex
+    apex + 2)."""
+    maps = _split_maps(m)
+    weights = np.empty((6 * m + 3 * (m - 1), 3), dtype=np.int64)
+    for idx, lattice in zip(maps, _copy_lattice(m)):
+        weights[idx] = lattice.T
+    t1, t2 = (apex + 1) % 3, (apex + 2) % 3
+    image = weights.copy()
+    image[:, [t1, t2]] = weights[:, [t2, t1]]
+    base = (2 * m + 1) ** np.arange(3)
+    key = weights @ base
+    order = np.argsort(key)
+    partner = order[np.searchsorted(key, image @ base, sorter=order)]
+    return partner, np.sign(weights[:, t1] - weights[:, t2])
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_pieces(m: int, apex: int):
+    """The even and odd sectors of one 4-split level of a :class:`_Sectors`
+    rim matrix, m per side, onto the parent's, each as (the pieces' ids,
+    the ids kept, the ids held at zero).
+
+    The middle copy and the copy at the apex map onto themselves with the
+    parent's local reversal, so each brings its sectors as they are.  The
+    two other corner copies swap, so together they bring one whole matrix
+    (:func:`_unfold`), last: the copy at vertex apex + 1, whose first row
+    lies on the axis, which the odd sector holds at zero.  The ids are the
+    orbits of the parent's mirror, numbered so that the sums come out in
+    the parent's :func:`_sector_rows` order: P by position, the two axis
+    nodes, then the midlines."""
+    partner, side = _lattice_mirror(m, apex)
+    orbit = np.arange(partner.size) + 2
+    P, F = _sector_rows(2 * m, apex)
+    orbit[P] = np.arange(P.size)
+    orbit[F] = 6 * m + np.arange(2)
+    orbit[side < 0] = orbit[partner[side < 0]]
+    maps = _split_maps(m)
+    cP, cF = _sector_rows(m, apex)
+    corner = orbit[maps[(apex + 1) % 3 + 1][_unfolded_rows(m, apex)]]
+    own = [orbit[maps[k]] for k in (0, apex + 1)]
+    keep = np.arange(P.size)
+    return (((*(c[np.concatenate([cP, cF])] for c in own), corner),
+             np.concatenate([keep, orbit[F]]), orbit[:0]),
+            ((*(c[cP] for c in own), corner[1:]), keep, orbit[side == 0]))
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_plans(m: int, apex: int):
+    """The :func:`_plan` of each sector of :func:`_sector_pieces`."""
+    return tuple(_plan(*sector) for sector in _sector_pieces(m, apex))
+
+
 def _rim_schur(B, first, last):
     """(B, factor entries): each base triangle's Schur complement onto its
     rim after `last` 4-splits, from B, the ones after `first` (the element
     stiffness at first = 0).  P1 stiffness is invariant under similarity, so
     each level is four copies of the last, with the midlines eliminated, by
-    one cached :func:`_rim_plan` per level."""
+    one cached :func:`_rim_plan` per level.
+
+    An entry of B given as :class:`_Sectors` (:func:`_rim_start`) stays in
+    them: each level is then two condensations of half the order, by the
+    cached :func:`_sector_plans`; an entry None stays None.
+    """
     entries = 0
     for level in range(first, last):
-        plan = _rim_plan(2 ** level)
-        B = [_condense(plan, [Bt] * 4) for Bt in B]
-        entries += len(B) * plan.entries
+        m, out = 2 ** level, []
+        for Bt in B:
+            if isinstance(Bt, _Sectors):
+                even, odd = _sector_plans(m, Bt.apex)
+                whole = _unfold(Bt.even, Bt.odd)
+                Bt = _Sectors(Bt.apex, _condense(even, [Bt.even, Bt.even, whole]),
+                              _condense(odd, [Bt.odd, Bt.odd, whole[1:, 1:]]))
+                entries += even.entries + odd.entries
+            elif Bt is not None:
+                plan = _rim_plan(m)
+                Bt = _condense(plan, [Bt] * 4)
+                entries += plan.entries
+            out.append(Bt)
+        B = out
     return B, entries
+
+
+class _Mirror(NamedTuple):
+    """A mirror x -> 2c - x that maps a 4-split domain onto itself."""
+    partner: np.ndarray     # the image of each skeleton node
+    left: np.ndarray        # which skeleton nodes lie left of the axis
+    roles: tuple            # per base triangle: the index of its vertex on
+                            # the axis if it is its own image, -1 if its
+                            # image comes later, None if earlier
+
+
+def _mirror(d: PolygonalDomain, nodes0, tris0, nodes, chains):
+    """The :class:`_Mirror` of d on the skeleton (nodes, chains) of its base
+    (nodes0, tris0), or None.  The reflection about the middle of d's
+    x-range must map the base vertices onto base vertices and each edge onto
+    one of its tag, to within a few ulps of the diameter.  The skeleton's
+    nodes, their images by chains, must confirm it, to within what the
+    midpoint rounding of 64 splits could add, so that no split count
+    decides otherwise than the base."""
+    verts, eps = d.vertices, np.finfo(float).eps
+    tol = 8 * eps * float(np.hypot(*np.ptp(verts, axis=0)))
+    twice_c = verts[:, 0].min() + verts[:, 0].max()
+
+    def image(p):
+        return np.column_stack([twice_c - p[:, 0], p[:, 1]])
+
+    gap = np.abs(image(nodes0)[:, None] - nodes0[None]).max(axis=2)
+    tau = np.argmin(gap, axis=1)
+    n = d.n_vertices
+    if gap[np.arange(tau.size), tau].max() > tol \
+            or np.any(tau[tau] != np.arange(tau.size)):
+        return None
+    for i in range(n):          # edge i, reversed, is the edge from tau(i + 1)
+        j = int(tau[(i + 1) % n])
+        if (j + 1) % n != tau[i] or d.edge_tag(j) != d.edge_tag(i):
+            return None
+    partner = np.arange(nodes.shape[0])
+    partner[:tau.size] = tau
+    for (lo, hi), chain in chains.items():
+        a, b = int(tau[lo]), int(tau[hi])
+        partner[chain] = chains[min(a, b), max(a, b)][::1 if a < b else -1]
+    if np.abs(image(nodes[partner]) - nodes).max() \
+            > 2 * tol + 64 * eps * np.abs(nodes).max():
+        return None
+    which = {frozenset(tri): k for k, tri in enumerate(tris0.tolist())}
+    roles = []
+    for k, tri in enumerate(tris0.tolist()):
+        other = which[frozenset(tau[tri].tolist())]
+        roles.append(int(np.flatnonzero(tau[tri] == tri)[0]) if other == k
+                     else -1 if other > k else None)
+    return _Mirror(partner, nodes[:, 0] < nodes[partner, 0], tuple(roles))
+
+
+def _rim_start(nodes0, tris0, mirror: Optional[_Mirror]) -> list:
+    """Each base triangle's rim matrix before any split, for
+    :func:`_rim_schur`: its element stiffness, as :class:`_Sectors` when two
+    of its sides are equal (about the vertex on the axis if the mirror maps
+    it onto itself), and None when the mirror makes it the image of an
+    earlier one."""
+    out = []
+    for k, (K, corners) in enumerate(zip(_element_stiffness(nodes0[tris0]),
+                                         nodes0[tris0])):
+        role = -1 if mirror is None else mirror.roles[k]
+        if role is None:
+            out.append(None)
+            continue
+        apex = role if role >= 0 else _isoceles_apex(corners)
+        out.append(K if apex is None else _fold(K, apex))
+    return out
 
 
 def _surface_pieces(rims, below, n_ids):
     """(ids, matrices) of the pieces that :func:`_self_similar_schur`
-    condenses, base triangle by base triangle."""
+    condenses, base triangle by base triangle; :class:`_Sectors` come in
+    whole (:func:`_whole`)."""
     m = rims.shape[1] // 6
-    if m == 0:
-        return list(rims), list(below)
     ids, matrices = [], []
     for t, (rim, B) in enumerate(zip(rims, below)):
+        rows, B = _whole(B, max(m, 1))
+        if m == 0:
+            ids.append(rim[rows])
+            matrices.append(B)
+            continue
         midlines = n_ids + 3 * (m - 1) * t + np.arange(3 * (m - 1))
         local = np.concatenate([rim, midlines])
-        ids += [local[idx] for idx in _split_maps(m)]
+        ids += [local[idx[rows]] for idx in _split_maps(m)]
         matrices += [B] * 4
     return ids, matrices
 
 
-def _self_similar_schur(rims, below, n_ids, surface, removed):
+def _mirror_sectors(rims, below, n_ids, surface, removed, mirror: _Mirror):
+    """(sectors, at): the even and odd sectors of :func:`_self_similar_schur`
+    on a mirrored domain, each as (the pieces' ids, their matrices, the ids
+    kept, the ids held at zero), and where each of `surface` sits in the
+    :func:`_unfold` of the two.
+
+    A base triangle that is its own image brings its middle copy and copy
+    at the apex (or, unsplit, itself) in sectors and its copy at vertex
+    apex + 1 whole, as one level of :func:`_rim_schur` does; one of each
+    mirrored pair brings its four copies whole, the other nothing.  An id
+    stands for itself and its image, numbered by the smaller of the two, or
+    after all pairs if it is its own image, which the odd sector holds at
+    zero.  Each piece lies on one side of the axis or comes in sectors, so
+    the odd sector takes the nodes on one side as its signs: S has those
+    left of the axis in the last block of the unfolding."""
+    m = rims.shape[1] // 6
+    inner = 3 * max(m - 1, 0)
+    partner = np.full(n_ids + inner * len(rims), -1)
+    partner[:n_ids] = mirror.partner
+    even, odd = [], []
+    for t, (rim, B, role) in enumerate(zip(rims, below, mirror.roles)):
+        if role is None:
+            continue
+        local = np.concatenate([rim, n_ids + inner * t + np.arange(inner)])
+        copies = _split_maps(m) if m else np.arange(3)[None]
+        if role < 0:
+            rows, B = _whole(B, max(m, 1))
+            for idx in copies:
+                even.append((local[idx[rows]], B))
+                odd.append((local[idx[rows]], B))
+            continue
+        P, F = _sector_rows(max(m, 1), role)
+        own = [local[idx] for idx in copies]
+        if m:
+            partner[local] = local[_lattice_mirror(m, role)[0]]
+            own = [own[0], own[role + 1]]
+        for ids in own:
+            even.append((ids[np.concatenate([P, F])], B.even))
+            odd.append((ids[P], B.odd))
+        if m:
+            ids = local[copies[(role + 1) % 3 + 1][_unfolded_rows(m, role)]]
+            whole = _unfold(B.even, B.odd)
+            even.append((ids, whole))
+            odd.append((ids[1:], whole[1:, 1:]))
+    ids = np.arange(partner.size)
+    orbit = np.where(partner < 0, ids, np.minimum(ids, partner))
+    orbit[partner == ids] += partner.size
+    keep = np.unique(orbit[surface])
+    at = np.searchsorted(keep, orbit[surface])
+    at[mirror.left[surface]] += keep.size
+    drop = orbit[removed]
+    return [([orbit[i] for i, _B in pieces], [B for _i, B in pieces], kept, held)
+            for pieces, kept, held in (
+                (even, keep, drop),
+                (odd, keep[keep < partner.size],
+                 np.union1d(drop, orbit[partner == ids])))], at
+
+
+def _self_similar_schur(rims, below, n_ids, surface, removed, mirror=None):
     """(S, factor entries) on `surface` (sorted ids), `removed` held at
     zero, for base triangles with rims `rims` (:func:`_skeleton`) 4-split L
     times, from their rim matrices `below` after max(L - 1, 0) splits.  Each
@@ -990,33 +1344,53 @@ def _self_similar_schur(rims, below, n_ids, surface, removed):
     from `n_ids` on; one :func:`_plan`, built for this call, eliminates
     walls, midlines, spokes and the centroid as :func:`_condense` adds the
     copies, base triangle by base triangle.
+
+    Given the domain's :class:`_Mirror` (and `below` from :func:`_rim_start`
+    with it), this runs once per sector, on the orbits of the mirror
+    (:func:`_mirror_sectors`), and S comes back from the two by
+    :func:`_unfold`; without it, every base triangle comes in whole.
     """
-    ids, matrices = _surface_pieces(rims, below, n_ids)
-    plan = _plan(ids, surface, removed)
-    if not np.array_equal(plan.ids, surface):
-        raise RuntimeError("the 4-split condensation lost a surface node")
-    return _condense(plan, matrices), plan.entries
+    if mirror is None:
+        ids, matrices = _surface_pieces(rims, below, n_ids)
+        sectors, at = [(ids, matrices, surface, removed)], None
+    else:
+        sectors, at = _mirror_sectors(rims, below, n_ids, surface, removed, mirror)
+    out, entries = [], 0
+    for ids, matrices, keep, drop in sectors:
+        plan = _plan(ids, keep, drop)
+        if not np.array_equal(plan.ids, keep):
+            raise RuntimeError("the 4-split condensation lost a surface node")
+        out.append(_condense(plan, matrices))
+        entries += plan.entries
+    if at is None:
+        return out[0], entries
+    return _unfold(*out)[np.ix_(at, at)], entries
 
 
 def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:
     """The FEM Spectrum at each of `target_hs` in turn.  Triangles and
     convex fans condense from one :func:`_skeleton` at the finest split
-    count, a coarser solve on every other rim node, and one rim recursion
-    goes on from solve to solve; axis rectangles take the grid's Fourier
+    count, a coarser solve on every other rim node, and one rim recursion,
+    in mirror sectors where :func:`_mirror` and :func:`_rim_start` find
+    them, goes on from solve to solve; axis rectangles take the grid's Fourier
     modes (:func:`_grid_schur`) and its boundary (:func:`_grid_rim`).
     Neither builds the mesh."""
     check_problem(problem)
     (count,) = specfun.indices(count, "count must be a positive integer")
     bases = [_base_triangulation(d, h) for h in target_hs]
+    # the grids too, so that every size check comes before any solve
+    grids = [_grid(d, h) if base is None else None
+             for h, base in zip(target_hs, bases)]
     if bases[-1] is not None:
         nodes0, tris0, top = bases[-1]
         tagged = _tagged_mesh(d, nodes0, tris0)
         nodes, rims, chains = _skeleton(nodes0, tris0, top)
-        done, below = 0, (_element_stiffness(nodes0[tris0]), 0)
+        mirror = _mirror(d, nodes0, tris0, nodes, chains)
+        done, below = 0, (_rim_start(nodes0, tris0, mirror), 0)
     out = []
-    for h, base in zip(target_hs, bases):
-        if base is None:
-            dims, xs, ys = _grid(d, h)
+    for base, grid in zip(bases, grids):
+        if grid:
+            dims, xs, ys = grid
             mesh = _grid_rim(d, xs, ys)
         else:
             step = 2 ** (top - base[2])
@@ -1025,14 +1399,14 @@ def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:
         if count > surface.size - 1:
             raise ValueError(f"count = {count} exceeds the {surface.size} "
                              "surface unknowns minus one; refine the mesh")
-        if base is None:
+        if grid:
             S, e = _grid_schur(*dims, problem)
             label = _grid_size(xs, ys)
         else:
             B, e = _rim_schur(below[0], done, max(base[2] - 1, 0))
             done, below = max(base[2] - 1, 0), (B, below[1] + e)
             S, e = _self_similar_schur(rims[:, ::step], B, nodes.shape[0],
-                                       surface, removed)
+                                       surface, removed, mirror)
             e += below[1]
             label = tagged.mesh_size / 2 ** base[2]      # exact for L 4-splits
         pair = _pair(S, _boundary_mass(mesh), free, surface, e)

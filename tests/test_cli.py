@@ -153,6 +153,21 @@ def test_spectrum_count_zero_says_the_same_on_both_paths(fem_h, capsys):
     assert "count must be a positive integer, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset, need", [
+    ("isoceles-triangle:2,pi/4", "needs 998 4-splits"),
+    ("rectangle:pi,1", "needs 3.142e+300 grid columns")])
+def test_spectrum_tiny_fem_h_exits_2_with_one_error_line(preset, need, capsys,
+                                                         monkeypatch):
+    from steklov import fem
+    monkeypatch.setattr(fem, "_physical_memory", lambda: 8 * 10 ** 9)
+    assert cli.main(["spectrum", "--preset", preset, "--problem", "sn",
+                     "--count", "3", "--fem-h", "1e-300"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: target_h = 1e-300 {need}")
+    assert "bytes of physical memory" in err
+
+
 def test_spectrum_needs_fem_for_irregular_polygon(capsys):
     rc = cli.main(["spectrum", "--preset", "isoceles-triangle:2,pi/4",
                    "--problem", "sn", "--count", "5"])

@@ -779,14 +779,17 @@ def test_condense_buffers_belong_to_one_call(monkeypatch):
 
 
 def test_rim_plans_are_cached_once_per_level():
-    d = MESHER_DOMAINS["triangle"]
-    fem._rim_plan.cache_clear()
-    fem.dtn_with_error(d, "SN", 4, 0.01)
-    levels = max(fem._base_triangulation(d, 0.005)[2] - 1, 0)
-    assert 0 < fem._rim_plan.cache_info().currsize <= levels
-    fem.dtn_with_error(d, "SD", 4, 0.01)
-    info = fem._rim_plan.cache_info()
-    assert info.currsize <= levels and info.hits >= levels
+    # the isoceles triangle's rim levels run in sectors, the fan's side
+    # triangles whole; either kind of plan is built once per level
+    for d, h, plans in ((MESHER_DOMAINS["triangle"], 0.01, fem._sector_plans),
+                        (MESHER_DOMAINS["fan"], 0.02, fem._rim_plan)):
+        plans.cache_clear()
+        fem.dtn_with_error(d, "SN", 4, h)
+        levels = max(fem._base_triangulation(d, h / 2)[2] - 1, 0)
+        assert 0 < plans.cache_info().currsize <= levels
+        fem.dtn_with_error(d, "SD", 4, h)
+        info = plans.cache_info()
+        assert info.currsize <= levels and info.hits >= levels
 
 
 def test_four_split_label_is_the_exact_mesh_size():
@@ -872,6 +875,244 @@ def test_surface_condense_is_the_reference_random_convex(d, problem, fraction):
 def test_refining_meshers_nest_random_convex(d, fraction):
     span = d.vertices.max(axis=0) - d.vertices.min(axis=0)
     assert_split_once(d, fraction * float(np.hypot(*span)))
+
+
+@st.composite
+def mirror_polygons(draw):
+    """Convex polygons with the mirror x -> 2c - x, free surface on top:
+    isoceles triangles of any apex depth and symmetric 4- to 6-gons, their
+    lower vertices on an ellipse."""
+    c = draw(st.sampled_from([0.0, 0.75, -2.5]))
+    half = draw(st.floats(0.5, 1.5))
+    depth = draw(st.floats(0.05, 3.0))
+    k = draw(st.integers(3, 6))
+    # the lower vertices left of the axis, then the bottom one for odd k
+    thetas = sorted(draw(st.lists(st.floats(0.1, 1.4), min_size=(k - 2) // 2,
+                                  max_size=(k - 2) // 2, unique=True)))
+    if len(thetas) == 2 and thetas[1] - thetas[0] < 0.1:
+        thetas[1] = thetas[0] + 0.1
+    left = [(c - half * math.cos(t), -depth * math.sin(t)) for t in thetas]
+    bottom = [(c, -depth)] if k % 2 else []
+    right = [(c + (c - x), y) for x, y in left[::-1]]
+    verts = [(c - half, 0.0), *left, *bottom, *right, (c + half, 0.0)]
+    return geometry.PolygonalDomain(verts, free_edges=[k - 1])
+
+
+def four_split_inputs(d, h, problem):
+    """(nodes0, tris0, L, nodes, rims, chains, surface, removed) of the 4-split
+    solve of d at h."""
+    nodes0, tris0, levels = fem._base_triangulation(d, h)
+    nodes, rims, chains = fem._skeleton(nodes0, tris0, levels)
+    mesh = fem._chain_mesh(nodes, chains, fem._tagged_mesh(d, nodes0, tris0), 1)
+    _free, surface, removed = fem._retained_surface(mesh, problem)
+    return nodes0, tris0, levels, nodes, rims, chains, surface, removed
+
+
+def plain_and_sector_schur(d, h, problem):
+    """(plain S, sector S, mirror): the 4-split S of d at h without the
+    mirror, every base triangle whole, and with it."""
+    nodes0, tris0, levels, nodes, rims, chains, surface, removed = \
+        four_split_inputs(d, h, problem)
+    below, _e = fem._rim_schur(fem._element_stiffness(nodes0[tris0]), 0,
+                               max(levels - 1, 0))
+    plain, _e = fem._self_similar_schur(rims, below, nodes.shape[0], surface,
+                                        removed)
+    mirror = fem._mirror(d, nodes0, tris0, nodes, chains)
+    below, _e = fem._rim_schur(fem._rim_start(nodes0, tris0, mirror), 0,
+                               max(levels - 1, 0))
+    sector, _e = fem._self_similar_schur(rims, below, nodes.shape[0], surface,
+                                         removed, mirror)
+    return plain, sector, mirror
+
+
+def mirror_average(S, d, h, problem):
+    """0.5 (S + P S P), with P the mirror's permutation of the surface
+    nodes of the 4-split solve of d at h: S with its own mirror asymmetry
+    taken out."""
+    nodes0, tris0, _levels, nodes, _rims, chains, surface, _removed = \
+        four_split_inputs(d, h, problem)
+    mirror = fem._mirror(d, nodes0, tris0, nodes, chains)
+    P = np.searchsorted(surface, mirror.partner[surface])
+    assert np.array_equal(surface[P], mirror.partner[surface])
+    return 0.5 * (S + S[np.ix_(P, P)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=mirror_polygons(), problem=st.sampled_from(["SN", "SD"]),
+       fraction=st.floats(0.03, 0.3))
+def test_sectors_match_the_plain_path_and_the_sparse_lu(d, problem, fraction):
+    h = fraction * float(np.hypot(*np.ptp(d.vertices, axis=0)))
+    plain, sector, mirror = plain_and_sector_schur(d, h, problem)
+    assert mirror is not None
+    # the sector S is exactly mirror symmetric, the plain one only to its
+    # roundoff, so the two are compared with that part of it taken out
+    assert np.abs(sector - mirror_average(plain, d, h, problem)).max() \
+        <= 1e-13 * np.abs(plain).max()
+    assert np.array_equal(sector, sector.T)
+    mesh = fem.triangulate(d, h)
+    pair = fem.dtn_matrices(mesh, problem)
+    assert pair.S.tobytes() == sector.tobytes()
+    sparse = fem.dtn_matrices(dataclasses.replace(mesh), problem)
+    assert np.abs(pair.S - sparse.S).max() <= 1e-12 * np.abs(sparse.S).max()
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=mirror_polygons(), problem=st.sampled_from(["SN", "SD"]),
+       fraction=st.floats(0.08, 0.3))
+def test_mirrored_spectra_are_their_public_steps(d, problem, fraction):
+    # the coarse solve condenses the fine skeleton's every other rim node,
+    # dtn_matrices the coarse mesh's own skeleton: same mirror, same S
+    h = fraction * float(np.hypot(*np.ptp(d.vertices, axis=0)))
+    want = [public_steps(d, problem, step) for step in (h, h / 2)]
+    count = min(8, want[0].size - 1)
+    fine, errors = fem.dtn_with_error(d, problem, count, h)
+    assert fine.values.tobytes() == want[1][:count].tobytes()
+    assert errors.tobytes() == np.abs(want[0][:count] - want[1][:count]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["triangle", "fan", "fan-wide", "spoked"])
+def test_named_mirror_domains_match_the_plain_path(name):
+    d = SPECTRUM_DOMAINS[name]
+    for problem in ("SN", "SD"):
+        plain, sector, mirror = plain_and_sector_schur(d, 0.1, problem)
+        assert mirror is not None
+        assert np.abs(sector - plain).max() <= 1e-13 * np.abs(plain).max()
+
+
+@pytest.mark.parametrize("apex", [0, 1, 2])
+def test_sector_rim_levels_are_the_reference_condensation(apex):
+    # a right isoceles triangle, counterclockwise, its apex at vertex `apex`;
+    # each sector against the reference, and the sectors against the plain
+    # recursion, level by level
+    corners = np.empty((3, 2))
+    corners[apex], corners[(apex + 1) % 3] = (0.5, -0.5), (1.0, 0.0)
+    corners[(apex + 2) % 3] = (0.0, 0.0)
+    (K,) = fem._element_stiffness(corners[None])
+    assert fem._isoceles_apex(corners) == apex
+    sectors, whole = fem._fold(K, apex), K
+    for level in range(6):
+        m = 2 ** level
+        full = fem._unfold(sectors.even, sectors.odd)
+        matrices = ([sectors.even, sectors.even, full],
+                    [sectors.odd, sectors.odd, full[1:, 1:]])
+        for (ids, keep, drop), mats, plan in zip(fem._sector_pieces(m, apex),
+                                                 matrices,
+                                                 fem._sector_plans(m, apex)):
+            want_ids, want, entries = reference_condense(list(zip(ids, mats)),
+                                                         keep, drop)
+            assert np.array_equal(plan.ids, want_ids) and plan.entries == entries
+            assert fem._condense(plan, mats).tobytes() == want.tobytes()
+        (sectors,), _e = fem._rim_schur([sectors], level, level + 1)
+        (whole,), _e = fem._rim_schur([whole], level, level + 1)
+        rows, got = fem._whole(sectors, 2 * m)
+        assert np.abs(got - whole[np.ix_(rows, rows)]).max() \
+            <= 1e-14 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("problem", ["SN", "SD"])
+@pytest.mark.parametrize("name, h", [("triangle", 0.3), ("triangle", 0.05),
+                                     ("fan", 0.3), ("fan", 0.1),
+                                     ("fan-wide", 0.1), ("spoked", 0.3)])
+def test_sector_surface_condense_is_the_reference_condensation(name, h, problem):
+    d = SPECTRUM_DOMAINS[name]
+    nodes0, tris0, levels, nodes, rims, chains, surface, removed = \
+        four_split_inputs(d, h, problem)
+    mirror = fem._mirror(d, nodes0, tris0, nodes, chains)
+    below, _e = fem._rim_schur(fem._rim_start(nodes0, tris0, mirror), 0,
+                               max(levels - 1, 0))
+    sectors, _at = fem._mirror_sectors(rims, below, nodes.shape[0], surface,
+                                       removed, mirror)
+    for ids, matrices, keep, drop in sectors:
+        want_ids, want, entries = reference_condense(list(zip(ids, matrices)),
+                                                     keep, drop)
+        plan = fem._plan(ids, keep, drop)
+        assert np.array_equal(plan.ids, want_ids) and plan.entries == entries
+        assert fem._condense(plan, matrices).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("moved", [1, 2])
+@pytest.mark.parametrize("name", ["triangle", "fan"])
+def test_perturbed_mirror_takes_the_plain_path(name, moved, monkeypatch):
+    # a vertex moved by 1e-10 of the diameter: no mirror and no isoceles
+    # base triangle, so S is the plain one bit for bit
+    d = MESHER_DOMAINS[name]
+    verts = d.vertices.copy()
+    verts[moved, 0] += 1e-10 * float(np.hypot(*np.ptp(verts, axis=0)))
+    d = geometry.PolygonalDomain(verts, free_edges=sorted(d.free_edges))
+    for problem in ("SN", "SD"):
+        nodes0, tris0, levels, nodes, rims, chains, surface, removed = \
+            four_split_inputs(d, 0.05, problem)
+        assert fem._mirror(d, nodes0, tris0, nodes, chains) is None
+        assert all(fem._isoceles_apex(c) is None for c in nodes0[tris0])
+        plain, sector, _none = plain_and_sector_schur(d, 0.05, problem)
+        assert sector.tobytes() == plain.tobytes()
+    forbid(monkeypatch, "_fold")
+    fem.dtn_with_error(d, "SN", 6, 0.05)
+
+
+def test_sectors_shrink_the_condensation_factors():
+    # a count, not a timing: the whole condensation took 326,913 stored
+    # factor entries on the triangle (245,122 with the surface alone in
+    # sectors) and 391,046 on the (pi, 2pi/3, 1) fan
+    tri, fan = SPECTRUM_DOMAINS["triangle"], SPECTRUM_DOMAINS["fan-wide"]
+    assert fem.dtn_matrices(fem.triangulate(tri, 0.005), "SN").factor_nnz \
+        < 245_122
+    assert fem.dtn_matrices(fem.triangulate(fan, 0.02), "SN").factor_nnz \
+        < 391_046
+
+
+def test_tiny_target_h_is_refused_before_allocating(monkeypatch):
+    # at 1e-4 the triangle needs 15 splits: final sums of up to 147,453 rows
+    monkeypatch.setattr(fem, "_physical_memory", lambda: 8 * 10 ** 9)
+    for name in ("_skeleton", "_grid_schur", "_refine", "_grid_nodes"):
+        forbid(monkeypatch, name)
+    tri, rect = MESHER_DOMAINS["triangle"], MESHER_DOMAINS["rectangle"]
+    for solve in (fem.dtn_spectrum, fem.dtn_with_error):
+        with pytest.raises(ValueError, match=re.escape(
+                "target_h = 0.0001 needs 15 4-splits, with two sum buffers of "
+                "order 1.475e+5: 3.48e+11 bytes, more than the 8000000000 "
+                "bytes of physical memory")):
+            solve(tri, "SN", 3, 1e-4)
+        with pytest.raises(ValueError, match=re.escape(
+                "target_h = 1e-300 needs 3.142e+300 grid columns, with four "
+                "surface blocks of order 3.142e+300: 3.16e+602 bytes")):
+            solve(rect, "SD", 3, 1e-300)
+    with pytest.raises(ValueError, match="needs 1075 4-splits"):
+        fem.triangulate(tri, 5e-324)
+    # the fine solve of dtn_with_error is checked before the coarse one runs
+    monkeypatch.setattr(fem, "_physical_memory", lambda: 2_000_000)
+    with pytest.raises(ValueError, match="target_h = 0.01 needs 315 grid"):
+        fem.dtn_with_error(rect, "SD", 3, 0.02)
+    # a grid past the float range is refused whatever the memory figure
+    for memory in (8 * 10 ** 9, None):
+        monkeypatch.setattr(fem, "_physical_memory", lambda: memory)
+        with pytest.raises(ValueError, match=re.escape(
+                "target_h = 5e-324 needs more grid cells than a float counts")):
+            fem.triangulate(rect, 5e-324)
+
+
+@pytest.mark.parametrize("name, h", [("triangle", 0.02), ("fan", 0.05),
+                                     ("fan-wide", 0.02), ("spoked", 0.1)])
+def test_size_check_bounds_the_largest_sum(name, h, monkeypatch):
+    # the largest sum of any condensation, on the plain path (the sectors'
+    # are smaller), in both of _condense's buffers: with a memory figure
+    # just short of that the solve is refused, though one whole rim matrix
+    # (order 3 * 2**(L-1)) would fit
+    d, largest, condense = SPECTRUM_DOMAINS[name], [0], fem._condense
+
+    def spy(plan, matrices):
+        largest[0] = max(largest[0], *(step.size for step in plan.steps))
+        return condense(plan, matrices)
+
+    monkeypatch.setattr(fem, "_condense", spy)
+    monkeypatch.setattr(fem, "_mirror", lambda *args: None)
+    fem.dtn_spectrum(d, "SN", 3, h)
+    levels = fem._base_triangulation(d, h)[2]
+    need = 2 * 8 * largest[0] ** 2
+    assert need > 8 * (3 * 2 ** (levels - 1)) ** 2
+    monkeypatch.setattr(fem, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"needs {levels} 4-splits"):
+        fem.dtn_spectrum(d, "SN", 3, h)
 
 
 def test_unsplit_bases_are_their_public_steps():

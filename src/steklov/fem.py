@@ -37,11 +37,11 @@ map onto themselves and bring their sectors as they are, and the other two
 swap, so they bring one whole matrix, rebuilt from the sectors; each level
 is two condensations of half the order.  When the reflection about the
 middle of the domain's x-range maps its vertices, tags and skeleton onto
-themselves, the final condensation also runs once per sector, on the
-orbits of the mirror, with one base triangle of each mirrored pair, and S
-comes back from the two sectors by scalings with powers of two and one
-addition per entry.  Both checks read the input; anything else condenses
-whole.
+themselves, the final condensation runs once per sector, on the orbits of
+the mirror, with one base triangle of each mirrored pair, and S comes back
+from the two sectors by scalings with powers of two and one addition per
+entry; without a mirror it is the one-sector case, every id its own orbit.
+Both checks read the input; anything else condenses whole.
 :func:`dtn_spectrum` and :func:`dtn_with_error` number only the nodes on
 the base edges for this (the skeleton) and never build the mesh;
 :func:`dtn_matrices` condenses a :func:`triangulate` mesh through the
@@ -579,7 +579,8 @@ def assemble(mesh: Mesh):
 class DtnMatrixPair:
     """Schur complement S and boundary mass M_F on the retained surface nodes.
 
-    ``asymmetry`` is max|S - S^T| / max|S| before the final symmetrization.
+    ``asymmetry`` is max|S - S^T| / max|S| of S as condensed; ``S`` is
+    0.5 (S + S^T), which is S itself where the asymmetry is 0.
     ``factor_nnz`` counts the stored entries of the factors the condensation
     took: nnz(L) + nnz(U) of the bordered sparse LU; on 4-split meshes,
     n (n + 1) / 2 for every dense Cholesky factor of order n, summed over the
@@ -652,14 +653,18 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
 
 
 def _pair(S, mf, free, surface, factor_nnz) -> DtnMatrixPair:
-    """S, symmetrized, with the rows of M_F (row order `free`) on `surface`."""
+    """S, symmetrized, with the rows of M_F (row order `free`) on `surface`.
+    An S that is exactly symmetric, as the 4-split and grid routes give it,
+    is 0.5 (S + S^T) bit for bit, so it is returned as it is."""
     scale = float(np.abs(S).max()) or 1.0
     asym = float(np.abs(S - S.T).max()) / scale
     if asym > 1e-10:
         warnings.warn(f"Schur complement asymmetry {asym:.2e} above 1e-10",
                       stacklevel=3)
+    if asym != 0.0:
+        S = 0.5 * (S + S.T)
     keep = np.isin(free, surface)
-    return DtnMatrixPair(S=0.5 * (S + S.T), M_F=mf[np.ix_(keep, keep)],
+    return DtnMatrixPair(S=S, M_F=mf[np.ix_(keep, keep)],
                          surface_nodes=surface, asymmetry=asym,
                          factor_nnz=factor_nnz)
 
@@ -918,13 +923,20 @@ def _plan(pieces, keep, drop=()) -> _Plan:
     live ids (those not dropped) that neither the sum so far nor a later
     piece holds, in its own order; the sum with it is then laid out as
     [ids no later piece holds, sorted | the rest, sorted], and the leading
-    block is eliminated.
+    block is eliminated.  Whether a later piece (or `keep`) holds an id is
+    read off one table, built once: the index of the last piece that holds
+    each id, len(pieces) for the ids in `keep`.
     """
+    size = max((int(ids.max()) + 1 for ids in (*pieces, keep) if ids.size),
+               default=0)
+    last = np.full(size, -1)
+    for k, own in enumerate(pieces):
+        last[own] = k
+    last[keep] = len(pieces)
     ids, steps, entries = np.zeros(0, dtype=np.int64), [], 0
     for k, own in enumerate(pieces):
         live = ~np.isin(own, drop)
-        needed = np.concatenate([keep, *pieces[k + 1:]])
-        stay = live & (np.isin(own, needed) | np.isin(own, ids))
+        stay = live & ((last[own] > k) | np.isin(own, ids))
         gone = np.flatnonzero(live & ~stay)
         take = None
         if gone.size or not live.all():
@@ -932,7 +944,7 @@ def _plan(pieces, keep, drop=()) -> _Plan:
             take = _Moves(rows, _runs(np.arange(rows.size), rows))
         own = own[stay]
         merged = np.union1d(ids, own)
-        later = np.isin(merged, needed)
+        later = last[merged] > k
         at = np.empty(merged.size, dtype=np.int64)
         at[np.concatenate([np.flatnonzero(~later), np.flatnonzero(later)])] = \
             np.arange(merged.size)
@@ -1259,46 +1271,34 @@ def _rim_start(nodes0, tris0, mirror: Optional[_Mirror]) -> list:
     return out
 
 
-def _surface_pieces(rims, below, n_ids):
-    """(ids, matrices) of the pieces that :func:`_self_similar_schur`
-    condenses, base triangle by base triangle; :class:`_Sectors` come in
-    whole (:func:`_whole`)."""
-    m = rims.shape[1] // 6
-    ids, matrices = [], []
-    for t, (rim, B) in enumerate(zip(rims, below)):
-        rows, B = _whole(B, max(m, 1))
-        if m == 0:
-            ids.append(rim[rows])
-            matrices.append(B)
-            continue
-        midlines = n_ids + 3 * (m - 1) * t + np.arange(3 * (m - 1))
-        local = np.concatenate([rim, midlines])
-        ids += [local[idx[rows]] for idx in _split_maps(m)]
-        matrices += [B] * 4
-    return ids, matrices
+def _surface_sectors(rims, below, n_ids, surface, removed,
+                     mirror: Optional[_Mirror] = None):
+    """(sectors, at): the pieces that :func:`_self_similar_schur` condenses,
+    base triangle by base triangle, in each sector, as (the pieces' ids,
+    their matrices, the ids kept, the ids held at zero), and where each of
+    `surface` sits in the :func:`_unfold` of the sectors.
 
-
-def _mirror_sectors(rims, below, n_ids, surface, removed, mirror: _Mirror):
-    """(sectors, at): the even and odd sectors of :func:`_self_similar_schur`
-    on a mirrored domain, each as (the pieces' ids, their matrices, the ids
-    kept, the ids held at zero), and where each of `surface` sits in the
-    :func:`_unfold` of the two.
-
-    A base triangle that is its own image brings its middle copy and copy
-    at the apex (or, unsplit, itself) in sectors and its copy at vertex
-    apex + 1 whole, as one level of :func:`_rim_schur` does; one of each
-    mirrored pair brings its four copies whole, the other nothing.  An id
-    stands for itself and its image, numbered by the smaller of the two, or
-    after all pairs if it is its own image, which the odd sector holds at
-    zero.  Each piece lies on one side of the axis or comes in sectors, so
-    the odd sector takes the nodes on one side as its signs: S has those
+    Without a :class:`_Mirror` every id is its own orbit and every base
+    triangle brings its four copies (or, unsplit, itself) whole
+    (:func:`_whole`), so there is one sector, onto `surface` with `removed`
+    held at zero, and `at` is None.  With one there are two, the even and
+    odd sector: a base triangle that is its own image brings its middle copy
+    and copy at the apex (or, unsplit, itself) in sectors and its copy at
+    vertex apex + 1 whole, as one level of :func:`_rim_schur` does; one of
+    each mirrored pair brings its four copies whole, the other nothing.  An
+    id stands for itself and its image, numbered by the smaller of the two,
+    or after all pairs if it is its own image, which the odd sector holds
+    at zero.  Each piece lies on one side of the axis or comes in sectors,
+    so the odd sector takes the nodes on one side as its signs: S has those
     left of the axis in the last block of the unfolding."""
     m = rims.shape[1] // 6
     inner = 3 * max(m - 1, 0)
     partner = np.full(n_ids + inner * len(rims), -1)
-    partner[:n_ids] = mirror.partner
+    roles = (-1,) * len(rims)
+    if mirror is not None:
+        partner[:n_ids], roles = mirror.partner, mirror.roles
     even, odd = [], []
-    for t, (rim, B, role) in enumerate(zip(rims, below, mirror.roles)):
+    for t, (rim, B, role) in enumerate(zip(rims, below, roles)):
         if role is None:
             continue
         local = np.concatenate([rim, n_ids + inner * t + np.arange(inner)])
@@ -1326,35 +1326,30 @@ def _mirror_sectors(rims, below, n_ids, surface, removed, mirror: _Mirror):
     orbit = np.where(partner < 0, ids, np.minimum(ids, partner))
     orbit[partner == ids] += partner.size
     keep = np.unique(orbit[surface])
-    at = np.searchsorted(keep, orbit[surface])
-    at[mirror.left[surface]] += keep.size
     drop = orbit[removed]
+    sectors, at = [(even, keep, drop)], None
+    if mirror is not None:
+        sectors.append((odd, keep[keep < partner.size],
+                        np.union1d(drop, orbit[partner == ids])))
+        at = np.searchsorted(keep, orbit[surface])
+        at[mirror.left[surface]] += keep.size
     return [([orbit[i] for i, _B in pieces], [B for _i, B in pieces], kept, held)
-            for pieces, kept, held in (
-                (even, keep, drop),
-                (odd, keep[keep < partner.size],
-                 np.union1d(drop, orbit[partner == ids])))], at
+            for pieces, kept, held in sectors], at
 
 
 def _self_similar_schur(rims, below, n_ids, surface, removed, mirror=None):
     """(S, factor entries) on `surface` (sorted ids), `removed` held at
     zero, for base triangles with rims `rims` (:func:`_skeleton`) 4-split L
-    times, from their rim matrices `below` after max(L - 1, 0) splits.  Each
-    is four copies of that around three midlines, whose inner nodes get ids
-    from `n_ids` on; one :func:`_plan`, built for this call, eliminates
-    walls, midlines, spokes and the centroid as :func:`_condense` adds the
-    copies, base triangle by base triangle.
-
-    Given the domain's :class:`_Mirror` (and `below` from :func:`_rim_start`
-    with it), this runs once per sector, on the orbits of the mirror
-    (:func:`_mirror_sectors`), and S comes back from the two by
-    :func:`_unfold`; without it, every base triangle comes in whole.
+    times, from their rim matrices `below` after max(L - 1, 0) splits
+    (from :func:`_rim_start` with the same `mirror`).  Each is four copies
+    of that around three midlines, whose inner nodes get ids from `n_ids`
+    on; in each sector of :func:`_surface_sectors`, one :func:`_plan`,
+    built for this call, eliminates walls, midlines, spokes and the
+    centroid as :func:`_condense` adds the copies, base triangle by base
+    triangle.  One sector (no mirror) is S itself; two, the even and odd
+    sectors of the domain's :class:`_Mirror`, give S back by :func:`_unfold`.
     """
-    if mirror is None:
-        ids, matrices = _surface_pieces(rims, below, n_ids)
-        sectors, at = [(ids, matrices, surface, removed)], None
-    else:
-        sectors, at = _mirror_sectors(rims, below, n_ids, surface, removed, mirror)
+    sectors, at = _surface_sectors(rims, below, n_ids, surface, removed, mirror)
     out, entries = [], 0
     for ids, matrices, keep, drop in sectors:
         plan = _plan(ids, keep, drop)
@@ -1362,7 +1357,7 @@ def _self_similar_schur(rims, below, n_ids, surface, removed, mirror=None):
             raise RuntimeError("the 4-split condensation lost a surface node")
         out.append(_condense(plan, matrices))
         entries += plan.entries
-    if at is None:
+    if len(out) == 1:
         return out[0], entries
     return _unfold(*out)[np.ix_(at, at)], entries
 

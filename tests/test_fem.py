@@ -156,6 +156,21 @@ MESHER_DOMAINS = {
 }
 
 
+def inscribed_hexagon():
+    """A hexagon on the unit circle about its vertex mean, at angles 120,
+    190, 240, 300, 10 and 60 degrees: no mirror, but every triangle of its
+    centroid fan is isoceles, so its rims run in sectors."""
+    theta = np.radians([120.0, 190.0, 240.0, 300.0, 10.0, 60.0])
+    verts = np.column_stack([np.cos(theta), np.sin(theta) - math.sin(math.pi / 3)])
+    return geometry.PolygonalDomain(verts, free_edges=[5])
+
+
+SPECTRUM_DOMAINS = {**MESHER_DOMAINS, "spoked": regular_polygon(12),
+                    "fan-wide": geometry.trapezoid_domain(math.pi, 2 * math.pi / 3,
+                                                          1.0),
+                    "hexagon": inscribed_hexagon()}
+
+
 @pytest.mark.parametrize("h", [0.3, 0.11, 0.05, 0.02])
 @pytest.mark.parametrize("name", sorted(MESHER_DOMAINS))
 def test_mesher_matches_dict_reference(name, h):
@@ -465,10 +480,10 @@ def test_factor_fill_at_most_minimum_degree(name, problem, tmp_path):
 
 @pytest.mark.parametrize("h", [0.3, 0.1, 0.04])
 @pytest.mark.parametrize("problem", ["SN", "SD"])
-@pytest.mark.parametrize("name", ["triangle", "fan"])
+@pytest.mark.parametrize("name", ["triangle", "fan", "hexagon"])
 def test_self_similar_condensation_matches_sparse_lu(name, problem, h,
                                                      tmp_path, monkeypatch):
-    mesh = fem.triangulate(MESHER_DOMAINS[name], h)
+    mesh = fem.triangulate(SPECTRUM_DOMAINS[name], h)
     sparse = fem.dtn_matrices(loaded_copy(mesh, tmp_path / "m.txt"), problem)
     forbid(monkeypatch, "_bordered_schur")
     pair = fem.dtn_matrices(mesh, problem)
@@ -585,11 +600,6 @@ def test_retagged_free_edge(monkeypatch):
     pair = fem.dtn_matrices(edited, "SD")
     assert not np.isin([i, j], pair.surface_nodes).any()
     assert pair.S == pytest.approx(dense_schur(edited, pair, "SD"), abs=1e-10)
-
-
-SPECTRUM_DOMAINS = {**MESHER_DOMAINS, "spoked": regular_polygon(12),
-                    "fan-wide": geometry.trapezoid_domain(math.pi, 2 * math.pi / 3,
-                                                          1.0)}
 
 
 def public_steps(d, problem, h):
@@ -709,6 +719,73 @@ def reference_condense(pieces, keep, drop=()):
     return ids, total, entries
 
 
+def reference_plan(pieces, keep, drop=()):
+    """The plan of fem._plan, asking "does a later piece, or `keep`, hold
+    this id" by np.isin against their concatenation, piece by piece
+    (quadratic in the piece count): the reference for its last-holder
+    table."""
+    ids, steps, entries = np.zeros(0, dtype=np.int64), [], 0
+    for k, own in enumerate(pieces):
+        live = ~np.isin(own, drop)
+        needed = np.concatenate([keep, *pieces[k + 1:]])
+        stay = live & (np.isin(own, needed) | np.isin(own, ids))
+        gone = np.flatnonzero(live & ~stay)
+        take = None
+        if gone.size or not live.all():
+            rows = np.concatenate([gone, np.flatnonzero(stay)])
+            take = fem._Moves(rows, fem._runs(np.arange(rows.size), rows))
+        own = own[stay]
+        merged = np.union1d(ids, own)
+        later = np.isin(merged, needed)
+        at = np.empty(merged.size, dtype=np.int64)
+        at[np.concatenate([np.flatnonzero(~later), np.flatnonzero(later)])] = \
+            np.arange(merged.size)
+        fresh = np.sort(at[~np.isin(merged, ids)])
+        out = merged.size - int(later.sum())
+        steps.append(fem._Step(take, gone.size,
+                               fem._scatter(at[np.searchsorted(merged, ids)]),
+                               fem._scatter(at[np.searchsorted(merged, own)]),
+                               tuple(d for d, _s in fem._runs(fresh, fresh)),
+                               merged.size, out))
+        entries += gone.size * (gone.size + 1) // 2 + out * (out + 1) // 2
+        ids = merged[later]
+    return fem._Plan(tuple(steps), ids, entries)
+
+
+def same(got, want) -> bool:
+    """Equal values of equal types, arrays with equal dtypes, tuples (and
+    named tuples) entry by entry."""
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+                and np.array_equal(got, want))
+    if isinstance(want, tuple):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(map(same, got, want)))
+    return type(got) is type(want) and got == want
+
+
+def assert_same_plan(got, want):
+    """Two _Plans alike field by field: every field of every step, the ids
+    and the factor entries."""
+    assert len(got.steps) == len(want.steps)
+    for k, (a, b) in enumerate(zip(got.steps, want.steps)):
+        for name in fem._Step._fields:
+            assert same(getattr(a, name), getattr(b, name)), (k, name)
+    assert same(got.ids, want.ids) and same(got.entries, want.entries)
+
+
+def test_rim_and_sector_plans_are_the_reference_plans():
+    for level in range(7):
+        m = 2 ** level
+        assert_same_plan(fem._rim_plan(m),
+                         reference_plan(tuple(fem._split_maps(m)), np.arange(6 * m)))
+    for apex in range(3):
+        for level in range(6):
+            pieces = fem._sector_pieces(2 ** level, apex)
+            for plan, sector in zip(fem._sector_plans(2 ** level, apex), pieces):
+                assert_same_plan(plan, reference_plan(*sector))
+
+
 @pytest.mark.parametrize("corners", [[(0, 0), (1, -1), (2, 0)],
                                      [(0, 0), (1, 0), (2.7, 0.4)],
                                      [(0, 0), (1, 0), (0.3, 0.05)]],
@@ -734,10 +811,15 @@ def assert_surface_condense_is_the_reference(d, problem, h):
     _free, surface, removed = fem._retained_surface(mesh, problem)
     below, _e = fem._rim_schur(fem._element_stiffness(nodes0[tris0]), 0,
                                max(levels - 1, 0))
-    ids, matrices = fem._surface_pieces(rims, below, nodes.shape[0])
+    (sector,), at = fem._surface_sectors(rims, below, nodes.shape[0], surface,
+                                         removed)
+    ids, matrices, keep, drop = sector
+    assert at is None and np.array_equal(keep, surface)
+    assert np.array_equal(drop, removed)
     want_ids, want, entries = reference_condense(list(zip(ids, matrices)),
                                                  surface, removed)
     plan = fem._plan(ids, surface, removed)
+    assert_same_plan(plan, reference_plan(ids, surface, removed))
     assert np.array_equal(plan.ids, want_ids) and plan.entries == entries
     assert fem._condense(plan, matrices).tobytes() == want.tobytes()
     S, got_entries = fem._self_similar_schur(rims, below, nodes.shape[0],
@@ -1012,7 +1094,8 @@ def test_sector_rim_levels_are_the_reference_condensation(apex):
 @pytest.mark.parametrize("problem", ["SN", "SD"])
 @pytest.mark.parametrize("name, h", [("triangle", 0.3), ("triangle", 0.05),
                                      ("fan", 0.3), ("fan", 0.1),
-                                     ("fan-wide", 0.1), ("spoked", 0.3)])
+                                     ("fan-wide", 0.1), ("spoked", 0.3),
+                                     ("hexagon", 0.3), ("hexagon", 0.1)])
 def test_sector_surface_condense_is_the_reference_condensation(name, h, problem):
     d = SPECTRUM_DOMAINS[name]
     nodes0, tris0, levels, nodes, rims, chains, surface, removed = \
@@ -1020,14 +1103,47 @@ def test_sector_surface_condense_is_the_reference_condensation(name, h, problem)
     mirror = fem._mirror(d, nodes0, tris0, nodes, chains)
     below, _e = fem._rim_schur(fem._rim_start(nodes0, tris0, mirror), 0,
                                max(levels - 1, 0))
-    sectors, _at = fem._mirror_sectors(rims, below, nodes.shape[0], surface,
-                                       removed, mirror)
+    sectors, _at = fem._surface_sectors(rims, below, nodes.shape[0], surface,
+                                        removed, mirror)
+    assert len(sectors) == (1 if mirror is None else 2)
     for ids, matrices, keep, drop in sectors:
         want_ids, want, entries = reference_condense(list(zip(ids, matrices)),
                                                      keep, drop)
         plan = fem._plan(ids, keep, drop)
+        assert_same_plan(plan, reference_plan(ids, keep, drop))
         assert np.array_equal(plan.ids, want_ids) and plan.entries == entries
         assert fem._condense(plan, matrices).tobytes() == want.tobytes()
+
+
+def test_inscribed_hexagon_brings_sector_rims_whole():
+    # the one named domain without a mirror whose base triangles are all
+    # isoceles: the one-sector surface condensation takes its rims, kept in
+    # sectors, as whole matrices
+    d = SPECTRUM_DOMAINS["hexagon"]
+    nodes0, tris0, levels, nodes, rims, chains, surface, removed = \
+        four_split_inputs(d, 0.1, "SD")
+    assert fem._mirror(d, nodes0, tris0, nodes, chains) is None
+    start = fem._rim_start(nodes0, tris0, None)
+    assert all(isinstance(B, fem._Sectors) for B in start)
+    below, _e = fem._rim_schur(start, 0, levels - 1)
+    (sector,), at = fem._surface_sectors(rims, below, nodes.shape[0], surface,
+                                         removed)
+    assert at is None and len(sector[0]) == 4 * len(tris0)
+    m = 2 ** (levels - 1)
+    for B, matrix in zip(below, sector[1][::4]):
+        assert matrix.tobytes() == fem._whole(B, m)[1].tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.one_of(convex_polygons(), mirror_polygons()),
+       problem=st.sampled_from(["SN", "SD"]), fraction=st.floats(0.03, 0.3))
+def test_four_split_schur_is_exactly_symmetric(d, problem, fraction):
+    # so _pair returns it as it is, not averaged with its transpose
+    h = fraction * float(np.hypot(*np.ptp(d.vertices, axis=0)))
+    plain, sector, _mirror = plain_and_sector_schur(d, h, problem)
+    assert np.array_equal(plain, plain.T) and np.array_equal(sector, sector.T)
+    pair = fem.dtn_matrices(fem.triangulate(d, h), problem)
+    assert pair.asymmetry == 0.0 and pair.S.tobytes() == sector.tobytes()
 
 
 @pytest.mark.parametrize("moved", [1, 2])

@@ -56,14 +56,29 @@ def _num(token: str) -> float:
         raise ValueError(f"cannot parse number {token!r}") from None
 
 
+def _check_points(spec: str, count) -> None:
+    """A ValueError, before the grid is allocated, if its `count` points
+    alone do not fit in the memory of :func:`specfun.memory_limit`."""
+    need, memory = 8 * count, specfun.memory_limit()
+    if memory is not None and need > memory:
+        from decimal import Decimal         # exact for any int
+
+        raise ValueError(f"grid spec {spec!r} has {Decimal(count):.4g} points,"
+                         f" {Decimal(need):.3g} bytes, more than the {memory} "
+                         "bytes this process may use; choose fewer points")
+
+
 def parse_grid(spec: str) -> np.ndarray:
-    """Grid specs: 'start:stop:step' (inclusive lattice) or 'logN(a,b)'."""
+    """Grid specs: 'start:stop:step' (inclusive lattice) or 'logN(a,b)'.
+    Its points are counted, and checked against memory, before any is
+    allocated."""
     m = re.fullmatch(r"log(\d+)\(([^,]+),([^)]+)\)", spec.strip())
     if m:
         n = int(m.group(1))
         a, b = _num(m.group(2)), _num(m.group(3))
         if n < 2 or not 0 < a < b:
             raise ValueError(f"log grid needs N >= 2 and 0 < a < b, got {spec!r}")
+        _check_points(spec, n)
         return np.geomspace(a, b, n)
     parts = spec.split(":")
     if len(parts) != 3:
@@ -72,7 +87,10 @@ def parse_grid(spec: str) -> np.ndarray:
     start, stop, step = (_num(p) for p in parts)
     if not (step > 0 and stop > start):
         raise ValueError(f"grid spec needs stop > start and step > 0, got {spec!r}")
-    return np.arange(start, stop + 0.5 * step, step)
+    stop += 0.5 * step
+    span = (stop - start) / step            # np.arange's length, ceil(span)
+    _check_points(spec, math.ceil(span) if math.isfinite(span) else math.inf)
+    return np.arange(start, stop, step)
 
 
 _PRESET_USAGE = ("presets: rectangle:L,H | isoceles-triangle:L,ANGLE | "

@@ -30,18 +30,18 @@ them, cached per level for the rim recursion: the dense blocks are slices,
 and sums are built by row moves over runs of columns.
 
 Mirror symmetry halves both condensations (the even and odd sectors of
-A. Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  A base
-triangle with equal sides at a vertex keeps its rim matrix as the pair of
-its sectors: of its four copies, the middle one and the one at that apex
-map onto themselves and bring their sectors as they are, and the other two
-swap, so they bring one whole matrix, rebuilt from the sectors; each level
-is two condensations of half the order.  When the reflection about the
-middle of the domain's x-range maps its vertices, tags and skeleton onto
-themselves, the final condensation runs once per sector, on the orbits of
+A. Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986) when the
+reflection about the middle of the domain's x-range maps the vertices, tags
+and skeleton onto themselves.  A base triangle that is its own image keeps
+its rim matrix as the pair of its sectors: of its four copies, the middle
+one and the one at its vertex on the axis map onto themselves and bring
+their sectors as they are, and the other two swap, so they bring one whole
+matrix, rebuilt from the sectors; each level is two condensations of half
+the order.  The final condensation runs once per sector, on the orbits of
 the mirror, with one base triangle of each mirrored pair, and S comes back
 from the two sectors by scalings with powers of two and one addition per
-entry; without a mirror it is the one-sector case, every id its own orbit.
-Both checks read the input; anything else condenses whole.
+entry.  Without a mirror it is the one-sector case, every id its own orbit
+and every rim matrix whole.
 :func:`dtn_spectrum` and :func:`dtn_with_error` number only the nodes on
 the base edges for this (the skeleton) and never build the mesh;
 :func:`dtn_matrices` condenses a :func:`triangulate` mesh through the
@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -360,19 +359,12 @@ def _base_triangulation(d: PolygonalDomain, target_h: float):
     return nodes0, tris0, splits
 
 
-def _physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None where the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
 def _check_dense(target_h: float, why: tuple, order: int, blocks: int) -> None:
     """A ValueError, before anything is allocated, if `blocks` dense blocks
-    of order `order`, which a solve at target_h needs, do not fit in physical
-    memory.  `why` is (count, of what, which blocks) for the message."""
-    need, memory = blocks * 8 * order ** 2, _physical_memory()
+    of order `order`, which a solve at target_h needs, do not fit in the
+    memory of :func:`specfun.memory_limit`.  `why` is (count, of what,
+    which blocks) for the message."""
+    need, memory = blocks * 8 * order ** 2, specfun.memory_limit()
     if memory is not None and need > memory:
         from decimal import Decimal         # exact for any int
 
@@ -380,7 +372,7 @@ def _check_dense(target_h: float, why: tuple, order: int, blocks: int) -> None:
         raise ValueError(f"target_h = {target_h} needs {Decimal(count):.4g} "
                          f"{unit}, with {which} of order {Decimal(order):.4g}:"
                          f" {Decimal(need):.3g} bytes, more than the {memory} "
-                         "bytes of physical memory; choose a larger target_h")
+                         "bytes this process may use; choose a larger target_h")
 
 
 def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
@@ -1065,14 +1057,6 @@ def _unfolded_rows(M: int, apex: int) -> np.ndarray:
     return np.concatenate([(2 * apex * M - P) % (3 * M), F, P])
 
 
-def _whole(B, M: int):
-    """(rows, matrix): a rim matrix (M per side) as a full matrix, with the
-    rim position of each row."""
-    if not isinstance(B, _Sectors):
-        return np.arange(3 * M), B
-    return _unfolded_rows(M, B.apex), _unfold(B.even, B.odd)
-
-
 def _unfold(even, odd):
     """The matrix whose sectors (:class:`_Sectors`) are `even` and `odd`,
     with rows [tP | F | P]: scalings by powers of two and one addition per
@@ -1104,15 +1088,12 @@ def _fold(K, apex: int) -> _Sectors:
                     np.array([[0.5 * (own - cross)]]))
 
 
-def _isoceles_apex(corners):
-    """The first vertex of the triangle `corners` (3, 2) whose two sides are
-    equal to within a few ulps of the longest side, or None."""
-    sides = np.hypot(*(np.roll(corners, -1, axis=0) - corners).T)
-    tol = 8 * np.finfo(float).eps * sides.max()
-    for apex in range(3):
-        if abs(sides[apex] - sides[apex - 1]) <= tol:
-            return apex
-    return None
+def _level_matrices(B: _Sectors):
+    """The matrices of the pieces of :func:`_level_rows`, per sector: the
+    middle and apex copies' sectors as they are, then the corner copy whole
+    (:func:`_unfold`), its axis row cut off in the odd sector."""
+    whole = _unfold(B.even, B.odd)
+    return (B.even, B.even, whole), (B.odd, B.odd, whole[1:, 1:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -1137,33 +1118,44 @@ def _lattice_mirror(m: int, apex: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_pieces(m: int, apex: int):
-    """The even and odd sectors of one 4-split level of a :class:`_Sectors`
-    rim matrix, m per side, onto the parent's, each as (the pieces' ids,
-    the ids kept, the ids held at zero).
+def _level_rows(m: int, apex: int):
+    """Per sector (even, odd), the parent node (numbered as in
+    :func:`_split_maps`) of each row of each piece that one 4-split level
+    of a :class:`_Sectors` rim matrix, m per side, brings; for m = 0, the
+    rim positions of the unsplit triangle's own sectors.
 
     The middle copy and the copy at the apex map onto themselves with the
     parent's local reversal, so each brings its sectors as they are.  The
     two other corner copies swap, so together they bring one whole matrix
-    (:func:`_unfold`), last: the copy at vertex apex + 1, whose first row
-    lies on the axis, which the odd sector holds at zero.  The ids are the
-    orbits of the parent's mirror, numbered so that the sums come out in
-    the parent's :func:`_sector_rows` order: P by position, the two axis
-    nodes, then the midlines."""
+    (:func:`_level_matrices`), last: the copy at vertex apex + 1, less its
+    first row in the odd sector, as that row lies on the axis."""
+    P, F = _sector_rows(max(m, 1), apex)
+    PF = np.concatenate([P, F])
+    if not m:
+        return (PF,), (P,)
+    middle, tip, corner = _split_maps(m)[[0, apex + 1, (apex + 1) % 3 + 1]]
+    corner = corner[_unfolded_rows(m, apex)]
+    return (middle[PF], tip[PF], corner), (middle[P], tip[P], corner[1:])
+
+
+def _sector_pieces(m: int, apex: int):
+    """The even and odd sectors of one 4-split level of a :class:`_Sectors`
+    rim matrix, m per side, onto the parent's, each as (the ids of the
+    pieces of :func:`_level_rows`, the ids kept, the ids held at zero).
+
+    The ids are the orbits of the parent's mirror, numbered so that the sums
+    come out in the parent's :func:`_sector_rows` order: P by position, the
+    two axis nodes, then the midlines."""
     partner, side = _lattice_mirror(m, apex)
     orbit = np.arange(partner.size) + 2
     P, F = _sector_rows(2 * m, apex)
     orbit[P] = np.arange(P.size)
     orbit[F] = 6 * m + np.arange(2)
     orbit[side < 0] = orbit[partner[side < 0]]
-    maps = _split_maps(m)
-    cP, cF = _sector_rows(m, apex)
-    corner = orbit[maps[(apex + 1) % 3 + 1][_unfolded_rows(m, apex)]]
-    own = [orbit[maps[k]] for k in (0, apex + 1)]
+    even, odd = (tuple(orbit[r] for r in rows) for rows in _level_rows(m, apex))
     keep = np.arange(P.size)
-    return (((*(c[np.concatenate([cP, cF])] for c in own), corner),
-             np.concatenate([keep, orbit[F]]), orbit[:0]),
-            ((*(c[cP] for c in own), corner[1:]), keep, orbit[side == 0]))
+    return ((even, np.concatenate([keep, orbit[F]]), orbit[:0]),
+            (odd, keep, orbit[side == 0]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1180,19 +1172,18 @@ def _rim_schur(B, first, last):
     one cached :func:`_rim_plan` per level.
 
     An entry of B given as :class:`_Sectors` (:func:`_rim_start`) stays in
-    them: each level is then two condensations of half the order, by the
-    cached :func:`_sector_plans`; an entry None stays None.
+    them: each level is then two condensations of half the order, of the
+    pieces of :func:`_level_rows`, by the cached :func:`_sector_plans`; an
+    entry None stays None.
     """
     entries = 0
     for level in range(first, last):
         m, out = 2 ** level, []
         for Bt in B:
             if isinstance(Bt, _Sectors):
-                even, odd = _sector_plans(m, Bt.apex)
-                whole = _unfold(Bt.even, Bt.odd)
-                Bt = _Sectors(Bt.apex, _condense(even, [Bt.even, Bt.even, whole]),
-                              _condense(odd, [Bt.odd, Bt.odd, whole[1:, 1:]]))
-                entries += even.entries + odd.entries
+                plans = _sector_plans(m, Bt.apex)
+                Bt = _Sectors(Bt.apex, *map(_condense, plans, _level_matrices(Bt)))
+                entries += sum(plan.entries for plan in plans)
             elif Bt is not None:
                 plan = _rim_plan(m)
                 Bt = _condense(plan, [Bt] * 4)
@@ -1255,20 +1246,12 @@ def _mirror(d: PolygonalDomain, nodes0, tris0, nodes, chains):
 
 def _rim_start(nodes0, tris0, mirror: Optional[_Mirror]) -> list:
     """Each base triangle's rim matrix before any split, for
-    :func:`_rim_schur`: its element stiffness, as :class:`_Sectors` when two
-    of its sides are equal (about the vertex on the axis if the mirror maps
-    it onto itself), and None when the mirror makes it the image of an
-    earlier one."""
-    out = []
-    for k, (K, corners) in enumerate(zip(_element_stiffness(nodes0[tris0]),
-                                         nodes0[tris0])):
-        role = -1 if mirror is None else mirror.roles[k]
-        if role is None:
-            out.append(None)
-            continue
-        apex = role if role >= 0 else _isoceles_apex(corners)
-        out.append(K if apex is None else _fold(K, apex))
-    return out
+    :func:`_rim_schur`: its element stiffness, as :class:`_Sectors` about
+    its vertex on the axis when the mirror maps it onto itself, and None
+    when the mirror makes it the image of an earlier one."""
+    roles = (-1,) * len(tris0) if mirror is None else mirror.roles
+    return [None if role is None else K if role < 0 else _fold(K, role)
+            for K, role in zip(_element_stiffness(nodes0[tris0]), roles)]
 
 
 def _surface_sectors(rims, below, n_ids, surface, removed,
@@ -1279,12 +1262,11 @@ def _surface_sectors(rims, below, n_ids, surface, removed,
     `surface` sits in the :func:`_unfold` of the sectors.
 
     Without a :class:`_Mirror` every id is its own orbit and every base
-    triangle brings its four copies (or, unsplit, itself) whole
-    (:func:`_whole`), so there is one sector, onto `surface` with `removed`
-    held at zero, and `at` is None.  With one there are two, the even and
-    odd sector: a base triangle that is its own image brings its middle copy
-    and copy at the apex (or, unsplit, itself) in sectors and its copy at
-    vertex apex + 1 whole, as one level of :func:`_rim_schur` does; one of
+    triangle brings its four copies (or, unsplit, itself) as plain
+    matrices, so there is one sector, onto `surface` with `removed` held at
+    zero, and `at` is None.  With one there are two, the even and odd
+    sector: a base triangle that is its own image brings the pieces of
+    :func:`_level_rows`, as one level of :func:`_rim_schur` does; one of
     each mirrored pair brings its four copies whole, the other nothing.  An
     id stands for itself and its image, numbered by the smaller of the two,
     or after all pairs if it is its own image, which the odd sector holds
@@ -1302,26 +1284,16 @@ def _surface_sectors(rims, below, n_ids, surface, removed,
         if role is None:
             continue
         local = np.concatenate([rim, n_ids + inner * t + np.arange(inner)])
-        copies = _split_maps(m) if m else np.arange(3)[None]
         if role < 0:
-            rows, B = _whole(B, max(m, 1))
-            for idx in copies:
-                even.append((local[idx[rows]], B))
-                odd.append((local[idx[rows]], B))
+            for idx in _split_maps(m) if m else np.arange(3)[None]:
+                even.append((local[idx], B))
+                odd.append((local[idx], B))
             continue
-        P, F = _sector_rows(max(m, 1), role)
-        own = [local[idx] for idx in copies]
         if m:
             partner[local] = local[_lattice_mirror(m, role)[0]]
-            own = [own[0], own[role + 1]]
-        for ids in own:
-            even.append((ids[np.concatenate([P, F])], B.even))
-            odd.append((ids[P], B.odd))
-        if m:
-            ids = local[copies[(role + 1) % 3 + 1][_unfolded_rows(m, role)]]
-            whole = _unfold(B.even, B.odd)
-            even.append((ids, whole))
-            odd.append((ids[1:], whole[1:, 1:]))
+        for pieces, rows, matrices in zip((even, odd), _level_rows(m, role),
+                                          _level_matrices(B)):
+            pieces.extend((local[r], A) for r, A in zip(rows, matrices))
     ids = np.arange(partner.size)
     orbit = np.where(partner < 0, ids, np.minimum(ids, partner))
     orbit[partner == ids] += partner.size
@@ -1366,8 +1338,8 @@ def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:
     """The FEM Spectrum at each of `target_hs` in turn.  Triangles and
     convex fans condense from one :func:`_skeleton` at the finest split
     count, a coarser solve on every other rim node, and one rim recursion,
-    in mirror sectors where :func:`_mirror` and :func:`_rim_start` find
-    them, goes on from solve to solve; axis rectangles take the grid's Fourier
+    in the sectors of the domain's :func:`_mirror` where it has one, goes
+    on from solve to solve; axis rectangles take the grid's Fourier
     modes (:func:`_grid_schur`) and its boundary (:func:`_grid_rim`).
     Neither builds the mesh."""
     check_problem(problem)

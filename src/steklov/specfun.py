@@ -11,11 +11,14 @@ number or a grid of indices k, :func:`real` a scalar parameter (a depth, a
 length, a Riesz exponent) and :func:`points` a real axis (z, t, R, the
 evaluation points), both as finite values above a lower end.  Then
 :func:`floats_if_scalar` hands back Python floats for a single number.
+Size checks read the memory a process may use from :func:`memory_limit`.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from typing import Optional
 
 import numpy as np
 
@@ -76,6 +79,26 @@ def points(x, name: str, low=-math.inf, strict: bool = False) -> np.ndarray:
     if not ok.all():
         raise _need(name, low, strict, float(xs[~ok][0]))
     return xs
+
+
+def memory_limit() -> Optional[int]:
+    """Bytes of memory this process may use: the physical memory, or its
+    address-space limit (``ulimit -v``) where that is lower; None where the
+    system says neither."""
+    limits = []
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        pass
+    try:
+        import resource
+    except ImportError:                     # not on Windows
+        pass
+    else:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    return min(limits, default=None)
 
 
 def _dimension(n) -> None:

@@ -8,6 +8,7 @@ import math
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 from pathlib import Path
@@ -158,14 +159,13 @@ def test_spectrum_count_zero_says_the_same_on_both_paths(fem_h, capsys):
     ("rectangle:pi,1", "needs 3.142e+300 grid columns")])
 def test_spectrum_tiny_fem_h_exits_2_with_one_error_line(preset, need, capsys,
                                                          monkeypatch):
-    from steklov import fem
-    monkeypatch.setattr(fem, "_physical_memory", lambda: 8 * 10 ** 9)
+    monkeypatch.setattr(specfun, "memory_limit", lambda: 8 * 10 ** 9)
     assert cli.main(["spectrum", "--preset", preset, "--problem", "sn",
                      "--count", "3", "--fem-h", "1e-300"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith(f"error: target_h = 1e-300 {need}")
-    assert "bytes of physical memory" in err
+    assert "bytes this process may use" in err
 
 
 def test_spectrum_needs_fem_for_irregular_polygon(capsys):
@@ -429,6 +429,33 @@ def test_malformed_input_exits_2_with_one_error_line(argv, domain, tmp_path,
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, grid, need", [
+    (["riesz", "--gamma", "1"], "0:1e9:1", "has 1.000e+9 points, 8.00e+9 bytes"),
+    (["verify", "--bound", "john2d"], "log1000000000(1,2)",
+     "has 1.000e+9 points, 8.00e+9 bytes"),
+    (["riesz", "--gamma", "1"], "0:1e300:1",
+     "has 1.000e+300 points, 8.00e+300 bytes")])
+def test_grid_too_large_to_allocate_exits_2_with_one_error_line(
+        command, grid, need, tmp_path, capsys, monkeypatch):
+    # the points are counted against the memory figure before any is
+    # allocated, so the refusal costs no large array
+    spec = tmp_path / "s.csv"
+    spectra.save_spectrum(spectra.rectangle_sn(math.pi, 1.0, 100), spec)
+    monkeypatch.setattr(specfun, "memory_limit", lambda: 4 * 10 ** 9)
+    tracemalloc.start()
+    try:
+        rc = cli.main([command[0], "--spectrum", str(spec), *command[1:],
+                       "--grid", grid])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and peak < 10 ** 7
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err == (f"error: grid spec {grid!r} {need}, more than the "
+                   "4000000000 bytes this process may use; choose fewer points\n")
 
 
 EXPLICIT = {"eigenvalues": [0, 1, 4], "bc": "neumann", "area": 2.0}

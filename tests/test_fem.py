@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spilu, splu
 
-from steklov import fem, geometry, spectra
+from steklov import fem, geometry, specfun, spectra
 from steklov.fem import Mesh, MeshError
 from steklov.geometry import DomainError
 
@@ -158,8 +158,8 @@ MESHER_DOMAINS = {
 
 def inscribed_hexagon():
     """A hexagon on the unit circle about its vertex mean, at angles 120,
-    190, 240, 300, 10 and 60 degrees: no mirror, but every triangle of its
-    centroid fan is isoceles, so its rims run in sectors."""
+    190, 240, 300, 10 and 60 degrees: every triangle of its centroid fan is
+    isoceles, but the hexagon has no mirror, so none runs in sectors."""
     theta = np.radians([120.0, 190.0, 240.0, 300.0, 10.0, 60.0])
     verts = np.column_stack([np.cos(theta), np.sin(theta) - math.sin(math.pi / 3)])
     return geometry.PolygonalDomain(verts, free_edges=[5])
@@ -963,7 +963,10 @@ def test_refining_meshers_nest_random_convex(d, fraction):
 def mirror_polygons(draw):
     """Convex polygons with the mirror x -> 2c - x, free surface on top:
     isoceles triangles of any apex depth and symmetric 4- to 6-gons, their
-    lower vertices on an ellipse."""
+    lower vertices on an ellipse, and regular 5- to 16-gons, whose mirrored
+    pairs of isoceles fan triangles start whole."""
+    if draw(st.booleans()):
+        return regular_polygon(draw(st.integers(5, 16)), draw(st.floats(0.5, 2.0)))
     c = draw(st.sampled_from([0.0, 0.75, -2.5]))
     half = draw(st.floats(0.5, 1.5))
     depth = draw(st.floats(0.05, 3.0))
@@ -991,12 +994,14 @@ def four_split_inputs(d, h, problem):
 
 
 def plain_and_sector_schur(d, h, problem):
-    """(plain S, sector S, mirror): the 4-split S of d at h without the
-    mirror, every base triangle whole, and with it."""
+    """(plain S, sector S, mirror, rim): the 4-split S of d at h without the
+    mirror, every base triangle whole, and with it, and the largest entry of
+    the plain rim matrices that the final condensation sums."""
     nodes0, tris0, levels, nodes, rims, chains, surface, removed = \
         four_split_inputs(d, h, problem)
     below, _e = fem._rim_schur(fem._element_stiffness(nodes0[tris0]), 0,
                                max(levels - 1, 0))
+    rim = max(float(np.abs(B).max()) for B in below)
     plain, _e = fem._self_similar_schur(rims, below, nodes.shape[0], surface,
                                         removed)
     mirror = fem._mirror(d, nodes0, tris0, nodes, chains)
@@ -1004,7 +1009,15 @@ def plain_and_sector_schur(d, h, problem):
                                max(levels - 1, 0))
     sector, _e = fem._self_similar_schur(rims, below, nodes.shape[0], surface,
                                          removed, mirror)
-    return plain, sector, mirror
+    return plain, sector, mirror, rim
+
+
+def assert_refused_alike(err, solve):
+    """`err`, the 4-split solve's refusal of a mesh too coarse for SD (say
+    two surface nodes, both on the walls), is what `solve` raises too."""
+    assert "too few free-surface unknowns" in str(err)
+    with pytest.raises(MeshError, match=re.escape(str(err))):
+        solve()
 
 
 def mirror_average(S, d, h, problem):
@@ -1024,12 +1037,21 @@ def mirror_average(S, d, h, problem):
        fraction=st.floats(0.03, 0.3))
 def test_sectors_match_the_plain_path_and_the_sparse_lu(d, problem, fraction):
     h = fraction * float(np.hypot(*np.ptp(d.vertices, axis=0)))
-    plain, sector, mirror = plain_and_sector_schur(d, h, problem)
+    try:
+        plain, sector, mirror, rim = plain_and_sector_schur(d, h, problem)
+    except MeshError as err:
+        assert_refused_alike(err, lambda: fem.dtn_matrices(fem.triangulate(d, h),
+                                                           problem))
+        return
     assert mirror is not None
     # the sector S is exactly mirror symmetric, the plain one only to its
-    # roundoff, so the two are compared with that part of it taken out
+    # roundoff, so the two are compared with that part of it taken out.
+    # Both eliminate from sums of the rim matrices, so their roundoff scales
+    # with those, not with S: on a flat hexagon (depth 0.058, width 1.5, SN,
+    # h = 0.0451) S has max 16.6 but the rim matrices 75.8, and the gap,
+    # 1.82e-12, is 1.1e-13 of the one and 2.4e-14 of the other
     assert np.abs(sector - mirror_average(plain, d, h, problem)).max() \
-        <= 1e-13 * np.abs(plain).max()
+        <= 1e-13 * max(np.abs(plain).max(), rim)
     assert np.array_equal(sector, sector.T)
     mesh = fem.triangulate(d, h)
     pair = fem.dtn_matrices(mesh, problem)
@@ -1045,7 +1067,11 @@ def test_mirrored_spectra_are_their_public_steps(d, problem, fraction):
     # the coarse solve condenses the fine skeleton's every other rim node,
     # dtn_matrices the coarse mesh's own skeleton: same mirror, same S
     h = fraction * float(np.hypot(*np.ptp(d.vertices, axis=0)))
-    want = [public_steps(d, problem, step) for step in (h, h / 2)]
+    try:
+        want = [public_steps(d, problem, step) for step in (h, h / 2)]
+    except MeshError as err:
+        assert_refused_alike(err, lambda: fem.dtn_with_error(d, problem, 1, h))
+        return
     count = min(8, want[0].size - 1)
     fine, errors = fem.dtn_with_error(d, problem, count, h)
     assert fine.values.tobytes() == want[1][:count].tobytes()
@@ -1056,7 +1082,7 @@ def test_mirrored_spectra_are_their_public_steps(d, problem, fraction):
 def test_named_mirror_domains_match_the_plain_path(name):
     d = SPECTRUM_DOMAINS[name]
     for problem in ("SN", "SD"):
-        plain, sector, mirror = plain_and_sector_schur(d, 0.1, problem)
+        plain, sector, mirror, _rim = plain_and_sector_schur(d, 0.1, problem)
         assert mirror is not None
         assert np.abs(sector - plain).max() <= 1e-13 * np.abs(plain).max()
 
@@ -1070,13 +1096,15 @@ def test_sector_rim_levels_are_the_reference_condensation(apex):
     corners[apex], corners[(apex + 1) % 3] = (0.5, -0.5), (1.0, 0.0)
     corners[(apex + 2) % 3] = (0.0, 0.0)
     (K,) = fem._element_stiffness(corners[None])
-    assert fem._isoceles_apex(corners) == apex
+    sides = np.hypot(*(np.roll(corners, -1, axis=0) - corners).T)
+    assert sides[apex] == sides[apex - 1]       # the two sides at the apex
     sectors, whole = fem._fold(K, apex), K
     for level in range(6):
         m = 2 ** level
         full = fem._unfold(sectors.even, sectors.odd)
         matrices = ([sectors.even, sectors.even, full],
                     [sectors.odd, sectors.odd, full[1:, 1:]])
+        assert same(tuple(map(tuple, matrices)), fem._level_matrices(sectors))
         for (ids, keep, drop), mats, plan in zip(fem._sector_pieces(m, apex),
                                                  matrices,
                                                  fem._sector_plans(m, apex)):
@@ -1086,7 +1114,8 @@ def test_sector_rim_levels_are_the_reference_condensation(apex):
             assert fem._condense(plan, mats).tobytes() == want.tobytes()
         (sectors,), _e = fem._rim_schur([sectors], level, level + 1)
         (whole,), _e = fem._rim_schur([whole], level, level + 1)
-        rows, got = fem._whole(sectors, 2 * m)
+        rows = fem._unfolded_rows(2 * m, apex)
+        got = fem._unfold(sectors.even, sectors.odd)
         assert np.abs(got - whole[np.ix_(rows, rows)]).max() \
             <= 1e-14 * np.abs(whole).max()
 
@@ -1115,23 +1144,27 @@ def test_sector_surface_condense_is_the_reference_condensation(name, h, problem)
         assert fem._condense(plan, matrices).tobytes() == want.tobytes()
 
 
-def test_inscribed_hexagon_brings_sector_rims_whole():
-    # the one named domain without a mirror whose base triangles are all
-    # isoceles: the one-sector surface condensation takes its rims, kept in
-    # sectors, as whole matrices
-    d = SPECTRUM_DOMAINS["hexagon"]
-    nodes0, tris0, levels, nodes, rims, chains, surface, removed = \
-        four_split_inputs(d, 0.1, "SD")
-    assert fem._mirror(d, nodes0, tris0, nodes, chains) is None
-    start = fem._rim_start(nodes0, tris0, None)
-    assert all(isinstance(B, fem._Sectors) for B in start)
-    below, _e = fem._rim_schur(start, 0, levels - 1)
-    (sector,), at = fem._surface_sectors(rims, below, nodes.shape[0], surface,
-                                         removed)
-    assert at is None and len(sector[0]) == 4 * len(tris0)
-    m = 2 ** (levels - 1)
-    for B, matrix in zip(below, sector[1][::4]):
-        assert matrix.tobytes() == fem._whole(B, m)[1].tobytes()
+def test_only_base_triangles_on_the_mirror_fold(monkeypatch):
+    # every fan triangle of the hexagon and the 12-gon is isoceles, but only
+    # those that the domain's mirror maps onto themselves, the 12-gon's top
+    # and bottom ones, keep their rims in sectors
+    folds, real = [], fem._fold
+
+    def spy(K, apex):
+        folds.append(apex)
+        return real(K, apex)
+
+    monkeypatch.setattr(fem, "_fold", spy)
+    for name, want in (("hexagon", []), ("spoked", [2, 2])):
+        d = SPECTRUM_DOMAINS[name]
+        nodes0, tris0, _levels, nodes, _rims, chains, _surface, _removed = \
+            four_split_inputs(d, 0.1, "SN")
+        mirror = fem._mirror(d, nodes0, tris0, nodes, chains)
+        roles = () if mirror is None else mirror.roles
+        assert [r for r in roles if r is not None and r >= 0] == want
+        folds.clear()
+        fem.dtn_with_error(d, "SN", 6, 0.1)
+        assert folds == want
 
 
 @settings(max_examples=20, deadline=None)
@@ -1140,7 +1173,12 @@ def test_inscribed_hexagon_brings_sector_rims_whole():
 def test_four_split_schur_is_exactly_symmetric(d, problem, fraction):
     # so _pair returns it as it is, not averaged with its transpose
     h = fraction * float(np.hypot(*np.ptp(d.vertices, axis=0)))
-    plain, sector, _mirror = plain_and_sector_schur(d, h, problem)
+    try:
+        plain, sector, _mirror, _rim = plain_and_sector_schur(d, h, problem)
+    except MeshError as err:
+        assert_refused_alike(err, lambda: fem.dtn_matrices(fem.triangulate(d, h),
+                                                           problem))
+        return
     assert np.array_equal(plain, plain.T) and np.array_equal(sector, sector.T)
     pair = fem.dtn_matrices(fem.triangulate(d, h), problem)
     assert pair.asymmetry == 0.0 and pair.S.tobytes() == sector.tobytes()
@@ -1149,8 +1187,8 @@ def test_four_split_schur_is_exactly_symmetric(d, problem, fraction):
 @pytest.mark.parametrize("moved", [1, 2])
 @pytest.mark.parametrize("name", ["triangle", "fan"])
 def test_perturbed_mirror_takes_the_plain_path(name, moved, monkeypatch):
-    # a vertex moved by 1e-10 of the diameter: no mirror and no isoceles
-    # base triangle, so S is the plain one bit for bit
+    # a vertex moved by 1e-10 of the diameter: no mirror, so S is the plain
+    # one bit for bit
     d = MESHER_DOMAINS[name]
     verts = d.vertices.copy()
     verts[moved, 0] += 1e-10 * float(np.hypot(*np.ptp(verts, axis=0)))
@@ -1159,8 +1197,7 @@ def test_perturbed_mirror_takes_the_plain_path(name, moved, monkeypatch):
         nodes0, tris0, levels, nodes, rims, chains, surface, removed = \
             four_split_inputs(d, 0.05, problem)
         assert fem._mirror(d, nodes0, tris0, nodes, chains) is None
-        assert all(fem._isoceles_apex(c) is None for c in nodes0[tris0])
-        plain, sector, _none = plain_and_sector_schur(d, 0.05, problem)
+        plain, sector, _none, _rim = plain_and_sector_schur(d, 0.05, problem)
         assert sector.tobytes() == plain.tobytes()
     forbid(monkeypatch, "_fold")
     fem.dtn_with_error(d, "SN", 6, 0.05)
@@ -1179,7 +1216,7 @@ def test_sectors_shrink_the_condensation_factors():
 
 def test_tiny_target_h_is_refused_before_allocating(monkeypatch):
     # at 1e-4 the triangle needs 15 splits: final sums of up to 147,453 rows
-    monkeypatch.setattr(fem, "_physical_memory", lambda: 8 * 10 ** 9)
+    monkeypatch.setattr(specfun, "memory_limit", lambda: 8 * 10 ** 9)
     for name in ("_skeleton", "_grid_schur", "_refine", "_grid_nodes"):
         forbid(monkeypatch, name)
     tri, rect = MESHER_DOMAINS["triangle"], MESHER_DOMAINS["rectangle"]
@@ -1187,7 +1224,7 @@ def test_tiny_target_h_is_refused_before_allocating(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(
                 "target_h = 0.0001 needs 15 4-splits, with two sum buffers of "
                 "order 1.475e+5: 3.48e+11 bytes, more than the 8000000000 "
-                "bytes of physical memory")):
+                "bytes this process may use")):
             solve(tri, "SN", 3, 1e-4)
         with pytest.raises(ValueError, match=re.escape(
                 "target_h = 1e-300 needs 3.142e+300 grid columns, with four "
@@ -1196,12 +1233,12 @@ def test_tiny_target_h_is_refused_before_allocating(monkeypatch):
     with pytest.raises(ValueError, match="needs 1075 4-splits"):
         fem.triangulate(tri, 5e-324)
     # the fine solve of dtn_with_error is checked before the coarse one runs
-    monkeypatch.setattr(fem, "_physical_memory", lambda: 2_000_000)
+    monkeypatch.setattr(specfun, "memory_limit", lambda: 2_000_000)
     with pytest.raises(ValueError, match="target_h = 0.01 needs 315 grid"):
         fem.dtn_with_error(rect, "SD", 3, 0.02)
     # a grid past the float range is refused whatever the memory figure
     for memory in (8 * 10 ** 9, None):
-        monkeypatch.setattr(fem, "_physical_memory", lambda: memory)
+        monkeypatch.setattr(specfun, "memory_limit", lambda: memory)
         with pytest.raises(ValueError, match=re.escape(
                 "target_h = 5e-324 needs more grid cells than a float counts")):
             fem.triangulate(rect, 5e-324)
@@ -1226,7 +1263,7 @@ def test_size_check_bounds_the_largest_sum(name, h, monkeypatch):
     levels = fem._base_triangulation(d, h)[2]
     need = 2 * 8 * largest[0] ** 2
     assert need > 8 * (3 * 2 ** (levels - 1)) ** 2
-    monkeypatch.setattr(fem, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(specfun, "memory_limit", lambda: need - 1)
     with pytest.raises(ValueError, match=f"needs {levels} 4-splits"):
         fem.dtn_spectrum(d, "SN", 3, h)
 

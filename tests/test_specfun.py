@@ -237,3 +237,16 @@ def test_parameter_checks_pass_valid_values_through():
     assert specfun.points(5.0, "x").tolist() == [5.0]
     with pytest.raises(ValueError, match=r"^x must be a finite real > 0, got 0\.0$"):
         specfun.points(grid, "x", 0, strict=True)
+
+
+def test_memory_limit_is_the_lower_of_physical_memory_and_address_space(
+        monkeypatch):
+    # as `ulimit -v 4000000` sets it; no large array is allocated
+    resource = pytest.importorskip("resource")
+    unlimited = (resource.RLIM_INFINITY,) * 2
+    monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
+    physical = specfun.memory_limit()
+    limit = (4_096_000_000, resource.RLIM_INFINITY)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: limit)
+    want = limit[0] if physical is None else min(physical, limit[0])
+    assert specfun.memory_limit() == want

@@ -20,10 +20,11 @@ JSON true or false is no number.  ``--fem-h`` applies to polygons only.
 or read ``--spectrum``, beside which ``--problem``, ``--count`` and
 ``--fem-h`` are refused.
 
-Exit codes: 0 success / bound holds, 1 bound violated, 2 input error,
-3 grid beyond the spectrum's validity ceiling, 4 geometric hypotheses not
-confirmed (report still written).  All output is deterministic: fixed float
-formatting and key order, so identical invocations are byte-identical.
+Exit codes: 0 success / bound holds, 1 bound violated, 2 input error or
+out of memory, 3 grid beyond the spectrum's validity ceiling, 4 geometric
+hypotheses not confirmed (report still written).  All output is
+deterministic: fixed float formatting and key order, so identical
+invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -334,6 +335,14 @@ def main(argv=None) -> int:
         return 4
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a grid that passes parse_grid's check can still exhaust memory
+        # in evaluation, which holds several arrays of its size
+        detail = " ".join(str(exc).split())
+        detail = f" ({detail})" if detail else ""
+        print(f"error: {args.command} ran out of memory{detail}; choose a "
+              "smaller grid, spectrum or mesh", file=sys.stderr)
         return 2
 
 

@@ -40,8 +40,8 @@ matrix, rebuilt from the sectors; each level is two condensations of half
 the order.  The final condensation runs once per sector, on the orbits of
 the mirror, with one base triangle of each mirrored pair, and S comes back
 from the two sectors by scalings with powers of two and one addition per
-entry.  Without a mirror it is the one-sector case, every id its own orbit
-and every rim matrix whole.
+entry.  Without a mirror both condensations are the one-sector case,
+every id its own orbit and every rim matrix whole.
 :func:`dtn_spectrum` and :func:`dtn_with_error` number only the nodes on
 the base edges for this (the skeleton) and never build the mesh;
 :func:`dtn_matrices` condenses a :func:`triangulate` mesh through the
@@ -1013,28 +1013,23 @@ def _condense(plan: _Plan, matrices) -> np.ndarray:
     return total.copy()
 
 
-@functools.lru_cache(maxsize=None)
-def _rim_plan(m: int) -> _Plan:
-    """The :func:`_plan` of one 4-split level: the four copies of
-    :func:`_split_maps` onto the parent's rim, 0 ... 6m - 1."""
-    return _plan(tuple(_split_maps(m)), np.arange(6 * m))
-
-
 class _Sectors(NamedTuple):
-    """The rim matrix B of a triangle with equal sides at vertex `apex`, in
-    the even and odd sectors of the mirror that fixes the apex and swaps the
-    two other vertices.  With P the rim nodes on the side of vertex apex + 1,
-    tP their mirror images and F the nodes on the axis, in the order of
-    :func:`_sector_rows`,
+    """The rim matrix B of a triangle in the sectors of a mirror of it.
+    With `apex` None there is no mirror and one sector, B itself (`even`),
+    in rim order.  Otherwise the triangle has equal sides at vertex `apex`
+    and B is in the even and odd sectors of the mirror that fixes the apex
+    and swaps the two other vertices.  With P the rim nodes on the side of
+    vertex apex + 1, tP their mirror images and F the nodes on the axis, in
+    the order of :func:`_sector_rows`,
 
         even = [[B[P,P] + B[P,tP], B[P,F]], [B[F,P], B[F,F] / 2]],
         odd = B[P,P] - B[P,tP]:
 
     half of E^T B E and D^T B D, where E has the columns e_p + e_tp and e_f
     and D the columns e_p - e_tp, so the energy of half the triangle."""
-    apex: int
+    apex: Optional[int]
     even: np.ndarray
-    odd: np.ndarray
+    odd: Optional[np.ndarray] = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -1089,9 +1084,12 @@ def _fold(K, apex: int) -> _Sectors:
 
 
 def _level_matrices(B: _Sectors):
-    """The matrices of the pieces of :func:`_level_rows`, per sector: the
-    middle and apex copies' sectors as they are, then the corner copy whole
+    """The matrices of the pieces of :func:`_level_rows`, per sector: for a
+    whole triangle B itself, once per copy; otherwise the middle and apex
+    copies' sectors as they are, then the corner copy whole
     (:func:`_unfold`), its axis row cut off in the odd sector."""
+    if B.apex is None:
+        return ((B.even,) * 4,)
     whole = _unfold(B.even, B.odd)
     return (B.even, B.even, whole), (B.odd, B.odd, whole[1:, 1:])
 
@@ -1118,17 +1116,21 @@ def _lattice_mirror(m: int, apex: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _level_rows(m: int, apex: int):
-    """Per sector (even, odd), the parent node (numbered as in
-    :func:`_split_maps`) of each row of each piece that one 4-split level
-    of a :class:`_Sectors` rim matrix, m per side, brings; for m = 0, the
-    rim positions of the unsplit triangle's own sectors.
+def _level_rows(m: int, apex: Optional[int]):
+    """Per sector, the parent node (numbered as in :func:`_split_maps`) of
+    each row of each piece that one 4-split level of a :class:`_Sectors`
+    rim matrix, m per side, brings; for m = 0, the rim positions of the
+    unsplit triangle's own sectors.
 
-    The middle copy and the copy at the apex map onto themselves with the
-    parent's local reversal, so each brings its sectors as they are.  The
-    two other corner copies swap, so together they bring one whole matrix
-    (:func:`_level_matrices`), last: the copy at vertex apex + 1, less its
-    first row in the odd sector, as that row lies on the axis."""
+    A whole triangle (apex None) has one sector: its four copies.  In the
+    even and odd sector, the middle copy and the copy at the apex map onto
+    themselves with the parent's local reversal, so each brings its sectors
+    as they are.  The two other corner copies swap, so together they bring
+    one whole matrix (:func:`_level_matrices`), last: the copy at vertex
+    apex + 1, less its first row in the odd sector, as that row lies on the
+    axis."""
+    if apex is None:
+        return (tuple(_split_maps(m)) if m else (np.arange(3),),)
     P, F = _sector_rows(max(m, 1), apex)
     PF = np.concatenate([P, F])
     if not m:
@@ -1138,14 +1140,18 @@ def _level_rows(m: int, apex: int):
     return (middle[PF], tip[PF], corner), (middle[P], tip[P], corner[1:])
 
 
-def _sector_pieces(m: int, apex: int):
-    """The even and odd sectors of one 4-split level of a :class:`_Sectors`
-    rim matrix, m per side, onto the parent's, each as (the ids of the
-    pieces of :func:`_level_rows`, the ids kept, the ids held at zero).
+def _sector_pieces(m: int, apex: Optional[int]):
+    """The sectors of one 4-split level of a :class:`_Sectors` rim matrix,
+    m per side, onto the parent's, each as (the ids of the pieces of
+    :func:`_level_rows`, the ids kept, the ids held at zero).
 
-    The ids are the orbits of the parent's mirror, numbered so that the sums
-    come out in the parent's :func:`_sector_rows` order: P by position, the
-    two axis nodes, then the midlines."""
+    A whole triangle's one sector keeps the parent's rim, 0 ... 6m - 1, and
+    holds nothing at zero.  In the even and odd sectors the ids are the
+    orbits of the parent's mirror, numbered so that the sums come out in the
+    parent's :func:`_sector_rows` order: P by position, the two axis nodes,
+    then the midlines."""
+    if apex is None:
+        return ((_level_rows(m, None)[0], np.arange(6 * m), ()),)
     partner, side = _lattice_mirror(m, apex)
     orbit = np.arange(partner.size) + 2
     P, F = _sector_rows(2 * m, apex)
@@ -1159,35 +1165,29 @@ def _sector_pieces(m: int, apex: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_plans(m: int, apex: int):
+def _sector_plans(m: int, apex: Optional[int]):
     """The :func:`_plan` of each sector of :func:`_sector_pieces`."""
     return tuple(_plan(*sector) for sector in _sector_pieces(m, apex))
 
 
 def _rim_schur(B, first, last):
     """(B, factor entries): each base triangle's Schur complement onto its
-    rim after `last` 4-splits, from B, the ones after `first` (the element
-    stiffness at first = 0).  P1 stiffness is invariant under similarity, so
-    each level is four copies of the last, with the midlines eliminated, by
-    one cached :func:`_rim_plan` per level.
-
-    An entry of B given as :class:`_Sectors` (:func:`_rim_start`) stays in
-    them: each level is then two condensations of half the order, of the
-    pieces of :func:`_level_rows`, by the cached :func:`_sector_plans`; an
-    entry None stays None.
+    rim after `last` 4-splits, as :class:`_Sectors`, from B, the ones after
+    `first` (from :func:`_rim_start` at first = 0).  P1 stiffness is
+    invariant under similarity, so each level is four copies of the last,
+    with the midlines eliminated: in each sector, the pieces of
+    :func:`_level_rows` by the cached :func:`_sector_plans`, so a whole
+    triangle takes one condensation and a mirrored one two of half the
+    order.  An entry None stays None.
     """
     entries = 0
     for level in range(first, last):
         m, out = 2 ** level, []
         for Bt in B:
-            if isinstance(Bt, _Sectors):
+            if Bt is not None:
                 plans = _sector_plans(m, Bt.apex)
                 Bt = _Sectors(Bt.apex, *map(_condense, plans, _level_matrices(Bt)))
                 entries += sum(plan.entries for plan in plans)
-            elif Bt is not None:
-                plan = _rim_plan(m)
-                Bt = _condense(plan, [Bt] * 4)
-                entries += plan.entries
             out.append(Bt)
         B = out
     return B, entries
@@ -1246,11 +1246,13 @@ def _mirror(d: PolygonalDomain, nodes0, tris0, nodes, chains):
 
 def _rim_start(nodes0, tris0, mirror: Optional[_Mirror]) -> list:
     """Each base triangle's rim matrix before any split, for
-    :func:`_rim_schur`: its element stiffness, as :class:`_Sectors` about
-    its vertex on the axis when the mirror maps it onto itself, and None
-    when the mirror makes it the image of an earlier one."""
+    :func:`_rim_schur`: its element stiffness as :class:`_Sectors`, about
+    its vertex on the axis when the mirror maps it onto itself, whole
+    (apex None) otherwise, and None when the mirror makes it the image of
+    an earlier one."""
     roles = (-1,) * len(tris0) if mirror is None else mirror.roles
-    return [None if role is None else K if role < 0 else _fold(K, role)
+    return [None if role is None else _Sectors(None, K) if role < 0
+            else _fold(K, role)
             for K, role in zip(_element_stiffness(nodes0[tris0]), roles)]
 
 
@@ -1261,39 +1263,34 @@ def _surface_sectors(rims, below, n_ids, surface, removed,
     their matrices, the ids kept, the ids held at zero), and where each of
     `surface` sits in the :func:`_unfold` of the sectors.
 
-    Without a :class:`_Mirror` every id is its own orbit and every base
-    triangle brings its four copies (or, unsplit, itself) as plain
-    matrices, so there is one sector, onto `surface` with `removed` held at
-    zero, and `at` is None.  With one there are two, the even and odd
-    sector: a base triangle that is its own image brings the pieces of
-    :func:`_level_rows`, as one level of :func:`_rim_schur` does; one of
-    each mirrored pair brings its four copies whole, the other nothing.  An
-    id stands for itself and its image, numbered by the smaller of the two,
-    or after all pairs if it is its own image, which the odd sector holds
-    at zero.  Each piece lies on one side of the axis or comes in sectors,
-    so the odd sector takes the nodes on one side as its signs: S has those
-    left of the axis in the last block of the unfolding."""
+    Each base triangle of `below` (None: the image of an earlier one)
+    brings the pieces of :func:`_level_rows` to every sector, as one level
+    of :func:`_rim_schur` does, a whole one (apex None) the same copies to
+    each.  Without a :class:`_Mirror` every id is its own orbit and every
+    base triangle whole, so there is one sector, onto `surface` with
+    `removed` held at zero, and `at` is None.  With one there are two, the
+    even and odd sector.  An id stands for itself and its image, numbered
+    by the smaller of the two, or after all pairs if it is its own image,
+    which the odd sector holds at zero.  Each piece lies on one side of the
+    axis or comes in sectors, so the odd sector takes the nodes on one side
+    as its signs: S has those left of the axis in the last block of the
+    unfolding."""
     m = rims.shape[1] // 6
     inner = 3 * max(m - 1, 0)
     partner = np.full(n_ids + inner * len(rims), -1)
-    roles = (-1,) * len(rims)
     if mirror is not None:
-        partner[:n_ids], roles = mirror.partner, mirror.roles
+        partner[:n_ids] = mirror.partner
     even, odd = [], []
-    for t, (rim, B, role) in enumerate(zip(rims, below, roles)):
-        if role is None:
+    for t, (rim, B) in enumerate(zip(rims, below)):
+        if B is None:
             continue
         local = np.concatenate([rim, n_ids + inner * t + np.arange(inner)])
-        if role < 0:
-            for idx in _split_maps(m) if m else np.arange(3)[None]:
-                even.append((local[idx], B))
-                odd.append((local[idx], B))
-            continue
-        if m:
-            partner[local] = local[_lattice_mirror(m, role)[0]]
-        for pieces, rows, matrices in zip((even, odd), _level_rows(m, role),
-                                          _level_matrices(B)):
-            pieces.extend((local[r], A) for r, A in zip(rows, matrices))
+        if m and B.apex is not None:
+            partner[local] = local[_lattice_mirror(m, B.apex)[0]]
+        rows, matrices = _level_rows(m, B.apex), _level_matrices(B)
+        # a whole triangle's one sector serves both
+        for pieces, r, mats in zip((even, odd), rows * 2, matrices * 2):
+            pieces.extend((local[i], A) for i, A in zip(r, mats))
     ids = np.arange(partner.size)
     orbit = np.where(partner < 0, ids, np.minimum(ids, partner))
     orbit[partner == ids] += partner.size
@@ -1313,13 +1310,14 @@ def _self_similar_schur(rims, below, n_ids, surface, removed, mirror=None):
     """(S, factor entries) on `surface` (sorted ids), `removed` held at
     zero, for base triangles with rims `rims` (:func:`_skeleton`) 4-split L
     times, from their rim matrices `below` after max(L - 1, 0) splits
-    (from :func:`_rim_start` with the same `mirror`).  Each is four copies
-    of that around three midlines, whose inner nodes get ids from `n_ids`
-    on; in each sector of :func:`_surface_sectors`, one :func:`_plan`,
-    built for this call, eliminates walls, midlines, spokes and the
-    centroid as :func:`_condense` adds the copies, base triangle by base
-    triangle.  One sector (no mirror) is S itself; two, the even and odd
-    sectors of the domain's :class:`_Mirror`, give S back by :func:`_unfold`.
+    (:func:`_rim_schur` of :func:`_rim_start` with the same `mirror`).
+    Each is four copies of that around three midlines, whose inner nodes
+    get ids from `n_ids` on; in each sector of :func:`_surface_sectors`,
+    one :func:`_plan`, built for this call, eliminates walls, midlines,
+    spokes and the centroid as :func:`_condense` adds the copies, base
+    triangle by base triangle.  One sector (no mirror) is S itself; two,
+    the even and odd sectors of the domain's :class:`_Mirror`, give S back
+    by :func:`_unfold`.
     """
     sectors, at = _surface_sectors(rims, below, n_ids, surface, removed, mirror)
     out, entries = [], 0

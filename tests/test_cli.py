@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklov import cli, geometry, specfun, spectra
+from steklov import cli, geometry, riesz, specfun, spectra
 from steklov.geometry import ConeDomain, CylinderDomain, PolygonalDomain
 
 
@@ -456,6 +456,34 @@ def test_grid_too_large_to_allocate_exits_2_with_one_error_line(
     assert out == "" and len(err.splitlines()) == 1
     assert err == (f"error: grid spec {grid!r} {need}, more than the "
                    "4000000000 bytes this process may use; choose fewer points\n")
+
+
+@pytest.mark.parametrize("command", [["riesz", "--gamma", "1"],
+                                     ["verify", "--bound", "john2d"]])
+@pytest.mark.parametrize("message, detail", [
+    ("Unable to allocate 609. MiB for an array with shape (79800000,) and "
+     "data type float64",
+     " (Unable to allocate 609. MiB for an array with shape (79800000,) and "
+     "data type float64)"),
+    ("", "")])
+def test_running_out_of_memory_exits_2_with_one_error_line(
+        command, message, detail, tmp_path, capsys, monkeypatch):
+    # a grid small enough for parse_grid's check can still exhaust memory
+    # in evaluation, which holds several arrays of its size; the evaluation
+    # raises here, so nothing large is allocated
+    spec = tmp_path / "s.csv"
+    spectra.save_spectrum(spectra.rectangle_sn(math.pi, 1.0, 100), spec)
+
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(riesz, "riesz_mean_grid", exhausted)
+    rc = cli.main([command[0], "--spectrum", str(spec), *command[1:],
+                   "--grid", "0:40:2"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == (f"error: {command[0]} ran out of memory{detail}; choose a "
+                   "smaller grid, spectrum or mesh\n")
 
 
 EXPLICIT = {"eigenvalues": [0, 1, 4], "bc": "neumann", "area": 2.0}

@@ -509,9 +509,9 @@ def test_rim_recursion_matches_dense_schur(x, y, levels):
     inner = np.setdiff1d(np.arange(nodes.shape[0]), rim)
     want = K[np.ix_(rim, rim)] - K[np.ix_(rim, inner)] @ np.linalg.solve(
         K[np.ix_(inner, inner)], K[np.ix_(inner, rim)])
-    (got,), _entries = fem._rim_schur(fem._element_stiffness(base[tri]), 0,
-                                      levels)
-    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    (got,), _entries = fem._rim_schur(fem._rim_start(base, tri, None), 0, levels)
+    assert got.apex is None and got.odd is None
+    assert np.abs(got.even - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_unrefined_fan_condenses_its_element_matrices(monkeypatch):
@@ -599,6 +599,22 @@ def test_retagged_free_edge(monkeypatch):
     forbid(monkeypatch, "_self_similar_schur")
     pair = fem.dtn_matrices(edited, "SD")
     assert not np.isin([i, j], pair.surface_nodes).any()
+    assert pair.S == pytest.approx(dense_schur(edited, pair, "SD"), abs=1e-10)
+
+
+def test_source_with_too_few_unknowns_falls_back_to_sparse_lu(monkeypatch):
+    # the triangle split once, its two lower wall edges tagged free: SD keeps
+    # the top corners and midpoint 0, 2 and 5, while the recorded source
+    # keeps only 5.  The recognizer reads the source's surface without asking
+    # for two unknowns, sees that it differs and takes the sparse LU
+    mesh = fem.triangulate(geometry.isoceles_triangle_domain(2.0, math.pi / 4), 1.5)
+    edges = [(i, j, "free" if {i, j} in ({0, 3}, {2, 4}) else tag)
+             for i, j, tag in mesh.boundary_edges]
+    edited = Mesh(mesh.nodes, mesh.triangles, edges)
+    edited.source = mesh.source
+    forbid(monkeypatch, "_self_similar_schur")
+    pair = fem.dtn_matrices(edited, "SD")
+    assert np.array_equal(pair.surface_nodes, [0, 2, 5]) and pair.factor_nnz == 10
     assert pair.S == pytest.approx(dense_schur(edited, pair, "SD"), abs=1e-10)
 
 
@@ -775,10 +791,12 @@ def assert_same_plan(got, want):
 
 
 def test_rim_and_sector_plans_are_the_reference_plans():
+    # a whole triangle's one sector: its four copies onto the parent's rim
     for level in range(7):
         m = 2 ** level
-        assert_same_plan(fem._rim_plan(m),
-                         reference_plan(tuple(fem._split_maps(m)), np.arange(6 * m)))
+        (plan,) = fem._sector_plans(m, None)
+        assert_same_plan(plan, reference_plan(tuple(fem._split_maps(m)),
+                                              np.arange(6 * m)))
     for apex in range(3):
         for level in range(6):
             pieces = fem._sector_pieces(2 ** level, apex)
@@ -792,14 +810,15 @@ def test_rim_and_sector_plans_are_the_reference_plans():
                          ids=["right", "obtuse", "thin"])
 def test_rim_recursion_is_the_reference_condensation(corners):
     # bit for bit, level by level, with the cached plan's factor entries
-    (B,) = fem._element_stiffness(np.array([corners], dtype=float))
+    (B,) = fem._rim_start(np.array(corners, dtype=float), np.array([[0, 1, 2]]),
+                          None)
     for level in range(7):
         m = 2 ** level
         ids, want, entries = reference_condense(
-            [(idx, B) for idx in fem._split_maps(m)], np.arange(6 * m))
+            [(idx, B.even) for idx in fem._split_maps(m)], np.arange(6 * m))
         (B,), got_entries = fem._rim_schur([B], level, level + 1)
-        assert np.array_equal(fem._rim_plan(m).ids, ids)
-        assert B.tobytes() == want.tobytes() and got_entries == entries
+        assert np.array_equal(fem._sector_plans(m, None)[0].ids, ids)
+        assert B.even.tobytes() == want.tobytes() and got_entries == entries
 
 
 def assert_surface_condense_is_the_reference(d, problem, h):
@@ -809,7 +828,7 @@ def assert_surface_condense_is_the_reference(d, problem, h):
     nodes, rims, chains = fem._skeleton(nodes0, tris0, levels)
     mesh = fem._chain_mesh(nodes, chains, fem._tagged_mesh(d, nodes0, tris0), 1)
     _free, surface, removed = fem._retained_surface(mesh, problem)
-    below, _e = fem._rim_schur(fem._element_stiffness(nodes0[tris0]), 0,
+    below, _e = fem._rim_schur(fem._rim_start(nodes0, tris0, None), 0,
                                max(levels - 1, 0))
     (sector,), at = fem._surface_sectors(rims, below, nodes.shape[0], surface,
                                          removed)
@@ -861,17 +880,23 @@ def test_condense_buffers_belong_to_one_call(monkeypatch):
 
 
 def test_rim_plans_are_cached_once_per_level():
-    # the isoceles triangle's rim levels run in sectors, the fan's side
-    # triangles whole; either kind of plan is built once per level
-    for d, h, plans in ((MESHER_DOMAINS["triangle"], 0.01, fem._sector_plans),
-                        (MESHER_DOMAINS["fan"], 0.02, fem._rim_plan)):
+    # the isoceles triangle's rim levels run in sectors about its apex; the
+    # fan's side triangles whole and its top and bottom ones in sectors
+    # about the centroid: each kind of plan is built once per level
+    plans = fem._sector_plans
+    for d, h in ((MESHER_DOMAINS["triangle"], 0.01), (MESHER_DOMAINS["fan"], 0.02)):
+        nodes0, tris0, top = fem._base_triangulation(d, h / 2)
+        nodes, _rims, chains = fem._skeleton(nodes0, tris0, top)
+        mirror = fem._mirror(d, nodes0, tris0, nodes, chains)
+        kinds = len({B.apex for B in fem._rim_start(nodes0, tris0, mirror)
+                     if B is not None})
         plans.cache_clear()
         fem.dtn_with_error(d, "SN", 4, h)
-        levels = max(fem._base_triangulation(d, h / 2)[2] - 1, 0)
-        assert 0 < plans.cache_info().currsize <= levels
+        built = kinds * max(top - 1, 0)
+        assert 0 < plans.cache_info().currsize <= built
         fem.dtn_with_error(d, "SD", 4, h)
         info = plans.cache_info()
-        assert info.currsize <= levels and info.hits >= levels
+        assert info.currsize <= built and info.hits >= built
 
 
 def test_four_split_label_is_the_exact_mesh_size():
@@ -999,9 +1024,9 @@ def plain_and_sector_schur(d, h, problem):
     the plain rim matrices that the final condensation sums."""
     nodes0, tris0, levels, nodes, rims, chains, surface, removed = \
         four_split_inputs(d, h, problem)
-    below, _e = fem._rim_schur(fem._element_stiffness(nodes0[tris0]), 0,
+    below, _e = fem._rim_schur(fem._rim_start(nodes0, tris0, None), 0,
                                max(levels - 1, 0))
-    rim = max(float(np.abs(B).max()) for B in below)
+    rim = max(float(np.abs(B.even).max()) for B in below)
     plain, _e = fem._self_similar_schur(rims, below, nodes.shape[0], surface,
                                         removed)
     mirror = fem._mirror(d, nodes0, tris0, nodes, chains)
@@ -1098,7 +1123,7 @@ def test_sector_rim_levels_are_the_reference_condensation(apex):
     (K,) = fem._element_stiffness(corners[None])
     sides = np.hypot(*(np.roll(corners, -1, axis=0) - corners).T)
     assert sides[apex] == sides[apex - 1]       # the two sides at the apex
-    sectors, whole = fem._fold(K, apex), K
+    sectors, whole = fem._fold(K, apex), fem._Sectors(None, K)
     for level in range(6):
         m = 2 ** level
         full = fem._unfold(sectors.even, sectors.odd)
@@ -1116,8 +1141,8 @@ def test_sector_rim_levels_are_the_reference_condensation(apex):
         (whole,), _e = fem._rim_schur([whole], level, level + 1)
         rows = fem._unfolded_rows(2 * m, apex)
         got = fem._unfold(sectors.even, sectors.odd)
-        assert np.abs(got - whole[np.ix_(rows, rows)]).max() \
-            <= 1e-14 * np.abs(whole).max()
+        assert np.abs(got - whole.even[np.ix_(rows, rows)]).max() \
+            <= 1e-14 * np.abs(whole.even).max()
 
 
 @pytest.mark.parametrize("problem", ["SN", "SD"])

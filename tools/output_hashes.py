@@ -14,9 +14,18 @@ checkout that has that API.  It hashes:
   trapezoid fans, the spoked 12-gon and an asymmetric hexagon, at
   h = 0.3, 0.1, 0.05, SN and SD; and the same of a copy of each mesh,
   which records no source and so takes the bordered sparse LU;
+- the same, and ``dtn_with_error``, on bases split once or not at all: the
+  triangle, the narrow fan and the 12-gon at an h that gives them one
+  4-split and at one that gives none; where a problem keeps too few
+  surface unknowns, the text of the refusal;
 - ``dtn_with_error``: values, certificates and the source label, on the
-  same domains and on copies of the mirrored ones with a vertex moved off
-  the mirror;
+  domains above at h = 0.3, 0.1, 0.05 and on copies of the mirrored ones
+  with a vertex moved off the mirror;
+- ``dtn_spectrum``: values and label on each domain at h = 0.1;
+- ``dtn_matrices`` of three edited triangulate meshes that their recorded
+  source no longer gives: the narrow fan with a free edge tagged wall,
+  the fan with an interior node moved, and the once-split triangle with its
+  two lower wall edges tagged free;
 - the certified triangle solve of acceptance criterion 07 and the two
   solves of the fem-certified benchmark workload;
 - the stdout of the five CLI commands of acceptance criterion 14.
@@ -92,6 +101,28 @@ MOVED = {f"{name}-moved": moved(DOMAINS[name])
          for name in ("triangle", "fan", "fan-wide", "spoked")}
 STEPS = (0.3, 0.1, 0.05)
 PROBLEMS = ("SN", "SD")
+# (domain, h) with one 4-split (L = 1), then with none (L = 0); the
+# triangle's longest edge, 2, is below the 2.236 diagonal of its bounding
+# box, which triangulate reads as the diameter, so it has an L = 0 mesh too
+SHALLOW = (("triangle", 1.5), ("fan", 1.5), ("spoked", 0.5),
+           ("triangle", 2.1), ("fan", 2.05), ("spoked", 1.0))
+
+
+def refused(call):
+    """call(), or the text of the ValueError (MeshError included) it
+    raises, as for a problem that keeps too few surface unknowns."""
+    try:
+        return call()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def matrices_lines(key, mesh, problem):
+    pair = refused(lambda: fem.dtn_matrices(mesh, problem))
+    if isinstance(pair, str):
+        return [(f"{key}/refused", pair)]
+    return [(f"{key}/{field}", getattr(pair, field))
+            for field in ("S", "M_F", "surface_nodes", "factor_nnz", "asymmetry")]
 
 
 def solve_lines(name, d, problem, count, h):
@@ -101,24 +132,63 @@ def solve_lines(name, d, problem, count, h):
             (f"{key}/label", spectrum.source)]
 
 
+def modes(d, problem, h) -> int:
+    """Every mode the solve at h resolves, up to 12."""
+    return min(12, fem.dtn_matrices(fem.triangulate(d, h), problem).S.shape[0] - 1)
+
+
+def edited(mesh, retag=(), node=None):
+    """A copy of mesh that keeps its recorded source, with the boundary
+    edges whose node pairs are in `retag` tagged the other way and `node`,
+    if given, moved right by 0.01."""
+    swap = {"free": "wall", "wall": "free"}
+    edges = [(i, j, swap[tag] if {i, j} in retag else tag)
+             for i, j, tag in mesh.boundary_edges]
+    out = fem.Mesh(mesh.nodes.copy(), mesh.triangles, edges)
+    if node is not None:
+        out.nodes[node, 0] += 0.01
+    out.source = mesh.source
+    return out
+
+
+def edited_meshes():
+    fan = fem.triangulate(DOMAINS["fan"], 0.1)
+    free = [{i, j} for i, j, tag in fan.boundary_edges if tag == "free"]
+    yield "retagged-free-edge", edited(fan, [free[len(free) // 2]])
+    fan = fem.triangulate(DOMAINS["fan"], 0.2)
+    inner = np.setdiff1d(np.arange(fan.nodes.shape[0]),
+                         [k for i, j, _tag in fan.boundary_edges for k in (i, j)])
+    yield "moved-interior-node", edited(fan, node=inner[inner.size // 2])
+    coarse = fem.triangulate(TRIANGLE, 1.5)
+    yield "retagged-walls", edited(coarse, [{0, 3}, {2, 4}])
+
+
 def fem_outputs():
+    for name, h in [(name, h) for name in DOMAINS for h in STEPS] + list(SHALLOW):
+        for problem in PROBLEMS:
+            mesh = fem.triangulate(DOMAINS[name], h)
+            for route, m in (("dtn_matrices", mesh),
+                             ("dtn_matrices-copy", dataclasses.replace(mesh))):
+                yield from matrices_lines(f"{route}/{name}/{problem}/{h}", m, problem)
+    solved = {**DOMAINS, **MOVED}
+    for name, h in [(name, h) for name in solved for h in STEPS] + list(SHALLOW):
+        for problem in PROBLEMS:
+            count = refused(lambda: modes(solved[name], problem, h))
+            if isinstance(count, str):
+                yield f"dtn_with_error/{name}/{problem}/{h}/refused", count
+            else:
+                yield from solve_lines(name, solved[name], problem, count, h)
     for name, d in DOMAINS.items():
-        for h in STEPS:
-            for problem in PROBLEMS:
-                mesh = fem.triangulate(d, h)
-                for route, m in (("dtn_matrices", mesh),
-                                 ("dtn_matrices-copy", dataclasses.replace(mesh))):
-                    pair = fem.dtn_matrices(m, problem)
-                    key = f"{route}/{name}/{problem}/{h}"
-                    for field in ("S", "M_F", "surface_nodes", "factor_nnz",
-                                  "asymmetry"):
-                        yield f"{key}/{field}", getattr(pair, field)
-    for name, d in {**DOMAINS, **MOVED}.items():
-        for h in STEPS:
-            for problem in PROBLEMS:
-                # every mode the coarse solve resolves, up to 12
-                unknowns = fem.dtn_matrices(fem.triangulate(d, h), problem).S.shape[0]
-                yield from solve_lines(name, d, problem, min(12, unknowns - 1), h)
+        for problem in PROBLEMS:
+            count = modes(d, problem, 0.1)
+            spectrum = fem.dtn_spectrum(d, problem, count, 0.1)
+            key = f"dtn_spectrum/{name}/{problem}/{count}/0.1"
+            yield f"{key}/values", spectrum.values
+            yield f"{key}/label", spectrum.source
+    for name, mesh in edited_meshes():
+        for problem in PROBLEMS:
+            yield from matrices_lines(f"dtn_matrices-edited/{name}/{problem}", mesh,
+                                      problem)
     yield from solve_lines("criterion-07", TRIANGLE, "SN", 160, 0.004)
     yield from solve_lines("fem-certified-triangle", TRIANGLE, "SN", 80, 0.01)
     yield from solve_lines("fem-certified-rectangle", RECTANGLE, "SD", 40, 0.02)

@@ -58,15 +58,10 @@ def _num(token: str) -> float:
 
 
 def _check_points(spec: str, count) -> None:
-    """A ValueError, before the grid is allocated, if its `count` points
-    alone do not fit in the memory of :func:`specfun.memory_limit`."""
-    need, memory = 8 * count, specfun.memory_limit()
-    if memory is not None and need > memory:
-        from decimal import Decimal         # exact for any int
-
-        raise ValueError(f"grid spec {spec!r} has {Decimal(count):.4g} points,"
-                         f" {Decimal(need):.3g} bytes, more than the {memory} "
-                         "bytes this process may use; choose fewer points")
+    """:func:`specfun.check_memory` of the grid's `count` points, before
+    any is allocated."""
+    specfun.check_memory(8 * count, lambda exact: (
+        f"grid spec {spec!r} has {exact(count):.4g} points, "), "fewer points")
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -89,6 +84,9 @@ def parse_grid(spec: str) -> np.ndarray:
     if not (step > 0 and stop > start):
         raise ValueError(f"grid spec needs stop > start and step > 0, got {spec!r}")
     stop += 0.5 * step
+    if not math.isfinite(stop - start):
+        raise ValueError(f"grid spec {spec!r}: the lattice's end, stop + step/2, "
+                         "or its distance from start overflows a float")
     span = (stop - start) / step            # np.arange's length, ceil(span)
     _check_points(spec, math.ceil(span) if math.isfinite(span) else math.inf)
     return np.arange(start, stop, step)

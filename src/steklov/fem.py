@@ -32,16 +32,18 @@ and sums are built by row moves over runs of columns.
 Mirror symmetry halves both condensations (the even and odd sectors of
 A. Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986) when the
 reflection about the middle of the domain's x-range maps the vertices, tags
-and skeleton onto themselves.  A base triangle that is its own image keeps
-its rim matrix as the pair of its sectors: of its four copies, the middle
-one and the one at its vertex on the axis map onto themselves and bring
-their sectors as they are, and the other two swap, so they bring one whole
-matrix, rebuilt from the sectors; each level is two condensations of half
-the order.  The final condensation runs once per sector, on the orbits of
-the mirror, with one base triangle of each mirrored pair, and S comes back
-from the two sectors by scalings with powers of two and one addition per
-entry.  Without a mirror both condensations are the one-sector case,
-every id its own orbit and every rim matrix whole.
+and skeleton onto themselves.  Each condensation then runs once per sector,
+on the orbits of the mirror, and one builder numbers them for both, from
+the ids alone: an id stands for itself and its image.  A base triangle that
+is its own image keeps its rim matrix as the pair of its sectors: of its
+four copies, the middle one and the one at its vertex on the axis map onto
+themselves and bring their sectors as they are, and the other two swap, so
+they bring one whole matrix, rebuilt from the sectors.  A rim level is the
+builder's one-triangle case, on the parent's rim: two condensations of half
+the order.  The final condensation takes one base triangle of each mirrored
+pair, and S comes back from the two sectors by scalings with powers of two
+and one addition per entry.  Without a mirror both condensations are the
+one-sector case, every id its own orbit and every rim matrix whole.
 :func:`dtn_spectrum` and :func:`dtn_with_error` number only the nodes on
 the base edges for this (the skeleton) and never build the mesh;
 :func:`dtn_matrices` condenses a :func:`triangulate` mesh through the
@@ -329,7 +331,8 @@ def _base_triangulation(d: PolygonalDomain, target_h: float):
     span = d.vertices.max(axis=0) - d.vertices.min(axis=0)
     if target_h >= float(np.hypot(*span)):
         raise ValueError(f"target_h = {target_h} is no smaller than the "
-                         "domain diameter; nothing to resolve")
+                         "diagonal of the domain's bounding box; nothing to "
+                         "resolve")
     if geometry.axis_rectangle_sides(d) is not None:
         return None
     m, e = d.n_vertices, d.edge_vectors
@@ -360,19 +363,13 @@ def _base_triangulation(d: PolygonalDomain, target_h: float):
 
 
 def _check_dense(target_h: float, why: tuple, order: int, blocks: int) -> None:
-    """A ValueError, before anything is allocated, if `blocks` dense blocks
-    of order `order`, which a solve at target_h needs, do not fit in the
-    memory of :func:`specfun.memory_limit`.  `why` is (count, of what,
+    """:func:`specfun.check_memory` of `blocks` dense blocks of order
+    `order`, which a solve at target_h needs; `why` is (count, of what,
     which blocks) for the message."""
-    need, memory = blocks * 8 * order ** 2, specfun.memory_limit()
-    if memory is not None and need > memory:
-        from decimal import Decimal         # exact for any int
-
-        count, unit, which = why
-        raise ValueError(f"target_h = {target_h} needs {Decimal(count):.4g} "
-                         f"{unit}, with {which} of order {Decimal(order):.4g}:"
-                         f" {Decimal(need):.3g} bytes, more than the {memory} "
-                         "bytes this process may use; choose a larger target_h")
+    count, unit, which = why
+    specfun.check_memory(blocks * 8 * order ** 2, lambda exact: (
+        f"target_h = {target_h} needs {exact(count):.4g} {unit}, with {which} "
+        f"of order {exact(order):.4g}: "), "a larger target_h")
 
 
 def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
@@ -1026,7 +1023,9 @@ class _Sectors(NamedTuple):
         odd = B[P,P] - B[P,tP]:
 
     half of E^T B E and D^T B D, where E has the columns e_p + e_tp and e_f
-    and D the columns e_p - e_tp, so the energy of half the triangle."""
+    and D the columns e_p - e_tp, so the energy of half the triangle.  The
+    rim recursion keeps this layout from level to level: it numbers each
+    parent rim so that its sums come out in it (:func:`_sector_plans`)."""
     apex: Optional[int]
     even: np.ndarray
     odd: Optional[np.ndarray] = None
@@ -1038,7 +1037,9 @@ def _sector_rows(M: int, apex: int):
     :class:`_Sectors`.  P runs from vertex apex + 1 to the middle of its
     side, then from the apex back towards that vertex; F is that middle
     (for even M) and the apex.  The mirror maps position p to
-    (2 apex M - p) mod 3M."""
+    (2 apex M - p) mod 3M.  A rim level numbers the parent's positions P,
+    their images, then F (:func:`_sector_plans`), so that its sums have
+    the rows P and F in this order."""
     t1 = (apex + 1) % 3
     q = np.concatenate([np.arange((M + 1) // 2), np.arange(2 * M + 1, 3 * M)])
     middle = [t1 * M + M // 2] if M % 2 == 0 else []
@@ -1083,24 +1084,26 @@ def _fold(K, apex: int) -> _Sectors:
                     np.array([[0.5 * (own - cross)]]))
 
 
-def _level_matrices(B: _Sectors):
-    """The matrices of the pieces of :func:`_level_rows`, per sector: for a
-    whole triangle B itself, once per copy; otherwise the middle and apex
-    copies' sectors as they are, then the corner copy whole
-    (:func:`_unfold`), its axis row cut off in the odd sector."""
+def _level_matrices(B: _Sectors, m: int):
+    """The matrices of the pieces of :func:`_level_rows` for m per side,
+    per sector: for a whole triangle B itself, once per copy; otherwise the
+    middle and apex copies' sectors as they are, then the corner copy whole
+    (:func:`_unfold`), its axis row cut off in the odd sector.  Unsplit
+    (m = 0), the one piece of each sector is B's own."""
     if B.apex is None:
-        return ((B.even,) * 4,)
+        return ((B.even,) * (4 if m else 1),)
+    if not m:
+        return (B.even,), (B.odd,)
     whole = _unfold(B.even, B.odd)
     return (B.even, B.even, whole), (B.odd, B.odd, whole[1:, 1:])
 
 
 @functools.lru_cache(maxsize=None)
-def _lattice_mirror(m: int, apex: int):
-    """(partner, side) over the parent nodes of :func:`_split_maps`: the
-    image of each under the mirror that swaps the weights
-    (:func:`_copy_lattice`) of the two vertices other than `apex`, and its
-    side of the axis (1 towards vertex apex + 1, 0 on it, -1 towards vertex
-    apex + 2)."""
+def _lattice_mirror(m: int, apex: int) -> np.ndarray:
+    """The image of each parent node of :func:`_split_maps` under the mirror
+    that swaps the weights (:func:`_copy_lattice`) of the two vertices
+    other than `apex`.  :func:`_sector_ids` reads it for the midline nodes;
+    the images of the rim nodes come from its caller."""
     maps = _split_maps(m)
     weights = np.empty((6 * m + 3 * (m - 1), 3), dtype=np.int64)
     for idx, lattice in zip(maps, _copy_lattice(m)):
@@ -1111,8 +1114,7 @@ def _lattice_mirror(m: int, apex: int):
     base = (2 * m + 1) ** np.arange(3)
     key = weights @ base
     order = np.argsort(key)
-    partner = order[np.searchsorted(key, image @ base, sorter=order)]
-    return partner, np.sign(weights[:, t1] - weights[:, t2])
+    return order[np.searchsorted(key, image @ base, sorter=order)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1140,34 +1142,60 @@ def _level_rows(m: int, apex: Optional[int]):
     return (middle[PF], tip[PF], corner), (middle[P], tip[P], corner[1:])
 
 
-def _sector_pieces(m: int, apex: Optional[int]):
-    """The sectors of one 4-split level of a :class:`_Sectors` rim matrix,
-    m per side, onto the parent's, each as (the ids of the pieces of
-    :func:`_level_rows`, the ids kept, the ids held at zero).
+def _sector_ids(rims, apexes, n_ids, keep, drop, partner=None):
+    """(sectors, orbit): the ids of the pieces that base triangles with rims
+    `rims` bring to each sector when each is four copies around three
+    midlines, as (the pieces' ids, the ids kept, the ids held at zero), and
+    the orbit of each id; it reads the ids alone.
 
-    A whole triangle's one sector keeps the parent's rim, 0 ... 6m - 1, and
-    holds nothing at zero.  In the even and odd sectors the ids are the
-    orbits of the parent's mirror, numbered so that the sums come out in the
-    parent's :func:`_sector_rows` order: P by position, the two axis nodes,
-    then the midlines."""
-    if apex is None:
-        return ((_level_rows(m, None)[0], np.arange(6 * m), ()),)
-    partner, side = _lattice_mirror(m, apex)
-    orbit = np.arange(partner.size) + 2
-    P, F = _sector_rows(2 * m, apex)
-    orbit[P] = np.arange(P.size)
-    orbit[F] = 6 * m + np.arange(2)
-    orbit[side < 0] = orbit[partner[side < 0]]
-    even, odd = (tuple(orbit[r] for r in rows) for rows in _level_rows(m, apex))
-    keep = np.arange(P.size)
-    return ((even, np.concatenate([keep, orbit[F]]), orbit[:0]),
-            (odd, keep, orbit[side == 0]))
+    A triangle's midline nodes get ids from `n_ids` on, and it brings the
+    pieces of :func:`_level_rows` for its entry of `apexes` to every
+    sector, a whole one (apex None) the same copies to each.  Without
+    `partner` every id is its own orbit and there is one sector, onto `keep`
+    with `drop` held at zero.  With it, the mirror image of each id below
+    `n_ids`, there are two, the even and odd sector.  An id stands for
+    itself and its image, numbered by the smaller of the two, or after all
+    pairs if it is its own image, which the odd sector holds at zero."""
+    m = rims.shape[1] // 6
+    inner = 3 * max(m - 1, 0)
+    image = np.full(n_ids + inner * len(rims), -1)
+    if partner is not None:
+        image[:n_ids] = partner
+    even, odd = [], []
+    for t, (rim, apex) in enumerate(zip(rims, apexes)):
+        local = np.concatenate([rim, n_ids + inner * t + np.arange(inner)])
+        if m and apex is not None:
+            image[local[6 * m:]] = local[_lattice_mirror(m, apex)[6 * m:]]
+        # a whole triangle's one sector serves both
+        for pieces, rows in zip((even, odd), _level_rows(m, apex) * 2):
+            pieces.extend(local[r] for r in rows)
+    ids = np.arange(image.size)
+    orbit = np.where(image < 0, ids, np.minimum(ids, image))
+    orbit[image == ids] += image.size
+    keep = np.unique(orbit[keep])
+    sectors = [([orbit[i] for i in even], keep, orbit[drop])]
+    if partner is not None:
+        sectors.append(([orbit[i] for i in odd], keep[keep < image.size],
+                        np.union1d(orbit[drop], orbit[image == ids])))
+    return sectors, orbit
 
 
 @functools.lru_cache(maxsize=None)
 def _sector_plans(m: int, apex: Optional[int]):
-    """The :func:`_plan` of each sector of :func:`_sector_pieces`."""
-    return tuple(_plan(*sector) for sector in _sector_pieces(m, apex))
+    """The :func:`_plan` of each sector of one 4-split level of a
+    :class:`_Sectors` rim matrix, m per side, onto the parent's: the
+    one-triangle case of :func:`_sector_ids` on the parent's rim.  A
+    mirrored triangle's rim positions are numbered in the order of its
+    :func:`_sector_rows`, P, then their images, then F, so that the sums
+    come out as P and F."""
+    rim, partner = np.arange(6 * m), None
+    if apex is not None:
+        P, F = _sector_rows(2 * m, apex)
+        rim[np.concatenate([P, (4 * apex * m - P) % (6 * m), F])] = np.arange(6 * m)
+        partner = np.r_[P.size:2 * P.size, :P.size, 2 * P.size:6 * m]
+    sectors, _orbit = _sector_ids(rim[None], (apex,), 6 * m, np.arange(6 * m),
+                                  rim[:0], partner)
+    return tuple(_plan(*sector) for sector in sectors)
 
 
 def _rim_schur(B, first, last):
@@ -1176,9 +1204,10 @@ def _rim_schur(B, first, last):
     `first` (from :func:`_rim_start` at first = 0).  P1 stiffness is
     invariant under similarity, so each level is four copies of the last,
     with the midlines eliminated: in each sector, the pieces of
-    :func:`_level_rows` by the cached :func:`_sector_plans`, so a whole
-    triangle takes one condensation and a mirrored one two of half the
-    order.  An entry None stays None.
+    :func:`_level_rows` by the cached :func:`_sector_plans`, the
+    one-triangle case of the final condensation's :func:`_sector_ids`, so a
+    whole triangle takes one condensation and a mirrored one two of half
+    the order.  An entry None stays None.
     """
     entries = 0
     for level in range(first, last):
@@ -1186,7 +1215,8 @@ def _rim_schur(B, first, last):
         for Bt in B:
             if Bt is not None:
                 plans = _sector_plans(m, Bt.apex)
-                Bt = _Sectors(Bt.apex, *map(_condense, plans, _level_matrices(Bt)))
+                Bt = _Sectors(Bt.apex, *map(_condense, plans,
+                                            _level_matrices(Bt, m)))
                 entries += sum(plan.entries for plan in plans)
             out.append(Bt)
         B = out
@@ -1256,79 +1286,40 @@ def _rim_start(nodes0, tris0, mirror: Optional[_Mirror]) -> list:
             for K, role in zip(_element_stiffness(nodes0[tris0]), roles)]
 
 
-def _surface_sectors(rims, below, n_ids, surface, removed,
-                     mirror: Optional[_Mirror] = None):
-    """(sectors, at): the pieces that :func:`_self_similar_schur` condenses,
-    base triangle by base triangle, in each sector, as (the pieces' ids,
-    their matrices, the ids kept, the ids held at zero), and where each of
-    `surface` sits in the :func:`_unfold` of the sectors.
-
-    Each base triangle of `below` (None: the image of an earlier one)
-    brings the pieces of :func:`_level_rows` to every sector, as one level
-    of :func:`_rim_schur` does, a whole one (apex None) the same copies to
-    each.  Without a :class:`_Mirror` every id is its own orbit and every
-    base triangle whole, so there is one sector, onto `surface` with
-    `removed` held at zero, and `at` is None.  With one there are two, the
-    even and odd sector.  An id stands for itself and its image, numbered
-    by the smaller of the two, or after all pairs if it is its own image,
-    which the odd sector holds at zero.  Each piece lies on one side of the
-    axis or comes in sectors, so the odd sector takes the nodes on one side
-    as its signs: S has those left of the axis in the last block of the
-    unfolding."""
-    m = rims.shape[1] // 6
-    inner = 3 * max(m - 1, 0)
-    partner = np.full(n_ids + inner * len(rims), -1)
-    if mirror is not None:
-        partner[:n_ids] = mirror.partner
-    even, odd = [], []
-    for t, (rim, B) in enumerate(zip(rims, below)):
-        if B is None:
-            continue
-        local = np.concatenate([rim, n_ids + inner * t + np.arange(inner)])
-        if m and B.apex is not None:
-            partner[local] = local[_lattice_mirror(m, B.apex)[0]]
-        rows, matrices = _level_rows(m, B.apex), _level_matrices(B)
-        # a whole triangle's one sector serves both
-        for pieces, r, mats in zip((even, odd), rows * 2, matrices * 2):
-            pieces.extend((local[i], A) for i, A in zip(r, mats))
-    ids = np.arange(partner.size)
-    orbit = np.where(partner < 0, ids, np.minimum(ids, partner))
-    orbit[partner == ids] += partner.size
-    keep = np.unique(orbit[surface])
-    drop = orbit[removed]
-    sectors, at = [(even, keep, drop)], None
-    if mirror is not None:
-        sectors.append((odd, keep[keep < partner.size],
-                        np.union1d(drop, orbit[partner == ids])))
-        at = np.searchsorted(keep, orbit[surface])
-        at[mirror.left[surface]] += keep.size
-    return [([orbit[i] for i, _B in pieces], [B for _i, B in pieces], kept, held)
-            for pieces, kept, held in sectors], at
-
-
 def _self_similar_schur(rims, below, n_ids, surface, removed, mirror=None):
     """(S, factor entries) on `surface` (sorted ids), `removed` held at
     zero, for base triangles with rims `rims` (:func:`_skeleton`) 4-split L
     times, from their rim matrices `below` after max(L - 1, 0) splits
-    (:func:`_rim_schur` of :func:`_rim_start` with the same `mirror`).
-    Each is four copies of that around three midlines, whose inner nodes
-    get ids from `n_ids` on; in each sector of :func:`_surface_sectors`,
-    one :func:`_plan`, built for this call, eliminates walls, midlines,
-    spokes and the centroid as :func:`_condense` adds the copies, base
-    triangle by base triangle.  One sector (no mirror) is S itself; two,
-    the even and odd sectors of the domain's :class:`_Mirror`, give S back
-    by :func:`_unfold`.
+    (:func:`_rim_schur` of :func:`_rim_start` with the same `mirror`; None
+    for the image of an earlier one).  Each is four copies of that around
+    three midlines; in each sector of :func:`_sector_ids`, one
+    :func:`_plan`, built for this call, eliminates walls, midlines, spokes
+    and the centroid as :func:`_condense` adds the copies, base triangle by
+    base triangle.  One sector (no mirror) is S itself; two, the even and
+    odd sectors of the domain's :class:`_Mirror`, give S back by
+    :func:`_unfold`.  Each piece lies on one side of the axis or comes in
+    sectors, so the odd sector takes the nodes on one side as its signs: S
+    has those left of the axis in the last block of the unfolding.
     """
-    sectors, at = _surface_sectors(rims, below, n_ids, surface, removed, mirror)
+    m, kept = rims.shape[1] // 6, [t for t, B in enumerate(below) if B is not None]
+    sectors, orbit = _sector_ids(rims[kept], [below[t].apex for t in kept], n_ids,
+                                 surface, removed,
+                                 None if mirror is None else mirror.partner)
+    matrices = [_level_matrices(below[t], m) for t in kept]
     out, entries = [], 0
-    for ids, matrices, keep, drop in sectors:
+    for s, (ids, keep, drop) in enumerate(sectors):
         plan = _plan(ids, keep, drop)
         if not np.array_equal(plan.ids, keep):
             raise RuntimeError("the 4-split condensation lost a surface node")
-        out.append(_condense(plan, matrices))
+        # a whole triangle's one sector serves both
+        out.append(_condense(plan, [A for own in matrices
+                                    for A in own[s % len(own)]]))
         entries += plan.entries
     if len(out) == 1:
         return out[0], entries
+    keep = sectors[0][1]
+    at = np.searchsorted(keep, orbit[surface])
+    at[mirror.left[surface]] += keep.size
     return _unfold(*out)[np.ix_(at, at)], entries
 
 

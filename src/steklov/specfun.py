@@ -11,7 +11,8 @@ number or a grid of indices k, :func:`real` a scalar parameter (a depth, a
 length, a Riesz exponent) and :func:`points` a real axis (z, t, R, the
 evaluation points), both as finite values above a lower end.  Then
 :func:`floats_if_scalar` hands back Python floats for a single number.
-Size checks read the memory a process may use from :func:`memory_limit`.
+Size checks refuse, through :func:`check_memory`, what does not fit in the
+memory a process may use, :func:`memory_limit`.
 """
 
 from __future__ import annotations
@@ -99,6 +100,20 @@ def memory_limit() -> Optional[int]:
         if soft != resource.RLIM_INFINITY:
             limits.append(soft)
     return min(limits, default=None)
+
+
+def check_memory(need, what, advice: str) -> None:
+    """A ValueError, before anything is allocated, if `need` bytes do not
+    fit in the memory of :func:`memory_limit`.  The message is what(exact),
+    where exact is :class:`decimal.Decimal`, which formats any int without
+    overflow, then the bytes needed and the bytes there are, and "choose
+    `advice`"."""
+    memory = memory_limit()
+    if memory is not None and need > memory:
+        from decimal import Decimal
+
+        raise ValueError(f"{what(Decimal)}{Decimal(need):.3g} bytes, more than "
+                         f"the {memory} bytes this process may use; choose {advice}")
 
 
 def _dimension(n) -> None:

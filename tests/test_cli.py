@@ -458,6 +458,21 @@ def test_grid_too_large_to_allocate_exits_2_with_one_error_line(
                    "4000000000 bytes this process may use; choose fewer points\n")
 
 
+@pytest.mark.parametrize("grid", ["0:1.7e308:1e308", "-1e308:1.5e308:1e307"])
+def test_lattice_end_past_the_float_range_exits_2_with_one_error_line(
+        grid, tmp_path, capsys):
+    # a short lattice whose end, stop + step/2, or its distance from start
+    # overflows: said so, not counted as Infinity points
+    spec = tmp_path / "s.csv"
+    spectra.save_spectrum(spectra.rectangle_sn(math.pi, 1.0, 100), spec)
+    assert cli.main(["riesz", "--spectrum", str(spec), "--gamma", "1",
+                     f"--grid={grid}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: grid spec {grid!r}: the lattice's end, stop + step/2, or its "
+        "distance from start overflows a float\n")
+
+
 @pytest.mark.parametrize("command", [["riesz", "--gamma", "1"],
                                      ["verify", "--bound", "john2d"]])
 @pytest.mark.parametrize("message, detail", [

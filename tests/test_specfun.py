@@ -250,3 +250,20 @@ def test_memory_limit_is_the_lower_of_physical_memory_and_address_space(
     monkeypatch.setattr(resource, "getrlimit", lambda which: limit)
     want = limit[0] if physical is None else min(physical, limit[0])
     assert specfun.memory_limit() == want
+
+
+def test_check_memory_refuses_only_past_the_memory_figure(monkeypatch):
+    # the counts are formatted exactly, however large; nothing is refused
+    # where the system gives no memory figure
+    def what(exact):
+        return f"{exact(10 ** 400):.4g} cells, "
+
+    monkeypatch.setattr(specfun, "memory_limit", lambda: 1000)
+    specfun.check_memory(1000, what, "less")
+    monkeypatch.setattr(specfun, "memory_limit", lambda: 999)
+    with pytest.raises(ValueError, match=re.escape(
+            "1.000e+400 cells, 1.00e+3 bytes, more than the 999 bytes this "
+            "process may use; choose less")):
+        specfun.check_memory(1000, what, "less")
+    monkeypatch.setattr(specfun, "memory_limit", lambda: None)
+    specfun.check_memory(10 ** 400, what, "less")

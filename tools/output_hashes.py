@@ -11,9 +11,12 @@ checkout that has that API.  It hashes:
 
 - ``dtn_matrices(triangulate(d, h), problem)``: S, M_F, surface_nodes,
   factor_nnz and asymmetry, for the triangle, the rectangle, two
-  trapezoid fans, the spoked 12-gon and an asymmetric hexagon, at
-  h = 0.3, 0.1, 0.05, SN and SD; and the same of a copy of each mesh,
-  which records no source and so takes the bordered sparse LU;
+  trapezoid fans, the spoked 12-gon, an asymmetric hexagon, and the
+  narrow fan and the 12-gon with their vertex lists started at another
+  vertex (so that the first base triangle of a mirrored pair, the one the
+  mirror's sectors keep, may lie right of the axis), at h = 0.3, 0.1,
+  0.05, SN and SD; and the same of a copy of each mesh, which records no
+  source and so takes the bordered sparse LU;
 - the same, and ``dtn_with_error``, on bases split once or not at all: the
   triangle, the narrow fan and the 12-gon at an h that gives them one
   4-split and at one that gives none; where a problem keeps too few
@@ -80,6 +83,14 @@ def hexagon() -> geometry.PolygonalDomain:
     return geometry.PolygonalDomain(verts, free_edges=[5])
 
 
+def started_at(d: geometry.PolygonalDomain, shift: int) -> geometry.PolygonalDomain:
+    """d with its vertex list started at vertex `shift` and its free edges
+    renumbered to match."""
+    n = d.n_vertices
+    return geometry.PolygonalDomain(np.roll(d.vertices, -shift, axis=0),
+                                    free_edges=[(i - shift) % n for i in d.free_edges])
+
+
 def moved(d: geometry.PolygonalDomain) -> geometry.PolygonalDomain:
     """d with vertex 1 moved right by 1e-10 of its diameter."""
     verts = d.vertices.copy()
@@ -99,11 +110,15 @@ DOMAINS = {
 }
 MOVED = {f"{name}-moved": moved(DOMAINS[name])
          for name in ("triangle", "fan", "fan-wide", "spoked")}
+# the narrow fan keeps its right side triangle, the 12-gon two fan triangles
+# left of the axis and three right of it
+ROTATED = {"fan-rotated": started_at(DOMAINS["fan"], 1),
+           "spoked-rotated": started_at(DOMAINS["spoked"], 3)}
 STEPS = (0.3, 0.1, 0.05)
 PROBLEMS = ("SN", "SD")
 # (domain, h) with one 4-split (L = 1), then with none (L = 0); the
-# triangle's longest edge, 2, is below the 2.236 diagonal of its bounding
-# box, which triangulate reads as the diameter, so it has an L = 0 mesh too
+# triangle's diameter, 2, is below the 2.236 diagonal of its bounding box,
+# from which on triangulate refuses target_h, so it has an L = 0 mesh too
 SHALLOW = (("triangle", 1.5), ("fan", 1.5), ("spoked", 0.5),
            ("triangle", 2.1), ("fan", 2.05), ("spoked", 1.0))
 
@@ -164,13 +179,14 @@ def edited_meshes():
 
 
 def fem_outputs():
-    for name, h in [(name, h) for name in DOMAINS for h in STEPS] + list(SHALLOW):
+    meshed = {**DOMAINS, **ROTATED}
+    for name, h in [(name, h) for name in meshed for h in STEPS] + list(SHALLOW):
         for problem in PROBLEMS:
-            mesh = fem.triangulate(DOMAINS[name], h)
+            mesh = fem.triangulate(meshed[name], h)
             for route, m in (("dtn_matrices", mesh),
                              ("dtn_matrices-copy", dataclasses.replace(mesh))):
                 yield from matrices_lines(f"{route}/{name}/{problem}/{h}", m, problem)
-    solved = {**DOMAINS, **MOVED}
+    solved = {**DOMAINS, **MOVED, **ROTATED}
     for name, h in [(name, h) for name in solved for h in STEPS] + list(SHALLOW):
         for problem in PROBLEMS:
             count = refused(lambda: modes(solved[name], problem, h))

@@ -88,7 +88,10 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid spec {spec!r}: the lattice's end, stop + step/2, "
                          "or its distance from start overflows a float")
     span = (stop - start) / step            # np.arange's length, ceil(span)
-    _check_points(spec, math.ceil(span) if math.isfinite(span) else math.inf)
+    if not math.isfinite(span):
+        raise ValueError(f"grid spec {spec!r} has more points than a float "
+                         "counts; choose fewer points")
+    _check_points(spec, math.ceil(span))
     return np.arange(start, stop, step)
 
 

@@ -446,12 +446,11 @@ def _grid_size(xs, ys) -> float:
 
 
 def _tagged_mesh(d: PolygonalDomain, nodes, triangles) -> Mesh:
-    """The mesh with its hull edges tagged by the domain, after every check
-    of :func:`validate_mesh`."""
-    hull = _checked_hull(nodes, triangles)
-    mesh = Mesh(nodes, triangles, _classify_boundary(d, nodes, hull))
-    _check_tiling(mesh, hull)
-    return mesh
+    """The mesh with its hull edges tagged by the domain, after the checks of
+    :func:`_checked_hull`.  Each edge gets one tag, free or wall, so the
+    tiling check of :func:`validate_mesh` (for outside meshes) is not run."""
+    return Mesh(nodes, triangles,
+                _classify_boundary(d, nodes, _checked_hull(nodes, triangles)))
 
 
 def _chain_mesh(nodes, chains, base: Mesh, step: int) -> Mesh:
@@ -1330,7 +1329,8 @@ def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:
     in the sectors of the domain's :func:`_mirror` where it has one, goes
     on from solve to solve; axis rectangles take the grid's Fourier
     modes (:func:`_grid_schur`) and its boundary (:func:`_grid_rim`).
-    Neither builds the mesh."""
+    Neither builds the mesh.  Spectrum checks and clamps the SN ground mode
+    of the raw ``eigh`` values."""
     check_problem(problem)
     (count,) = specfun.indices(count, "count must be a positive integer")
     bases = [_base_triangulation(d, h) for h in target_hs]
@@ -1367,9 +1367,6 @@ def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:
             label = tagged.mesh_size / 2 ** base[2]      # exact for L 4-splits
         pair = _pair(S, _boundary_mass(mesh), free, surface, e)
         vals = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)[:count]
-        if problem == "SN":
-            # the discrete constant mode lands at roundoff, possibly below 0
-            vals = np.maximum(vals, 0.0)
         out.append(Spectrum(problem=problem, values=vals,
                             source=f"fem:h={label:.6g}",
                             meta=geometry.domain_metadata(d),
@@ -1388,7 +1385,8 @@ def dtn_spectrum(d: PolygonalDomain, problem: str, count: int,
     :func:`_spectra`) is L 4-splits of it, and on rectangles the grid's
     longest cell diagonal, which is ``mesh_size`` bit for bit.  The values
     equal, bit for bit, ``eigh`` of ``dtn_matrices(triangulate(d,
-    target_h))``.
+    target_h))``, with an SN ground mode within ``zero_tol`` = 1e-8 of 0
+    clamped by Spectrum, and SpectrumError past it.
     """
     return _spectra(d, problem, count, (target_h,))[0]
 

@@ -51,7 +51,8 @@ class Spectrum:
     ``meta`` carries domain summary data (n, areaF, depth, alpha, beta, john)
     used by the bound evaluators; missing keys degrade to hypothesis flags.
     ``zero_tol`` is how close to 0 the SN ground mode must be; FEM spectra
-    pass their mesh-dependent tolerance here.
+    pass it with their raw eigensolver values, as this is the one place that
+    checks the ground mode and stores roundoff below 0 as 0.
     """
 
     problem: str
@@ -70,14 +71,12 @@ class Spectrum:
         if np.any(np.diff(vals) < 0):
             raise SpectrumError("eigenvalues must be sorted nondecreasing")
         if vals[0] < -self.zero_tol:
-            raise SpectrumError(f"negative eigenvalue {vals[0]!r}")
+            raise SpectrumError(f"negative eigenvalue {float(vals[0])!r}")
         if self.problem == "SN":
             if vals[0] > self.zero_tol:
                 raise SpectrumError(
-                    f"a sloshing spectrum starts at 0; got {vals[0]!r} "
+                    f"a sloshing spectrum starts at 0; got {float(vals[0])!r} "
                     f"(zero_tol = {self.zero_tol})")
-            vals = vals.copy()
-            vals[0] = max(vals[0], 0.0)
         elif vals[0] <= 0:
             raise SpectrumError("SD eigenvalues are strictly positive")
         vals = np.maximum(vals, 0.0)

@@ -473,6 +473,20 @@ def test_lattice_end_past_the_float_range_exits_2_with_one_error_line(
         "distance from start overflows a float\n")
 
 
+@pytest.mark.parametrize("grid", ["0:1e300:1e-300", "0:1e308:1e-10"])
+def test_lattice_with_more_points_than_a_float_counts_exits_2(grid, tmp_path,
+                                                             capsys):
+    # the point count (stop - start) / step overflows: refused as such, not
+    # counted as Infinity points
+    spec = tmp_path / "s.csv"
+    spectra.save_spectrum(spectra.rectangle_sn(math.pi, 1.0, 100), spec)
+    assert cli.main(["riesz", "--spectrum", str(spec), "--gamma", "1",
+                     f"--grid={grid}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: grid spec {grid!r} has more points "
+                                 "than a float counts; choose fewer points\n")
+
+
 @pytest.mark.parametrize("command", [["riesz", "--gamma", "1"],
                                      ["verify", "--bound", "john2d"]])
 @pytest.mark.parametrize("message, detail", [

@@ -130,6 +130,25 @@ def test_spectrum_requires_sorted_nonnegative():
         Spectrum(problem="SD", values=np.array([-0.5, 1.0]), source="t")
 
 
+@pytest.mark.parametrize("problem, values, message", [
+    ("SD", [-1.0, 2.0], "negative eigenvalue -1.0"),
+    ("SN", [0.5, 1.0], "a sloshing spectrum starts at 0; got 0.5 (zero_tol = 1e-10)")])
+def test_ground_mode_errors_print_plain_floats(problem, values, message):
+    with pytest.raises(SpectrumError, match=f"^{re.escape(message)}$"):
+        Spectrum(problem, np.array(values))
+
+
+def test_spectrum_clamps_the_sloshing_ground_mode_only():
+    # FEM solves pass raw eigensolver values: roundoff within zero_tol of 0
+    # is stored as 0, in a new array, and SD values are kept as they are
+    raw = np.array([-3e-13, -1e-14, 1.0])
+    s = Spectrum("SN", raw, zero_tol=1e-8)
+    assert s.values.tolist() == [0.0, 0.0, 1.0]
+    assert raw.tolist() == [-3e-13, -1e-14, 1.0]
+    raw = np.array([0.3, 1.0 + 1e-15, 2.5])
+    assert Spectrum("SD", raw).values.tobytes() == raw.tobytes()
+
+
 def test_sd_spectrum_rejects_zero_mode():
     with pytest.raises(SpectrumError):
         Spectrum(problem="SD", values=np.array([0.0, 1.0]), source="t")

@@ -5,9 +5,9 @@ and the CLI, so that two checkouts can be compared byte for byte:
 
 Run it in each checkout and diff the two files.  It calls the public API
 only (``fem.triangulate``, ``fem.dtn_matrices``, ``fem.dtn_with_error``,
-``geometry`` constructors and ``python -m steklov``), and imports
-``steklov`` from the ``src`` next to it, so the same file runs in any
-checkout that has that API.  It hashes:
+``geometry`` constructors, ``spectra.save_spectrum`` and ``python -m
+steklov``), and imports ``steklov`` from the ``src`` next to it, so the
+same file runs in any checkout that has that API.  It hashes:
 
 - ``dtn_matrices(triangulate(d, h), problem)``: S, M_F, surface_nodes,
   factor_nnz and asymmetry, for the triangle, the rectangle, two
@@ -24,7 +24,10 @@ checkout that has that API.  It hashes:
 - ``dtn_with_error``: values, certificates and the source label, on the
   domains above at h = 0.3, 0.1, 0.05 and on copies of the mirrored ones
   with a vertex moved off the mirror;
-- ``dtn_spectrum``: values and label on each domain at h = 0.1;
+- ``dtn_spectrum``: values, label and the CSV text that
+  ``spectra.save_spectrum`` writes (under SN with its ``# zero_tol=1e-08``
+  line and the ground mode as ``Spectrum`` clamps it) on each domain at
+  h = 0.1;
 - ``dtn_matrices`` of three edited triangulate meshes that their recorded
   source no longer gives: the narrow fan with a free edge tagged wall,
   the fan with an interior node moved, and the once-split triangle with its
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -53,7 +57,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from steklov import fem, geometry  # noqa: E402
+from steklov import fem, geometry, spectra  # noqa: E402
 
 
 def digest(value) -> str:
@@ -147,6 +151,13 @@ def solve_lines(name, d, problem, count, h):
             (f"{key}/label", spectrum.source)]
 
 
+def csv_text(spectrum) -> str:
+    """The text ``spectra.save_spectrum`` writes for `spectrum`."""
+    out = io.StringIO()
+    spectra.save_spectrum(spectrum, out)
+    return out.getvalue()
+
+
 def modes(d, problem, h) -> int:
     """Every mode the solve at h resolves, up to 12."""
     return min(12, fem.dtn_matrices(fem.triangulate(d, h), problem).S.shape[0] - 1)
@@ -201,6 +212,7 @@ def fem_outputs():
             key = f"dtn_spectrum/{name}/{problem}/{count}/0.1"
             yield f"{key}/values", spectrum.values
             yield f"{key}/label", spectrum.source
+            yield f"{key}/csv", csv_text(spectrum)
     for name, mesh in edited_meshes():
         for problem in PROBLEMS:
             yield from matrices_lines(f"dtn_matrices-edited/{name}/{problem}", mesh,

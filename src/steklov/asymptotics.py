@@ -202,12 +202,12 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
 
         (R_gamma(z) - C_{2,gamma} L z^{gamma+1}) / z^gamma  ~  a + b/z,
 
-    evaluated on 200 log-spaced points (or on the curve's own grid points
-    inside the window); the 1/z nuisance absorbs the bounded staircase
-    oscillation so the constant converges cleanly.  Windows spanning at least
-    a decade are recommended.  Returns the constant a with its standard error
-    and, when the corner angles are available, the predicted value
-    +/- (pi/8)(1/alpha + 1/beta).
+    evaluated on the curve's own grid points inside the window, a Spectrum
+    sampled as its Riesz curve on 200 log-spaced points from z1 to z2; the
+    1/z nuisance absorbs the bounded staircase oscillation so the constant
+    converges cleanly.  Windows spanning at least a decade are recommended.
+    Returns the constant a with its standard error and, when the corner
+    angles are available, the predicted value +/- (pi/8)(1/alpha + 1/beta).
 
     ``source`` is a Spectrum or a gamma-matching RieszCurve.  Certified
     per-eigenvalue ``errors`` move R_gamma(z) by at most
@@ -221,27 +221,23 @@ def fit_second_term(source, gamma: float, window, *, length: Optional[float] = N
     z1 = specfun.real(window[0], "z1", 0, strict=True)
     z2 = specfun.real(window[1], "z2", z1, strict=True)
 
-    if isinstance(source, RieszCurve):
-        if abs(source.gamma - g) > 1e-12:
-            raise ValueError(
-                f"curve has gamma = {source.gamma}, fit requested gamma = {g}")
-        meta = dict(source.meta)
-        problem = meta.get("problem", "SN")
-        mask = (source.grid >= z1) & (source.grid <= z2)
-        zs = source.grid[mask]
-        rvals = source.values[mask]
-        spectrum = source.spectrum
-        if errors is not None and spectrum is None:
-            raise ValueError("an error budget needs the curve's spectrum, and "
-                             "this curve carries none (a loaded curve, say)")
-    elif isinstance(source, Spectrum):
-        meta = dict(source.meta)
-        problem = source.problem
-        zs = np.geomspace(z1, z2, _FIT_GRID_POINTS)
-        rvals = riesz.riesz_mean_grid(source, g, zs)
-        spectrum = source
-    else:
+    if isinstance(source, Spectrum):
+        # a window a few ulps wide repeats points, which no curve holds
+        zs = np.unique(np.geomspace(z1, z2, _FIT_GRID_POINTS))
+        source = riesz.riesz_curve(source, g, zs)
+    elif not isinstance(source, RieszCurve):
         raise TypeError("source must be a Spectrum or a RieszCurve")
+    if abs(source.gamma - g) > 1e-12:
+        raise ValueError(f"curve has gamma = {source.gamma}, fit requested gamma = {g}")
+    meta = dict(source.meta)
+    problem = meta.get("problem", "SN")
+    mask = (source.grid >= z1) & (source.grid <= z2)
+    zs = source.grid[mask]
+    rvals = source.values[mask]
+    spectrum = source.spectrum
+    if errors is not None and spectrum is None:
+        raise ValueError("an error budget needs the curve's spectrum, and "
+                         "this curve carries none (a loaded curve, say)")
 
     length = _surface_length(length, meta)
 

@@ -12,8 +12,8 @@ so is each piece of the two-corner constant.  One operator, the Riesz lift
 :func:`_lift`, evaluates all of them for every gamma >= 1: one confluent
 hypergeometric term per piece, over a whole grid at once.  At gamma = 1 the
 lift is the integral A itself; at gamma > 1 it is A lifted by Riesz
-iteration.  Adaptive quadrature of the gamma = 1 integrals
-(``wall_term(..., quadrature=True)``) is kept as an oracle.
+iteration.  The lift is the one implementation of every wall term; the
+tests hold the quadrature oracle it is checked against.
 
 Upper bounds for the clamped-wall (SD) problem, two-sided brackets and
 averaged-sum inequalities for SN eigenvalues, and a heat-trace bound complete
@@ -172,55 +172,20 @@ def _wall(domain, g: float, zs: np.ndarray) -> np.ndarray:
     raise DomainError(f"no wall term for domain type {type(domain).__name__}")
 
 
-def _wall_quadrature(domain, z: float) -> float:
-    """The wall term's defining integrals by nested adaptive quadrature: an
-    oracle for the closed forms (slow)."""
-    if z == 0.0:
-        return 0.0
-    from scipy.integrate import quad
-    if isinstance(domain, PolygonalDomain):
-        total = 0.0
-        for weight, y0, y1 in _wall_edges(domain):
-            def inner(r, y0=y0, y1=y1):
-                val, _ = quad(lambda s: math.exp(2.0 * (y0 + (y1 - y0) * s) * r),
-                              0.0, 1.0, epsabs=1e-13, epsrel=1e-12)
-                return val
-
-            outer, _ = quad(lambda r: r * inner(r), 0.0, z,
-                            epsabs=1e-13, epsrel=1e-12, limit=200)
-            total += weight * outer
-        return total
-    if isinstance(domain, CylinderDomain):
-        n, h = domain.n, domain.depth
-        val, _ = quad(lambda r: r ** (n - 1) * math.exp(-2.0 * h * r), 0.0, z,
-                      epsabs=1e-13, epsrel=1e-12, limit=200)
-        return _kappa(n) * domain.base_area * val
-    if isinstance(domain, ConeDomain):
-        h = domain.depth
-        val, _ = quad(lambda r: 1.0 - math.exp(-2 * h * r) - 2 * h * r * math.exp(-2 * h * r),
-                      0.0, z, epsabs=1e-13, epsrel=1e-12, limit=200)
-        return _cone_coef(domain) * val
-    raise DomainError(f"no wall term for domain type {type(domain).__name__}")
-
-
-def wall_term(domain, z, *, quadrature: bool = False):
+def wall_term(domain, z):
     """Wall term A(z) = -kappa_n * integral_0^z integral_B <n,e_n> e^{2 x_n r} r^{n-1} ds dr
-    for any supported domain kind (gamma = 1 member of the family).
+    for any supported domain kind: :func:`wall_term_gamma` at gamma = 1,
+    the lift :func:`_lift` in closed form.
 
-    ``quadrature=True`` integrates the definition adaptively instead (slow;
-    used as an oracle).  On a polygon the integrand is
-    -(1/pi) n2 r e^{2yr} over the walls; for the triangle with base angles
-    alpha, beta and depth h, A(z) = (cot a + cot b)/(2 pi) (z - (1 - e^{-2hz})/(2h)).
+    On a polygon the integrand is -(1/pi) n2 r e^{2yr} over the walls; for
+    the triangle with base angles alpha, beta and depth h,
+    A(z) = (cot a + cot b)/(2 pi) (z - (1 - e^{-2hz})/(2h)).
     For the cone of revolution the closed form is
     sign(cos alpha)/(4 tan^2 alpha) (z - (1-e^{-2hz})/h + z e^{-2hz}),
     evaluated as the twice-integrated term of :func:`_wall` to keep small z
     accurate; an additive 1/(4h^2) constant sometimes attached to it is
     dimensionally inconsistent with the integrand and is not included.
     """
-    if quadrature:
-        zs = specfun.points(z, "z", 0)
-        return floats_if_scalar(
-            z, np.array([_wall_quadrature(domain, x) for x in zs.tolist()]))
     return wall_term_gamma(domain, 1.0, z)
 
 
@@ -862,10 +827,12 @@ def _axis_points(spec: BoundSpec, grid: np.ndarray) -> np.ndarray:
     bound functions check the points themselves."""
     if spec.axis != "k":
         return grid
-    ks = grid.astype(int)
-    if np.any(ks != grid) or np.any(ks < 1):
-        raise ValueError("k grid must consist of integers >= 1")
-    return ks
+    # checked before the cast, which warns on nan and on floats past int64
+    ok = (grid >= 1) & (grid < 2.0 ** 63) & (grid == np.floor(grid))
+    if not ok.all():
+        raise ValueError("k grid must consist of integers in [1, 2^63), got "
+                         f"{float(grid[~ok][0])}")
+    return grid.astype(int)
 
 
 def _error_allowance(spec: BoundSpec, c: _Call, errors: np.ndarray,

@@ -34,6 +34,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -231,12 +232,24 @@ def cmd_riesz(args) -> int:
     return 0
 
 
+def _load_errors(path) -> np.ndarray:
+    """The certified per-eigenvalue errors in ``path``, whitespace-separated
+    numbers; a file that holds none is refused."""
+    with warnings.catch_warnings():
+        # numpy warns on a file with no data, and would return no errors
+        warnings.simplefilter("error", UserWarning)
+        try:
+            return np.loadtxt(path, ndmin=1)
+        except UserWarning:
+            raise ValueError(f"{path}: no certified errors found") from None
+
+
 def cmd_verify(args) -> int:
     s = spectra.load_spectrum(args.spectrum)
     dom = _resolve_domain(args)
     errors = None
     if args.errors:
-        errors = np.loadtxt(args.errors, ndmin=1)
+        errors = _load_errors(args.errors)
     report = bounds.verify(s, args.bound, parse_grid(args.grid),
                            gamma=args.gamma, domain=dom,
                            tolerance=args.tolerance, errors=errors)

@@ -74,10 +74,10 @@ class RieszCurve:
 def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
     """R_gamma at each grid point, vectorized.
 
-    Integer gamma <= 3 uses prefix sums of eigenvalue powers (exact binomial
-    expansion); other exponents fall back to chunked broadcasting over the
-    eigenvalues below max(zs).  Summation order is ascending in the
-    eigenvalues, so results are deterministic.
+    Integer gamma <= 3 (the count itself at gamma = 0) uses prefix sums of
+    eigenvalue powers (exact binomial expansion); other exponents fall back
+    to chunked broadcasting over the eigenvalues below max(zs).  Summation
+    order is ascending in the eigenvalues, so results are deterministic.
     """
     g = specfun.real(gamma, "gamma", 0)
     zs = specfun.points(zs, "z")
@@ -88,9 +88,7 @@ def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
 
     vals = s.values
     counts = np.searchsorted(vals, zs, side="left")
-    if g == 0.0:
-        return counts.astype(float)
-    if g in (1.0, 2.0, 3.0):
+    if g in (0.0, 1.0, 2.0, 3.0):
         p = int(g)
         prefix = [np.concatenate(([0.0], np.cumsum(vals ** j)))
                   for j in range(1, p + 1)]

@@ -50,7 +50,8 @@ class Spectrum:
     ``source`` records provenance ("exact", "fem:h=...", "file:...").
     ``meta`` carries domain summary data (n, areaF, depth, alpha, beta, john)
     used by the bound evaluators; missing keys degrade to hypothesis flags.
-    ``zero_tol`` is how close to 0 the SN ground mode must be; FEM spectra
+    ``zero_tol``, a finite real >= 0, is how close to 0 the SN ground mode
+    must be (and how far below 0 any first eigenvalue may lie); FEM spectra
     pass it with their raw eigensolver values, as this is the one place that
     checks the ground mode and stores roundoff below 0 as 0.
     """
@@ -63,6 +64,11 @@ class Spectrum:
 
     def __post_init__(self):
         check_problem(self.problem)
+        try:
+            self.zero_tol = specfun.real(self.zero_tol, "zero_tol", 0)
+        except (TypeError, ValueError):
+            raise SpectrumError(
+                f"zero_tol must be a finite real >= 0, got {self.zero_tol}") from None
         vals = np.asarray(self.values, dtype=float).ravel()
         if vals.size == 0:
             raise SpectrumError("empty spectrum")
@@ -294,7 +300,8 @@ def save_spectrum(s: Spectrum, path) -> None:
 
 def load_spectrum(path) -> Spectrum:
     """Read a spectrum CSV written by :func:`save_spectrum` (validates
-    sortedness, signs, and the header structure)."""
+    sortedness, signs, zero_tol and the header structure; each
+    SpectrumError names the file)."""
     meta, rows = read_table(path, "index,value", (int, float))
     for i, (lineno, (idx, _)) in enumerate(rows, start=1):
         if idx != i:
@@ -308,5 +315,8 @@ def load_spectrum(path) -> Spectrum:
         raise SpectrumError(f"{path}: no eigenvalue rows found")
     zero_tol = meta.pop("zero_tol", TOL_ZERO)
     values = np.array([val for _, (_, val) in rows])
-    return Spectrum(problem, values, source=source or f"file:{path}",
-                    meta=meta, zero_tol=float(zero_tol))
+    try:
+        return Spectrum(problem, values, source=source or f"file:{path}",
+                        meta=meta, zero_tol=zero_tol)
+    except SpectrumError as exc:
+        raise SpectrumError(f"{path}: {exc}") from None

@@ -172,6 +172,9 @@ def test_fit_rejects_bad_windows():
         asymptotics.fit_second_term(s, 1.0, (10.0, 10.0))
     with pytest.raises(ValueError):
         asymptotics.fit_second_term(s, 0.5, (10.0, 100.0))  # gamma < 1
+    # a window a few ulps wide repeats sample points; the fit says why
+    with pytest.raises(ValueError, match="too narrow"):
+        asymptotics.fit_second_term(s, 1.0, (100.0, 100.0000000000001))
 
 
 def test_fit_without_angles_has_no_prediction():

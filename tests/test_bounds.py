@@ -1,9 +1,10 @@
 """Bound evaluation: wall terms, lower/upper bounds, sum rules, verify().
 
-The wall-term identities are checked against adaptive quadrature (the
-package's closed forms must agree to near machine precision); bound
-inequalities are exercised on exact rectangle and cylinder spectra where the
-truth is known to 1e-15.
+The package evaluates every wall term in closed form, by one Riesz lift.
+The tests check it against their own quadrature oracle (QUADPACK QAWS with a
+purely relative tolerance, :func:`lift_oracle`), at gamma = 1 and lifted,
+to near machine precision; bound inequalities are exercised on exact
+rectangle and cylinder spectra where the truth is known to 1e-15.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,7 @@ def test_wall_term_vanishes_at_zero():
 def test_wall_term_rectangle_closed_form_vs_quadrature():
     for z in (0.5, 2.0, 10.0):
         exact = bounds.wall_term(RECT, z)
-        via_quad = bounds.wall_term(RECT, z, quadrature=True)
+        via_quad, _ = polygon_lift_oracle(RECT, 1.0, z)
         assert exact == pytest.approx(via_quad, rel=1e-10, abs=1e-12)
 
 
@@ -64,7 +66,7 @@ def test_wall_term_slanted_edge_series_branch():
                         free_edges=[3])
     for z in (0.5, 4.0):
         exact = bounds.wall_term(d, z)
-        via_quad = bounds.wall_term(d, z, quadrature=True)
+        via_quad, _ = polygon_lift_oracle(d, 1.0, z)
         assert exact == pytest.approx(via_quad, rel=1e-9)
 
 
@@ -91,14 +93,14 @@ def test_deep_near_level_edge_matches_mpmath(ybar, dy, z):
 def test_wall_term_cylinder_closed_form_vs_quadrature():
     for z in (0.5, 2.0, 10.0):
         exact = bounds.wall_term(CYL3, z)
-        via_quad = bounds.wall_term(CYL3, z, quadrature=True)
+        via_quad = cylinder_lift_oracle(CYL3, 1.0, z)
         assert exact == pytest.approx(via_quad, rel=1e-10)
 
 
 def test_wall_term_cone_closed_form_vs_quadrature():
     for z in (0.5, 2.0, 10.0):
         exact = bounds.wall_term(CONE, z)
-        via_quad = bounds.wall_term(CONE, z, quadrature=True)
+        via_quad = cone_lift_oracle(CONE, 1.0, z)
         assert exact == pytest.approx(via_quad, rel=1e-8, abs=1e-10)
 
 
@@ -193,6 +195,7 @@ def test_wall_term_gamma_fractional_branch():
 # g (g-1) int_0^z (z-t)^{g-2} A(t) dt = g int_0^z (z-r)^{g-1} phi(r) dr.  The
 # oracle integrates the second form with the algebraic weight (QUADPACK QAWS)
 # and no absolute tolerance, from integrands written without cancellation.
+# At gamma = 1 the weight is 1 and the oracle is the wall term A(z) itself.
 
 def lift_oracle(phi, g, z):
     val, _ = quad(phi, 0.0, z, weight="alg", wvar=(0.0, g - 1.0),
@@ -227,9 +230,25 @@ def polygon_lift_oracle(d, g, z):
     return total, scale
 
 
+def cylinder_lift_oracle(dom, g, z):
+    """The lifted flat-bottom wall term of a vertical cylinder."""
+    n, h = dom.n, dom.depth
+    kappa = (n - 1) * specfun.unit_ball_volume(n - 1) / (2 * math.pi) ** (n - 1)
+    return kappa * dom.base_area \
+        * lift_oracle(lambda r: r ** (n - 1) * math.exp(-2 * h * r), g, z)
+
+
 def cone_coef(dom):
     return math.copysign(1.0, math.cos(dom.half_angle)) \
         / (4.0 * math.tan(dom.half_angle) ** 2)
+
+
+def cone_lift_oracle(dom, g, z):
+    """The lifted wall term of a cone of revolution.  Its profile
+    1 - e^{-x}(1 + x) = P(2, x), x = 2hr, is the regularized lower incomplete
+    gamma function: no cancellation at small x."""
+    h = dom.depth
+    return cone_coef(dom) * lift_oracle(lambda r: gammainc(2, 2 * h * r), g, z)
 
 
 def two_corner_pieces_oracle(alpha, beta, delta, bc_length, g, z):
@@ -251,8 +270,7 @@ def test_lift_keeps_relative_accuracy_at_small_z(z):
     # adaptive quadrature on an absolute tolerance of 1e-12 stopped early
     # here (4.7e-5 relative off on the box cylinder at gamma 2.5)
     g = 2.5
-    kappa = 2 * specfun.unit_ball_volume(2) / (2 * math.pi) ** 2
-    oracle = lift_oracle(lambda r: kappa * math.pi ** 2 * r * r * math.exp(-2 * r), g, z)
+    oracle = cylinder_lift_oracle(BOX, g, z)
     assert bounds.wall_term_gamma(BOX, g, z) == pytest.approx(oracle, rel=1e-10, abs=0)
 
     want, _ = polygon_lift_oracle(TRAPEZOID, g, z)
@@ -316,8 +334,7 @@ def test_near_level_edge_lift_straddles_series_switch(g, lz, depth, ratio, sign,
 def test_cylinder_lift_matches_oracle(n, area, h, g, lz):
     z = 10.0 ** lz
     dom = CylinderDomain(n, geometry.ExplicitBase((0.0,), "neumann", area), h)
-    kappa = (n - 1) * specfun.unit_ball_volume(n - 1) / (2 * math.pi) ** (n - 1)
-    want = lift_oracle(lambda r: kappa * area * r ** (n - 1) * math.exp(-2 * h * r), g, z)
+    want = cylinder_lift_oracle(dom, g, z)
     assert bounds.wall_term_gamma(dom, g, z) == pytest.approx(want, rel=1e-10, abs=0)
 
 
@@ -325,11 +342,9 @@ def test_cylinder_lift_matches_oracle(n, area, h, g, lz):
 @given(alpha=st.one_of(st.floats(0.2, 1.4), st.floats(1.75, 2.9)),
        h=st.floats(0.1, 2.0), g=gammas, lz=log_z)
 def test_cone_lift_matches_oracle(alpha, h, g, lz):
-    # profile 1 - e^{-x}(1 + x) = P(2, x), x = 2hr, the regularized lower
-    # incomplete gamma function: no cancellation at small x
     z = 10.0 ** lz
     dom = ConeDomain(alpha, h)
-    want = cone_coef(dom) * lift_oracle(lambda r: gammainc(2, 2 * h * r), g, z)
+    want = cone_lift_oracle(dom, g, z)
     assert bounds.wall_term_gamma(dom, g, z) == pytest.approx(want, rel=1e-10, abs=0)
 
 
@@ -545,8 +560,6 @@ SD_600 = spectra.rectangle_sd(math.pi, 1.0, 600)
 # name -> (call on the axis argument, good points, a point the call rejects)
 AXIS_FUNCTIONS = {
     "wall_term": (lambda z: bounds.wall_term(TRAPEZOID, z), Z_POINTS, -1.0),
-    "wall_term quadrature": (lambda z: bounds.wall_term(CONE, z, quadrature=True),
-                             [0.0, 0.3, 2.0], float("nan")),
     "wall_term_gamma": (lambda z: bounds.wall_term_gamma(CYL3, 1.7, z), Z_POINTS,
                         float("inf")),
     "sum_bound_wall_term": (lambda r: bounds.sum_bound_wall_term(CONE, r), Z_POINTS,
@@ -951,6 +964,16 @@ def test_verify_k_axis_validation(rect_sn_600):
         bounds.verify(rect_sn_600, "kroger", np.array([1.5, 2.0]))
     with pytest.raises(ValueError):
         bounds.verify(rect_sn_600, "kroger", np.array([900.0]))
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, 1e20, 2.5, 0.0])
+def test_verify_checks_the_k_grid_before_casting_it(point, rect_sn_600):
+    # casting nan, or a float past int64, to int warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"k grid must consist of integers in [1, 2^63), got {point}")):
+            bounds.verify(rect_sn_600, "kroger", [1.0, point])
 
 
 def test_verify_sd_sum_reaches_the_last_eigenvalue():

@@ -289,6 +289,36 @@ def test_verify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("empty_errors", [False, True])
+def test_verify_input_errors_exit_2_under_warnings_as_errors(empty_errors, tmp_path):
+    # a numpy warning under -W error once made these exit 1, "bound violated"
+    spec, errors = tmp_path / "sn.csv", tmp_path / "empty.txt"
+    cli.main(["spectrum", "--preset", "rectangle:pi,1", "--problem", "sn",
+              "--count", "100", "--out", str(spec)])
+    errors.write_text("")
+    if empty_errors:
+        option = ["--grid", "1:5:1", "--errors", str(errors)]
+        message = f"{errors}: no certified errors found"
+    else:
+        option = ["--grid", "1e20:2e20:1e19"]
+        message = "k grid must consist of integers in [1, 2^63), got 1e+20"
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "steklov", "verify",
+                           "--spectrum", str(spec), "--bound", "kroger", *option],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_spectrum_file_with_an_infinite_zero_tol_exits_2(tmp_path, capsys):
+    # it was read as a sloshing spectrum with no zero mode
+    path = tmp_path / "s.csv"
+    path.write_text("# problem=SN\n# zero_tol=inf\nindex,value\n1,5\n2,6\n")
+    assert cli.main(["riesz", "--spectrum", str(path), "--gamma", "0",
+                     "--grid", "0:5.5:1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {path}: zero_tol must be a finite real >= 0, "
+                              "got inf\n")
+
+
 def test_verify_rejects_a_nan_tolerance(tmp_path, capsys):
     spec = tmp_path / "sd.csv"
     cli.main(["spectrum", "--preset", "rectangle:pi,1", "--problem", "sd",
@@ -340,7 +370,9 @@ def test_verify_lifted_bound_matches_quadrature_oracle(tmp_path):
 
 def test_lifted_verify_does_not_import_scipy_integrate(tmp_path):
     # nor scipy.sparse: only the finite-element solver needs it, and an exact
-    # spectrum and verify at any gamma leave steklov.fem unloaded
+    # spectrum and verify at any gamma leave steklov.fem unloaded; every
+    # bound id, the wall terms of each domain kind and the fit from either
+    # source leave scipy.integrate unloaded too
     spec = tmp_path / "sn.csv"
     code = ("import sys, steklov.cli\n"
             "rc = steklov.cli.main(['spectrum', '--preset', 'rectangle:pi,1', "
@@ -351,8 +383,30 @@ def test_lifted_verify_does_not_import_scipy_integrate(tmp_path):
             "'--bound', 'main', '--gamma', gamma, '--preset', 'trapezoid:pi,2pi/3,1', "
             f"'--grid', 'log20(0.1,50)', '--out', {str(tmp_path / 'rep.json')!r}])\n"
             "    assert rc == 0, rc\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
-            "assert 'scipy.sparse' not in sys.modules\n")
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "import math\n"
+            "from steklov import asymptotics, bounds, geometry, riesz, spectra\n"
+            "rect = geometry.rectangle_domain(math.pi, 1.0)\n"
+            "box = geometry.CylinderDomain(3, geometry.RectangleBase(math.pi, math.pi), 1.0)\n"
+            "sn = spectra.rectangle_sn(math.pi, 1.0, 400)\n"
+            "sd = spectra.rectangle_sd(math.pi, 1.0, 400)\n"
+            "grids = {'z': [1.0, 2.0, 5.0], 'k': [1, 2, 5], 't': [0.5, 1.0]}\n"
+            "for bound_id, spec in bounds.BOUNDS.items():\n"
+            "    s, kwargs = (sn if spec.problem == 'SN' else sd), {'domain': rect}\n"
+            "    if bound_id == 'via-neumann':\n"
+            "        s = spectra.cylinder_spectrum(box, 'SN', 400)\n"
+            "        kwargs = {'params': {'width': math.pi}}\n"
+            "    for gamma in (1.0, 2.5):\n"
+            "        bounds.verify(s, bound_id, grids[spec.axis], gamma=gamma, **kwargs)\n"
+            "for dom in (rect, geometry.trapezoid_domain(math.pi, 2 * math.pi / 3, 1.0),\n"
+            "            geometry.isoceles_triangle_domain(2.0, math.pi / 4), box,\n"
+            "            geometry.ConeDomain(math.pi / 5, 0.8)):\n"
+            "    bounds.wall_term(dom, [0.5, 2.0])\n"
+            "    bounds.wall_term_gamma(dom, 2.5, [0.5, 2.0])\n"
+            "    bounds.sum_bound_wall_term(dom, [0.5, 2.0])\n"
+            "for source in (sn, riesz.riesz_curve(sn, 1.0, [10.0 + k for k in range(300)])):\n"
+            "    asymptotics.fit_second_term(source, 1.0, (20.0, 200.0))\n"
+            "assert 'scipy.integrate' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True)
 
 

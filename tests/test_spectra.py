@@ -138,6 +138,29 @@ def test_ground_mode_errors_print_plain_floats(problem, values, message):
         Spectrum(problem, np.array(values))
 
 
+@pytest.mark.parametrize("problem, values, zero_tol, shown", [
+    ("SN", [5.0, 6.0], math.inf, "inf"),
+    ("SN", [5.0, 6.0], math.nan, "nan"),
+    ("SN", [0.0, 5.0], -1e-12, "-1e-12"),
+    ("SD", [1.0, 2.0], -1.0, "-1.0"),
+    ("SN", [0.0, 5.0], "abc", "abc")])
+def test_zero_tol_is_a_finite_real_at_least_zero(problem, values, zero_tol, shown):
+    # an infinite or nan zero_tol once let a sloshing spectrum start at 5
+    message = f"zero_tol must be a finite real >= 0, got {shown}"
+    with pytest.raises(SpectrumError, match=f"^{re.escape(message)}$"):
+        Spectrum(problem, values, zero_tol=zero_tol)
+
+
+@pytest.mark.parametrize("text, shown", [("inf", "inf"), ("nan", "nan"),
+                                         ("-1", "-1.0"), ("abc", "abc")])
+def test_loaded_zero_tol_errors_name_the_file(text, shown, tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text(f"# problem=SN\n# zero_tol={text}\nindex,value\n1,5\n2,6\n")
+    message = f"{path}: zero_tol must be a finite real >= 0, got {shown}"
+    with pytest.raises(SpectrumError, match=f"^{re.escape(message)}$"):
+        spectra.load_spectrum(path)
+
+
 def test_spectrum_clamps_the_sloshing_ground_mode_only():
     # FEM solves pass raw eigensolver values: roundoff within zero_tol of 0
     # is stored as 0, in a new array, and SD values are kept as they are

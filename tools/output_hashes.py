@@ -1,13 +1,15 @@
-"""Print one ``name sha256`` line per output of the finite-element solver
-and the CLI, so that two checkouts can be compared byte for byte:
+"""Print one ``name sha256`` line per output of the finite-element solver,
+the bound layer and the CLI, so that two checkouts can be compared byte for
+byte:
 
     OPENBLAS_NUM_THREADS=1 python tools/output_hashes.py > hashes.txt
 
 Run it in each checkout and diff the two files.  It calls the public API
 only (``fem.triangulate``, ``fem.dtn_matrices``, ``fem.dtn_with_error``,
-``geometry`` constructors, ``spectra.save_spectrum`` and ``python -m
-steklov``), and imports ``steklov`` from the ``src`` next to it, so the
-same file runs in any checkout that has that API.  It hashes:
+``geometry`` constructors, ``spectra``, ``riesz``, ``bounds`` and
+``asymptotics`` functions and ``python -m steklov``), and imports
+``steklov`` from the ``src`` next to it, so the same file runs in any
+checkout that has that API.  It hashes:
 
 - ``dtn_matrices(triangulate(d, h), problem)``: S, M_F, surface_nodes,
   factor_nnz and asymmetry, for the triangle, the rectangle, two
@@ -34,7 +36,19 @@ same file runs in any checkout that has that API.  It hashes:
   two lower wall edges tagged free;
 - the certified triangle solve of acceptance criterion 07 and the two
   solves of the fem-certified benchmark workload;
-- the stdout of the five CLI commands of acceptance criterion 14.
+- the stdout of the five CLI commands of acceptance criterion 14;
+- on the exact 5000-mode rectangle and box-cylinder spectra that the
+  bounds-direct benchmark workload checks: the ``bounds.save_report`` JSON
+  of ``verify`` for every bound id at gamma 1 on a 2000-point grid, and for
+  main, triangle, john2d and sd-upper at gamma 1.5, 2 and 2.5;
+  ``riesz_mean_grid`` at gamma 0, 1, 2, 3 and 1.5; ``fit_second_term`` on
+  a Spectrum and on a spectrum-backed curve, and ``fit_eigenvalue_shift``;
+- ``wall_term``, ``wall_term_gamma`` (gamma 1, 1.5, 2, 2.5) and
+  ``sum_bound_wall_term`` on the rectangle, trapezoid, triangle, box
+  cylinder and two cones (one overhanging), on a log grid from 1e-3 to 1e3
+  and at 0;
+- ``fit_second_term`` on the certified triangle solve of the fem-certified
+  benchmark workload, with its certified errors.
 
 A different BLAS, or more than one BLAS thread, may change the last bits;
 compare runs on one machine with one thread.
@@ -45,6 +59,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -57,7 +72,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from steklov import fem, geometry, spectra  # noqa: E402
+from steklov import asymptotics, bounds, fem, geometry, riesz, spectra  # noqa: E402
 
 
 def digest(value) -> str:
@@ -251,9 +266,81 @@ def cli_outputs():
             yield f"cli/{k}/{args[0]}", run(args)
 
 
+MODES = 5000
+BOX = geometry.CylinderDomain(3, geometry.RectangleBase(math.pi, math.pi), 1.0)
+TRAPEZOID = geometry.trapezoid_domain(math.pi, 2 * math.pi / 3, 1.0)
+# bound id -> (spectrum, axis range, keyword arguments), as bounds-direct
+# checks them; integer ranges are k axes
+VERIFY_PLAN = {
+    "main": ("SN", (0.1, 1000.0), {"domain": TRAPEZOID}),
+    "split": ("SN", (0.1, 1000.0), {"domain": RECTANGLE}),
+    "triangle": ("SN", (0.1, 1000.0), {"domain": RECTANGLE}),
+    "john2d": ("SN", (0.1, 1000.0), {}),
+    "johnNd": ("box-SN", (0.1, 75.0), {}),
+    "via-neumann": ("box-SN", (0.1, 75.0), {"params": {"width": math.pi}}),
+    "kroger": ("SN", (1, MODES - 2), {}),
+    "bracket": ("SN", (1, MODES - 2), {}),
+    "sd-upper": ("SD", (0.1, 1000.0), {}),
+    "sd-john2d": ("SD", (0.1, 1000.0), {}),
+    "sd-lower2d": ("SD", (1.0, 1000.0), {"domain": RECTANGLE}),
+    "sd-sum": ("SD", (1, MODES - 2), {}),
+    "heat-trace": ("SD", (0.01, 2.0), {"domain": RECTANGLE}),
+}
+LIFTED = ("main", "triangle", "john2d", "sd-upper")
+WALL_DOMAINS = {"rectangle": RECTANGLE, "trapezoid": TRAPEZOID, "triangle": TRIANGLE,
+                "box": BOX, "cone": geometry.ConeDomain(math.pi / 5, 0.8),
+                "cone-overhanging": geometry.ConeDomain(2.2, 0.8)}
+
+
+def report_text(report) -> str:
+    """The JSON text ``bounds.save_report`` writes for `report`."""
+    out = io.StringIO()
+    bounds.save_report(report, out)
+    return out.getvalue()
+
+
+def fit_text(result) -> str:
+    return json.dumps(result.to_dict())
+
+
+def bound_outputs():
+    exact = {"SN": spectra.rectangle_sn(math.pi, 1.0, MODES),
+             "SD": spectra.rectangle_sd(math.pi, 1.0, MODES),
+             "box-SN": spectra.cylinder_spectrum(BOX, "SN", MODES)}
+    for bound_id, (key, (lo, hi), kwargs) in VERIFY_PLAN.items():
+        grid = np.round(np.linspace(lo, hi, 2000)) if isinstance(lo, int) \
+            else np.linspace(lo, hi, 2000)
+        for gamma in (1.0, 1.5, 2.0, 2.5) if bound_id in LIFTED else (1.0,):
+            report = bounds.verify(exact[key], bound_id, grid, gamma=gamma, **kwargs)
+            yield f"verify/{bound_id}/{gamma:g}", report_text(report)
+    for key, top in (("SN", 1000.0), ("box-SN", 75.0)):
+        for gamma in (0.0, 1.0, 2.0, 3.0, 1.5):
+            yield (f"riesz_mean_grid/{key}/{gamma:g}",
+                   riesz.riesz_mean_grid(exact[key], gamma, np.linspace(0.0, top, 2000)))
+    for key in ("SN", "SD"):
+        s = exact[key]
+        curve = riesz.riesz_curve(s, 1.0, np.linspace(0.0, 1500.0, 3000))
+        for gamma, window in ((1.0, (100.0, 1000.0)), (2.0, (20.0, 200.0))):
+            result = asymptotics.fit_second_term(s, gamma, window)
+            yield f"fit_second_term/{key}/{gamma:g}", fit_text(result)
+        yield (f"fit_second_term/{key}-curve/1",
+               fit_text(asymptotics.fit_second_term(curve, 1.0, (100.0, 1000.0))))
+        yield (f"fit_eigenvalue_shift/{key}",
+               fit_text(asymptotics.fit_eigenvalue_shift(s, 10, 1000)))
+    zs = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 200)))
+    for name, d in WALL_DOMAINS.items():
+        yield f"wall_term/{name}", bounds.wall_term(d, zs)
+        for gamma in (1.0, 1.5, 2.0, 2.5):
+            yield f"wall_term_gamma/{name}/{gamma:g}", bounds.wall_term_gamma(d, gamma, zs)
+        yield f"sum_bound_wall_term/{name}", bounds.sum_bound_wall_term(d, zs)
+    s, errors = fem.dtn_with_error(TRIANGLE, "SN", 80, 0.01)
+    result = asymptotics.fit_second_term(s, 1.0, (30.0, 120.0), errors=errors)
+    yield "fit_second_term/fem-certified-triangle/1", fit_text(result)
+
+
 def main() -> int:
     count = 0
-    for outputs in (fem_outputs(), cli_outputs()):
+    for outputs in (fem_outputs(), cli_outputs(), bound_outputs()):
         for name, value in outputs:
             print(name, digest(value), flush=True)
             count += 1

@@ -232,16 +232,19 @@ def cmd_riesz(args) -> int:
     return 0
 
 
-def _load_errors(path) -> np.ndarray:
-    """The certified per-eigenvalue errors in ``path``, whitespace-separated
-    numbers; a file that holds none is refused."""
+def _load_errors(path, s) -> np.ndarray:
+    """The certified errors of the eigenvalues of `s` in ``path``,
+    whitespace-separated numbers, as :func:`riesz.certified_errors` checks
+    them; a file that holds none is refused, and every error names it."""
     with warnings.catch_warnings():
         # numpy warns on a file with no data, and would return no errors
         warnings.simplefilter("error", UserWarning)
         try:
-            return np.loadtxt(path, ndmin=1)
+            return riesz.certified_errors(s, np.loadtxt(path, ndmin=1))
         except UserWarning:
             raise ValueError(f"{path}: no certified errors found") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_verify(args) -> int:
@@ -249,7 +252,7 @@ def cmd_verify(args) -> int:
     dom = _resolve_domain(args)
     errors = None
     if args.errors:
-        errors = _load_errors(args.errors)
+        errors = _load_errors(args.errors, s)
     report = bounds.verify(s, args.bound, parse_grid(args.grid),
                            gamma=args.gamma, domain=dom,
                            tolerance=args.tolerance, errors=errors)

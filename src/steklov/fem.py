@@ -43,20 +43,20 @@ builder's one-triangle case, on the parent's rim: two condensations of half
 the order.  The final condensation takes one base triangle of each mirrored
 pair, and S comes back from the two sectors by scalings with powers of two
 and one addition per entry.  Without a mirror both condensations are the
-one-sector case, every id its own orbit and every rim matrix whole.
-:func:`dtn_spectrum` and :func:`dtn_with_error` number only the nodes on
-the base edges for this (the skeleton) and never build the mesh;
-:func:`dtn_matrices` condenses a :func:`triangulate` mesh through the
-skeleton of the base it records, while re-refining that base reproduces it.
+one-sector case, every id its own orbit and every rim matrix whole.  Only
+the nodes on the base edges (the skeleton) are numbered for this.
 
 Axis rectangles are meshed by a uniform diagonal-split grid, on which P1
 is the 5-point stencil.  Cosine (SN) or sine (SD) modes along the surface
 diagonalize it, so each mode condenses onto its surface node by one
 tridiagonal recurrence over the grid rows, with no mesh and no sparse
-matrix (:func:`_grid_schur`).  :func:`dtn_spectrum` and
-:func:`dtn_with_error` never build the grid; :func:`dtn_matrices` takes
-this route for a :func:`triangulate` grid while rebuilding it from the
-rectangle it records reproduces it.
+matrix (:func:`_grid_schur`).
+
+One builder, :func:`_solves`, wires both routes: the route choice, the size
+checks, the skeleton, the mirror and the rim recursion.  :func:`dtn_spectrum`
+and :func:`dtn_with_error` condense through it and never build the mesh;
+:func:`dtn_matrices` condenses a :func:`triangulate` mesh through it while
+rebuilding the mesh from the (domain, target_h) it records reproduces it.
 
 Every other mesh (loaded, hand-built, copied or edited meshes) goes through
 one sparse LU of the bordered matrix: the interior unknowns first, in a
@@ -384,17 +384,22 @@ def triangulate(d: PolygonalDomain, target_h: float) -> Mesh:
     A 4-split mesh takes the split count of :func:`_base_triangulation`, so
     triangulate(d, target_h / 2), if it splits at all, is it split once more.
     Every mesh records (d, target_h) for :func:`dtn_matrices`, which
-    condenses it from that base's skeleton, or a grid by its Fourier modes,
+    condenses it through the builder the spectra use (:func:`_solves`)
     while it is still exactly the mesh that (d, target_h) gives.
     """
-    base = _base_triangulation(d, target_h)
-    if base is not None:
-        mesh = _tagged_mesh(d, *_refine(*base))
-    else:
-        (nx, _hx, ny, _hy), xs, ys = _grid(d, target_h)
-        mesh = _tagged_mesh(d, _grid_nodes(xs, ys), _grid_triangles(nx, ny))
+    mesh = _tagged_mesh(d, *_mesh_arrays(d, target_h))
     mesh.source = (d, target_h)
     return mesh
+
+
+def _mesh_arrays(d: PolygonalDomain, target_h: float):
+    """(nodes, triangles) of :func:`triangulate`'s mesh of d at target_h:
+    the base of :func:`_base_triangulation` split L times, or the grid."""
+    base = _base_triangulation(d, target_h)
+    if base is not None:
+        return _refine(*base)
+    (nx, _hx, ny, _hy), xs, ys = _grid(d, target_h)
+    return _grid_nodes(xs, ys), _grid_triangles(nx, ny)
 
 
 def _grid(d: PolygonalDomain, target_h: float):
@@ -608,10 +613,9 @@ def dtn_matrices(mesh: Mesh, problem: str) -> DtnMatrixPair:
     (:func:`validate_mesh`), so a hand-built mesh with a stray, missing or
     misspelt tag is a MeshError before any tag is read.
 
-    A mesh from :func:`triangulate` is condensed as :func:`dtn_spectrum`
-    condenses it, a triangle or fan from its base's skeleton and a rectangle
-    grid by its Fourier modes, while it is still the mesh its recorded
-    (domain, target_h) gives, with that source's surface nodes
+    A mesh from :func:`triangulate` is condensed through the builder
+    :func:`dtn_spectrum` uses (:func:`_solves`), while it is still the mesh
+    its recorded (domain, target_h) gives, with that source's surface nodes
     (:func:`_source_schur`).  Every other mesh (loaded, hand-built, copied
     or edited meshes) goes through one sparse LU of the bordered stiffness
     matrix (:func:`_bordered_schur`); there a mesh component that touches no
@@ -659,44 +663,28 @@ def _pair(S, mf, free, surface, factor_nnz) -> DtnMatrixPair:
 
 def _source_schur(mesh: Mesh, problem: str, surface, removed):
     """(S, factor entries) on `surface`, `removed` held at zero, from the
-    (domain, target_h) that ``mesh.source`` records, or None: a grid by its
-    Fourier modes (:func:`_grid_schur`), any other mesh from the skeleton of
-    its base (:func:`_self_similar_schur`).
+    (domain, target_h) that ``mesh.source`` records, or None: the condense
+    step of :func:`_solves` for that one target_h, as :func:`dtn_spectrum`
+    condenses it.
 
-    The mesh qualifies while rebuilding it from that source reproduces its
-    node and triangle arrays exactly and its retained and removed nodes are
-    the source's, the same points in the same order.  The skeleton numbers
-    its nodes in the mesh's order, so its S is then the mesh's, row for row.
+    The mesh qualifies while rebuilding it from that source
+    (:func:`_mesh_arrays`) reproduces its node and triangle arrays exactly
+    and its retained and removed nodes are the source's, the same points in
+    the same order; otherwise nothing is condensed.  The builder numbers its
+    nodes in the mesh's order, so its S is then the mesh's, row for row.
     """
     if mesh.source is None:
         return None
     d, target_h = mesh.source
-    base = _base_triangulation(d, target_h)
-    if base is None:
-        dims, xs, ys = _grid(d, target_h)
-        nodes, tris = _grid_nodes(xs, ys), _grid_triangles(dims[0], dims[2])
-    else:
-        nodes0, tris0, levels = base
-        nodes, tris = _refine(nodes0, tris0, levels)
-    if not (np.array_equal(nodes, mesh.nodes)
-            and np.array_equal(tris, mesh.triangles)):
+    if not all(map(np.array_equal, _mesh_arrays(d, target_h),
+                   (mesh.nodes, mesh.triangles))):
         return None
-    if base is None:
-        own = _grid_rim(d, xs, ys)
-    else:
-        nodes, rims, chains = _skeleton(nodes0, tris0, levels)
-        own = _chain_mesh(nodes, chains, _tagged_mesh(d, nodes0, tris0), 1)
+    ((own, _label, condense),) = _solves(d, (target_h,))
     _free, own_surface, own_removed = _retained_surface(own, problem, 0)
     if not (np.array_equal(mesh.nodes[surface], own.nodes[own_surface])
             and np.array_equal(mesh.nodes[removed], own.nodes[own_removed])):
         return None
-    if base is None:
-        return _grid_schur(*dims, problem)
-    mirror = _mirror(d, nodes0, tris0, nodes, chains)
-    B, e = _rim_schur(_rim_start(nodes0, tris0, mirror), 0, max(levels - 1, 0))
-    S, e2 = _self_similar_schur(rims, B, nodes.shape[0], own_surface, own_removed,
-                                mirror)
-    return S, e + e2
+    return condense(problem, own_surface, own_removed)
 
 
 def _bordered_schur(K, inner, surface, nodes):
@@ -1322,50 +1310,61 @@ def _self_similar_schur(rims, below, n_ids, surface, removed, mirror=None):
     return _unfold(*out)[np.ix_(at, at)], entries
 
 
-def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:
-    """The FEM Spectrum at each of `target_hs` in turn.  Triangles and
+def _solves(d: PolygonalDomain, target_hs) -> list:
+    """Per target_h, (rim, label, condense): the boundary of the mesh
+    :func:`triangulate` gives, as a Mesh without triangles; its mesh size
+    for the ``fem:h=`` label; and a step (problem, surface, removed) ->
+    (S, factor entries) onto `surface`, `removed` held at zero, which never
+    builds the mesh.  Every size check runs before any step.  Triangles and
     convex fans condense from one :func:`_skeleton` at the finest split
     count, a coarser solve on every other rim node, and one rim recursion,
     in the sectors of the domain's :func:`_mirror` where it has one, goes
-    on from solve to solve; axis rectangles take the grid's Fourier
-    modes (:func:`_grid_schur`) and its boundary (:func:`_grid_rim`).
-    Neither builds the mesh.  Spectrum checks and clamps the SN ground mode
-    of the raw ``eigh`` values."""
+    on from step to step, so the steps run in turn, each at most once.
+    Axis rectangles take the grid's Fourier modes (:func:`_grid_schur`)
+    and its boundary (:func:`_grid_rim`)."""
+    bases = [_base_triangulation(d, h) for h in target_hs]
+    if bases[-1] is None:
+        return [(_grid_rim(d, xs, ys), _grid_size(xs, ys),
+                 lambda problem, _surface, _removed, dims=dims:
+                 _grid_schur(*dims, problem))
+                for dims, xs, ys in [_grid(d, h) for h in target_hs]]
+    nodes0, tris0, top = bases[-1]
+    tagged = _tagged_mesh(d, nodes0, tris0)
+    nodes, rims, chains = _skeleton(nodes0, tris0, top)
+    mirror = _mirror(d, nodes0, tris0, nodes, chains)
+    # the rim matrices after `done` splits, and the factor entries spent
+    done, below, spent = 0, _rim_start(nodes0, tris0, mirror), 0
+
+    def condense(levels, problem, surface, removed):
+        nonlocal done, below, spent
+        below, e = _rim_schur(below, done, max(levels - 1, 0))
+        done, spent = max(levels - 1, 0), spent + e
+        S, e = _self_similar_schur(rims[:, ::2 ** (top - levels)], below,
+                                   nodes.shape[0], surface, removed, mirror)
+        return S, e + spent
+
+    return [(_chain_mesh(nodes, chains, tagged, 2 ** (top - levels)),
+             tagged.mesh_size / 2 ** levels, functools.partial(condense, levels))
+            for _nodes0, _tris0, levels in bases]
+
+
+def _spectra(d: PolygonalDomain, problem: str, count, target_hs) -> list:
+    """The FEM Spectrum at each of `target_hs` in turn, from the condense
+    steps of :func:`_solves`, after checking `count` against every
+    solve's surface unknowns.  Spectrum checks and clamps the SN ground
+    mode of the raw ``eigh`` values."""
     check_problem(problem)
     (count,) = specfun.indices(count, "count must be a positive integer")
-    bases = [_base_triangulation(d, h) for h in target_hs]
-    # the grids too, so that every size check comes before any solve
-    grids = [_grid(d, h) if base is None else None
-             for h, base in zip(target_hs, bases)]
-    if bases[-1] is not None:
-        nodes0, tris0, top = bases[-1]
-        tagged = _tagged_mesh(d, nodes0, tris0)
-        nodes, rims, chains = _skeleton(nodes0, tris0, top)
-        mirror = _mirror(d, nodes0, tris0, nodes, chains)
-        done, below = 0, (_rim_start(nodes0, tris0, mirror), 0)
-    out = []
-    for base, grid in zip(bases, grids):
-        if grid:
-            dims, xs, ys = grid
-            mesh = _grid_rim(d, xs, ys)
-        else:
-            step = 2 ** (top - base[2])
-            mesh = _chain_mesh(nodes, chains, tagged, step)
-        free, surface, removed = _retained_surface(mesh, problem)
+    solves = _solves(d, target_hs)
+    kept = [_retained_surface(rim, problem) for rim, _label, _step in solves]
+    for _free, surface, _removed in kept:
         if count > surface.size - 1:
             raise ValueError(f"count = {count} exceeds the {surface.size} "
                              "surface unknowns minus one; refine the mesh")
-        if grid:
-            S, e = _grid_schur(*dims, problem)
-            label = _grid_size(xs, ys)
-        else:
-            B, e = _rim_schur(below[0], done, max(base[2] - 1, 0))
-            done, below = max(base[2] - 1, 0), (B, below[1] + e)
-            S, e = _self_similar_schur(rims[:, ::step], B, nodes.shape[0],
-                                       surface, removed, mirror)
-            e += below[1]
-            label = tagged.mesh_size / 2 ** base[2]      # exact for L 4-splits
-        pair = _pair(S, _boundary_mass(mesh), free, surface, e)
+    out = []
+    for (rim, label, condense), (free, surface, removed) in zip(solves, kept):
+        S, e = condense(problem, surface, removed)
+        pair = _pair(S, _boundary_mass(rim), free, surface, e)
         vals = scipy.linalg.eigh(pair.S, pair.M_F, eigvals_only=True)[:count]
         out.append(Spectrum(problem=problem, values=vals,
                             source=f"fem:h={label:.6g}",
@@ -1382,11 +1381,12 @@ def dtn_spectrum(d: PolygonalDomain, problem: str, count: int,
     Cholesky-reduction eigensolver.  The returned Spectrum carries the
     domain metadata and source = "fem:h=<mesh size>", on triangles and
     convex fans the exact base mesh size / 2**L, as the mesh (never built,
-    :func:`_spectra`) is L 4-splits of it, and on rectangles the grid's
+    :func:`_solves`) is L 4-splits of it, and on rectangles the grid's
     longest cell diagonal, which is ``mesh_size`` bit for bit.  The values
     equal, bit for bit, ``eigh`` of ``dtn_matrices(triangulate(d,
-    target_h))``, with an SN ground mode within ``zero_tol`` = 1e-8 of 0
-    clamped by Spectrum, and SpectrumError past it.
+    target_h))``, which condenses through the same builder, with an SN
+    ground mode within ``zero_tol`` = 1e-8 of 0 clamped by Spectrum, and
+    SpectrumError past it.
     """
     return _spectra(d, problem, count, (target_h,))[0]
 

@@ -42,7 +42,8 @@ class ValidityCeilingError(ValueError):
 
 @dataclass(eq=False)
 class RieszCurve:
-    """R_gamma sampled on a grid, remembering how far it can be trusted.
+    """R_gamma sampled on a grid, remembering how far it can be trusted:
+    up to ``validity_ceiling``, a finite z at or past its last grid point.
 
     When built from a Spectrum the curve keeps a reference to it, so that
     iteration is exact instead of re-sampling.
@@ -65,6 +66,8 @@ class RieszCurve:
         if np.any(np.diff(vals) < -1e-12 * max(1.0, float(np.abs(vals).max()))):
             raise ValueError("Riesz means are nondecreasing; values are not")
         self.gamma = specfun.real(self.gamma, "gamma", 0)
+        self.validity_ceiling = specfun.real(self.validity_ceiling,
+                                             "validity_ceiling", float(grid[-1]))
         grid.setflags(write=False)
         vals.setflags(write=False)
         self.grid = grid
@@ -114,7 +117,8 @@ def certified_errors(s: Spectrum, errors) -> np.ndarray:
     """Certificates e_j >= |nu_j - computed nu_j|: a finite real >= 0 per eigenvalue."""
     errors = np.asarray(errors, dtype=float).ravel()
     if errors.size != len(s):
-        raise ValueError("errors must align with the spectrum (same length)")
+        raise ValueError(f"errors must align with the spectrum (same length): "
+                         f"{errors.size} errors for {len(s)} eigenvalues")
     return specfun.points(errors, "certified error", 0)
 
 
@@ -354,12 +358,16 @@ def save_curve(curve: RieszCurve, path) -> None:
 
 
 def load_curve(path) -> RieszCurve:
-    """Read a curve written by :func:`save_curve` (no spectrum attached)."""
+    """Read a curve written by :func:`save_curve` (no spectrum attached).
+    The header values go to :class:`RieszCurve` as read, so it checks them;
+    every error names the file."""
     meta, rows = read_table(path, "z,value", (float, float))
     gamma = meta.pop("gamma", None)
     ceiling = meta.pop("validity_ceiling", None)
     if gamma is None or ceiling is None or not rows:
         raise ValueError(f"{path}: missing gamma/validity_ceiling header or data")
     zs, vs = zip(*(fields for _, fields in rows))
-    return RieszCurve(float(gamma), np.array(zs), np.array(vs), float(ceiling),
-                      meta=meta)
+    try:
+        return RieszCurve(gamma, np.array(zs), np.array(vs), ceiling, meta=meta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -55,7 +55,7 @@ def indices(k, message: str) -> np.ndarray:
     return ks.astype(int)
 
 
-def _need(name: str, low, strict: bool, got: float) -> ValueError:
+def _need(name: str, low, strict: bool, got) -> ValueError:
     """The error of :func:`real` and :func:`points` for the value ``got``."""
     bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low}"
     return ValueError(f"{name} must be a finite real{bound}, got {got}")
@@ -64,8 +64,12 @@ def _need(name: str, low, strict: bool, got: float) -> ValueError:
 def real(x, name: str, low=-math.inf, strict: bool = False) -> float:
     """x as a float, if it is finite and >= low (> low when ``strict``);
     otherwise ValueError(f"{name} must be a finite real >= {low}, got {x}"),
-    with > when ``strict`` and no bound at all for low = -inf."""
-    value = float(x)
+    with > when ``strict`` and no bound at all for low = -inf.  An x that
+    float() cannot read (text from a file header) gets that error too."""
+    try:
+        value = float(x)
+    except (TypeError, ValueError):
+        raise _need(name, low, strict, x) from None
     if not (math.isfinite(value) and (value > low if strict else value >= low)):
         raise _need(name, low, strict, value)
     return value

@@ -66,9 +66,8 @@ class Spectrum:
         check_problem(self.problem)
         try:
             self.zero_tol = specfun.real(self.zero_tol, "zero_tol", 0)
-        except (TypeError, ValueError):
-            raise SpectrumError(
-                f"zero_tol must be a finite real >= 0, got {self.zero_tol}") from None
+        except ValueError as exc:
+            raise SpectrumError(str(exc)) from None
         vals = np.asarray(self.values, dtype=float).ravel()
         if vals.size == 0:
             raise SpectrumError("empty spectrum")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -306,6 +307,25 @@ def test_verify_input_errors_exit_2_under_warnings_as_errors(empty_errors, tmp_p
                            "--spectrum", str(spec), "--bound", "kroger", *option],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_misaligned_errors_name_both_counts_and_the_file(tmp_path, capsys):
+    # the refusal named neither count nor, through verify, the file
+    s = spectra.rectangle_sn(math.pi, 1.0, 100)
+    with pytest.raises(ValueError, match=re.escape(
+            "errors must align with the spectrum (same length): 5 errors for "
+            "100 eigenvalues")):
+        riesz.certified_errors(s, np.ones(5))
+    spec, errfile = tmp_path / "sn.csv", tmp_path / "errs.txt"
+    spectra.save_spectrum(s, spec)
+    np.savetxt(errfile, np.full(5, 1e-6))
+    assert cli.main(["verify", "--spectrum", str(spec), "--bound", "main",
+                     "--preset", "rectangle:pi,1", "--grid", "1:5:1",
+                     "--errors", str(errfile)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {errfile}: errors must align with the "
+                              "spectrum (same length): 5 errors for 100 "
+                              "eigenvalues\n")
 
 
 def test_spectrum_file_with_an_infinite_zero_tol_exits_2(tmp_path, capsys):

@@ -122,6 +122,9 @@ CHECKED = {
                         "grid point", -math.inf, False),
     "RieszCurve.values": (lambda x: riesz.RieszCurve(1.0, [0.0, 1.0], [0.0, x], 1.0),
                           "curve value", -math.inf, False),
+    "RieszCurve.validity_ceiling": (
+        lambda x: riesz.RieszCurve(1.0, [0.0, 1.0], [0.0, 1.0], x),
+        "validity_ceiling", 1.0, False),
     "riesz_mean_grid.gamma": (lambda x: riesz.riesz_mean_grid(SN, x, [1.0]),
                               "gamma", 0, False),
     "riesz_mean_grid.z": (lambda x: riesz.riesz_mean_grid(SN, 1.0, [1.0, x]),
@@ -237,6 +240,13 @@ def test_parameter_checks_pass_valid_values_through():
     assert specfun.points(5.0, "x").tolist() == [5.0]
     with pytest.raises(ValueError, match=r"^x must be a finite real > 0, got 0\.0$"):
         specfun.points(grid, "x", 0, strict=True)
+
+
+def test_parameter_checks_refuse_what_float_cannot_read():
+    # text read from a file header once raised float()'s bare message
+    for text in ("abc", None):
+        with pytest.raises(ValueError, match=rf"^x must be a finite real >= 1, got {text}$"):
+            specfun.real(text, "x", 1)
 
 
 def test_memory_limit_is_the_lower_of_physical_memory_and_address_space(

@@ -283,6 +283,28 @@ def test_curve_codec_rejects_what_the_spectrum_codec_rejects(tmp_path):
         riesz.load_curve(path)
 
 
+def test_curve_header_is_checked_and_errors_name_the_file(tmp_path):
+    # a bad gamma was float()'s bare message, and an infinite ceiling made
+    # the curve trusted at every z
+    path = tmp_path / "curve.csv"
+    rows = "z,value\n0,0\n1,1\n"
+    for head, message in (
+            ("# gamma=abc\n# validity_ceiling=5\n",
+             "gamma must be a finite real >= 0, got abc"),
+            ("# gamma=1\n# validity_ceiling=inf\n",
+             "validity_ceiling must be a finite real >= 1.0, got inf"),
+            ("# gamma=1\n# validity_ceiling=0.5\n",
+             "validity_ceiling must be a finite real >= 1.0, got 0.5"),
+            ("# gamma=1\n# validity_ceiling=5\n# problem=SN\n",
+             "Riesz means are nondecreasing")):
+        path.write_text(head + (rows if "problem" not in head
+                                else "z,value\n0,1\n1,0\n"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            riesz.load_curve(path)
+    path.write_text("# gamma=1\n# validity_ceiling=1\n" + rows)
+    assert riesz.load_curve(path).validity_ceiling == 1.0
+
+
 def test_meta_value_errors_name_the_file_and_line(tmp_path):
     path = tmp_path / "s.csv"
     for meta, message in (("# n=2.5\n", "meta key n must be an integer, got '2.5'"),

@@ -79,8 +79,9 @@ def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
 
     Integer gamma <= 3 (the count itself at gamma = 0) uses prefix sums of
     eigenvalue powers (exact binomial expansion); other exponents fall back
-    to chunked broadcasting over the eigenvalues below max(zs).  Summation
-    order is ascending in the eigenvalues, so results are deterministic.
+    to broadcasting over the eigenvalues below max(zs), in blocks of about
+    2^20 entries.  Each z sums its own row in ascending order of the
+    eigenvalues, so results do not depend on the block size.
     """
     g = specfun.real(gamma, "gamma", 0)
     zs = specfun.points(zs, "z")
@@ -104,13 +105,19 @@ def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
     # eigenvalues at or above max(zs) add (z - nu)_+^gamma = 0 everywhere
     vals = vals[:counts.max(initial=0)]
     out = np.empty_like(zs)
-    chunk = max(1, int(4e7) // max(1, vals.size))
+    chunk = _block_rows(vals.size, 2 ** 20)
     for i in range(0, zs.size, chunk):
         zblock = zs[i:i + chunk, None]
         diff = zblock - vals[None, :]
         np.clip(diff, 0.0, None, out=diff)
         out[i:i + chunk] = np.sum(diff ** g, axis=1)
     return out
+
+
+def _block_rows(width: int, entries: int) -> int:
+    """How many rows of ``width`` entries fill a block of about ``entries``
+    entries: at least one, however wide a row is."""
+    return max(1, entries // max(1, width))
 
 
 def certified_errors(s: Spectrum, errors) -> np.ndarray:
@@ -281,6 +288,19 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     two eigenvalues, or too few to push the tail bound under ``tol``, or
     when the last decile contains a repeated eigenvalue (no gap to
     extrapolate).
+
+    Only the terms with eta t <= 708 are evaluated.  Each other term is
+    below e^{-708} < 2^-1021 = e^{-707.70...}, so their count times 2^-1021
+    joins the tail bound before the ``tol`` check, and value + tail still
+    bounds the stored spectrum's sum from above.  Most of them are
+    subnormal (eta t in (708.4, 745.1)) or 0.0, and numpy's exp takes about
+    120 ns for a subnormal result against about 1 ns for a normal one: on
+    a 2000-point grid in [0.01, 2] over 5000 eigenvalues they took about a
+    third of the time.  Each value is np.sum of the full-length row of
+    e^{-eta t} with the other terms 0.0: the rows of a block of about 2^17
+    entries are summed by one np.add.reduce, which sums each row as np.sum
+    does (pairwise, Higham, Accuracy and Stability of Numerical Algorithms,
+    4.2), so a grid value is bit for bit its one-point call.
     """
     if s.problem != "SD":
         raise ValueError("heat_trace expects an SD spectrum (positive eigenvalues)")
@@ -297,25 +317,31 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     gap = float(gaps.min())
     top = vals[-1]
     times = ts.tolist()
+    # the terms up to each t's cut; an eta past fl(708 / t) has eta t above
+    # 708 (1 - 2^-53), still far above ln 2^1021 = 707.70...; a t so small
+    # that 708 / t overflows to inf keeps every term
+    with np.errstate(over="ignore"):
+        keeps = np.searchsorted(vals, 708.0 / ts, side="right")
     tails = np.array([math.exp(-top * x) / -math.expm1(-gap * x) for x in times])
+    tails += (len(s) - keeps) * 2.0 ** -1021
     over = np.flatnonzero(tails > tol)
     if over.size:
         i = over[0]
         raise ValueError(
             f"tail bound {tails[i]:.3e} exceeds tolerance {tol:.3e} at t = {times[i]}; "
             "store more eigenvalues")
-    # each value sums e^{-eta t} over the whole ascending spectrum, a fixed
-    # summation order; e^{-eta t} is exactly 0.0 once eta t > 750, and np.exp
-    # takes a slow path on such underflowing arguments, so only the others
-    # are evaluated
     negated = -vals
-    terms = np.zeros_like(vals)
+    rows = _block_rows(len(s), 2 ** 17)
+    block = np.zeros((min(rows, len(times)), len(s)))
     values = np.empty(len(times))
-    for i, x in enumerate(times):
-        keep = np.searchsorted(vals, 750.0 / x, side="right")
-        np.exp(negated[:keep] * x, out=terms[:keep])
-        terms[keep:] = 0.0
-        values[i] = np.sum(terms)
+    for start in range(0, len(times), rows):
+        stop = min(start + rows, len(times))
+        for row, x, keep in zip(block, times[start:stop], keeps[start:stop].tolist()):
+            head = row[:keep]
+            np.multiply(negated[:keep], x, out=head)
+            np.exp(head, out=head)
+        np.add.reduce(block[:stop - start], axis=1, out=values[start:stop])
+        block[:stop - start, :keeps[start:stop].max()] = 0.0
     return specfun.floats_if_scalar(t, (values, tails))
 
 

@@ -65,7 +65,11 @@ def real(x, name: str, low=-math.inf, strict: bool = False) -> float:
     """x as a float, if it is finite and >= low (> low when ``strict``);
     otherwise ValueError(f"{name} must be a finite real >= {low}, got {x}"),
     with > when ``strict`` and no bound at all for low = -inf.  An x that
-    float() cannot read (text from a file header) gets that error too."""
+    float() cannot read (text from a file header) gets that error too, and
+    so does a bool (Python's or numpy's, a header's true or false), which
+    float() would read as 1.0 or 0.0."""
+    if isinstance(x, (bool, np.bool_)):
+        raise _need(name, low, strict, x)
     try:
         value = float(x)
     except (TypeError, ValueError):

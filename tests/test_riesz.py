@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import io
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +69,23 @@ def test_fractional_riesz_mean_grid_matches_full_spectrum_sum(rect_sn):
         want = full_broadcast_riesz(rect_sn.values, gamma, zs)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     assert riesz.riesz_mean_grid(rect_sn, 1.5, []).shape == (0,)
+
+
+def test_fractional_riesz_mean_grid_works_in_small_blocks():
+    # 14000 z over 701 eigenvalues: in one block this took 157 MB; each
+    # row's sum is its own, so a block size cannot change it
+    s = spectra.rectangle_sn(math.pi, 1.0, 800)
+    zs = np.arange(0.0, 700.0, 0.05)
+    tracemalloc.start()
+    try:
+        got = riesz.riesz_mean_grid(s, 1.5, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    below = s.values[:np.searchsorted(s.values, zs[-1])]
+    for i in (0, 1, 7000, zs.size - 1):
+        assert got[i] == np.sum(np.clip(zs[i] - below, 0.0, None) ** 1.5)
 
 
 @st.composite
@@ -245,12 +264,50 @@ def test_heat_trace_certified():
        ts=st.lists(st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u), min_size=1,
                    max_size=20))
 def test_heat_trace_grid_sums_every_exponential(gaps, ts):
-    # terms that underflow to 0.0 are not evaluated; the sums must still be
-    # bit for bit the plain sum of e^{-eta t} over the whole spectrum
+    # terms past eta t = 708 are not evaluated; each sum must be bit for bit
+    # the plain sum of e^{-eta t} over the whole spectrum with those terms
+    # 0.0 (the cut is eta > 708 / t, as the code draws it)
     s = spectra.Spectrum(problem="SD", values=np.cumsum(gaps), source="synthetic")
     values, tails = riesz.heat_trace(s, ts, tol=math.inf)
-    assert values.tolist() == [float(np.sum(np.exp(-s.values * t))) for t in ts]
+    assert values.tolist() == [
+        float(np.sum(np.where(s.values > 708.0 / t, 0.0, np.exp(-s.values * t))))
+        for t in ts]
     assert [riesz.heat_trace(s, t, tol=math.inf) for t in ts] == list(zip(values, tails))
+    # each skipped term is below 2^-1021, and the tail counts 2^-1021 for it
+    plain = np.array([np.sum(np.exp(-s.values * t)) for t in ts])
+    assert np.all(np.abs(values - plain) <= len(s) * 2.0 ** -1021)
+    assert np.all(values + tails >= plain)
+
+
+def test_heat_trace_of_subnormal_terms_is_all_tail():
+    # e^{-720} is subnormal: the plain sum is e^{-720}, the value 0.0 and
+    # both terms are counted in the tail at 2^-1021 each
+    s = spectra.Spectrum(problem="SD", values=np.array([1.0, 2.0]), source="synthetic")
+    assert float(np.sum(np.exp(-s.values * 720.0))) == math.exp(-720.0) > 0.0
+    assert riesz.heat_trace(s, 720.0, tol=math.inf) == (0.0, 2 * 2.0 ** -1021)
+
+
+def test_heat_trace_at_a_tiny_t_keeps_every_term():
+    # 708 / 1e-320 overflows: every term is kept, and each is 1.0
+    s = spectra.rectangle_sd(math.pi, 1.0, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert riesz.heat_trace(s, 1e-320, tol=math.inf)[0] == 50.0
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_heat_trace_grid_is_its_one_point_calls_across_block_ends(extra):
+    # 2^17 // 5000 = 26 rows fill one of the heat trace's blocks; the grid
+    # is unsorted and repeats a point, and its t cross 708 / eta_max; past
+    # a block end, the last t's row once held the first t's, whose terms
+    # beyond the last t's cut are large enough to show if left in it
+    s = spectra.rectangle_sd(math.pi, 1.0, 5000)
+    rows = 2 ** 17 // len(s)
+    rng = np.random.default_rng(rows + extra)
+    ts = rng.uniform(0.01, 2.0, rows + extra)
+    ts[0], ts[1], ts[-1] = 0.01, 0.01, 2.0
+    values, tails = riesz.heat_trace(s, ts)
+    assert [riesz.heat_trace(s, t) for t in ts] == list(zip(values, tails))
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-10])

@@ -249,6 +249,13 @@ def test_parameter_checks_refuse_what_float_cannot_read():
             specfun.real(text, "x", 1)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_parameter_checks_refuse_bools(flag):
+    # float() reads a bool as 1.0 or 0.0: real(True, "gamma", 0) was 1.0
+    with pytest.raises(ValueError, match=rf"^gamma must be a finite real >= 0, got {flag}$"):
+        specfun.real(flag, "gamma", 0)
+
+
 def test_memory_limit_is_the_lower_of_physical_memory_and_address_space(
         monkeypatch):
     # as `ulimit -v 4000000` sets it; no large array is allocated

@@ -143,7 +143,8 @@ def test_ground_mode_errors_print_plain_floats(problem, values, message):
     ("SN", [5.0, 6.0], math.nan, "nan"),
     ("SN", [0.0, 5.0], -1e-12, "-1e-12"),
     ("SD", [1.0, 2.0], -1.0, "-1.0"),
-    ("SN", [0.0, 5.0], "abc", "abc")])
+    ("SN", [0.0, 5.0], "abc", "abc"),
+    ("SN", [0.0, 1.0, 2.0], True, "True")])
 def test_zero_tol_is_a_finite_real_at_least_zero(problem, values, zero_tol, shown):
     # an infinite or nan zero_tol once let a sloshing spectrum start at 5
     message = f"zero_tol must be a finite real >= 0, got {shown}"
@@ -303,6 +304,19 @@ def test_curve_header_is_checked_and_errors_name_the_file(tmp_path):
             riesz.load_curve(path)
     path.write_text("# gamma=1\n# validity_ceiling=1\n" + rows)
     assert riesz.load_curve(path).validity_ceiling == 1.0
+
+
+@pytest.mark.parametrize("head, message", [
+    ("# gamma=true\n# validity_ceiling=5\n", "gamma must be a finite real >= 0, got True"),
+    ("# gamma=1\n# validity_ceiling=true\n",
+     "validity_ceiling must be a finite real >= 1.0, got True")],
+    ids=["gamma", "validity_ceiling"])
+def test_curve_header_bools_are_refused(head, message, tmp_path):
+    # a header's true once loaded as gamma 1.0 or ceiling 1.0
+    path = tmp_path / "curve.csv"
+    path.write_text(head + "z,value\n0,0\n1,1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        riesz.load_curve(path)
 
 
 def test_meta_value_errors_name_the_file_and_line(tmp_path):

@@ -43,6 +43,10 @@ checkout that has that API.  It hashes:
   main, triangle, john2d and sd-upper at gamma 1.5, 2 and 2.5;
   ``riesz_mean_grid`` at gamma 0, 1, 2, 3 and 1.5; ``fit_second_term`` on
   a Spectrum and on a spectrum-backed curve, and ``fit_eigenvalue_shift``;
+- ``riesz.heat_trace`` values and tail bounds, on the 5000-mode SD
+  rectangle and on a spectrum of random gaps, over grids that straddle
+  708 / eta_max and 708 / eta_1 (where the terms it evaluates stop, and
+  where it stops evaluating any), and at a t where every term is subnormal;
 - ``wall_term``, ``wall_term_gamma`` (gamma 1, 1.5, 2, 2.5) and
   ``sum_bound_wall_term`` on the rectangle, trapezoid, triangle, box
   cylinder and two cones (one overhanging), on a log grid from 1e-3 to 1e3
@@ -327,6 +331,18 @@ def bound_outputs():
                fit_text(asymptotics.fit_second_term(curve, 1.0, (100.0, 1000.0))))
         yield (f"fit_eigenvalue_shift/{key}",
                fit_text(asymptotics.fit_eigenvalue_shift(s, 10, 1000)))
+    gaps = np.random.default_rng(0).uniform(0.05, 2.0, 2000)
+    heat = {"rectangle": exact["SD"],
+            "random-gaps": spectra.Spectrum("SD", np.cumsum(gaps), source="synthetic")}
+    for key, s in heat.items():
+        first, last = 708.0 / s.values[-1], 708.0 / s.values[0]
+        grids = {"eta_max": np.linspace(0.9 * first, 1.1 * first, 101),
+                 "eta_1": np.linspace(0.99 * last, 1.01 * last, 101),
+                 "subnormal": np.array([730.0 / s.values[0]])}
+        for name, ts in grids.items():
+            values, tails = riesz.heat_trace(s, ts)
+            yield f"heat_trace/{key}/{name}/values", values
+            yield f"heat_trace/{key}/{name}/tails", tails
     zs = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 200)))
     for name, d in WALL_DOMAINS.items():
         yield f"wall_term/{name}", bounds.wall_term(d, zs)

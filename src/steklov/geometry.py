@@ -97,7 +97,7 @@ class PolygonalDomain:
     free_edges: frozenset = field(default_factory=frozenset)
     edge_vectors: np.ndarray = field(init=False, repr=False)    # (m, 2)
     edge_lengths: np.ndarray = field(init=False, repr=False)    # (m,)
-    edge_normals: np.ndarray = field(init=False, repr=False)    # (m, 2)
+    edge_normals: np.ndarray = field(init=False, repr=False)    # (m, 2), outward
 
     def __init__(self, vertices, free_edges):
         verts = np.asarray(vertices, dtype=float)
@@ -189,10 +189,6 @@ class PolygonalDomain:
         m = self.n_vertices
         for i in range(m):
             yield i, self.vertices[i], self.vertices[(i + 1) % m], self.edge_tag(i)
-
-    def edge_normal(self, i: int) -> np.ndarray:
-        """Outward unit normal of edge i (rightward of the edge direction)."""
-        return self.edge_normals[i]
 
 
 @dataclass(frozen=True)

@@ -75,13 +75,13 @@ class RieszCurve:
 
 
 def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
-    """R_gamma at each grid point, vectorized.
+    """R_gamma at each point of the grid ``zs``, in the grid's shape.
 
     Integer gamma <= 3 (the count itself at gamma = 0) uses prefix sums of
-    eigenvalue powers (exact binomial expansion); other exponents fall back
-    to broadcasting over the eigenvalues below max(zs), in blocks of about
-    2^20 entries.  Each z sums its own row in ascending order of the
-    eigenvalues, so results do not depend on the block size.
+    eigenvalue powers (exact binomial expansion).  Other exponents write
+    (z - nu_j)^gamma only for the nu_j < z, into a row as wide as the
+    grid's largest such count W, and sum it with :func:`_head_sums`: a
+    value is np.sum of (z - nu_j)_+^gamma over the first W eigenvalues.
     """
     g = specfun.real(gamma, "gamma", 0)
     zs = specfun.points(zs, "z")
@@ -104,20 +104,32 @@ def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
         return out
     # eigenvalues at or above max(zs) add (z - nu)_+^gamma = 0 everywhere
     vals = vals[:counts.max(initial=0)]
-    out = np.empty_like(zs)
-    chunk = _block_rows(vals.size, 2 ** 20)
-    for i in range(0, zs.size, chunk):
-        zblock = zs[i:i + chunk, None]
-        diff = zblock - vals[None, :]
-        np.clip(diff, 0.0, None, out=diff)
-        out[i:i + chunk] = np.sum(diff ** g, axis=1)
-    return out
+
+    def fill(head, z):
+        # nu < z makes z - nu > 0 exactly, so the head needs no clip
+        np.subtract(z, vals[:head.size], out=head)
+        head **= g
+
+    return _head_sums(vals.size, counts.ravel().tolist(), zs.ravel().tolist(),
+                      fill).reshape(zs.shape)
 
 
-def _block_rows(width: int, entries: int) -> int:
-    """How many rows of ``width`` entries fill a block of about ``entries``
-    entries: at least one, however wide a row is."""
-    return max(1, entries // max(1, width))
+def _head_sums(width: int, counts: list, points: list, fill) -> np.ndarray:
+    """np.sum of one row per point, ``width`` long: fill(head, points[i])
+    writes row i's first counts[i] entries, the rest are 0.0.  The rows go
+    in zeroed blocks of about 2^17 entries, summed by one np.add.reduce,
+    which sums each row as np.sum does (pairwise, Higham, Accuracy and
+    Stability of Numerical Algorithms, 4.2), so no sum depends on the block."""
+    rows = max(1, 2 ** 17 // max(1, width))
+    block = np.zeros((min(rows, len(points)), width))
+    sums = np.empty(len(points))
+    for start in range(0, len(points), rows):
+        stop = min(start + rows, len(points))
+        for row, count, x in zip(block, counts[start:stop], points[start:stop]):
+            fill(row[:count], x)
+        np.add.reduce(block[:stop - start], axis=1, out=sums[start:stop])
+        block[:stop - start, :max(counts[start:stop])] = 0.0
+    return sums
 
 
 def certified_errors(s: Spectrum, errors) -> np.ndarray:
@@ -297,10 +309,9 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     120 ns for a subnormal result against about 1 ns for a normal one: on
     a 2000-point grid in [0.01, 2] over 5000 eigenvalues they took about a
     third of the time.  Each value is np.sum of the full-length row of
-    e^{-eta t} with the other terms 0.0: the rows of a block of about 2^17
-    entries are summed by one np.add.reduce, which sums each row as np.sum
-    does (pairwise, Higham, Accuracy and Stability of Numerical Algorithms,
-    4.2), so a grid value is bit for bit its one-point call.
+    e^{-eta t} with the other terms 0.0, summed by :func:`_head_sums` as
+    the fractional-gamma Riesz means are; every row is len(s) wide, so a
+    grid value is bit for bit its one-point call.
     """
     if s.problem != "SD":
         raise ValueError("heat_trace expects an SD spectrum (positive eigenvalues)")
@@ -330,18 +341,12 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
         raise ValueError(
             f"tail bound {tails[i]:.3e} exceeds tolerance {tol:.3e} at t = {times[i]}; "
             "store more eigenvalues")
-    negated = -vals
-    rows = _block_rows(len(s), 2 ** 17)
-    block = np.zeros((min(rows, len(times)), len(s)))
-    values = np.empty(len(times))
-    for start in range(0, len(times), rows):
-        stop = min(start + rows, len(times))
-        for row, x, keep in zip(block, times[start:stop], keeps[start:stop].tolist()):
-            head = row[:keep]
-            np.multiply(negated[:keep], x, out=head)
-            np.exp(head, out=head)
-        np.add.reduce(block[:stop - start], axis=1, out=values[start:stop])
-        block[:stop - start, :keeps[start:stop].max()] = 0.0
+
+    def fill(head, x):
+        np.multiply(vals[:head.size], -x, out=head)
+        np.exp(head, out=head)
+
+    values = _head_sums(len(s), keeps.tolist(), times, fill)
     return specfun.floats_if_scalar(t, (values, tails))
 
 

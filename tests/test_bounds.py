@@ -220,7 +220,7 @@ def polygon_lift_oracle(d, g, z):
     """(oracle lift, sum of |per-edge lifts|) for a polygonal domain."""
     total = scale = 0.0
     for i, a, b, tag in d.edges():
-        n2 = float(d.edge_normal(i)[1])
+        n2 = float(d.edge_normals[i, 1])
         if tag == geometry.FREE or n2 == 0.0:
             continue
         part = -n2 * float(np.hypot(*(b - a))) / math.pi \

@@ -72,8 +72,9 @@ def test_fractional_riesz_mean_grid_matches_full_spectrum_sum(rect_sn):
 
 
 def test_fractional_riesz_mean_grid_works_in_small_blocks():
-    # 14000 z over 701 eigenvalues: in one block this took 157 MB; each
-    # row's sum is its own, so a block size cannot change it
+    # 14000 z over 701 eigenvalues took 157 MB broadcast in one block, 2 MB
+    # in rows of 2^17-entry blocks; each row's sum is its own, so a block
+    # size cannot change it
     s = spectra.rectangle_sn(math.pi, 1.0, 800)
     zs = np.arange(0.0, 700.0, 0.05)
     tracemalloc.start()
@@ -86,6 +87,31 @@ def test_fractional_riesz_mean_grid_works_in_small_blocks():
     below = s.values[:np.searchsorted(s.values, zs[-1])]
     for i in (0, 1, 7000, zs.size - 1):
         assert got[i] == np.sum(np.clip(zs[i] - below, 0.0, None) ** 1.5)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_riesz_mean_grid_keeps_the_grid_shape(gamma):
+    s = spectra.rectangle_sn(math.pi, 1.0, 50)
+    zs = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, s.values[3]]])
+    got = riesz.riesz_mean_grid(s, gamma, zs)
+    assert got.shape == zs.shape
+    assert got.tobytes() == riesz.riesz_mean_grid(s, gamma, zs.ravel()).tobytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_fractional_riesz_mean_grid_rows_across_block_ends(extra):
+    # the W = 1001 eigenvalues below 1000 make each row, 2^17 // W = 130
+    # rows a block; the grid is unsorted and repeats its largest point, and
+    # past a block end the last z's row once held the first z's full row,
+    # whose terms beyond the last z's count would show if left in it
+    s = spectra.rectangle_sn(math.pi, 1.0, 5000)
+    width = int(np.searchsorted(s.values, 1000.0))
+    rows = 2 ** 17 // width
+    zs = np.random.default_rng(rows + extra).uniform(0.1, 1000.0, rows + extra)
+    zs[0], zs[1], zs[-1] = 1000.0, 1000.0, 0.1
+    got = riesz.riesz_mean_grid(s, 1.5, zs)
+    assert got.tolist() == [np.sum(np.clip(z - s.values[:width], 0.0, None) ** 1.5)
+                            for z in zs]
 
 
 @st.composite
@@ -112,6 +138,27 @@ def test_iteration_matches_direct_riesz_mean_random_spectra(s, gamma, rho, frac)
     lifted = riesz.riesz_iterate(curve, rho, z)
     direct = float(riesz.riesz_mean_grid(s, gamma + rho, z)[0])
     assert lifted == pytest.approx(direct, rel=1e-12, abs=1e-12 * s.ceiling ** (gamma + rho))
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=random_spectra(),
+       gamma=st.floats(0.0, 3.0, exclude_min=True, exclude_max=True).filter(
+           lambda g: g % 1.0 != 0.0),
+       data=st.data())
+def test_fractional_riesz_mean_grid_is_the_clipped_sum_over_its_widest_row(
+        s, gamma, data):
+    # z = 0, a stored eigenvalue (not counted: the strict convention) and a
+    # z up to nu_2, then any z, in any order, with a repeated point
+    vals = s.values
+    point = st.one_of(st.sampled_from(vals.tolist()), st.floats(0.0, s.ceiling))
+    zs = [0.0, data.draw(st.sampled_from(vals.tolist())),
+          data.draw(st.floats(0.0, vals[1]))]
+    zs += data.draw(st.lists(point, max_size=20))
+    zs = data.draw(st.permutations(zs + [data.draw(st.sampled_from(zs))]))
+    width = int(np.searchsorted(vals, zs, side="left").max())
+    got = riesz.riesz_mean_grid(s, gamma, zs)
+    assert got.tolist() == [np.sum(np.clip(z - vals[:width], 0.0, None) ** gamma)
+                            for z in zs]
 
 
 def test_spectrum_lift_matches_defining_integral():

@@ -41,8 +41,10 @@ checkout that has that API.  It hashes:
   bounds-direct benchmark workload checks: the ``bounds.save_report`` JSON
   of ``verify`` for every bound id at gamma 1 on a 2000-point grid, and for
   main, triangle, john2d and sd-upper at gamma 1.5, 2 and 2.5;
-  ``riesz_mean_grid`` at gamma 0, 1, 2, 3 and 1.5; ``fit_second_term`` on
-  a Spectrum and on a spectrum-backed curve, and ``fit_eigenvalue_shift``;
+  ``riesz_mean_grid`` at gamma 0, 1, 2, 3 and 1.5, and at gamma 0.5 and 2.5
+  on an unsorted grid that holds every tenth stored eigenvalue below its
+  top, each twice; ``fit_second_term`` on a Spectrum and on a
+  spectrum-backed curve, and ``fit_eigenvalue_shift``;
 - ``riesz.heat_trace`` values and tail bounds, on the 5000-mode SD
   rectangle and on a spectrum of random gaps, over grids that straddle
   708 / eta_max and 708 / eta_1 (where the terms it evaluates stop, and
@@ -321,6 +323,12 @@ def bound_outputs():
         for gamma in (0.0, 1.0, 2.0, 3.0, 1.5):
             yield (f"riesz_mean_grid/{key}/{gamma:g}",
                    riesz.riesz_mean_grid(exact[key], gamma, np.linspace(0.0, top, 2000)))
+        stored = exact[key].values[exact[key].values < top][::10]
+        zs = np.random.default_rng(0).permutation(
+            np.concatenate((np.linspace(0.0, top, 2000), stored, stored)))
+        for gamma in (0.5, 2.5):
+            yield (f"riesz_mean_grid/{key}/unsorted/{gamma:g}",
+                   riesz.riesz_mean_grid(exact[key], gamma, zs))
     for key in ("SN", "SD"):
         s = exact[key]
         curve = riesz.riesz_curve(s, 1.0, np.linspace(0.0, 1500.0, 3000))

@@ -271,8 +271,6 @@ def sn_lower_split(domain, z):
 
     est = _flat_wall(n, i_minus, h, zs)
     if i_plus > 0.0:
-        if delta is None:
-            raise DomainError("overhang clearance undefined with overhanging walls")
         est = est - _flat_wall(n, i_plus, delta, zs)
     return floats_if_scalar(z, specfun.weyl_constant(n, 1.0) * area * zs ** n + est)
 
@@ -348,8 +346,7 @@ def sn_lower_via_neumann(area: float, width: float, n: int, z):
 
     where w is the width of the free surface in a chosen direction.
     """
-    if not isinstance(n, int) or n < 3:
-        raise ValueError("this route needs ambient dimension n >= 3")
+    specfun._dimension(n, 3)
     area = specfun.real(area, "area", 0, strict=True)
     width = specfun.real(width, "width", 0, strict=True)
     zs = specfun.points(z, "z", 0)
@@ -379,16 +376,18 @@ def _lookup(name: str, sources, default=None):
     return value
 
 
-def _check_k(s: Spectrum, k, subject: str) -> np.ndarray:
-    """k, a number or a grid, as an integer array: every point must be a
-    positive integer with nu_{k+1} stored in the SN spectrum s."""
+def _sum_inputs(s: Spectrum, k, subject: str, n, area):
+    """(ks, n, |F|) of a sum inequality on the SN spectrum s: k, a number
+    or a grid, as an integer array whose every point is a positive integer
+    with nu_{k+1} stored in s; n and |F| as given, else from s.meta
+    (:func:`_lookup`)."""
     if s.problem != "SN":
         raise ValueError(f"{subject} sloshing (SN) spectra")
     ks = specfun.indices(k, "k must be a positive integer")
     over = ks[ks + 1 > len(s)]
     if over.size:
         raise ValueError(f"need eigenvalue {over[0] + 1}, spectrum has {len(s)}")
-    return ks
+    return ks, _lookup("n", ({"n": n}, s.meta)), _lookup("areaF", ({"areaF": area}, s.meta))
 
 
 def kroger_master(s: Spectrum, k, R, *, n=None, area=None, domain=None):
@@ -402,9 +401,8 @@ def kroger_master(s: Spectrum, k, R, *, n=None, area=None, domain=None):
     their broadcast grid otherwise.  Without an explicit domain the wall
     integral uses the vertical cylinder built from the spectrum's metadata.
     """
-    ks = _check_k(s, k, "the sum inequalities concern")
+    ks, n, area = _sum_inputs(s, k, "the sum inequalities concern", n, area)
     ks, Rs = np.broadcast_arrays(ks, specfun.points(R, "R", 0, strict=True))
-    n, area = _lookup("n", ({"n": n}, s.meta)), _lookup("areaF", ({"areaF": area}, s.meta))
     w = specfun.semiclassical_scale(n, ks, area)
     nu_next = s.values[ks]
     lhs = nu_next * Rs ** (n - 1) - (n - 1) / n * Rs ** n
@@ -433,8 +431,7 @@ def kroger_sum_bound(s: Spectrum, k, *, n=None, area=None,
     is only legitimate there).  Without an explicit domain the general form
     takes c on the vertical cylinder built from the spectrum's metadata.
     """
-    ks = _check_k(s, k, "the sum inequalities concern")
-    n, area = _lookup("n", ({"n": n}, s.meta)), _lookup("areaF", ({"areaF": area}, s.meta))
+    ks, n, area = _sum_inputs(s, k, "the sum inequalities concern", n, area)
     if john is None:
         john = s.meta.get("john")
     if john is True:
@@ -468,8 +465,7 @@ def eigenvalue_bracket(s: Spectrum, k, *, n=None, area=None):
     S > 1 is impossible on John domains (it would contradict the sum bound),
     so it raises with a loud diagnostic instead of returning NaN.
     """
-    ks = _check_k(s, k, "the bracket concerns")
-    n, area = _lookup("n", ({"n": n}, s.meta)), _lookup("areaF", ({"areaF": area}, s.meta))
+    ks, n, area = _sum_inputs(s, k, "the bracket concerns", n, area)
     low, high, s_k = _bracket(n, area, ks, riesz.mean_sum(s, ks))
     over = np.flatnonzero(s_k > 1.0)
     if over.size:
@@ -530,6 +526,7 @@ def sd_lower_2d(length: float, z):
 def sd_heat_trace_upper(area: float, n: int, t):
     """Heat-trace upper bound Gamma(n) / ((4 pi)^{(n-1)/2} Gamma((n+1)/2))
     * |F| / t^{n-1}; for n = 2 this is |F| / (pi t)."""
+    specfun._dimension(n)
     area = specfun.real(area, "area", 0, strict=True)
     ts = specfun.points(t, "time", 0, strict=True)
     coef = math.factorial(n - 1) / ((4 * math.pi) ** ((n - 1) / 2)

@@ -118,7 +118,6 @@ def _cylinder(n, base, h) -> CylinderDomain:
 _PRESETS = {    # name -> (accepted parameter counts, constructor)
     "rectangle": ((2,), geometry.rectangle_domain),
     "isoceles-triangle": ((2,), geometry.isoceles_triangle_domain),
-    "triangle": ((2,), geometry.isoceles_triangle_domain),
     "trapezoid": ((3,), geometry.trapezoid_domain),
     "cylinder": ((3, 4), lambda n, *rest: _cylinder(n, rest[:-1], rest[-1])),
     "cone": ((2,), ConeDomain),

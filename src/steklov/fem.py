@@ -1222,8 +1222,9 @@ class _Mirror(NamedTuple):
 def _mirror(d: PolygonalDomain, nodes0, tris0, nodes, chains):
     """The :class:`_Mirror` of d on the skeleton (nodes, chains) of its base
     (nodes0, tris0), or None.  The reflection about the middle of d's
-    x-range must map the base vertices onto base vertices and each edge onto
-    one of its tag, to within a few ulps of the diameter.  The skeleton's
+    x-range must map the base vertices onto base vertices, to within a few
+    ulps of the diameter, each polygon edge onto one of its tag, and each
+    base edge and triangle onto a base edge and triangle.  The skeleton's
     nodes, their images by chains, must confirm it, to within what the
     midpoint rounding of 64 splits could add, so that no split count
     decides otherwise than the base."""
@@ -1248,14 +1249,19 @@ def _mirror(d: PolygonalDomain, nodes0, tris0, nodes, chains):
     partner[:tau.size] = tau
     for (lo, hi), chain in chains.items():
         a, b = int(tau[lo]), int(tau[hi])
-        partner[chain] = chains[min(a, b), max(a, b)][::1 if a < b else -1]
+        ends = min(a, b), max(a, b)
+        if ends not in chains:
+            return None
+        partner[chain] = chains[ends][::1 if a < b else -1]
     if np.abs(image(nodes[partner]) - nodes).max() \
             > 2 * tol + 64 * eps * np.abs(nodes).max():
         return None
     which = {frozenset(tri): k for k, tri in enumerate(tris0.tolist())}
     roles = []
     for k, tri in enumerate(tris0.tolist()):
-        other = which[frozenset(tau[tri].tolist())]
+        other = which.get(frozenset(tau[tri].tolist()))
+        if other is None:
+            return None
         roles.append(int(np.flatnonzero(tau[tri] == tri)[0]) if other == k
                      else -1 if other > k else None)
     return _Mirror(partner, nodes[:, 0] < nodes[partner, 0], tuple(roles))

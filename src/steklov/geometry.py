@@ -31,12 +31,18 @@ class DomainError(ValueError):
     """Raised when a domain description is geometrically invalid."""
 
 
-def _positive(x, name: str) -> None:
-    """DomainError, in :func:`specfun.real`'s words, unless x is finite and > 0."""
+def _checked(check, *args) -> None:
+    """check(*args), one of :mod:`specfun`'s checkers, with its ValueError
+    raised as a DomainError in the same words."""
     try:
-        specfun.real(x, name, 0, strict=True)
+        check(*args)
     except ValueError as exc:
         raise DomainError(str(exc)) from None
+
+
+def _positive(x, name: str) -> None:
+    """DomainError, in :func:`specfun.real`'s words, unless x is finite and > 0."""
+    _checked(specfun.real, x, name, 0, True)
 
 
 FREE = "free"
@@ -54,7 +60,7 @@ def _on_segment(p, a, b, tol: float) -> bool:
     """Is p within tol of the closed segment [a, b]?"""
     ab = b - a
     L2 = float(ab @ ab)
-    if L2 == 0.0:
+    if L2 == 0.0:       # ab @ ab underflows for an edge shorter than ~1.5e-162
         return bool(np.hypot(*(p - a)) <= tol)
     t = float((p - a) @ ab) / L2
     t = min(1.0, max(0.0, t))
@@ -154,7 +160,7 @@ class PolygonalDomain:
                 if abs(verts[k, 1]) > tol:
                     raise DomainError(
                         f"Free edge {i} has endpoint off the axis x2 = 0 "
-                        f"(x2 = {verts[k, 1]!r})")
+                        f"(x2 = {float(verts[k, 1])!r})")
                 snapped[k, 1] = 0.0
         if np.any(snapped[:, 1] > tol):
             raise DomainError("polygon has a vertex above the free surface")
@@ -238,8 +244,7 @@ class ExplicitBase:
             raise DomainError("base eigenvalues must be finite")
         if any(b > a + 1e-12 * max(1.0, abs(a)) for a, b in zip(vals[1:], vals)):
             raise DomainError("base eigenvalues must be sorted nondecreasing")
-        if self.bc not in ("neumann", "dirichlet"):
-            raise DomainError(f"bc must be 'neumann' or 'dirichlet', got {self.bc!r}")
+        _checked(specfun._boundary_condition, self.bc)
         if self.bc == "neumann" and abs(vals[0]) > 1e-10:
             raise DomainError("a Neumann base spectrum must start at 0")
         if self.bc == "dirichlet" and vals[0] <= 0:
@@ -262,8 +267,7 @@ class CylinderDomain:
     depth: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"ambient dimension must be an integer >= 2, got {self.n!r}")
+        _checked(specfun._dimension, self.n)
         _positive(self.depth, "depth")
         if isinstance(self.base, IntervalBase) and self.n != 2:
             raise DomainError("an interval base means a planar cylinder (n = 2)")
@@ -340,7 +344,7 @@ def depth(d: Domain) -> float:
 
 def _surface_corners(d: PolygonalDomain):
     """(vertex index, interior angle, wall edge index) of every Free/Wall
-    corner, sorted by x-coordinate; cusps and reflex corners raise."""
+    corner, sorted by x-coordinate; cusps raise."""
     m = d.n_vertices
     out = []
     for i in range(m):
@@ -352,9 +356,6 @@ def _surface_corners(d: PolygonalDomain):
         angle = math.pi - turn
         if angle <= d._tol:
             raise DomainError(f"cusp (zero angle) at surface corner {i}")
-        if angle >= math.pi - 1e-12:
-            raise DomainError(
-                f"reflex corner at the surface (angle {angle:.6f} >= pi) at vertex {i}")
         out.append((i, angle, inc if d.edge_tag(inc) == WALL else i))
     out.sort(key=lambda corner: d.vertices[corner[0], 0])
     return out
@@ -363,9 +364,10 @@ def _surface_corners(d: PolygonalDomain):
 def corner_angles(d: PolygonalDomain):
     """Interior angles where the free surface meets the walls.
 
-    Returns a list of ((x, y), angle) pairs sorted by x-coordinate.  Angles
-    of 0 (cusp) or >= pi (reflex corner on the surface) are rejected since
-    none of the corner-sensitive bounds apply there.
+    Returns a list of ((x, y), angle) pairs sorted by x-coordinate.  An
+    angle of 0 (cusp) is rejected since none of the corner-sensitive bounds
+    apply there.  Every angle is below pi: a wall that left the surface
+    within 1e-12 rad of the axis would lie on it, which the domain refuses.
     """
     return [((float(d.vertices[i, 0]), float(d.vertices[i, 1])), angle)
             for i, angle, _wall in _surface_corners(d)]
@@ -404,18 +406,6 @@ def overhang_depth(d: PolygonalDomain) -> Optional[float]:
     return delta
 
 
-def _free_span(d: PolygonalDomain):
-    """Merge the free edges into one interval [lo, hi]; None if disconnected."""
-    intervals = sorted((min(a[0], b[0]), max(a[0], b[0]))
-                       for _i, a, b, tag in d.edges() if tag == FREE)
-    lo, hi = intervals[0]
-    for a0, b0 in intervals[1:]:
-        if a0 > hi + d._tol:
-            return None
-        hi = max(hi, b0)
-    return lo, hi
-
-
 def axis_rectangle_sides(d: PolygonalDomain):
     """(length, depth) if d is an axis-aligned rectangle, else None."""
     if d.n_vertices != 4 or np.any(np.all(np.abs(d.edge_vectors) > d._tol, axis=1)):
@@ -436,10 +426,14 @@ def john_condition(d: Domain) -> bool:
         return True
     if isinstance(d, ConeDomain):
         return d.half_angle < math.pi / 2
-    span = _free_span(d)
-    if span is None:
-        return False
-    lo, hi = span
+    # the free edges merged into one interval [lo, hi], if they are connected
+    intervals = sorted((min(a[0], b[0]), max(a[0], b[0]))
+                       for _i, a, b, tag in d.edges() if tag == FREE)
+    lo, hi = intervals[0]
+    for a0, b0 in intervals[1:]:
+        if a0 > hi + d._tol:
+            return False
+        hi = max(hi, b0)
     xs = d.vertices[:, 0]
     return bool(xs.min() >= lo - d._tol and xs.max() <= hi + d._tol)
 
@@ -485,8 +479,8 @@ def domain_metadata(d: Domain) -> dict:
 
 def rectangle_domain(length: float, h: float) -> PolygonalDomain:
     """The rectangle (0, length) x (-h, 0) with free top edge."""
-    if not (length > 0 and h > 0):
-        raise DomainError("rectangle needs positive length and depth")
+    _positive(length, "length")
+    _positive(h, "depth")
     verts = [(0.0, 0.0), (0.0, -h), (length, -h), (length, 0.0)]
     return PolygonalDomain(verts, free_edges=[3])
 
@@ -498,8 +492,7 @@ def isoceles_triangle_domain(length: float, angle: float) -> PolygonalDomain:
     """
     if not (0 < angle < math.pi / 2):
         raise DomainError("base angle must lie in (0, pi/2)")
-    if not length > 0:
-        raise DomainError("surface length must be positive")
+    _positive(length, "length")
     h = 0.5 * length * math.tan(angle)
     verts = [(0.0, 0.0), (0.5 * length, -h), (length, 0.0)]
     return PolygonalDomain(verts, free_edges=[2])
@@ -509,8 +502,8 @@ def trapezoid_domain(length: float, angle: float, h: float) -> PolygonalDomain:
     """Trapezoid with free surface (0, length), equal wall angles, flat bottom."""
     if not (0 < angle < math.pi):
         raise DomainError("wall angle must lie in (0, pi)")
-    if not (length > 0 and h > 0):
-        raise DomainError("trapezoid needs positive length and depth")
+    _positive(length, "length")
+    _positive(h, "depth")
     if abs(angle - math.pi / 2) < 1e-12:
         return rectangle_domain(length, h)
     shift = h / math.tan(angle)

@@ -11,6 +11,8 @@ number or a grid of indices k, :func:`real` a scalar parameter (a depth, a
 length, a Riesz exponent) and :func:`points` a real axis (z, t, R, the
 evaluation points), both as finite values above a lower end.  Then
 :func:`floats_if_scalar` hands back Python floats for a single number.
+Two more refuse names and dimensions no bound is stated for:
+:func:`_dimension` and :func:`_boundary_condition`.
 Size checks refuse, through :func:`check_memory`, what does not fit in the
 memory a process may use, :func:`memory_limit`.
 """
@@ -124,11 +126,18 @@ def check_memory(need, what, advice: str) -> None:
                          f"the {memory} bytes this process may use; choose {advice}")
 
 
-def _dimension(n) -> None:
-    """A ValueError unless n is an integer ambient dimension >= 2 (a bool
-    is not)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+def _dimension(n, low: int = 2) -> None:
+    """A ValueError unless n is an integer dimension >= low (a bool is not);
+    by default an ambient dimension."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < low:
+        raise ValueError(f"dimension must be an integer >= {low}, got {n!r}")
+
+
+def _boundary_condition(bc) -> None:
+    """A ValueError unless bc names a base boundary condition, "neumann" or
+    "dirichlet"."""
+    if bc not in ("neumann", "dirichlet"):
+        raise ValueError(f"bc must be 'neumann' or 'dirichlet', got {bc!r}")
 
 
 def _gamma(x: float) -> float:
@@ -145,10 +154,7 @@ def unit_ball_volume(m: int) -> float:
     Evaluated by the stable recurrence vol(m) = 2*pi/m * vol(m-2) with
     vol(0) = 1, vol(1) = 2, so small dimensions come out bit-exact.
     """
-    if not isinstance(m, (int,)) or isinstance(m, bool):
-        raise ValueError(f"dimension must be an integer, got {m!r}")
-    if m < 0:
-        raise ValueError(f"dimension must be >= 0, got {m}")
+    _dimension(m, 0)
     if m == 0:
         return 1.0
     if m == 1:

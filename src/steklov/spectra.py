@@ -131,8 +131,7 @@ def interval_laplacian(length: float, bc: str, count: int) -> np.ndarray:
     """Eigenvalues (k pi / length)^2 of the interval; Neumann k >= 0,
     Dirichlet k >= 1."""
     length = specfun.real(length, "length", 0, strict=True)
-    if bc not in ("neumann", "dirichlet"):
-        raise ValueError(f"bc must be 'neumann' or 'dirichlet', got {bc!r}")
+    specfun._boundary_condition(bc)
     start = 0 if bc == "neumann" else 1
     k = np.arange(start, start + count, dtype=float)
     return (k * math.pi / length) ** 2
@@ -147,8 +146,7 @@ def rectangle_laplacian(a: float, b: float, bc: str, count: int) -> np.ndarray:
     """
     a = specfun.real(a, "a", 0, strict=True)
     b = specfun.real(b, "b", 0, strict=True)
-    if bc not in ("neumann", "dirichlet"):
-        raise ValueError(f"bc must be 'neumann' or 'dirichlet', got {bc!r}")
+    specfun._boundary_condition(bc)
     lo = 0 if bc == "neumann" else 1
 
     def val(p, q):

@@ -8,6 +8,7 @@ eigenvalue level, to staircase-oscillation accuracy at the Riesz level).
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,3 +272,32 @@ def test_fit_eigenvalue_shift_validates_range():
         asymptotics.fit_eigenvalue_shift(s, 50, 40)
     with pytest.raises(ValueError):
         asymptotics.fit_eigenvalue_shift(s, 1, 1000)
+
+
+SN200 = spectra.rectangle_sn(math.pi, 1.0, 200)
+
+# id -> (call, error type, the whole message)
+REFUSALS = {
+    "no surface length": (
+        lambda: asymptotics.fit_second_term(Spectrum("SN", SN200.values), 1.0,
+                                            (10.0, 100.0)),
+        ValueError, "free-surface length unknown; pass length= or attach areaF metadata"),
+    "no spectrum or curve": (
+        lambda: asymptotics.fit_second_term(SN200.values, 1.0, (10.0, 100.0)),
+        TypeError, "source must be a Spectrum or a RieszCurve"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_the_fault(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_fit_refuses_a_window_of_a_few_ulps():
+    # 200 distinct points in [100, 100 (1 + 1e-9)]: enough points, but 1
+    # and 1/z are the same column to within the window's width
+    with pytest.raises(ValueError, match=r"^ill-conditioned fit: window too narrow "
+                                         r"\(cond = \d\.\d\de\+\d+\)$"):
+        asymptotics.fit_second_term(SN200, 1.0, (100.0, 100.0 * (1 + 1e-9)))

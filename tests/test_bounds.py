@@ -857,6 +857,18 @@ def test_sd_lower2d_checks_metadata_depth():
         bounds.verify(s, "sd-lower2d", [1.0, 2.0])
 
 
+@pytest.mark.parametrize("meta, contains", [
+    ({"depth": 0.5}, False),                    # too shallow for the rectangle
+    ({"alpha": math.pi / 2, "beta": math.pi / 2, "depth": 1.0, "john": True}, True),
+    ({"depth": 2.0}, None),                     # corner angles unknown
+])
+def test_sd_lower2d_flags_the_unit_depth_rectangle(meta, contains):
+    s = spectra.Spectrum("SD", spectra.rectangle_sd(math.pi, 1.0, 50).values,
+                         meta={"areaF": math.pi, **meta})
+    report = bounds.verify(s, "sd-lower2d", [1.0, 2.0])
+    assert report.hypothesis_flags["contains_unit_depth_rectangle"] is contains
+
+
 # ---------------------------------------------------------------------------
 # SD bounds
 # ---------------------------------------------------------------------------
@@ -1249,3 +1261,54 @@ def test_readme_bound_list_matches_the_registry():
             if "`R_γ`" in text:
                 assert not bounds.BOUNDS[bound_id].r1_only, bound_id
     assert sorted(named) == sorted(bounds.BOUND_IDS)
+
+
+# four surface corners: free edges (3, 0)-(2, 0) and (1, 0)-(0, 0)
+W_POLYGON = PolygonalDomain([(0, 0), (0, -1), (3, -1), (3, 0), (2, 0), (1.5, -0.5),
+                             (1, 0)], free_edges=[3, 6])
+# two surface corners, and a wall vertex on the axis at (4, 0) off the surface
+NOTCHED = PolygonalDomain([(0, 0), (0, -2), (4, -2), (4, 0), (3, -1), (1, -1), (1, 0)],
+                          free_edges=[6])
+SN50 = spectra.rectangle_sn(math.pi, 1.0, 50)
+SD50 = spectra.rectangle_sd(math.pi, 1.0, 50)
+
+# id -> (call, error type, the whole message)
+REFUSALS = {
+    "corner angle 0": (
+        lambda: bounds.sn_lower_2d_angles(0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0),
+        ValueError, "angle must lie in (0, pi), got 0.0"),
+    "wall term of no domain": (lambda: bounds.wall_term(object(), 1.0), DomainError,
+                               "no wall term for domain type object"),
+    "split of an overhanging cone": (
+        lambda: bounds.sn_lower_split(ConeDomain(2.0, 1.0), 1.0), DomainError,
+        "the overhanging cone's wall touches the free surface; the split estimate "
+        "needs positive overhang clearance"),
+    "split of no domain": (lambda: bounds.sn_lower_split(object(), 1.0), DomainError,
+                           "no split bound for domain type object"),
+    "via-neumann in the plane": (
+        lambda: bounds.sn_lower_via_neumann(1.0, 1.0, 2, 1.0), ValueError,
+        "dimension must be an integer >= 3, got 2"),
+    "heat-trace bound in n = 1": (lambda: bounds.sd_heat_trace_upper(1.0, 1, 1.0),
+                                  ValueError, "dimension must be an integer >= 2, got 1"),
+    "kroger on SD": (lambda: bounds.kroger_sum_bound(SD50, 3), ValueError,
+                     "the sum inequalities concern sloshing (SN) spectra"),
+    "master on SD": (lambda: bounds.kroger_master(SD50, 3, 1.0), ValueError,
+                     "the sum inequalities concern sloshing (SN) spectra"),
+    "bracket on SD": (lambda: bounds.eigenvalue_bracket(SD50, 3), ValueError,
+                      "the bracket concerns sloshing (SN) spectra"),
+    "kroger past the spectrum": (lambda: bounds.kroger_sum_bound(SN50, 50), ValueError,
+                                 "need eigenvalue 51, spectrum has 50"),
+    "four corners": (lambda: bounds.two_corner_params(W_POLYGON), HypothesisError,
+                     "the two-corner bound needs exactly 2 surface corners, found 4"),
+    "wall at the surface": (lambda: bounds.two_corner_params(NOTCHED), HypothesisError,
+                            "corner walls have no depth; bound undefined"),
+    "empty grid": (lambda: bounds.verify(SN50, "main", []), ValueError,
+                   "empty verification grid"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_the_fault(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -99,6 +99,16 @@ def test_parse_preset_shapes():
         cli.parse_preset("cylinder:4,1,1,1,1")
 
 
+def test_triangle_is_no_preset(capsys):
+    argv = ["spectrum", "--preset", "triangle:2,pi/4", "--problem", "sn", "--count", "3"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: unknown preset 'triangle'; presets: rectangle:L,H | "
+                   "isoceles-triangle:L,ANGLE | trapezoid:L,ANGLE,H | cylinder:2,L,H | "
+                   "cylinder:3,A,B,H | cone:ANGLE,H\n")
+
+
 def test_load_domain_json(tmp_path):
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({

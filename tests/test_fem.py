@@ -370,6 +370,46 @@ def test_load_mesh_rejects_malformed(tmp_path):
         fem.load_mesh(path)
 
 
+def test_load_mesh_reads_an_empty_block_without_numpy_warnings(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("3\n0 0\n1 0\n0 1\n0\n0\n")
+    mesh = fem.load_mesh(path)
+    assert mesh.triangles.shape == (0, 3) and mesh.boundary_edges == []
+
+
+TRIANGLE_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+# id -> (call on the path of a file holding text, text, the whole
+# MeshError message, with {path} for that path)
+REFUSALS = {
+    "nodes of three coordinates": (
+        lambda path: fem.validate_mesh(Mesh(np.zeros((3, 3)), np.array([[0, 1, 2]]), [])),
+        None, "nodes must be an (m, 2) array"),
+    "triangles of two nodes": (
+        lambda path: fem.validate_mesh(Mesh(TRIANGLE_NODES, np.array([[0, 1]]), [])),
+        None, "triangles must be a (t, 3) index array"),
+    "file ends inside a block": (fem.load_mesh, "3\n0 0\n1 0\n",
+                                 "malformed mesh file {path}: 3 rows announced, "
+                                 "2 present"),
+    # refused before the clockwise check would index past the nodes
+    "file names a missing node": (fem.load_mesh, "3\n0 0\n1 0\n0 1\n1\n0 1 5\n0\n",
+                                  "triangle refers to a nonexistent node"),
+    "assembling a clockwise triangle": (
+        lambda path: fem.assemble(Mesh(TRIANGLE_NODES, np.array([[0, 2, 1]]), [])),
+        None, "degenerate triangle encountered during assembly"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_the_fault(case, tmp_path):
+    call, text, message = REFUSALS[case]
+    path = tmp_path / "mesh.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(MeshError, match=f"^{re.escape(message.format(path=path))}$"):
+        call(path)
+
+
 def dense_schur(mesh, pair, problem):
     K = fem.assemble(mesh)[0].toarray()
     surf = pair.surface_nodes
@@ -1256,6 +1296,17 @@ def test_mirrored_spectra_do_not_depend_on_the_first_vertex(d, problem,
     want = fem.dtn_spectrum(d, problem, count, h).values
     got = fem.dtn_spectrum(rotated, problem, count, h).values
     assert np.abs(got - want).max() <= 1000 * np.finfo(float).eps * want[-1]
+
+
+@pytest.mark.parametrize("tris0", [
+    [[0, 1, 2], [0, 2, 3]],               # diagonal (0, 2) maps onto (1, 3)
+    [[0, 1, 2], [0, 2, 3], [0, 1, 3]],    # every edge maps, {0, 1, 2} does not
+])
+def test_mirror_of_a_base_that_is_not_mirrored_is_none(tris0):
+    d = geometry.trapezoid_domain(math.pi, 2 * math.pi / 3, 1.0)
+    nodes0, tris0 = d.vertices.copy(), np.array(tris0)
+    nodes, _rims, chains = fem._skeleton(nodes0, tris0, 2)
+    assert fem._mirror(d, nodes0, tris0, nodes, chains) is None
 
 
 @pytest.mark.parametrize("name", ["triangle", "fan", "fan-wide", "spoked"])

@@ -72,9 +72,10 @@ def test_free_edge_indices_are_integers_in_range(index):
 
 
 def test_domain_below_surface_check():
-    # a vertex strictly above y = 0 is not a sloshing geometry
-    with pytest.raises(DomainError):
-        PolygonalDomain([(0, 0), (1, 0), (1, 0.5), (0, -1)], free_edges=[0])
+    # a vertex strictly above y = 0 is not a sloshing geometry; the polygon
+    # is counterclockwise, so the orientation check passes it on
+    with pytest.raises(DomainError, match="^polygon has a vertex above the free surface$"):
+        PolygonalDomain([(0, 0), (0, -1), (3, -1), (3, 1), (2, 0)], free_edges=[4])
 
 
 def pocket_polygon():
@@ -98,11 +99,20 @@ def test_wall_sign_split_detects_overhang():
     assert sorted([a[1], b[1]]) == pytest.approx([-1.0, -0.5])
 
 
+def w_polygon():
+    """Two free edges, (3, 0)-(2, 0) and (1, 0)-(0, 0), with a wall dipping
+    between them: a disconnected free surface with four corners."""
+    return PolygonalDomain([(0, 0), (0, -1), (3, -1), (3, 0), (2, 0), (1.5, -0.5),
+                            (1, 0)], free_edges=[3, 6])
+
+
 def test_john_condition_rectangle_vs_wide_bottom():
     assert geometry.john_condition(unit_square())
     # bottom wider than the free surface: sticks out of the strip below F
     d = PolygonalDomain([(0, 0), (-1, -1), (2, -1), (1, 0)], free_edges=[3])
     assert not geometry.john_condition(d)
+    # a free surface in two pieces is no one F to lie under
+    assert not geometry.john_condition(w_polygon())
 
 
 def test_cylinder_properties():
@@ -226,3 +236,100 @@ def test_edge_table_matches_per_edge_definitions(d):
 def test_domain_sizes_must_be_finite(build):
     with pytest.raises(DomainError, match="must be a finite real > 0"):
         build()
+
+
+def test_polygon_with_an_edge_whose_square_underflows():
+    # an edge of 1e-162 is above the 1e-9 diameter tolerance, yet its
+    # squared length is 0.0: the simplicity check measures distances to it
+    # without dividing by it
+    d = PolygonalDomain([(0, 0), (0, -1e-154), (1e-162, -1e-154), (1e-154, 0)],
+                        free_edges=[3])
+    assert geometry.free_length(d) == 1e-154
+
+
+# id -> (call, the DomainError's whole message)
+REFUSALS = {
+    "two vertices": (lambda: PolygonalDomain([(0, 0), (1, 0)], [0]),
+                     "vertices must be an (m, 2) array with m >= 3"),
+    "infinite vertex": (lambda: PolygonalDomain([(0, 0), (0, -1), (math.inf, 0)], [2]),
+                        "vertices contain non-finite coordinates"),
+    "one point": (lambda: PolygonalDomain([(0, 0)] * 3, [2]),
+                  "degenerate polygon (zero diameter)"),
+    "repeated vertex": (lambda: PolygonalDomain([(0, 0), (0, -1), (0, -1), (1, 0)], [3]),
+                        "zero-length edge (repeated vertex)"),
+    "clockwise": (lambda: PolygonalDomain([(0, 0), (1, 0), (1, -1)], [0]),
+                  "vertices must be in counterclockwise order"),
+    "not simple": (lambda: PolygonalDomain([(0, 0), (0, -2), (3, -2), (3, 0), (1, -1),
+                                            (2, -1), (2, 0)], [6]),
+                   "polygon is not simple: edges 3 and 5 touch"),
+    "spike": (lambda: PolygonalDomain([(0, 0), (2, -1e-13), (1, 0)], [2]),
+              "degenerate spike at vertex 0"),
+    "free edge off the axis": (lambda: PolygonalDomain([(0, 0), (0, -1), (1, 1)], [2]),
+                               "Free edge 2 has endpoint off the axis x2 = 0 (x2 = 1.0)"),
+    "wall on the surface": (
+        lambda: PolygonalDomain([(0, 0), (0, -1), (2, -1), (2, 0), (1, 0)], [4]),
+        "Wall edge 3 lies on the free surface; tag it Free or move it below the axis"),
+    "no base eigenvalue": (lambda: ExplicitBase((), "neumann", 1.0),
+                           "explicit base needs at least one eigenvalue"),
+    "infinite base eigenvalue": (lambda: ExplicitBase((0.0, math.inf), "neumann", 1.0),
+                                 "base eigenvalues must be finite"),
+    "unsorted base": (lambda: ExplicitBase((0.0, 2.0, 1.0), "neumann", 1.0),
+                      "base eigenvalues must be sorted nondecreasing"),
+    "robin base": (lambda: ExplicitBase((0.0,), "robin", 1.0),
+                   "bc must be 'neumann' or 'dirichlet', got 'robin'"),
+    "neumann base above 0": (lambda: ExplicitBase((1.0,), "neumann", 1.0),
+                             "a Neumann base spectrum must start at 0"),
+    "dirichlet base at 0": (lambda: ExplicitBase((0.0, 1.0), "dirichlet", 1.0),
+                            "a Dirichlet base spectrum must be strictly positive"),
+    # within the sorting slack of 1e-12, below the -1e-10 floor
+    "negative base eigenvalue": (
+        lambda: ExplicitBase((-1e-10, -1.005e-10), "neumann", 1.0),
+        "base eigenvalues must be nonnegative"),
+    "cylinder n = 1": (lambda: CylinderDomain(1, IntervalBase(1.0), 1.0),
+                       "dimension must be an integer >= 2, got 1"),
+    "cylinder n = 2.0": (lambda: CylinderDomain(2.0, IntervalBase(1.0), 1.0),
+                         "dimension must be an integer >= 2, got 2.0"),
+    "interval base, n = 3": (lambda: CylinderDomain(3, IntervalBase(1.0), 1.0),
+                             "an interval base means a planar cylinder (n = 2)"),
+    "rectangle base, n = 2": (lambda: CylinderDomain(2, RectangleBase(1.0, 1.0), 1.0),
+                              "a rectangle base means n = 3"),
+    "cone at pi/2": (lambda: ConeDomain(math.pi / 2, 1.0),
+                     "half angle must lie in (0, pi) and differ from pi/2, "
+                     "got 1.5707963267948966"),
+    "no domain": (lambda: geometry.free_area(object()), "unsupported domain type object"),
+    # a wall leaving at 5e-6 rad, below the 1e-9 * diameter (1e-5) tolerance
+    "cusp": (lambda: geometry.corner_angles(
+        PolygonalDomain([(0, 0), (1e4, -0.05), (1e4, 0)], [2])),
+             "cusp (zero angle) at surface corner 0"),
+    "overhang at the surface": (
+        lambda: geometry.overhang_depth(
+            geometry.trapezoid_domain(math.pi, 2 * math.pi / 3, 1.0)),
+        "an overhanging wall touches the free surface; the overhang clearance "
+        "is undefined"),
+    "no corner there": (
+        lambda: geometry.local_john_condition(unit_square(), (0.5, 0.0)),
+        "point (0.5, 0.0) is not a Free/Wall corner of the domain"),
+    "rectangle length inf": (lambda: geometry.rectangle_domain(math.inf, 1.0),
+                             "length must be a finite real > 0, got inf"),
+    "rectangle depth 0": (lambda: geometry.rectangle_domain(1.0, 0.0),
+                          "depth must be a finite real > 0, got 0.0"),
+    "triangle angle pi/2": (lambda: geometry.isoceles_triangle_domain(1.0, math.pi / 2),
+                            "base angle must lie in (0, pi/2)"),
+    "triangle length 0": (lambda: geometry.isoceles_triangle_domain(0.0, math.pi / 4),
+                          "length must be a finite real > 0, got 0.0"),
+    "trapezoid angle pi": (lambda: geometry.trapezoid_domain(1.0, math.pi, 1.0),
+                           "wall angle must lie in (0, pi)"),
+    "trapezoid length -1": (lambda: geometry.trapezoid_domain(-1.0, math.pi / 3, 1.0),
+                            "length must be a finite real > 0, got -1.0"),
+    "trapezoid depth inf": (lambda: geometry.trapezoid_domain(2.0, math.pi / 3, math.inf),
+                            "depth must be a finite real > 0, got inf"),
+    "trapezoid walls meet": (lambda: geometry.trapezoid_domain(2.0, math.pi / 3, 2.0),
+                             "walls meet before reaching the bottom; reduce depth"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_the_fault(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -459,3 +460,43 @@ def test_error_allowance_covers_eigenvalues_just_above_z(gamma):
     z = s.values[50] - 1e-9
     if gamma == 1.0:
         assert riesz.error_allowance(s, 1.0, [z], errors)[0] == pytest.approx(25.0)
+
+
+def test_iterate_at_or_below_zero_is_zero(rect_sn):
+    curve = riesz.riesz_curve(rect_sn, 1.0, np.linspace(0.0, 50.0, 101))
+    assert riesz.riesz_iterate(curve, 1.0, 0.0) == 0.0
+    assert riesz.riesz_iterate(curve, 1.0, -1.0) == 0.0
+
+
+SN200 = spectra.rectangle_sn(math.pi, 1.0, 200)
+
+# id -> (call on the path of a file holding text, text, the whole message,
+# with {path} for that path)
+REFUSALS = {
+    "grid and values differ": (
+        lambda path: RieszCurve(1.0, [0.0, 1.0, 2.0], [0.0, 1.0], 10.0), None,
+        "grid and values must have equal length >= 2"),
+    "grid not increasing": (
+        lambda path: RieszCurve(1.0, [0.0, 2.0, 1.0], [0.0, 1.0, 2.0], 10.0), None,
+        "grid must be strictly increasing"),
+    "repeated top eigenvalues": (
+        lambda path: riesz.heat_trace(spectra.Spectrum("SD", [1.0, 2.0, 3.0, 3.0]), 1.0),
+        None, "cannot certify the tail: repeated eigenvalues in the last decile"),
+    "legendre of a gamma = 2 curve": (
+        lambda path: riesz.legendre_sum_bound(
+            riesz.riesz_curve(SN200, 2.0, np.linspace(0.0, 50.0, 101)), 3), None,
+        "legendre_sum_bound needs a gamma = 1 curve"),
+    "curve file without a ceiling": (
+        riesz.load_curve, "# gamma=1\nz,value\n0,0\n1,1\n",
+        "{path}: missing gamma/validity_ceiling header or data"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_the_fault(case, tmp_path):
+    call, text, message = REFUSALS[case]
+    path = tmp_path / "c.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        call(path)

@@ -26,10 +26,10 @@ def test_unit_ball_volume_matches_gamma_formula():
 
 
 def test_unit_ball_volume_rejects_bad_input():
-    with pytest.raises(ValueError):
-        specfun.unit_ball_volume(-1)
-    with pytest.raises(ValueError):
-        specfun.unit_ball_volume(2.5)
+    for m in (-1, 2.5, True):
+        with pytest.raises(ValueError,
+                           match=f"^dimension must be an integer >= 0, got {m!r}$"):
+            specfun.unit_ball_volume(m)
 
 
 def test_weyl_constant_planar_closed_form():

@@ -333,3 +333,49 @@ def test_save_spectrum_writes_text_metadata(tmp_path):
     spectra.save_spectrum(Spectrum("SD", [1.0, 2.0], meta={"label": "abc"}), path)
     assert "# label=abc\n" in path.read_text()
     assert spectra.load_spectrum(path).meta == {"label": "abc"}
+
+
+def explicit_cylinder(values, bc):
+    return CylinderDomain(2, geometry.ExplicitBase(values, bc, 1.0), 1.0)
+
+
+# id -> (call on the path of a file holding text, text, the error's whole
+# message, with {path} for that path)
+REFUSALS = {
+    "empty": (lambda path: Spectrum("SN", []), None, "empty spectrum"),
+    "nan": (lambda path: Spectrum("SN", [0.0, math.nan]), None,
+            "spectrum contains non-finite values"),
+    "interval bc": (lambda path: spectra.interval_laplacian(1.0, "robin", 3), None,
+                    "bc must be 'neumann' or 'dirichlet', got 'robin'"),
+    "rectangle bc": (lambda path: spectra.rectangle_laplacian(1.0, 1.0, "Neumann", 3),
+                     None, "bc must be 'neumann' or 'dirichlet', got 'Neumann'"),
+    "base tagged dirichlet": (
+        lambda path: spectra.cylinder_spectrum(
+            explicit_cylinder((1.0, 2.0), "dirichlet"), "SN", 2), None,
+        "problem SN needs a neumann base spectrum, the explicit base is tagged "
+        "dirichlet"),
+    "short base": (
+        lambda path: spectra.cylinder_spectrum(
+            explicit_cylinder((0.0, 2.0), "neumann"), "SN", 5), None,
+        "base spectrum has 2 values, need 5"),
+    "no base": (lambda path: spectra.cylinder_spectrum(
+        CylinderDomain(2, object(), 1.0), "SN", 2), None, "unsupported base object"),
+    "header": (spectra.load_spectrum, "# problem=SN\nk,nu\n1,0\n",
+               "{path}:2: expected header 'index,value', got 'k,nu'"),
+    "index": (spectra.load_spectrum, "# problem=SN\nindex,value\n1,0\n3,1\n",
+              "{path}:4: index column must run 1,2,...; got 3"),
+    "no problem": (spectra.load_spectrum, "index,value\n1,0\n",
+                   "{path}: missing '# problem=' line"),
+    "no rows": (spectra.load_spectrum, "# problem=SN\nindex,value\n",
+                "{path}: no eigenvalue rows found"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_the_fault(case, tmp_path):
+    call, text, message = REFUSALS[case]
+    path = tmp_path / "s.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        call(path)

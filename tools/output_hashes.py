@@ -7,7 +7,7 @@ byte:
 Run it in each checkout and diff the two files.  It calls the public API
 only (``fem.triangulate``, ``fem.dtn_matrices``, ``fem.dtn_with_error``,
 ``geometry`` constructors, ``spectra``, ``riesz``, ``bounds`` and
-``asymptotics`` functions and ``python -m steklov``), and imports
+``asymptotics`` functions, ``python -m steklov`` and ``cli.main``), and imports
 ``steklov`` from the ``src`` next to it, so the same file runs in any
 checkout that has that API.  It hashes:
 
@@ -37,6 +37,11 @@ checkout that has that API.  It hashes:
 - the certified triangle solve of acceptance criterion 07 and the two
   solves of the fem-certified benchmark workload;
 - the stdout of the five CLI commands of acceptance criterion 14;
+- the exit code and stderr of CLI inputs that are refused, run in-process
+  through ``cli.main``: a preset of each polygon kind with a zero size, the
+  dropped ``triangle`` preset alias, an explicit-base cylinder JSON with
+  ``"bc": "robin"``, and, as controls, a cone spectrum and a grid spec of
+  two parts;
 - on the exact 5000-mode rectangle and box-cylinder spectra that the
   bounds-direct benchmark workload checks: the ``bounds.save_report`` JSON
   of ``verify`` for every bound id at gamma 1 on a 2000-point grid, and for
@@ -62,6 +67,7 @@ compare runs on one machine with one thread.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -78,7 +84,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from steklov import asymptotics, bounds, fem, geometry, riesz, spectra  # noqa: E402
+from steklov import asymptotics, bounds, cli, fem, geometry, riesz, spectra  # noqa: E402
 
 
 def digest(value) -> str:
@@ -272,6 +278,38 @@ def cli_outputs():
             yield f"cli/{k}/{args[0]}", run(args)
 
 
+COUNT = ["--problem", "sn", "--count", "5"]
+REFUSED_CLI = {
+    "rectangle-depth-0": ["spectrum", "--preset", "rectangle:1,0", *COUNT],
+    "isoceles-triangle-length-0": ["spectrum", "--preset", "isoceles-triangle:0,pi/4",
+                                   *COUNT],
+    "trapezoid-depth-0": ["spectrum", "--preset", "trapezoid:2,pi/3,0", *COUNT],
+    "triangle-preset": ["spectrum", "--preset", "triangle:2,pi/4", *COUNT],
+    "robin-base": ["spectrum", "--domain", "{robin}", *COUNT],
+    "cone-spectrum": ["spectrum", "--preset", "cone:pi/4,1", *COUNT],
+    "two-part-grid": ["riesz", "--preset", "rectangle:pi,1", "--gamma", "1",
+                      "--grid", "0:1"],
+}
+ROBIN = {"cylinder": {"n": 2, "h": 1.0,
+                      "base": {"eigenvalues": [0, 1], "bc": "robin", "area": 1.0}}}
+
+
+def refusal_outputs():
+    """The exit code and stderr of each command of REFUSED_CLI, run by
+    ``cli.main``, with ROBIN written to a temporary robin.json whose path
+    reads as robin.json in the message, so that every run shows the same."""
+    with tempfile.TemporaryDirectory() as work:
+        robin = Path(work) / "robin.json"
+        robin.write_text(json.dumps(ROBIN))
+        for name, args in REFUSED_CLI.items():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([a.format(robin=robin) for a in args])
+            text = err.getvalue().replace(str(robin), "robin.json")
+            yield f"cli-refused/{name}", f"exit {code}\n{text}"
+
+
 MODES = 5000
 BOX = geometry.CylinderDomain(3, geometry.RectangleBase(math.pi, math.pi), 1.0)
 TRAPEZOID = geometry.trapezoid_domain(math.pi, 2 * math.pi / 3, 1.0)
@@ -364,7 +402,7 @@ def bound_outputs():
 
 def main() -> int:
     count = 0
-    for outputs in (fem_outputs(), cli_outputs(), bound_outputs()):
+    for outputs in (fem_outputs(), cli_outputs(), refusal_outputs(), bound_outputs()):
         for name, value in outputs:
             print(name, digest(value), flush=True)
             count += 1

@@ -103,7 +103,10 @@ _PRESET_USAGE = ("presets: rectangle:L,H | isoceles-triangle:L,ANGLE | "
 
 def _cylinder(n, base, h) -> CylinderDomain:
     """The cylinder of a preset or of domain JSON: n = 2 over [L], 3 over
-    [a, b], or any integer >= 2 over an explicit-base dict; no other n."""
+    [a, b], or any integer >= 2 over an explicit-base dict; no other n, and
+    no n that is not a number (JSON text such as "3" is refused)."""
+    if not isinstance(n, (int, float)):
+        raise TypeError(f"cylinder n must be a number, got {json.dumps(n)}")
     if isinstance(base, dict) and specfun.real(n, "cylinder n", 2).is_integer():
         base = geometry.ExplicitBase(tuple(base["eigenvalues"]), base["bc"],
                                      float(base["area"]))

@@ -269,6 +269,8 @@ class CylinderDomain:
     def __post_init__(self):
         _checked(specfun._dimension, self.n)
         _positive(self.depth, "depth")
+        if not isinstance(self.base, (IntervalBase, RectangleBase, ExplicitBase)):
+            raise DomainError(f"unsupported base {type(self.base).__name__}")
         if isinstance(self.base, IntervalBase) and self.n != 2:
             raise DomainError("an interval base means a planar cylinder (n = 2)")
         if isinstance(self.base, RectangleBase) and self.n != 3:
@@ -344,7 +346,7 @@ def depth(d: Domain) -> float:
 
 def _surface_corners(d: PolygonalDomain):
     """(vertex index, interior angle, wall edge index) of every Free/Wall
-    corner, sorted by x-coordinate; cusps raise."""
+    corner, sorted by x-coordinate."""
     m = d.n_vertices
     out = []
     for i in range(m):
@@ -354,8 +356,6 @@ def _surface_corners(d: PolygonalDomain):
         d_in, d_out = d.edge_vectors[inc], d.edge_vectors[i]
         turn = math.atan2(_cross(d_in, d_out), float(d_in @ d_out))
         angle = math.pi - turn
-        if angle <= d._tol:
-            raise DomainError(f"cusp (zero angle) at surface corner {i}")
         out.append((i, angle, inc if d.edge_tag(inc) == WALL else i))
     out.sort(key=lambda corner: d.vertices[corner[0], 0])
     return out
@@ -364,10 +364,12 @@ def _surface_corners(d: PolygonalDomain):
 def corner_angles(d: PolygonalDomain):
     """Interior angles where the free surface meets the walls.
 
-    Returns a list of ((x, y), angle) pairs sorted by x-coordinate.  An
-    angle of 0 (cusp) is rejected since none of the corner-sensitive bounds
-    apply there.  Every angle is below pi: a wall that left the surface
-    within 1e-12 rad of the axis would lie on it, which the domain refuses.
+    Returns a list of ((x, y), angle) pairs sorted by x-coordinate.  Every
+    angle lies in (1e-9, pi - 1e-9), at any scale: a wall that left the
+    surface within 1e-9 rad of the axis, either way, would end within
+    1e-9 times its length, at most the diameter, of the axis, so it would
+    lie on the surface, which the domain refuses.  No cusp (zero angle)
+    reaches the corner-sensitive bounds.
     """
     return [((float(d.vertices[i, 0]), float(d.vertices[i, 1])), angle)
             for i, angle, _wall in _surface_corners(d)]

@@ -78,10 +78,11 @@ def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
     """R_gamma at each point of the grid ``zs``, in the grid's shape.
 
     Integer gamma <= 3 (the count itself at gamma = 0) uses prefix sums of
-    eigenvalue powers (exact binomial expansion).  Other exponents write
-    (z - nu_j)^gamma only for the nu_j < z, into a row as wide as the
-    grid's largest such count W, and sum it with :func:`_head_sums`: a
-    value is np.sum of (z - nu_j)_+^gamma over the first W eigenvalues.
+    eigenvalue powers (exact binomial expansion), built once per spectrum.
+    Other exponents write (z - nu_j)^gamma only for the nu_j < z, into a
+    row as wide as the grid's largest such count W, and sum it with
+    :func:`_head_sums`: a value is np.sum of (z - nu_j)_+^gamma over the
+    first W eigenvalues.
     """
     g = specfun.real(gamma, "gamma", 0)
     zs = specfun.points(zs, "z")
@@ -94,8 +95,7 @@ def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
     counts = np.searchsorted(vals, zs, side="left")
     if g in (0.0, 1.0, 2.0, 3.0):
         p = int(g)
-        prefix = [np.concatenate(([0.0], np.cumsum(vals ** j)))
-                  for j in range(1, p + 1)]
+        prefix = s._power_prefixes(p)
         out = zs ** p * counts
         sign = -1.0
         for j in range(1, p + 1):
@@ -104,29 +104,26 @@ def riesz_mean_grid(s: Spectrum, gamma: float, zs) -> np.ndarray:
         return out
     # eigenvalues at or above max(zs) add (z - nu)_+^gamma = 0 everywhere
     vals = vals[:counts.max(initial=0)]
-
-    def fill(head, z):
-        # nu < z makes z - nu > 0 exactly, so the head needs no clip
-        np.subtract(z, vals[:head.size], out=head)
-        head **= g
-
-    return _head_sums(vals.size, counts.ravel().tolist(), zs.ravel().tolist(),
-                      fill).reshape(zs.shape)
+    return _head_sums(vals, g, counts.ravel().tolist(),
+                      zs.ravel().tolist()).reshape(zs.shape)
 
 
-def _head_sums(width: int, counts: list, points: list, fill) -> np.ndarray:
-    """np.sum of one row per point, ``width`` long: fill(head, points[i])
-    writes row i's first counts[i] entries, the rest are 0.0.  The rows go
-    in zeroed blocks of about 2^17 entries, summed by one np.add.reduce,
-    which sums each row as np.sum does (pairwise, Higham, Accuracy and
-    Stability of Numerical Algorithms, 4.2), so no sum depends on the block."""
+def _head_sums(vals: np.ndarray, g: float, counts: list, zs: list) -> np.ndarray:
+    """np.sum of one row per z, len(vals) long: (z - vals[j])^g for
+    j < counts[i], the rest 0.0.  The rows go in zeroed blocks of about
+    2^17 entries, summed by one np.add.reduce, which sums each row as np.sum
+    does (pairwise, Higham, Accuracy and Stability of Numerical Algorithms,
+    4.2), so no sum depends on the block."""
+    width = vals.size
     rows = max(1, 2 ** 17 // max(1, width))
-    block = np.zeros((min(rows, len(points)), width))
-    sums = np.empty(len(points))
-    for start in range(0, len(points), rows):
-        stop = min(start + rows, len(points))
-        for row, count, x in zip(block, counts[start:stop], points[start:stop]):
-            fill(row[:count], x)
+    block = np.zeros((min(rows, len(zs)), width))
+    sums = np.empty(len(zs))
+    for start in range(0, len(zs), rows):
+        stop = min(start + rows, len(zs))
+        for row, count, z in zip(block, counts[start:stop], zs[start:stop]):
+            # nu < z makes z - nu > 0 exactly, so the head needs no clip
+            head = np.subtract(z, vals[:count], out=row[:count])
+            head **= g
         np.add.reduce(block[:stop - start], axis=1, out=sums[start:stop])
         block[:stop - start, :max(counts[start:stop])] = 0.0
     return sums
@@ -251,8 +248,8 @@ def partial_sum(s: Spectrum, k):
     number k or at every k of a grid (integers 1 <= k <= len(s)).
 
     Every k indexes one np.cumsum of the spectrum, the prefix
-    :func:`riesz_mean_grid` reads at gamma = 1, so a grid value is bit for
-    bit its one-point call.  Added in order, the k-th prefix of nonnegative
+    :func:`riesz_mean_grid` reads at gamma = 1, built once per spectrum, so
+    a grid value is bit for bit its one-point call.  Added in order, the k-th prefix of nonnegative
     eigenvalues is within (k-1) 2^-53 of the exact sum, relative (Higham,
     Accuracy and Stability of Numerical Algorithms, 4.2).
     """
@@ -260,7 +257,7 @@ def partial_sum(s: Spectrum, k):
     over = ks[ks > len(s)]
     if over.size:
         raise ValueError(f"k = {over[0]} exceeds the {len(s)} stored eigenvalues")
-    return specfun.floats_if_scalar(k, np.cumsum(s.values)[ks - 1])
+    return specfun.floats_if_scalar(k, s._power_prefixes(1)[0][ks])
 
 
 def mean_sum(s: Spectrum, k):
@@ -301,53 +298,85 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     when the last decile contains a repeated eigenvalue (no gap to
     extrapolate).
 
-    Only the terms with eta t <= 708 are evaluated.  Each other term is
-    below e^{-708} < 2^-1021 = e^{-707.70...}, so their count times 2^-1021
-    joins the tail bound before the ``tol`` check, and value + tail still
-    bounds the stored spectrum's sum from above.  Most of them are
-    subnormal (eta t in (708.4, 745.1)) or 0.0, and numpy's exp takes about
-    120 ns for a subnormal result against about 1 ns for a normal one: on
-    a 2000-point grid in [0.01, 2] over 5000 eigenvalues they took about a
-    third of the time.  Each value is np.sum of the full-length row of
-    e^{-eta t} with the other terms 0.0, summed by :func:`_head_sums` as
-    the fractional-gamma Riesz means are; every row is len(s) wide, so a
-    grid value is bit for bit its one-point call.
+    Only the first K(t) terms are evaluated: those with eta t <= c(t),
+    where c = min(708, max(eta_1 t + ln n + 53 ln 2 + 1,
+    ln(2 n / (tol - geometric tail)) + 1)) over n stored eigenvalues.
+    Each other term is below e^{-c}.  Where c < 708 that is below
+    e^{-1} 2^-53 e^{-eta_1 t} / n, so together they are under one unit
+    roundoff of the value; they are also under half of what ``tol``
+    leaves over the geometric tail; past 708 each is below
+    2^-1021 = e^{-707.70...}.  Their count times a rounded-up bound on the
+    largest of them, max(e^{-eta_{K+1} t} (1 + 2^-40), 2^-1021), joins the
+    tail before the ``tol`` check (the factor covers the rounding of
+    eta t, under 708 2^-53 in the exponent, and of exp), so value + tail
+    still bounds the stored spectrum's sum from above, up to the value's
+    own rounding, and a call that passes ``tol`` with the cut at 708 alone
+    passes it here.  On a 2000-point grid in [0.01, 2] over 5000
+    eigenvalues this keeps 125 terms per t on average, against 1,272 below
+    708.  Each value is np.sum of its K terms padded with 0.0 to the next
+    power of two (at most n): :func:`_exp_sums` evaluates rows of one
+    width together, so a grid value is bit for bit its one-point call.
     """
     if s.problem != "SD":
         raise ValueError("heat_trace expects an SD spectrum (positive eigenvalues)")
     ts = specfun.points(t, "time", 0, strict=True)
     tol = _tolerance(tol)
     vals = s.values
-    if len(s) < 2:
+    n = len(s)
+    if n < 2:
         raise ValueError("cannot certify the tail: the tail bound needs at "
-                         f"least two eigenvalues, the spectrum has {len(s)}")
-    gaps = np.diff(vals[-max(2, len(s) // 10):])
+                         f"least two eigenvalues, the spectrum has {n}")
+    gaps = np.diff(vals[-max(2, n // 10):])
     if float(gaps.min()) <= 0:
         raise ValueError(
             "cannot certify the tail: repeated eigenvalues in the last decile")
     gap = float(gaps.min())
     top = vals[-1]
     times = ts.tolist()
-    # the terms up to each t's cut; an eta past fl(708 / t) has eta t above
-    # 708 (1 - 2^-53), still far above ln 2^1021 = 707.70...; a t so small
-    # that 708 / t overflows to inf keeps every term
-    with np.errstate(over="ignore"):
-        keeps = np.searchsorted(vals, 708.0 / ts, side="right")
     tails = np.array([math.exp(-top * x) / -math.expm1(-gap * x) for x in times])
-    tails += (len(s) - keeps) * 2.0 ** -1021
+    # a term past fl(c / t) has eta t above c (1 - 2^-53); where tol leaves
+    # no room over the geometric tail the cut is 708, and where c / t
+    # overflows every term is kept
+    room = np.subtract(tol, tails, out=np.zeros_like(tails), where=tails < tol)
+    with np.errstate(divide="ignore", over="ignore"):
+        need = np.log(2.0 * n / room) + 1.0
+        cuts = np.minimum(708.0, np.maximum(
+            vals[0] * ts + (math.log(n) + 53.0 * math.log(2.0) + 1.0), need))
+        keeps = np.searchsorted(vals, cuts / ts, side="right")
+        first = np.exp(-vals[np.minimum(keeps, n - 1)] * ts)
+    tails += (n - keeps) * np.maximum(first * (1.0 + 2.0 ** -40), 2.0 ** -1021)
     over = np.flatnonzero(tails > tol)
     if over.size:
         i = over[0]
         raise ValueError(
             f"tail bound {tails[i]:.3e} exceeds tolerance {tol:.3e} at t = {times[i]}; "
             "store more eigenvalues")
+    return specfun.floats_if_scalar(t, (_exp_sums(vals, ts, keeps), tails))
 
-    def fill(head, x):
-        np.multiply(vals[:head.size], -x, out=head)
-        np.exp(head, out=head)
 
-    values = _head_sums(len(s), keeps.tolist(), times, fill)
-    return specfun.floats_if_scalar(t, (values, tails))
+def _exp_sums(vals: np.ndarray, ts: np.ndarray, keeps: np.ndarray) -> np.ndarray:
+    """np.sum of e^{-vals[j] ts[i]} over j < keeps[i], each row padded with
+    0.0 to its width, the next power of two >= keeps[i] but at most
+    len(vals).  Rows of one width go in zeroed blocks of at most 2^16
+    entries, filled by one masked np.exp and summed by one np.add.reduce,
+    which sums each row as np.sum does (pairwise, Higham, Accuracy and
+    Stability of Numerical Algorithms, 4.2): no sum depends on the other
+    rows."""
+    sums = np.zeros(ts.size)
+    # frexp(k - 1) has exponent (k - 1).bit_length(); no row for keeps 0
+    widths = np.minimum(len(vals), np.ldexp(1.0, np.frexp(keeps - 1.0)[1]))
+    widths = np.where(keeps > 0, widths, 0).astype(int)
+    for width in np.unique(widths[widths > 0]).tolist():
+        rows = np.flatnonzero(widths == width)
+        step = max(1, 2 ** 16 // width)
+        for start in range(0, rows.size, step):
+            idx = rows[start:start + step]
+            live = np.arange(width) < keeps[idx, None]
+            block = np.zeros(live.shape)
+            np.multiply(vals[:width], -ts[idx, None], out=block, where=live)
+            np.exp(block, out=block, where=live)
+            sums[idx] = np.add.reduce(block, axis=1)
+    return sums
 
 
 # -- Legendre transform -------------------------------------------------------

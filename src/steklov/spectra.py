@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .geometry import (CylinderDomain, DomainError, ExplicitBase, IntervalBase,
-                       RectangleBase, domain_metadata)
+from .geometry import (CylinderDomain, DomainError, IntervalBase, RectangleBase,
+                       domain_metadata)
 
 #: absolute tolerance for "the first sloshing eigenvalue is zero" (exact data)
 TOL_ZERO = 1e-10
@@ -96,6 +96,20 @@ class Spectrum:
         """Largest stored eigenvalue: counting functions and Riesz means are
         only trustworthy up to here."""
         return float(self.values[-1])
+
+    def _power_prefixes(self, p: int) -> list:
+        """[0, nu_1^j, nu_1^j + nu_2^j, ...], the np.cumsum of nu^j after a
+        0, for j = 1..p, built once per ``values`` array: assigning new
+        values builds them again."""
+        cached = self.__dict__.get("_prefixes")
+        if cached is None or cached[0] is not self.values:
+            cached = self._prefixes = (self.values, [])
+        vals, sums = cached
+        for j in range(len(sums) + 1, p + 1):
+            prefix = np.concatenate(([0.0], np.cumsum(vals ** j)))
+            prefix.setflags(write=False)
+            sums.append(prefix)
+        return sums[:p]
 
 
 def _stable_tanh(x: np.ndarray) -> np.ndarray:
@@ -176,7 +190,7 @@ def cylinder_spectrum(dom: CylinderDomain, problem: str, count: int) -> Spectrum
         base = interval_laplacian(dom.base.length, bc, count)
     elif isinstance(dom.base, RectangleBase):
         base = rectangle_laplacian(dom.base.a, dom.base.b, bc, count)
-    elif isinstance(dom.base, ExplicitBase):
+    else:   # an ExplicitBase, the one other base a CylinderDomain takes
         if dom.base.bc != bc:
             raise DomainError(
                 f"problem {problem} needs a {bc} base spectrum, the explicit "
@@ -184,8 +198,6 @@ def cylinder_spectrum(dom: CylinderDomain, problem: str, count: int) -> Spectrum
         base = np.asarray(dom.base.eigenvalues)
         if base.size < count:
             raise ValueError(f"base spectrum has {base.size} values, need {count}")
-    else:
-        raise DomainError(f"unsupported base {type(dom.base).__name__}")
     # an explicit list may carry roundoff below 0 (ExplicitBase allows -1e-10)
     vals = np.sort(_surface_values(np.maximum(base[:count], 0.0), dom.depth, problem))
     return Spectrum(problem, vals, source="exact", meta=domain_metadata(dom))

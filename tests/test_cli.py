@@ -480,6 +480,7 @@ def test_missing_file_is_input_error(capsys):
 
 
 COUNT3 = ["--problem", "sn", "--count", "3"]
+EXPLICIT = {"eigenvalues": [0, 1, 4], "bc": "neumann", "area": 2.0}
 SQUARE = [[0, 0], [0, -1], [2, -1], [2, 0]]
 
 
@@ -496,6 +497,10 @@ SQUARE = [[0, 0], [0, -1], [2, -1], [2, 0]]
     (["spectrum", "--domain", "{d.json}", *COUNT3],
      {"cylinder": {"n": 2.9, "base": 3.0, "h": 1.0}}),
     (["spectrum", "--domain", "{d.json}", *COUNT3],
+     {"cylinder": {"n": "3", "base": EXPLICIT, "h": 1.0}}),
+    (["spectrum", "--domain", "{d.json}", *COUNT3],
+     {"cylinder": {"n": "3.0", "base": EXPLICIT, "h": 1.0}}),
+    (["spectrum", "--domain", "{d.json}", *COUNT3],
      {"vertices": SQUARE, "free_edges": [3.7]}),
     (["spectrum", "--domain", "{d.json}", *COUNT3],     # edge 1 is the surface
      {"vertices": [[2, -1], [2, 0], [0, 0], [0, -1]], "free_edges": [True]}),
@@ -503,6 +508,7 @@ SQUARE = [[0, 0], [0, -1], [2, -1], [2, 0]]
      None),
 ], ids=["preset pi/0", "grid pi/0", "window pi/0", "cylinder n 2.7",
         "cylinder fem-h", "json number", "json cone number", "json cylinder n 2.9",
+        "json cylinder n text 3", "json cylinder n text 3.0",
         "json free edge 3.7", "json free edge true", "spectrum meta n 2.5"])
 def test_malformed_input_exits_2_with_one_error_line(argv, domain, tmp_path,
                                                      capsys):
@@ -599,9 +605,6 @@ def test_running_out_of_memory_exits_2_with_one_error_line(
                    "smaller grid, spectrum or mesh\n")
 
 
-EXPLICIT = {"eigenvalues": [0, 1, 4], "bc": "neumann", "area": 2.0}
-
-
 @pytest.mark.parametrize("domain", [
     {"cone": {"alpha": True, "h": 1}},
     {"cone": {"alpha": 0.5, "h": True}},
@@ -629,6 +632,19 @@ def test_domain_json_booleans_are_no_numbers(domain, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: ") and "bad domain JSON" in err
+
+
+@pytest.mark.parametrize("n, shown", [("3", '"3"'), ("3.0", '"3.0"'), (None, "null"),
+                                      ([3], "[3]")])
+def test_domain_json_cylinder_n_is_a_json_number(n, shown, tmp_path, capsys):
+    # float() reads the text "3" as 3.0, which once built the n = 3 cylinder
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"cylinder": {"n": n, "base": EXPLICIT, "h": 1}}))
+    assert cli.main(["spectrum", "--domain", str(path), *COUNT3]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: bad domain JSON (TypeError: cylinder n must "
+                   f"be a number, got {shown})\n")
 
 
 def test_readme_domain_json_forms_load(tmp_path):

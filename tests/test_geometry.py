@@ -238,6 +238,26 @@ def test_domain_sizes_must_be_finite(build):
         build()
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_a_sharp_surface_corner_gets_one_verdict_at_every_scale(scale):
+    # a wall leaving the surface at 5e-6 rad; the length tolerance is
+    # 1e-9 * diameter, which once refused this corner as a cusp at
+    # diameter 1e4 (5e-6 <= 1e-5) but not at diameter 1
+    d = PolygonalDomain([(0, 0), (scale, -5e-6 * scale), (scale, 0)], [2])
+    ((_, sharp), (_, right)) = geometry.corner_angles(d)
+    assert sharp == pytest.approx(5e-6, rel=1e-9)
+    assert right == math.pi / 2
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_no_polygon_has_a_surface_corner_of_1e9_rad(scale):
+    # the same triangle at a corner of 0.9e-9 rad: its wall ends within
+    # 1e-9 * diameter of the axis, so the edge back up to it is shorter
+    # than the length tolerance; no corner that sharp is ever measured
+    with pytest.raises(DomainError, match=r"^zero-length edge \(repeated vertex\)$"):
+        PolygonalDomain([(0, 0), (scale, -0.9e-9 * scale), (scale, 0)], [2])
+
+
 def test_polygon_with_an_edge_whose_square_underflows():
     # an edge of 1e-162 is above the 1e-9 diameter tolerance, yet its
     # squared length is 0.0: the simplicity check measures distances to it
@@ -297,10 +317,8 @@ REFUSALS = {
                      "half angle must lie in (0, pi) and differ from pi/2, "
                      "got 1.5707963267948966"),
     "no domain": (lambda: geometry.free_area(object()), "unsupported domain type object"),
-    # a wall leaving at 5e-6 rad, below the 1e-9 * diameter (1e-5) tolerance
-    "cusp": (lambda: geometry.corner_angles(
-        PolygonalDomain([(0, 0), (1e4, -0.05), (1e4, 0)], [2])),
-             "cusp (zero angle) at surface corner 0"),
+    "cylinder of no base": (lambda: CylinderDomain(2, object(), 1.0),
+                            "unsupported base object"),
     "overhang at the surface": (
         lambda: geometry.overhang_depth(
             geometry.trapezoid_domain(math.pi, 2 * math.pi / 3, 1.0)),

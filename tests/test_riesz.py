@@ -263,6 +263,45 @@ def test_partial_and_mean_sum(rect_sn):
             riesz.partial_sum(rect_sn, bad)
 
 
+def integer_riesz_from_fresh_prefixes(values, p, zs):
+    """R_p at zs from prefix sums of nu^j built for this call alone."""
+    counts = np.searchsorted(values, zs, side="left")
+    out = zs ** p * counts
+    sign = -1.0
+    for j in range(1, p + 1):
+        prefix = np.concatenate(([0.0], np.cumsum(values ** j)))
+        out += sign * math.comb(p, j) * zs ** (p - j) * prefix[counts]
+        sign = -sign
+    return out
+
+
+def test_prefix_sums_are_built_once_per_values_array(monkeypatch):
+    # riesz_mean_grid at gamma 0..3, riesz_iterate to an integer exponent,
+    # partial_sum and mean_sum read one set of prefixes, bit for bit the
+    # sums built afresh; assigning new values builds new ones
+    s = spectra.rectangle_sd(math.pi, 1.0, 300)
+    zs = np.linspace(0.0, s.ceiling, 41)
+    fresh = {g: integer_riesz_from_fresh_prefixes(s.values, g, zs) for g in range(4)}
+    at_30 = integer_riesz_from_fresh_prefixes(s.values, 3, np.array([30.0]))[0]
+    sums = np.cumsum(s.values)
+    other = spectra.rectangle_sd(math.pi, 2.0, 300).values
+    other_2 = integer_riesz_from_fresh_prefixes(other, 2, zs)
+    cumsum, calls = np.cumsum, []
+    monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+    curve = riesz.riesz_curve(s, 1.0, zs)
+    for _ in range(2):
+        for g in range(4):
+            assert riesz.riesz_mean_grid(s, g, zs).tolist() == fresh[g].tolist()
+        assert riesz.riesz_iterate(curve, 2.0, 30.0) == at_30
+        assert riesz.partial_sum(s, np.arange(1, 301)).tolist() == sums.tolist()
+        assert riesz.mean_sum(s, 7) == sums[6] / 7
+    assert len(calls) == 3
+    s.values = other
+    assert riesz.partial_sum(s, 300) == cumsum(other)[-1]
+    assert riesz.riesz_mean_grid(s, 2, zs).tolist() == other_2.tolist()
+    assert len(calls) == 5
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=300))
 def test_partial_sums_are_within_the_recursive_summation_bound(values):
@@ -307,24 +346,94 @@ def test_heat_trace_certified():
     assert 0 < tail < 1e-10
 
 
+def heat_cut(s, t, tol):
+    """K(t) as heat_trace's docstring defines it: the count of eigenvalues
+    eta with eta t <= c = min(708, max(eta_1 t + ln n + 53 ln 2 + 1,
+    ln(2 n / (tol - geometric tail)) + 1)), each eta compared with fl(c / t)."""
+    vals, n = s.values, len(s)
+    gap = float(np.diff(vals[-max(2, n // 10):]).min())
+    geo = math.exp(-vals[-1] * t) / -math.expm1(-gap * t)
+    if geo >= tol:
+        need = math.inf
+    elif tol == math.inf:
+        need = -math.inf
+    else:
+        need = math.log(2 * n / (tol - geo)) + 1
+    c = min(708.0, max(vals[0] * t + math.log(n) + 53 * math.log(2) + 1, need))
+    return int(np.searchsorted(vals, c / t, side="right"))
+
+
+def padded_heat_sum(s, t, keep):
+    """np.sum of e^{-eta t} over the first ``keep`` eigenvalues, padded with
+    0.0 to the next power of two >= keep, at most len(s)."""
+    width = min(len(s), 1 << (keep - 1).bit_length()) if keep else 0
+    row = np.zeros(width)
+    row[:keep] = np.exp(s.values[:keep] * -t)
+    return float(np.sum(row))
+
+
 @settings(max_examples=40, deadline=None)
 @given(gaps=st.lists(st.floats(0.05, 20.0), min_size=20, max_size=400),
        ts=st.lists(st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u), min_size=1,
-                   max_size=20))
-def test_heat_trace_grid_sums_every_exponential(gaps, ts):
-    # terms past eta t = 708 are not evaluated; each sum must be bit for bit
-    # the plain sum of e^{-eta t} over the whole spectrum with those terms
-    # 0.0 (the cut is eta > 708 / t, as the code draws it)
+                   max_size=20),
+       tol=st.sampled_from([math.inf, 1e-10, 1e-20]))
+def test_heat_trace_grid_sums_every_exponential(gaps, ts, tol):
+    # each value is bit for bit np.sum of the terms up to the row's cut K(t),
+    # padded with 0.0 to the row's width, and its one-point call
     s = spectra.Spectrum(problem="SD", values=np.cumsum(gaps), source="synthetic")
-    values, tails = riesz.heat_trace(s, ts, tol=math.inf)
-    assert values.tolist() == [
-        float(np.sum(np.where(s.values > 708.0 / t, 0.0, np.exp(-s.values * t))))
-        for t in ts]
-    assert [riesz.heat_trace(s, t, tol=math.inf) for t in ts] == list(zip(values, tails))
-    # each skipped term is below 2^-1021, and the tail counts 2^-1021 for it
-    plain = np.array([np.sum(np.exp(-s.values * t)) for t in ts])
-    assert np.all(np.abs(values - plain) <= len(s) * 2.0 ** -1021)
-    assert np.all(values + tails >= plain)
+    try:
+        values, tails = riesz.heat_trace(s, ts, tol=tol)
+    except ValueError as exc:
+        assert "exceeds tolerance" in str(exc)
+        return
+    keeps = [heat_cut(s, t, tol) for t in ts]
+    assert values.tolist() == [padded_heat_sum(s, t, k) for t, k in zip(ts, keeps)]
+    assert [riesz.heat_trace(s, t, tol=tol) for t in ts] == list(zip(values, tails))
+    # the tail counts each skipped term at a bound on the largest of them
+    for t, k, tail in zip(ts, keeps, tails):
+        if k < len(s):
+            assert tail >= (len(s) - k) * max(math.exp(-s.values[k] * t), 2.0 ** -1021)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaps=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=400),
+       u=st.floats(-3.0, 3.0))
+def test_heat_trace_is_the_exact_sum_to_its_rounding(gaps, u):
+    # against the exact sum at 40 digits, where the cut sits below 708:
+    # - the value is within (ceil(log2 n) + 1) 2^-53 of it, relative, for the
+    #   sum and the skipped terms (each term past the cut is below
+    #   e^{-1} 2^-53 e^{-eta_1 t} / n), plus each kept term's own error: its
+    #   exponent fl(eta t) is off by at most eta t 2^-53 relative, and exp
+    #   by under one ulp, 2^-52 relative;
+    # - value + tail bounds it from above, with the value's rounding set
+    #   aside: the exact sum of the kept terms plus the tail is at least it.
+    mpmath = pytest.importorskip("mpmath")
+    s = spectra.Spectrum(problem="SD", values=np.cumsum(gaps), source="synthetic")
+    t, n = 10.0 ** u, len(s)
+    if s.values[0] * t + math.log(n) + 53 * math.log(2) + 1 > 708:
+        return
+    value, tail = riesz.heat_trace(s, t, tol=math.inf)
+    keep = heat_cut(s, t, math.inf)
+    with mpmath.workdps(40):
+        ulp = mpmath.mpf(2) ** -53
+        x = [mpmath.mpf(eta) * mpmath.mpf(t) for eta in s.values]
+        terms = [mpmath.exp(-xj) for xj in x]
+        exact, kept = mpmath.fsum(terms), mpmath.fsum(terms[:keep])
+        own = ulp * mpmath.fsum((xj + 2) * e for xj, e in zip(x[:keep], terms))
+        allow = (math.ceil(math.log2(n)) + 1) * ulp * exact + own
+        assert abs(value - exact) <= allow
+        assert kept + tail >= exact
+
+
+def test_heat_trace_passes_a_tolerance_below_its_rounding():
+    # the cut keeps the skipped terms under half of tol: at 1e-20, far
+    # below the 3e-17 the value's rounding alone would skip, the call passes
+    s = spectra.rectangle_sd(math.pi, 1.0, 5000)
+    values, tails = riesz.heat_trace(s, [0.1, 1.0], tol=1e-20)
+    assert np.all(tails <= 1e-20)
+    loose = riesz.heat_trace(s, [0.1, 1.0])
+    assert np.all(np.abs(values - loose[0]) <= 4 * np.spacing(values))
+    assert np.all(loose[1] > 1e-18)
 
 
 def test_heat_trace_of_subnormal_terms_is_all_tail():
@@ -345,17 +454,21 @@ def test_heat_trace_at_a_tiny_t_keeps_every_term():
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_heat_trace_grid_is_its_one_point_calls_across_block_ends(extra):
-    # 2^17 // 5000 = 26 rows fill one of the heat trace's blocks; the grid
-    # is unsorted and repeats a point, and its t cross 708 / eta_max; past
-    # a block end, the last t's row once held the first t's, whose terms
-    # beyond the last t's cut are large enough to show if left in it
+    # t in [0.0115, 0.022] keeps 2049 to 4096 of the 5000 terms, so every
+    # row is 4096 wide, and 2^16 // 4096 = 16 rows fill one of the heat
+    # trace's blocks; the grid is unsorted and repeats a point; past a block
+    # end, the last t's row once held the first t's, whose terms beyond the
+    # last t's cut are large enough to show if left in it
     s = spectra.rectangle_sd(math.pi, 1.0, 5000)
-    rows = 2 ** 17 // len(s)
+    rows = 2 ** 16 // 4096
     rng = np.random.default_rng(rows + extra)
-    ts = rng.uniform(0.01, 2.0, rows + extra)
-    ts[0], ts[1], ts[-1] = 0.01, 0.01, 2.0
+    ts = rng.uniform(0.0115, 0.022, rows + extra)
+    ts[0], ts[1], ts[-1] = 0.0115, 0.0115, 0.022
+    keeps = [heat_cut(s, t, 1e-10) for t in ts]
+    assert all(2048 < k <= 4096 for k in keeps)
     values, tails = riesz.heat_trace(s, ts)
     assert [riesz.heat_trace(s, t) for t in ts] == list(zip(values, tails))
+    assert values.tolist() == [padded_heat_sum(s, t, k) for t, k in zip(ts, keeps)]
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-10])

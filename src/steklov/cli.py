@@ -103,10 +103,7 @@ _PRESET_USAGE = ("presets: rectangle:L,H | isoceles-triangle:L,ANGLE | "
 
 def _cylinder(n, base, h) -> CylinderDomain:
     """The cylinder of a preset or of domain JSON: n = 2 over [L], 3 over
-    [a, b], or any integer >= 2 over an explicit-base dict; no other n, and
-    no n that is not a number (JSON text such as "3" is refused)."""
-    if not isinstance(n, (int, float)):
-        raise TypeError(f"cylinder n must be a number, got {json.dumps(n)}")
+    [a, b], or any integer >= 2 over an explicit-base dict; no other n."""
     if isinstance(base, dict) and specfun.real(n, "cylinder n", 2).is_integer():
         base = geometry.ExplicitBase(tuple(base["eigenvalues"]), base["bc"],
                                      float(base["area"]))
@@ -140,14 +137,17 @@ def parse_preset(spec: str):
     return make(*args)
 
 
-def _json_number(value, what: str):
-    """`value`, a number from domain JSON or lists or objects of them, with
-    any JSON true or false in it refused: float() would read it as 1 or 0."""
-    if isinstance(value, bool):
+def _json_number(value, what: str, nested: bool = False):
+    """`value`, a number from domain JSON, or with ``nested`` lists or
+    objects of them (an explicit base's "bc" is text and left alone).
+    Anything else is refused: JSON text, null, true or false, which float()
+    or int() would read as a number or reject without naming the field."""
+    if nested and isinstance(value, (dict, list)):
+        for item in ([v for k, v in value.items() if k != "bc"]
+                     if isinstance(value, dict) else value):
+            _json_number(item, what, nested)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{what} must be a number, got {json.dumps(value)}")
-    for item in value.values() if isinstance(value, dict) else \
-            value if isinstance(value, list) else ():
-        _json_number(item, what)
     return value
 
 
@@ -158,13 +158,13 @@ def load_domain(path):
         with open(path) as fh:
             obj = json.load(fh)
         if "vertices" in obj:
-            return PolygonalDomain(_json_number(obj["vertices"], "vertices"),
+            return PolygonalDomain(_json_number(obj["vertices"], "vertices", True),
                                    obj.get("free_edges", []))
         if "cylinder" in obj:
             c = obj["cylinder"]
             base = c["base"] if isinstance(c["base"], (list, dict)) else [c["base"]]
             return _cylinder(_json_number(c["n"], "cylinder n"),
-                             _json_number(base, "cylinder base"),
+                             _json_number(base, "cylinder base", True),
                              _json_number(c["h"], "cylinder h"))
         if "cone" in obj:
             cone = obj["cone"]

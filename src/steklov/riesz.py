@@ -308,14 +308,24 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     2^-1021 = e^{-707.70...}.  Their count times a rounded-up bound on the
     largest of them, max(e^{-eta_{K+1} t} (1 + 2^-40), 2^-1021), joins the
     tail before the ``tol`` check (the factor covers the rounding of
-    eta t, under 708 2^-53 in the exponent, and of exp), so value + tail
-    still bounds the stored spectrum's sum from above, up to the value's
-    own rounding, and a call that passes ``tol`` with the cut at 708 alone
-    passes it here.  On a 2000-point grid in [0.01, 2] over 5000
-    eigenvalues this keeps 125 terms per t on average, against 1,272 below
-    708.  Each value is np.sum of its K terms padded with 0.0 to the next
-    power of two (at most n): :func:`_exp_sums` evaluates rows of one
-    width together, so a grid value is bit for bit its one-point call.
+    eta t, under 708 2^-53 in the exponent, and of exp), and a call that
+    passes ``tol`` with the cut at 708 alone passes it here.  On a
+    2000-point grid in [0.01, 2] over 5000 eigenvalues this keeps 125 terms
+    per t on average, against 1,272 below 708.  Each value is np.sum of its
+    K terms padded with 0.0 to the next power of two (at most n):
+    :func:`_exp_sums` evaluates rows of one width together, so a grid value
+    is bit for bit its one-point call.
+
+    After the ``tol`` check the tail also takes twice a bound on the
+    value's own rounding, value (ceil(log2 n) + 29 + x_K) 2^-52
+    (1 + 2^-20), with x_K = eta_K t the largest kept exponent: numpy's
+    pairwise sum takes each term through at most ceil(log2 n) + 25
+    additions (runs of up to 128 in eight partial sums, halved above that,
+    and the reduction's first element), fl(eta t) moves a term by at most
+    eta t 2^-53 relative, and exp is within 2 ulp, 4 2^-53 relative.  One
+    bound covers the value, the other the float sum of every term, whose
+    skipped terms the tail already counts with room; so value + tail bounds
+    from above both the stored spectrum's exact sum and that float sum.
     """
     if s.problem != "SD":
         raise ValueError("heat_trace expects an SD spectrum (positive eigenvalues)")
@@ -351,7 +361,12 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
         raise ValueError(
             f"tail bound {tails[i]:.3e} exceeds tolerance {tol:.3e} at t = {times[i]}; "
             "store more eigenvalues")
-    return specfun.floats_if_scalar(t, (_exp_sums(vals, ts, keeps), tails))
+    sums = _exp_sums(vals, ts, keeps)
+    # no term kept: the value is 0.0, and eta_1 t may overflow
+    top_kept = vals[np.maximum(keeps - 1, 0)] * np.where(keeps > 0, ts, 0.0)
+    tails += sums * ((math.ceil(math.log2(n)) + 29.0 + top_kept)
+                     * 2.0 ** -52 * (1.0 + 2.0 ** -20))
+    return specfun.floats_if_scalar(t, (sums, tails))
 
 
 def _exp_sums(vals: np.ndarray, ts: np.ndarray, keeps: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: one smoke pair writes every field; a bad BASE exits 2."""
+"""tools/bench_pairs.py: two smoke pairs write every field and alternate
+which side runs first; a bad BASE exits 2."""
 
 from __future__ import annotations
 
@@ -24,10 +25,10 @@ needs_git = pytest.mark.skipif(not in_git_checkout(),
 
 
 @needs_git
-def test_a_smoke_pair_writes_every_field(tmp_path):
+def test_smoke_pairs_write_every_field_and_alternate(tmp_path):
     done = subprocess.run(
         [sys.executable, str(TOOL), "HEAD", "--workload", "bounds-direct",
-         "--pairs", "1", "--seconds", "0.2", "--smoke", "--out", str(tmp_path)],
+         "--pairs", "2", "--seconds", "0.2", "--smoke", "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     (path,) = tmp_path.glob("BENCH_*.json")
@@ -38,7 +39,7 @@ def test_a_smoke_pair_writes_every_field(tmp_path):
     assert path.name == f"BENCH_{head[:7]}.json"
     assert report["base"] == report["head"] == head
     assert {"head_dirty", "pairs", "seconds", "smoke"} <= report.keys()
-    assert report["pairs"] == 1 and report["smoke"] is True
+    assert report["pairs"] == 2 and report["smoke"] is True
     (workload,) = report["workloads"].values()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert {m["name"] for m in bench["end_to_end"]} <= workload["metrics"].keys()
@@ -47,14 +48,16 @@ def test_a_smoke_pair_writes_every_field(tmp_path):
                                  "median_ratio", "wins", "pairs"}, name
         for side in ("base", "head"):
             assert metric[side].keys() == {"median", "q1", "q3"}
-        assert len(metric["ratios"]) == metric["pairs"] == 1
-        assert metric["wins"] in (0, 1)
-    (run,) = workload["runs"]
-    assert sorted(run["order"]) == ["base", "head"]
-    for side in ("base", "head"):
-        assert run[side]["record"]["workload"] == "bounds-direct"
-        assert run[side]["record"]["seed"] == run["seed"]
-        assert run[side]["result"]["correct"] is True
+        assert len(metric["ratios"]) == metric["pairs"] == 2
+        assert metric["wins"] in (0, 1, 2)
+    first, second = workload["runs"]
+    assert sorted(first["order"]) == ["base", "head"]
+    assert second["order"] == first["order"][::-1]
+    for run in (first, second):
+        for side in ("base", "head"):
+            assert run[side]["record"]["workload"] == "bounds-direct"
+            assert run[side]["record"]["seed"] == run["seed"]
+            assert run[side]["result"]["correct"] is True
 
 
 @needs_git

@@ -647,6 +647,30 @@ def test_domain_json_cylinder_n_is_a_json_number(n, shown, tmp_path, capsys):
                    f"be a number, got {shown})\n")
 
 
+@pytest.mark.parametrize("domain, what, shown", [
+    ({"cylinder": {"n": 2, "base": 3.0, "h": "1"}}, "cylinder h", '"1"'),
+    ({"cylinder": {"n": 2, "base": "3.0", "h": 1}}, "cylinder base", '"3.0"'),
+    ({"cylinder": {"n": 3, "base": [1.0, None], "h": 1}}, "cylinder base", "null"),
+    ({"cylinder": {"n": 2, "base": {**EXPLICIT, "area": "1"}, "h": 1}},
+     "cylinder base", '"1"'),
+    ({"cone": {"alpha": "0.5", "h": 1}}, "cone alpha", '"0.5"'),
+    ({"cone": {"alpha": 0.5, "h": [1]}}, "cone h", "[1]"),
+    ({"vertices": [[0, 0], [0, -1], [2, -1], ["2", 0]], "free_edges": [3]},
+     "vertices", '"2"'),
+], ids=["cylinder h", "cylinder base", "cylinder base side", "explicit area",
+        "cone alpha", "cone h", "vertex"])
+def test_domain_json_text_is_no_number(domain, what, shown, tmp_path, capsys):
+    # float() reads the text "1" as 1.0; every number field takes a JSON
+    # number only, and the refusal names the field
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(domain))
+    assert cli.main(["spectrum", "--domain", str(path), *COUNT3]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: bad domain JSON (TypeError: {what} must "
+                   f"be a number, got {shown})\n")
+
+
 def test_readme_domain_json_forms_load(tmp_path):
     # every line of the README's JSON block is a domain file load_domain
     # reads, and the block shows each form

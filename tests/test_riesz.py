@@ -372,6 +372,14 @@ def padded_heat_sum(s, t, keep):
     return float(np.sum(row))
 
 
+def heat_rounding(s, t, keep, value):
+    """The bound on the value's rounding that heat_trace's docstring adds to
+    the tail: value (ceil(log2 n) + 29 + eta_K t) 2^-52 (1 + 2^-20)."""
+    top = s.values[keep - 1] * t if keep else 0.0
+    return value * ((math.ceil(math.log2(len(s))) + 29.0 + top)
+                    * 2.0 ** -52 * (1.0 + 2.0 ** -20))
+
+
 @settings(max_examples=40, deadline=None)
 @given(gaps=st.lists(st.floats(0.05, 20.0), min_size=20, max_size=400),
        ts=st.lists(st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u), min_size=1,
@@ -379,7 +387,8 @@ def padded_heat_sum(s, t, keep):
        tol=st.sampled_from([math.inf, 1e-10, 1e-20]))
 def test_heat_trace_grid_sums_every_exponential(gaps, ts, tol):
     # each value is bit for bit np.sum of the terms up to the row's cut K(t),
-    # padded with 0.0 to the row's width, and its one-point call
+    # padded with 0.0 to the row's width, and its one-point call; value +
+    # tail is never below the float sum of every term
     s = spectra.Spectrum(problem="SD", values=np.cumsum(gaps), source="synthetic")
     try:
         values, tails = riesz.heat_trace(s, ts, tol=tol)
@@ -389,10 +398,14 @@ def test_heat_trace_grid_sums_every_exponential(gaps, ts, tol):
     keeps = [heat_cut(s, t, tol) for t in ts]
     assert values.tolist() == [padded_heat_sum(s, t, k) for t, k in zip(ts, keeps)]
     assert [riesz.heat_trace(s, t, tol=tol) for t in ts] == list(zip(values, tails))
-    # the tail counts each skipped term at a bound on the largest of them
-    for t, k, tail in zip(ts, keeps, tails):
-        if k < len(s):
-            assert tail >= (len(s) - k) * max(math.exp(-s.values[k] * t), 2.0 ** -1021)
+    plain = np.array([np.sum(np.exp(-s.values * t)) for t in ts])
+    assert np.all(values + tails >= plain)
+    # the tail counts each skipped term at a bound on the largest of them,
+    # and the value's rounding
+    n = len(s)
+    for t, k, value, tail in zip(ts, keeps, values, tails):
+        skipped = (n - k) * max(math.exp(-s.values[k] * t), 2.0 ** -1021) if k < n else 0.0
+        assert tail >= skipped + heat_rounding(s, t, k, value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,8 +418,7 @@ def test_heat_trace_is_the_exact_sum_to_its_rounding(gaps, u):
     #   e^{-1} 2^-53 e^{-eta_1 t} / n), plus each kept term's own error: its
     #   exponent fl(eta t) is off by at most eta t 2^-53 relative, and exp
     #   by under one ulp, 2^-52 relative;
-    # - value + tail bounds it from above, with the value's rounding set
-    #   aside: the exact sum of the kept terms plus the tail is at least it.
+    # - value + tail, as a float, bounds it from above.
     mpmath = pytest.importorskip("mpmath")
     s = spectra.Spectrum(problem="SD", values=np.cumsum(gaps), source="synthetic")
     t, n = 10.0 ** u, len(s)
@@ -418,22 +430,26 @@ def test_heat_trace_is_the_exact_sum_to_its_rounding(gaps, u):
         ulp = mpmath.mpf(2) ** -53
         x = [mpmath.mpf(eta) * mpmath.mpf(t) for eta in s.values]
         terms = [mpmath.exp(-xj) for xj in x]
-        exact, kept = mpmath.fsum(terms), mpmath.fsum(terms[:keep])
+        exact = mpmath.fsum(terms)
         own = ulp * mpmath.fsum((xj + 2) * e for xj, e in zip(x[:keep], terms))
         allow = (math.ceil(math.log2(n)) + 1) * ulp * exact + own
         assert abs(value - exact) <= allow
-        assert kept + tail >= exact
+        assert value + tail >= exact
 
 
 def test_heat_trace_passes_a_tolerance_below_its_rounding():
     # the cut keeps the skipped terms under half of tol: at 1e-20, far
-    # below the 3e-17 the value's rounding alone would skip, the call passes
+    # below the 3e-17 the value's rounding alone would skip, the call passes,
+    # and its tail past the bound on the value's rounding is under 1e-20
     s = spectra.rectangle_sd(math.pi, 1.0, 5000)
-    values, tails = riesz.heat_trace(s, [0.1, 1.0], tol=1e-20)
-    assert np.all(tails <= 1e-20)
-    loose = riesz.heat_trace(s, [0.1, 1.0])
-    assert np.all(np.abs(values - loose[0]) <= 4 * np.spacing(values))
-    assert np.all(loose[1] > 1e-18)
+    ts = [0.1, 1.0]
+    values, tails = riesz.heat_trace(s, ts, tol=1e-20)
+    rounding = [heat_rounding(s, t, heat_cut(s, t, 1e-20), v) for t, v in zip(ts, values)]
+    assert np.all(tails - rounding <= 1e-20 + 4 * np.spacing(tails))
+    loose, loose_tails = riesz.heat_trace(s, ts)
+    assert np.all(np.abs(values - loose) <= 4 * np.spacing(values))
+    rounding = [heat_rounding(s, t, heat_cut(s, t, 1e-10), v) for t, v in zip(ts, loose)]
+    assert np.all(loose_tails - rounding > 1e-18)
 
 
 def test_heat_trace_of_subnormal_terms_is_all_tail():

@@ -7,9 +7,10 @@ Run from anywhere inside a steklov git checkout:
 BASE is any git revision.  Its tree is exported with ``git archive`` into a
 temporary directory.  For each of N seeds the script runs
 ``perfbench/run.py --workload W --seed SEED --seconds S`` once on BASE and
-once on this checkout's working tree, one after the other, in an order drawn
-at random per pair.  It writes ``BENCH_<short sha of HEAD>.json`` (into
-``--out``, the checkout's root by default) holding, per workload and metric:
+once on this checkout's working tree, one after the other; the side that
+runs first alternates from pair to pair.  It writes
+``BENCH_<short sha of HEAD>.json`` (into ``--out``, the checkout's root by
+default) holding, per workload and metric:
 
 - the unit and the better direction, as ``BENCHMARK.json`` declares them;
 - median and quartiles of the base runs and of the head runs;
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import shutil
 import statistics
 import subprocess
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             runs = []
             for seed in range(FIRST_SEED, FIRST_SEED + args.pairs):
-                order = random.Random(seed).sample(["base", "head"], 2)
+                order = ["base", "head"] if seed % 2 else ["head", "base"]
                 pair = {"seed": seed, "order": order}
                 for side in order:
                     print(f"bench_pairs: {workload} seed {seed} {side}",

@@ -287,7 +287,7 @@ def staircase_bounds(R: float):
 
 def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     """(sum_j e^{-eta_j t} over the stored spectrum, tail bound), at a number
-    t or, as two arrays, at every t of a grid.
+    t or, as two arrays in the grid's shape, at every t of a grid.
 
     The tail past the last stored eigenvalue is bounded geometrically by
     e^{-eta_last t} / (1 - e^{-gap t}) with gap = the smallest spacing in the
@@ -329,7 +329,8 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     """
     if s.problem != "SD":
         raise ValueError("heat_trace expects an SD spectrum (positive eigenvalues)")
-    ts = specfun.points(t, "time", 0, strict=True)
+    grid = specfun.points(t, "time", 0, strict=True)
+    ts = grid.ravel()
     tol = _tolerance(tol)
     vals = s.values
     n = len(s)
@@ -366,7 +367,8 @@ def heat_trace(s: Spectrum, t, tol: float = 1e-10):
     top_kept = vals[np.maximum(keeps - 1, 0)] * np.where(keeps > 0, ts, 0.0)
     tails += sums * ((math.ceil(math.log2(n)) + 29.0 + top_kept)
                      * 2.0 ** -52 * (1.0 + 2.0 ** -20))
-    return specfun.floats_if_scalar(t, (sums, tails))
+    return specfun.floats_if_scalar(
+        t, (sums.reshape(grid.shape), tails.reshape(grid.shape)))
 
 
 def _exp_sums(vals: np.ndarray, ts: np.ndarray, keeps: np.ndarray) -> np.ndarray:

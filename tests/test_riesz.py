@@ -468,6 +468,15 @@ def test_heat_trace_at_a_tiny_t_keeps_every_term():
         assert riesz.heat_trace(s, 1e-320, tol=math.inf)[0] == 50.0
 
 
+def test_heat_trace_keeps_the_grid_shape():
+    s = spectra.rectangle_sd(math.pi, 1.0, 300)
+    ts = np.array([[0.5, 1.0], [1.5, 2.0], [0.2, 0.5]])
+    flat = riesz.heat_trace(s, ts.ravel())
+    for got, want in zip(riesz.heat_trace(s, ts), flat):
+        assert got.shape == ts.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_heat_trace_grid_is_its_one_point_calls_across_block_ends(extra):
     # t in [0.0115, 0.022] keeps 2049 to 4096 of the 5000 terms, so every
